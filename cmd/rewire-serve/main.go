@@ -62,7 +62,15 @@ func main() {
 		}
 	}
 
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	// Header and idle timeouts bound what a slow or idle client can hold
+	// open. No read or write timeout: sample streams stay open for as long
+	// as a job runs.
+	httpSrv := &http.Server{
+		Addr:              *addr,
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: 10 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
 	log.Printf("rewire-serve listening on %s", *addr)

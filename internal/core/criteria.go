@@ -19,6 +19,22 @@
 // The Sampler (Algorithm 1) applies these while walking; BuildOverlay
 // applies them offline to a known graph for the paper's Fig 10 style
 // spectral measurements.
+//
+// Two bounds let the criterion reject most edges without finishing its work,
+// and both are exact (they never change a verdict). Doubled, the left side of
+// Theorem 3 is 2⌈c/2⌉+2 and that of Theorem 5 is 2⌈r/2⌉+2+Σ(4-kw), where c
+// common neighbors split into r plain ones and c-r cached at degree 2 or 3:
+//
+//   - Each common neighbor adds at most 2 to the doubled left side, so it
+//     never exceeds 2c+2, and c ≤ min(ku, kv). When 2·min(ku,kv)+2 ≤
+//     max(ku,kv) neither theorem can fire, so the sampler rejects the edge
+//     from the two degrees alone, before intersecting any lists; with c in
+//     hand, Theorem 5 skips its degree scan when 2c+2 ≤ max(ku,kv).
+//   - Scanning the common neighbors in order, the left side computed over the
+//     scanned prefix never decreases and ends at the full value, and each
+//     unscanned neighbor adds at most 2 more. So the scan stops with true as
+//     soon as the prefix exceeds max(ku,kv), and with false as soon as the
+//     prefix plus 2 per unscanned neighbor cannot.
 package core
 
 import "rewire/internal/graph"
@@ -56,27 +72,45 @@ type DegreeCache interface {
 //	⌈(|common| - |N*|)/2⌉ + 1 + Σ_{w∈N*} (4-kw)/2 > max(ku, kv)/2.
 //
 // With an empty N* this degenerates to Theorem 3 exactly, so callers can use
-// it unconditionally. A nil cache is treated as empty.
+// it unconditionally. A nil cache is treated as empty. The degree scan stops
+// as soon as its outcome is settled (see the package comment), so cache
+// lookups are skipped once they can no longer change the verdict.
 func RemovableTheorem5(common []graph.NodeID, ku, kv int, cache DegreeCache) bool {
-	nStar := 0
-	bonus := 0 // Σ (4 - kw), kept doubled like the rest of the comparison
-	if cache != nil {
-		for _, w := range common {
-			kw, ok := cache.CachedDegree(w)
-			if ok && kw >= 2 && kw <= 3 {
-				nStar++
-				bonus += 4 - kw
-			}
+	maxDeg := max(ku, kv)
+	if cache == nil || len(common) == 0 || !canFire(len(common), maxDeg) {
+		// Nothing to scan, or nothing the scan finds could make it fire.
+		return RemovableTheorem3(len(common), ku, kv)
+	}
+	rest := 0  // scanned common neighbors outside N*
+	bonus := 0 // Σ (4 - kw) over scanned N*, kept doubled like the comparison
+	for i, w := range common {
+		if kw, ok := cache.CachedDegree(w); ok && kw >= 2 && kw <= 3 {
+			bonus += 4 - kw
+		} else {
+			rest++
+		}
+		// 2*(⌈rest/2⌉ + 1) + bonus over the scanned prefix.
+		lhs := 2*((rest+1)/2+1) + bonus
+		if lhs > maxDeg {
+			return true
+		}
+		if lhs+2*(len(common)-1-i) <= maxDeg {
+			return false
 		}
 	}
-	maxDeg := ku
-	if kv > maxDeg {
-		maxDeg = kv
-	}
-	rest := len(common) - nStar
-	// 2*(⌈rest/2⌉ + 1) + bonus > maxDeg.
-	return 2*((rest+1)/2+1)+bonus > maxDeg
+	return false
 }
+
+// canFire reports whether an edge with common common neighbors and larger
+// endpoint degree maxDeg could pass Theorem 3 or 5 at all: each common
+// neighbor adds at most 2 to the doubled left side, which starts at 2.
+func canFire(common, maxDeg int) bool { return 2*common+2 > maxDeg }
+
+// degreesCanFire reports whether an edge whose endpoints have degrees ku and
+// kv could pass Theorem 3 or 5 for any set of common neighbors. It cannot
+// when 2·min(ku,kv)+2 ≤ max(ku,kv), since the common count is at most the
+// smaller degree; callers use it to skip the list intersection.
+func degreesCanFire(ku, kv int) bool { return canFire(min(ku, kv), max(ku, kv)) }
 
 // Removable combines both certificates: an edge is removable when Theorem 3
 // fires on the counts alone, or Theorem 5 fires with cached degree

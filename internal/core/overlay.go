@@ -304,7 +304,7 @@ func (o *Overlay) RemoveEdgeGuarded(u, v graph.NodeID, minU, minV int, requireCo
 	if len(uLst) <= minU || len(vLst) <= minV {
 		return false
 	}
-	if requireCommon && graph.CountIntersectSorted(uLst, vLst) < 1 {
+	if requireCommon && !graph.IntersectsSorted(uLst, vLst) {
 		return false
 	}
 	o.removeEdgeLocked(u, v)

@@ -340,18 +340,37 @@ func (s *Sampler) removableEdge(u, v graph.NodeID, uOv, vOv []graph.NodeID) bool
 	if s.ov.IsAdded(u, v) {
 		return false
 	}
+	// Each endpoint's base list is read at most once per examined edge: the
+	// degree floor and the EvalOriginal criterion share it. Both reads are
+	// cache hits, since the walk already paid for u and v.
+	var ub, vb []graph.NodeID
 	if s.cfg.DegreeFloor > 0 {
-		if len(uOv) <= s.floorOf(u) || len(vOv) <= s.floorOf(v) {
+		ub = s.ov.base.Neighbors(u)
+		if len(uOv) <= s.floorFor(len(ub)) {
+			return false
+		}
+		vb = s.ov.base.Neighbors(v)
+		if len(vOv) <= s.floorFor(len(vb)) {
 			return false
 		}
 	}
 	if s.cfg.Criterion == EvalOverlay {
+		if !degreesCanFire(len(uOv), len(vOv)) {
+			return false
+		}
 		s.scratch = graph.IntersectSortedInto(s.scratch, uOv, vOv)
 		return Removable(s.scratch, len(uOv), len(vOv), s.cache)
 	}
 	// EvalOriginal: static criterion on the neighborhoods the queries
 	// returned; connectivity guard on the overlay.
-	if graph.CountIntersectSorted(uOv, vOv) < 1 {
+	if !graph.IntersectsSorted(uOv, vOv) {
+		return false
+	}
+	if s.cfg.DegreeFloor <= 0 {
+		ub = s.ov.base.Neighbors(u)
+		vb = s.ov.base.Neighbors(v)
+	}
+	if !degreesCanFire(len(ub), len(vb)) {
 		return false
 	}
 	k := graph.KeyOf(u, v)
@@ -360,8 +379,6 @@ func (s *Sampler) removableEdge(u, v graph.NodeID, uOv, vOv []graph.NodeID) bool
 			return false // cached negative
 		}
 	}
-	ub := s.ov.base.Neighbors(u) // cached: the walk already paid for both
-	vb := s.ov.base.Neighbors(v)
 	s.scratch = graph.IntersectSortedInto(s.scratch, ub, vb)
 	fires := Removable(s.scratch, len(ub), len(vb), s.cache)
 	if !fires && s.verdicts != nil {
@@ -384,20 +401,17 @@ func (s *Sampler) pivotAvailable(v graph.NodeID) bool {
 // |N(u)| >= 1.
 func (s *Sampler) minKeep(u graph.NodeID) int {
 	if s.cfg.DegreeFloor > 0 {
-		return s.floorOf(u)
+		// Base neighborhoods are cached for every node the walk touches, so
+		// this never issues a query.
+		return s.floorFor(len(s.ov.base.Neighbors(u)))
 	}
 	return 1
 }
 
-// floorOf returns the minimum overlay degree node u must keep:
-// max(2, ⌈DegreeFloor · base degree⌉). Base neighborhoods are cached for
-// every node the walk touches, so this never issues a query.
-func (s *Sampler) floorOf(u graph.NodeID) int {
-	f := int(s.cfg.DegreeFloor*float64(len(s.ov.base.Neighbors(u))) + 0.999999)
-	if f < 2 {
-		f = 2
-	}
-	return f
+// floorFor returns the minimum overlay degree a node of base degree k must
+// keep: max(2, ⌈DegreeFloor · k⌉).
+func (s *Sampler) floorFor(k int) int {
+	return max(2, int(s.cfg.DegreeFloor*float64(k)+0.999999))
 }
 
 // pickReplacement chooses w for the Theorem 4 replacement of (cur, v)

@@ -119,6 +119,10 @@ type Cache struct {
 	trigger chan struct{}
 	stop    chan struct{}
 	done    chan struct{}
+
+	// afterFold, when set, runs between a compaction's fold and its manifest
+	// swap, so tests can race Close against a compaction in flight.
+	afterFold func()
 }
 
 // Open opens (creating if needed) the cache directory at dir, recovers its
@@ -378,7 +382,7 @@ func (c *Cache) append(r Record) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
-		return fmt.Errorf("durable: cache closed")
+		return errClosed
 	}
 	if c.werr != nil {
 		return c.werr

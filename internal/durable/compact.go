@@ -1,6 +1,7 @@
 package durable
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -8,9 +9,15 @@ import (
 	"rewire/internal/graph"
 )
 
+// errClosed reports an operation on a closed cache. A background compaction
+// that Close overtakes also ends with it: its files are debris for the next
+// open to prune, not a failure.
+var errClosed = errors.New("durable: cache closed")
+
 // compactorLoop is the background half of compaction: it waits for append to
 // signal that enough sealed segments have accumulated, folds them, and goes
-// back to sleep. Close stops it and collects the last error.
+// back to sleep. Close stops it and collects the last error; a compaction
+// abandoned because Close won the race is not one.
 func (c *Cache) compactorLoop() {
 	defer close(c.done)
 	for {
@@ -19,7 +26,7 @@ func (c *Cache) compactorLoop() {
 			return
 		case <-c.trigger:
 		}
-		if err := c.Compact(); err != nil {
+		if err := c.Compact(); err != nil && !errors.Is(err, errClosed) {
 			c.mu.Lock()
 			c.cerr = err
 			c.mu.Unlock()
@@ -45,7 +52,7 @@ func (c *Cache) Compact() error {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		return fmt.Errorf("durable: cache closed")
+		return errClosed
 	}
 	if c.compacting {
 		c.mu.Unlock()
@@ -88,13 +95,16 @@ func (c *Cache) Compact() error {
 	if err := c.fold(newGen, sealed, snap, oldMetaName); err != nil {
 		return err
 	}
+	if c.afterFold != nil {
+		c.afterFold()
+	}
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
 		// Close won the race; the new generation's files are debris for the
 		// next open to prune.
-		return fmt.Errorf("durable: cache closed during compaction")
+		return fmt.Errorf("%w during compaction", errClosed)
 	}
 	man := c.man
 	man.Gen = newGen

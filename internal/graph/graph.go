@@ -216,6 +216,23 @@ func CountIntersectSorted(a, b []NodeID) int {
 	return n
 }
 
+// IntersectsSorted reports whether two ascending slices share an element,
+// stopping the merge at the first one.
+func IntersectsSorted(a, b []NodeID) bool {
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] < b[j]:
+			i++
+		case a[i] > b[j]:
+			j++
+		default:
+			return true
+		}
+	}
+	return false
+}
+
 // ContainsSorted reports whether x occurs in the ascending slice lst.
 func ContainsSorted(lst []NodeID, x NodeID) bool {
 	_, found := slices.BinarySearch(lst, x)

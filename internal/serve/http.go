@@ -125,10 +125,30 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	_ = enc.Encode(v)
 }
 
+// maxBodyBytes caps every POST body. A job spec or budget request is a few
+// hundred bytes; the cap only stops a client from streaming an unbounded body
+// into the decoder.
+const maxBodyBytes = 1 << 20
+
+// decodeBody decodes r's JSON body, read through a maxBodyBytes cap, into v.
+// On failure it answers 413 for an oversized body and 400 otherwise, and
+// reports false.
+func decodeBody(w http.ResponseWriter, r *http.Request, what string, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	code := http.StatusBadRequest
+	if tooLarge := (*http.MaxBytesError)(nil); errors.As(err, &tooLarge) {
+		code = http.StatusRequestEntityTooLarge
+	}
+	writeJSON(w, code, map[string]string{"error": fmt.Sprintf("serve: decoding %s: %v", what, err)})
+	return false
+}
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec JobSpec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": fmt.Sprintf("serve: decoding job spec: %v", err)})
+	if !decodeBody(w, r, "job spec", &spec) {
 		return
 	}
 	id, err := s.Submit(r.Context(), spec)
@@ -291,8 +311,7 @@ func (s *Server) handleBudget(w http.ResponseWriter, r *http.Request) {
 		Backend string `json:"backend"`
 		Budget  int64  `json:"budget"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": fmt.Sprintf("serve: decoding budget request: %v", err)})
+	if !decodeBody(w, r, "budget request", &req) {
 		return
 	}
 	if req.Backend == "" {

@@ -718,6 +718,28 @@ func TestHTTPErrorMapping(t *testing.T) {
 	}
 }
 
+// TestOversizedBodiesRejected: both POST decoders read through a size cap
+// and answer 413 when a body exceeds it, while normal bodies still decode.
+func TestOversizedBodiesRejected(t *testing.T) {
+	s, ts := newTestServer(t, Options{})
+	// Valid JSON up to the point the cap cuts it.
+	huge := `{"backend": "` + strings.Repeat("x", maxBodyBytes) + `", "samples": 5}`
+	if code, data := request(t, http.MethodPost, ts.URL+"/v1/jobs", huge); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized job spec: %d (%s), want 413", code, data)
+	}
+	if code, data := request(t, http.MethodPost, ts.URL+"/v1/tenants/t/budget", huge); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized budget request: %d (%s), want 413", code, data)
+	}
+	if n := len(s.jobList()); n != 0 {
+		t.Fatalf("%d jobs created by rejected bodies", n)
+	}
+	if code, data := request(t, http.MethodPost, ts.URL+"/v1/tenants/t/budget", `{"backend": "mem:barbell?n=20", "budget": 5}`); code != http.StatusOK {
+		t.Fatalf("budget request under the cap: %d (%s), want 200", code, data)
+	}
+	id := submitJob(t, ts.URL, JobSpec{Backend: "mem:barbell?n=20", Samples: 5})
+	waitState(t, ts.URL, id, StateDone)
+}
+
 // TestDurableCacheWarmRestart: with Options.CacheDir, a restarted daemon
 // reopens each backend's durable cache warm — the recovered ledger equals
 // the pre-restart bill, and re-running the identical job bills nothing new

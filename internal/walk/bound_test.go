@@ -1,0 +1,137 @@
+package walk
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"rewire/internal/graph"
+)
+
+// failingSource answers even ids and fails odd ones, each failure with a
+// fresh error value so a test can tell which one a Bound latched.
+type failingSource struct {
+	mu     sync.Mutex
+	issued map[error]bool
+}
+
+func newFailingSource() *failingSource { return &failingSource{issued: make(map[error]bool)} }
+
+func (f *failingSource) Neighbors(v graph.NodeID) []graph.NodeID {
+	nbrs, _ := f.NeighborsContext(context.Background(), v)
+	return nbrs
+}
+
+func (f *failingSource) Degree(v graph.NodeID) int { return len(f.Neighbors(v)) }
+
+func (f *failingSource) NeighborsContext(ctx context.Context, v graph.NodeID) ([]graph.NodeID, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	if v%2 == 0 {
+		return []graph.NodeID{v + 1}, nil
+	}
+	err := fmt.Errorf("node %d unavailable", v)
+	f.mu.Lock()
+	f.issued[err] = true
+	f.mu.Unlock()
+	return nil, err
+}
+
+func (f *failingSource) wasIssued(err error) bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.issued[err]
+}
+
+// TestBoundLatchesFirstErrorConcurrently hammers a Bound from several
+// goroutines reading, failing and polling Err at once. Run it under -race:
+// the Bound takes no lock, so the detector is what checks its atomics.
+func TestBoundLatchesFirstErrorConcurrently(t *testing.T) {
+	src := newFailingSource()
+	b := NewBound(src)
+	const workers, reads = 8, 2000
+	for run := range 3 {
+		b.Bind(context.Background())
+		if err := b.Err(); err != nil {
+			t.Fatalf("run %d: Err after Bind = %v, want nil", run, err)
+		}
+		// One failure before the stampede is, unambiguously, the first.
+		var first error
+		if run > 0 {
+			if _, first = b.NeighborsContext(context.Background(), 1); first == nil {
+				t.Fatal("odd id did not fail")
+			}
+		}
+		var wg sync.WaitGroup
+		var latched atomic.Pointer[error]
+		for w := range workers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				var seen error
+				for i := range reads {
+					v := graph.NodeID(w*reads + i)
+					nbrs := b.Neighbors(v)
+					if v%2 == 0 && len(nbrs) != 1 {
+						t.Errorf("even id %d read %v", v, nbrs)
+					}
+					if v%2 == 1 && nbrs != nil {
+						t.Errorf("odd id %d read %v, want nil", v, nbrs)
+					}
+					if i%3 == 0 {
+						b.fail(errors.New("late failure"))
+					}
+					err := b.Err()
+					if err == nil {
+						t.Errorf("Err = nil after a failed read")
+						return
+					}
+					if seen != nil && err != seen {
+						t.Errorf("latched error changed from %v to %v", seen, err)
+						return
+					}
+					seen = err
+				}
+				latched.CompareAndSwap(nil, &seen)
+			}()
+		}
+		wg.Wait()
+		err := b.Err()
+		if got := latched.Load(); got == nil || *got != err {
+			t.Fatalf("run %d: workers saw a different latched error than Err = %v", run, err)
+		}
+		if run > 0 && err != first {
+			t.Fatalf("run %d: latched %v, want the first failure %v", run, err, first)
+		}
+		if !src.wasIssued(err) && err.Error() != "late failure" {
+			t.Fatalf("run %d: latched %v, which no failure produced", run, err)
+		}
+	}
+}
+
+func TestBoundBindClearsErrorAndSwitchesContext(t *testing.T) {
+	b := NewBound(newFailingSource())
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	b.Bind(ctx)
+	if nbrs := b.Neighbors(0); nbrs != nil {
+		t.Fatalf("read under a cancelled context = %v, want nil", nbrs)
+	}
+	if err := b.Err(); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Err = %v, want context.Canceled", err)
+	}
+	b.Bind(context.Background())
+	if err := b.Err(); err != nil {
+		t.Fatalf("Err after rebinding = %v, want nil", err)
+	}
+	if nbrs := b.Neighbors(0); len(nbrs) != 1 {
+		t.Fatalf("read after rebinding = %v, want one neighbor", nbrs)
+	}
+	if b.Neighbors(3) != nil || b.Err() == nil {
+		t.Fatal("a failed read after rebinding did not latch")
+	}
+}

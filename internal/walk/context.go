@@ -2,7 +2,7 @@ package walk
 
 import (
 	"context"
-	"sync"
+	"sync/atomic"
 
 	"rewire/internal/graph"
 )
@@ -72,8 +72,10 @@ func sourceErr(src Source) error {
 // source lacks them, so a sampler built over a Bound behaves exactly as one
 // built over the inner source directly.
 //
-// Bound is safe for concurrent use by a fleet; Bind must not be called while
-// a run is in flight (the session serializes runs).
+// Bound is safe for concurrent use by a fleet and takes no lock: every read
+// loads the bound context atomically and the first failure is latched by a
+// compare-and-swap, so cache hits through a Bound stay contention-free. Bind
+// must not be called while a run is in flight (the session serializes runs).
 type Bound struct {
 	src    ContextSource
 	pf     PrefetchSource
@@ -82,17 +84,23 @@ type Bound struct {
 		Cached(v graph.NodeID) bool
 	}
 
-	mu  sync.Mutex
-	ctx context.Context
-	err error
+	ctx atomic.Pointer[boundContext]
+	err atomic.Pointer[boundError]
 }
+
+// boundContext and boundError box the interface values a Bound publishes
+// through its atomic pointers.
+type (
+	boundContext struct{ ctx context.Context }
+	boundError   struct{ err error }
+)
 
 // NewBound wraps src (adapted via AsContextSource) bound to the background
 // context.
 func NewBound(src Source) *Bound {
-	cs := AsContextSource(src)
+	b := &Bound{src: AsContextSource(src)}
 	//rewirelint:allow ctxflow Background is the documented initial state; Bind installs the caller's ctx
-	b := &Bound{src: cs, ctx: context.Background()}
+	b.ctx.Store(&boundContext{context.Background()})
 	b.pf, _ = src.(PrefetchSource)
 	b.cached, _ = src.(CachedSource)
 	b.nc, _ = src.(interface {
@@ -109,34 +117,26 @@ func (b *Bound) Bind(ctx context.Context) {
 		//rewirelint:allow ctxflow nil means unbound; Background restores the documented initial state
 		ctx = context.Background()
 	}
-	b.mu.Lock()
-	b.ctx = ctx
-	b.err = nil
-	b.mu.Unlock()
+	b.ctx.Store(&boundContext{ctx})
+	b.err.Store(nil)
 }
 
 // Err returns the first query failure since the last Bind (nil if none).
 func (b *Bound) Err() error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.err
+	if e := b.err.Load(); e != nil {
+		return e.err
+	}
+	return nil
 }
 
-// fail latches the first error of the run.
+// fail latches the first error of the run; later errors lose the
+// compare-and-swap and are dropped.
 func (b *Bound) fail(err error) {
-	b.mu.Lock()
-	if b.err == nil {
-		b.err = err
-	}
-	b.mu.Unlock()
+	b.err.CompareAndSwap(nil, &boundError{err})
 }
 
 // context returns the currently bound context.
-func (b *Bound) context() context.Context {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.ctx
-}
+func (b *Bound) context() context.Context { return b.ctx.Load().ctx }
 
 // Neighbors returns v's neighbor list under the bound context; on failure it
 // latches the error and returns nil.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"iter"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -501,6 +502,9 @@ func (s *Session) Estimate(ctx context.Context, agg Aggregate, opt EstimateOptio
 		MaxBurnInSteps: opt.MaxBurnInSteps,
 		Samples:        opt.Samples,
 		Thinning:       opt.Thinning,
+		// Only the final estimate is reported, so record no trajectory points
+		// (each would cost an append and a ledger read per sample).
+		RecordEvery: math.MaxInt,
 		Stop: func() bool {
 			return ctx.Err() != nil || s.bound.Err() != nil || s.pauseReq.Load()
 		},
