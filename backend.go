@@ -24,8 +24,13 @@ import (
 // Contract:
 //
 //   - Fetch returns exactly one neighbor list per requested id, in input
-//     order, or a non-nil error for the batch as a whole (no partial
-//     results). An empty list is a valid answer for an isolated user.
+//     order, or a non-nil error for the batch as a whole. An empty list is a
+//     valid answer for an isolated user.
+//   - The one exception is an *IDErrors: the round-trip succeeded but some
+//     ids failed on their own. lists[i] is then valid wherever Errs[i] is
+//     nil. Backends that cannot tell per-id failures apart simply fail the
+//     batch; callers that treat a batch as all-or-nothing may ignore the
+//     distinction, since errors.Is still matches every entry's class.
 //   - An id outside the backend's user space fails with an error matching
 //     ErrNoSuchUser (errors.Is).
 //   - Fetch honors ctx: cancellation or deadline expiry aborts the in-flight
@@ -34,12 +39,18 @@ import (
 //     retain or mutate them (they are cached forever client-side).
 //   - Fetch must be safe for concurrent use.
 //
-// Optional capabilities — UserCounter, Hinter, RateLimited, io.Closer — are
+// Optional capabilities — UserCounter, RateLimited, io.Closer — are
 // discovered by interface probing that follows Unwrap chains, so middleware
 // wrappers (WithRetry, WithRateLimit, WithMetrics) never hide them.
 type Backend interface {
 	Fetch(ctx context.Context, ids []NodeID) ([][]NodeID, error)
 }
+
+// IDErrors is the per-id result of a Fetch whose round-trip succeeded: Errs
+// holds one entry per requested id, nil where that id's list is valid. The
+// HTTP driver returns it for an unknown id among strangers in one batch POST;
+// WithBatching hands each entry to its own demander.
+type IDErrors = osn.IDErrors
 
 // UserCounter is the optional Backend capability of publishing the total
 // user count — the figure the paper notes real providers publish for
@@ -48,15 +59,6 @@ type Backend interface {
 // with WithStarts.
 type UserCounter interface {
 	NumUsers() int
-}
-
-// Hinter is the optional Backend capability of accepting advisory prefetch
-// hints: ids the sampler expects to demand soon. The provider's speculative
-// pool forwards every hint it accepts, so a backend can warm its own side of
-// the fetch (fault pages in, pipeline a request). Hint must not block, must
-// be safe for concurrent use, and carries no obligation.
-type Hinter interface {
-	Hint(ids []NodeID)
 }
 
 // RateLimitInfo is provider-published quota feedback, typically mirrored
@@ -81,9 +83,12 @@ type BackendUnwrapper interface {
 	Unwrap() Backend
 }
 
-// backendAs resolves capability T anywhere on b's Unwrap chain, outermost
-// first.
-func backendAs[T any](b Backend) (T, bool) {
+// BackendAs resolves capability T anywhere on b's Unwrap chain, outermost
+// first — the probing Open and BackendSource do internally. Use it to reach a
+// wrapped backend's extras (a WithMetrics Metrics method, a WithBatching
+// BatchStatser, a driver-specific statistics interface) without caring how
+// the middleware is stacked.
+func BackendAs[T any](b Backend) (T, bool) {
 	for b != nil {
 		if t, ok := b.(T); ok {
 			return t, true
@@ -99,11 +104,8 @@ func backendAs[T any](b Backend) (T, bool) {
 }
 
 // osnBackend adapts a public Backend to the internal client contract,
-// resolving capabilities through the Unwrap chain once at construction.
-// The Hinter capability is surfaced by a distinct wrapper type
-// (hintingOSNBackend) rather than an always-present no-op method, so the
-// client's probe-once `be.(Hinter)` stays false — and the prefetch path
-// allocation-free — for backends without one.
+// resolving the UserCounter capability through the Unwrap chain once at
+// construction.
 type osnBackend struct {
 	b     Backend
 	users func() int
@@ -111,11 +113,8 @@ type osnBackend struct {
 
 func newOSNBackend(b Backend) osn.Backend {
 	a := &osnBackend{b: b}
-	if uc, ok := backendAs[UserCounter](b); ok {
+	if uc, ok := BackendAs[UserCounter](b); ok {
 		a.users = uc.NumUsers
-	}
-	if h, ok := backendAs[Hinter](b); ok {
-		return &hintingOSNBackend{osnBackend: a, hint: h.Hint}
 	}
 	return a
 }
@@ -141,15 +140,6 @@ func (a *osnBackend) NumUsers() int {
 	}
 	return a.users()
 }
-
-// hintingOSNBackend is the adapter variant for backends with a Hinter on
-// their chain.
-type hintingOSNBackend struct {
-	*osnBackend
-	hint func(ids []NodeID)
-}
-
-func (a *hintingOSNBackend) Hint(ids []NodeID) { a.hint(ids) }
 
 // closeBackend closes every io.Closer on b's Unwrap chain, returning the
 // first error.
@@ -182,13 +172,7 @@ type RetryOptions struct {
 	MaxDelay  time.Duration
 }
 
-// WithRetry wraps b with bounded-jitter exponential-backoff retries. Context
-// errors and ErrNoSuchUser are never retried; anything else is, unless it
-// declares itself permanent via `interface{ Temporary() bool }` (as the HTTP
-// driver's status errors do). Drivers with built-in retry (http) generally
-// do not need this wrapper — it exists for third-party backends that fail
-// transiently without one.
-func WithRetry(b Backend, o RetryOptions) Backend {
+func (o RetryOptions) withDefaults() RetryOptions {
 	if o.MaxAttempts <= 0 {
 		o.MaxAttempts = 4
 	}
@@ -198,89 +182,113 @@ func WithRetry(b Backend, o RetryOptions) Backend {
 	if o.MaxDelay <= 0 {
 		o.MaxDelay = 5 * time.Second
 	}
-	return &retryBackend{inner: b, partial: partialFetchFunc(b), opt: o}
+	return o
 }
 
-type retryBackend struct {
-	inner   Backend
-	partial func(context.Context, []NodeID) ([][]NodeID, []error, error)
-	opt     RetryOptions
-}
-
-func (r *retryBackend) Unwrap() Backend { return r.inner }
-
-func (r *retryBackend) Fetch(ctx context.Context, ids []NodeID) ([][]NodeID, error) {
+// retry runs fn until it succeeds, fails for good, or MaxAttempts is spent.
+// Context errors, ErrNoSuchUser and *IDErrors are final, and so is an error
+// declaring itself permanent via Temporary() false. An error carrying a
+// provider's Retry-After (RetryDelay) stretches the next wait to it; one
+// beyond MaxDelay is returned at once, because sleeping out an hour-long quota
+// window would wedge the walk — the caller decides (budget the crawl,
+// WithRateLimit, resume later).
+func (o RetryOptions) retry(ctx context.Context, fn func() error) error {
 	var lastErr error
-	for attempt := 1; attempt <= r.opt.MaxAttempts; attempt++ {
-		if err := r.wait(ctx, attempt); err != nil {
-			return nil, err
+	var floor time.Duration
+	for attempt := 1; attempt <= o.MaxAttempts; attempt++ {
+		if attempt > 1 {
+			if err := o.wait(ctx, attempt, floor); err != nil {
+				return err
+			}
 		}
-		lists, err := r.inner.Fetch(ctx, ids)
+		err := fn()
 		if err == nil {
-			return lists, nil
+			return nil
 		}
-		if stop, serr := r.sieve(ctx, err); stop {
-			return nil, serr
+		if ctx.Err() != nil {
+			// The caller's context ended: report it, not the transport noise.
+			return ctx.Err()
+		}
+		if permanent(err) {
+			return err
+		}
+		floor = 0
+		var ra interface{ RetryDelay() time.Duration }
+		if errors.As(err, &ra) {
+			if floor = ra.RetryDelay(); floor > o.MaxDelay {
+				return err
+			}
 		}
 		lastErr = err
 	}
-	return nil, fmt.Errorf("rewire: %d fetch attempts exhausted: %w", r.opt.MaxAttempts, lastErr)
+	return fmt.Errorf("rewire: %d attempts exhausted: %w", o.MaxAttempts, lastErr)
 }
 
-// FetchPartial applies the same retry policy to the per-id fetch path, so a
-// coalescing dispatcher probing through this wrapper still gets retries.
-// Only whole-batch failures are retried; per-id errors are final answers.
-func (r *retryBackend) FetchPartial(ctx context.Context, ids []NodeID) ([][]NodeID, []error, error) {
-	var lastErr error
-	for attempt := 1; attempt <= r.opt.MaxAttempts; attempt++ {
-		if err := r.wait(ctx, attempt); err != nil {
-			return nil, nil, err
-		}
-		lists, errs, err := r.partial(ctx, ids)
-		if err == nil {
-			return lists, errs, nil
-		}
-		if stop, serr := r.sieve(ctx, err); stop {
-			return nil, nil, serr
-		}
-		lastErr = err
+// permanent reports whether retrying err cannot help.
+func permanent(err error) bool {
+	if isIDErrors(err) || errors.Is(err, ErrNoSuchUser) {
+		return true
 	}
-	return nil, nil, fmt.Errorf("rewire: %d fetch attempts exhausted: %w", r.opt.MaxAttempts, lastErr)
+	var tmp interface{ Temporary() bool }
+	return errors.As(err, &tmp) && !tmp.Temporary()
 }
 
-// wait sleeps out the backoff before attempt n (no-op for the first).
-func (r *retryBackend) wait(ctx context.Context, attempt int) error {
-	if attempt <= 1 {
-		return nil
+// isIDErrors reports whether err is a per-id result rather than a failed
+// round-trip.
+func isIDErrors(err error) bool {
+	var ie *IDErrors
+	return errors.As(err, &ie)
+}
+
+// wait sleeps out the backoff before the given attempt (2 or later), or floor
+// when that is longer.
+func (o RetryOptions) wait(ctx context.Context, attempt int, floor time.Duration) error {
+	d := o.BaseDelay << (attempt - 2)
+	if d > o.MaxDelay || d <= 0 {
+		d = o.MaxDelay
 	}
-	d := r.opt.BaseDelay << (attempt - 2)
-	if d > r.opt.MaxDelay || d <= 0 {
-		d = r.opt.MaxDelay
-	}
-	d = d/2 + time.Duration(rand.Int64N(int64(d/2)+1))
+	// Bounded jitter: uniform in [d/2, d). Decorrelates a fleet of crawlers
+	// without ever waiting less than half the intended delay.
+	d = max(d/2+time.Duration(rand.Int64N(int64(d/2)+1)), floor)
 	t := time.NewTimer(d)
+	defer t.Stop()
 	select {
 	case <-ctx.Done():
-		t.Stop()
 		return ctx.Err()
 	case <-t.C:
 		return nil
 	}
 }
 
-// sieve classifies a Fetch error: stop (with the error to return) or retry.
-func (r *retryBackend) sieve(ctx context.Context, err error) (bool, error) {
-	if ctx.Err() != nil {
-		return true, ctx.Err()
+// WithRetry wraps b with bounded-jitter exponential-backoff retries. Context
+// errors, ErrNoSuchUser and *IDErrors are never retried; anything else is,
+// unless it declares itself permanent via `interface{ Temporary() bool }`.
+// An error with a `RetryDelay() time.Duration` method (the HTTP driver's
+// status errors carry the provider's Retry-After) waits at least that long,
+// and is returned at once when the delay exceeds MaxDelay. The http driver
+// composes this wrapper itself from its retries, backoff and max_backoff
+// parameters.
+func WithRetry(b Backend, o RetryOptions) Backend {
+	return &retryBackend{inner: b, opt: o.withDefaults()}
+}
+
+type retryBackend struct {
+	inner Backend
+	opt   RetryOptions
+}
+
+func (r *retryBackend) Unwrap() Backend { return r.inner }
+
+func (r *retryBackend) Fetch(ctx context.Context, ids []NodeID) ([][]NodeID, error) {
+	var lists [][]NodeID
+	err := r.opt.retry(ctx, func() (err error) {
+		lists, err = r.inner.Fetch(ctx, ids)
+		return err
+	})
+	if err != nil && !isIDErrors(err) {
+		return nil, err
 	}
-	if errors.Is(err, ErrNoSuchUser) {
-		return true, err
-	}
-	var tmp interface{ Temporary() bool }
-	if errors.As(err, &tmp) && !tmp.Temporary() {
-		return true, err
-	}
-	return false, nil
+	return lists, err
 }
 
 // WithRateLimit wraps b with a client-side token bucket: at most rps
@@ -295,20 +303,18 @@ func WithRateLimit(b Backend, rps float64, burst int) Backend {
 		return b
 	}
 	return &rateLimitBackend{
-		inner:   b,
-		partial: partialFetchFunc(b),
-		rps:     rps,
-		burst:   float64(burst),
-		tokens:  float64(burst),
-		last:    time.Now(),
+		inner:  b,
+		rps:    rps,
+		burst:  float64(burst),
+		tokens: float64(burst),
+		last:   time.Now(),
 	}
 }
 
 type rateLimitBackend struct {
-	inner   Backend
-	partial func(context.Context, []NodeID) ([][]NodeID, []error, error)
-	rps     float64
-	burst   float64
+	inner Backend
+	rps   float64
+	burst float64
 
 	mu     sync.Mutex
 	tokens float64
@@ -333,25 +339,9 @@ func (r *rateLimitBackend) take(now time.Time) time.Duration {
 	return time.Duration(-r.tokens / r.rps * float64(time.Second))
 }
 
+// Fetch charges one token per round-trip, however many ids it carries. A
+// Fetch blocked on the bucket honors ctx.
 func (r *rateLimitBackend) Fetch(ctx context.Context, ids []NodeID) ([][]NodeID, error) {
-	if err := r.block(ctx); err != nil {
-		return nil, err
-	}
-	return r.inner.Fetch(ctx, ids)
-}
-
-// FetchPartial charges the bucket exactly like Fetch — one token per
-// round-trip, however many ids it coalesces — so a dispatcher probing through
-// this wrapper cannot sidestep the limiter.
-func (r *rateLimitBackend) FetchPartial(ctx context.Context, ids []NodeID) ([][]NodeID, []error, error) {
-	if err := r.block(ctx); err != nil {
-		return nil, nil, err
-	}
-	return r.partial(ctx, ids)
-}
-
-// block waits out the token reservation, honoring ctx.
-func (r *rateLimitBackend) block(ctx context.Context) error {
 	if wait := r.take(time.Now()); wait > 0 {
 		t := time.NewTimer(wait)
 		select {
@@ -363,11 +353,11 @@ func (r *rateLimitBackend) block(ctx context.Context) error {
 			r.mu.Lock()
 			r.tokens++
 			r.mu.Unlock()
-			return ctx.Err()
+			return nil, ctx.Err()
 		case <-t.C:
 		}
 	}
-	return nil
+	return r.inner.Fetch(ctx, ids)
 }
 
 // BackendMetrics accumulates fetch telemetry for a WithMetrics wrapper. All
@@ -387,7 +377,8 @@ type BackendMetrics struct {
 // MetricsSnapshot is a point-in-time copy of a BackendMetrics.
 type MetricsSnapshot struct {
 	// Fetches and IDs count Fetch calls and the ids they carried; Failures
-	// counts calls that returned an error.
+	// counts calls whose round-trip failed (an *IDErrors is an answer, not a
+	// failure).
 	Fetches, IDs, Failures int64
 	// Total is the summed wall-clock of all Fetch calls.
 	Total time.Duration
@@ -418,13 +409,12 @@ func WithMetrics(b Backend, m *BackendMetrics) Backend {
 	if m == nil {
 		m = &BackendMetrics{}
 	}
-	return &metricsBackend{inner: b, partial: partialFetchFunc(b), m: m}
+	return &metricsBackend{inner: b, m: m}
 }
 
 type metricsBackend struct {
-	inner   Backend
-	partial func(context.Context, []NodeID) ([][]NodeID, []error, error)
-	m       *BackendMetrics
+	inner Backend
+	m     *BackendMetrics
 }
 
 func (mb *metricsBackend) Unwrap() Backend          { return mb.inner }
@@ -439,26 +429,8 @@ func (mb *metricsBackend) Fetch(ctx context.Context, ids []NodeID) ([][]NodeID, 
 		mb.m.sizeBuckets[batchSizeBucket(len(ids))].Add(1)
 	}
 	mb.m.nanos.Add(time.Since(start).Nanoseconds())
-	if err != nil {
+	if err != nil && !isIDErrors(err) {
 		mb.m.failures.Add(1)
 	}
 	return lists, err
-}
-
-// FetchPartial meters the per-id fetch path identically to Fetch, so batches
-// a coalescing dispatcher sends through this wrapper land in the counters
-// and the size histogram. Only a whole-batch error counts as a failure.
-func (mb *metricsBackend) FetchPartial(ctx context.Context, ids []NodeID) ([][]NodeID, []error, error) {
-	start := time.Now()
-	lists, errs, err := mb.partial(ctx, ids)
-	mb.m.fetches.Add(1)
-	mb.m.ids.Add(int64(len(ids)))
-	if len(ids) > 0 {
-		mb.m.sizeBuckets[batchSizeBucket(len(ids))].Add(1)
-	}
-	mb.m.nanos.Add(time.Since(start).Nanoseconds())
-	if err != nil {
-		mb.m.failures.Add(1)
-	}
-	return lists, errs, err
 }

@@ -38,13 +38,10 @@ func (o *BatchingOptions) withDefaults() {
 	}
 }
 
-// PartialFetcher is the optional Backend capability of resolving a batch
-// id-by-id: lists[i] is valid where errs[i] is nil, and a per-id failure
-// (ErrNoSuchUser, typically) leaves its co-batched ids untouched. The batch
-// error is non-nil only when the round-trip as a whole failed, in which case
-// lists and errs are meaningless. The HTTP driver implements it over
-// POST /neighbors/batch; the coalescing dispatcher probes for it so one
-// walker demanding an unknown id never fails the strangers batched alongside.
+// PartialFetcher is the former per-id fetch capability. Per-id results now
+// ride Backend.Fetch as an *IDErrors, and nothing probes for this interface.
+//
+// Deprecated: return an *IDErrors from Fetch instead.
 type PartialFetcher interface {
 	FetchPartial(ctx context.Context, ids []NodeID) ([][]NodeID, []error, error)
 }
@@ -72,15 +69,6 @@ type BatchStatser interface {
 	BatchStats() BatchStats
 }
 
-// BackendAs resolves capability T anywhere on b's Unwrap chain, outermost
-// first — the public face of the probing Open and BackendSource do
-// internally. Use it to reach a wrapped backend's extras (a WithMetrics
-// Metrics method, a WithBatching BatchStatser, a driver-specific statistics
-// interface) without caring how the middleware is stacked.
-func BackendAs[T any](b Backend) (T, bool) {
-	return backendAs[T](b)
-}
-
 // WithBatching wraps b with a demand-coalescing dispatcher: concurrent
 // Fetches — distinct walkers missing their cache, prefetch workers, batch
 // queries — accumulate into a bounded window and go to b as one multi-id
@@ -101,50 +89,54 @@ func BackendAs[T any](b Backend) (T, bool) {
 // never see coalescing). Cancelling a caller's ctx withdraws its ids: from
 // the window when undispatched, and from the in-flight batch's waiter count
 // otherwise — the wire request is cancelled once every id on it withdraws.
-// If b implements PartialFetcher, per-id errors strike only their own
-// waiters; otherwise a batch that fails with ErrNoSuchUser is re-resolved
-// id-by-id so co-batched strangers still get answers.
+// When b answers with an *IDErrors, each per-id error strikes only its own
+// waiter; a batch that fails as a whole with ErrNoSuchUser is re-resolved
+// id-by-id, so co-batched strangers still get answers from backends that
+// cannot report per-id failures.
 //
 // The dispatcher holds no goroutines while idle and needs no Close of its
 // own; Close on the returned backend's chain reaches b as usual.
 func WithBatching(b Backend, o BatchingOptions) Backend {
 	o.withDefaults()
-	return &batchingBackend{inner: b, fetch: partialFetchFunc(b), opt: o}
+	return &batchingBackend{inner: b, opt: o}
 }
 
-// partialFetchFunc resolves the per-id fetch the dispatcher uses: b's own
-// PartialFetcher capability when it has one, else a fallback that keeps
-// Fetch's batch-wide contract but isolates ErrNoSuchUser failures with
-// single-id re-fetches so one unknown id cannot poison a coalesced batch.
-func partialFetchFunc(b Backend) func(context.Context, []NodeID) ([][]NodeID, []error, error) {
-	if pf, ok := backendAs[PartialFetcher](b); ok {
-		return pf.FetchPartial
+// fetch is one dispatched round-trip with per-id results: lists[i] is valid
+// where errs[i] is nil (errs is nil when every id succeeded), and the batch
+// error is non-nil only when the round-trip as a whole failed. A backend that
+// fails a multi-id batch with ErrNoSuchUser instead of an *IDErrors gets
+// single-id re-fetches, so one unknown id cannot poison a coalesced batch.
+func (c *batchingBackend) fetch(ctx context.Context, ids []NodeID) ([][]NodeID, []error, error) {
+	lists, err := c.inner.Fetch(ctx, ids)
+	if err == nil {
+		return lists, nil, nil
 	}
-	return func(ctx context.Context, ids []NodeID) ([][]NodeID, []error, error) {
-		lists, err := b.Fetch(ctx, ids)
-		if err == nil {
-			return lists, nil, nil
+	var ie *IDErrors
+	if errors.As(err, &ie) {
+		if len(ie.Errs) != len(ids) {
+			return nil, nil, fmt.Errorf("rewire: backend returned %d per-id errors for %d ids", len(ie.Errs), len(ids))
 		}
-		if len(ids) == 1 || !errors.Is(err, ErrNoSuchUser) {
-			return nil, nil, err
-		}
-		lists = make([][]NodeID, len(ids))
-		errs := make([]error, len(ids))
-		for i, v := range ids {
-			l, e := b.Fetch(ctx, []NodeID{v})
-			switch {
-			case e == nil && len(l) == 1:
-				lists[i] = l[0]
-			case e == nil:
-				return nil, nil, fmt.Errorf("rewire: backend returned %d lists for 1 id", len(l))
-			case errors.Is(e, ErrNoSuchUser):
-				errs[i] = e
-			default:
-				return nil, nil, e
-			}
-		}
-		return lists, errs, nil
+		return lists, ie.Errs, nil
 	}
+	if len(ids) == 1 || !errors.Is(err, ErrNoSuchUser) {
+		return nil, nil, err
+	}
+	lists = make([][]NodeID, len(ids))
+	errs := make([]error, len(ids))
+	for i, v := range ids {
+		l, e := c.inner.Fetch(ctx, []NodeID{v})
+		switch {
+		case e == nil && len(l) == 1:
+			lists[i] = l[0]
+		case e == nil:
+			return nil, nil, fmt.Errorf("rewire: backend returned %d lists for 1 id", len(l))
+		case errors.Is(e, ErrNoSuchUser):
+			errs[i] = e
+		default:
+			return nil, nil, e
+		}
+	}
+	return lists, errs, nil
 }
 
 // batchSlot is one demanded id's place in the dispatcher: filled in by the
@@ -177,7 +169,6 @@ const (
 
 type batchingBackend struct {
 	inner Backend
-	fetch func(context.Context, []NodeID) ([][]NodeID, []error, error)
 	opt   BatchingOptions
 
 	mu       sync.Mutex

@@ -5,12 +5,14 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
+	"net/http/httptest"
 	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"rewire/internal/httpsrc"
 	"rewire/internal/osn"
 )
 
@@ -372,8 +374,8 @@ func TestBatchingWithdrawLeavesWindow(t *testing.T) {
 	}
 }
 
-// TestBatchingFallbackIsolatesUnknownID: the inner backend has no
-// PartialFetcher and fails whole batches with ErrNoSuchUser; a stranger
+// TestBatchingFallbackIsolatesUnknownID: the inner backend has no per-id
+// results and fails whole batches with ErrNoSuchUser; a stranger
 // coalesced with the bad id must still get its answer, and the demander of
 // the bad id exactly its error.
 func TestBatchingFallbackIsolatesUnknownID(t *testing.T) {
@@ -442,15 +444,15 @@ func waitPending(t *testing.T, b Backend, n int) {
 	}
 }
 
-// partialRing implements PartialFetcher natively; used counts proves the
-// dispatcher prefers the capability over the strict fallback.
-type partialRing struct {
+// idRing answers per id: an unknown id comes back as its own entry in an
+// *IDErrors while the rest of the batch resolves.
+type idRing struct {
 	ringBackend
-	used atomic.Int64
+	fetches atomic.Int64
 }
 
-func (p *partialRing) FetchPartial(ctx context.Context, ids []NodeID) ([][]NodeID, []error, error) {
-	p.used.Add(1)
+func (p *idRing) Fetch(ctx context.Context, ids []NodeID) ([][]NodeID, error) {
+	p.fetches.Add(1)
 	lists := make([][]NodeID, len(ids))
 	var errs []error
 	for i, v := range ids {
@@ -463,16 +465,23 @@ func (p *partialRing) FetchPartial(ctx context.Context, ids []NodeID) ([][]NodeI
 		}
 		lists[i] = p.neighbors(v)
 	}
-	return lists, errs, nil
+	if errs != nil {
+		return lists, &IDErrors{Errs: errs}
+	}
+	return lists, nil
 }
 
-// TestBatchingUsesPartialFetcher: a backend advertising FetchPartial gets
-// per-id dispatch — mixed good/bad batches resolve in one round-trip.
-func TestBatchingUsesPartialFetcher(t *testing.T) {
-	inner := &partialRing{ringBackend: ringBackend{n: 64}}
+// TestBatchingUsesIDErrors: a backend answering with an *IDErrors resolves a
+// mixed good/bad batch in one round-trip — the single-id re-fetch fallback
+// never runs.
+func TestBatchingUsesIDErrors(t *testing.T) {
+	inner := &idRing{ringBackend: ringBackend{n: 64}}
 	b := WithBatching(inner, BatchingOptions{})
 	if _, err := b.Fetch(context.Background(), []NodeID{2, 999}); !errors.Is(err, ErrNoSuchUser) {
 		t.Fatalf("err = %v, want ErrNoSuchUser", err)
+	}
+	if got := inner.fetches.Load(); got != 1 {
+		t.Fatalf("mixed batch took %d round-trips, want 1", got)
 	}
 	lists, err := b.Fetch(context.Background(), []NodeID{2, 3})
 	if err != nil {
@@ -481,11 +490,62 @@ func TestBatchingUsesPartialFetcher(t *testing.T) {
 	if !slices.Equal(lists[1], inner.neighbors(3)) {
 		t.Fatalf("lists[1] = %v, want %v", lists[1], inner.neighbors(3))
 	}
-	if inner.used.Load() == 0 {
-		t.Fatal("native FetchPartial was never used")
+}
+
+// TestBatchingIsolatesIDErrorsThroughMiddleware runs per-id isolation through
+// the stack the serving daemon builds over the http driver:
+// WithBatching(WithRateLimit(WithMetrics(OpenBackend(url)))). One known and
+// one unknown id from two demanders share one window, one POST, and one
+// metered fetch that is not a failure; each demander gets its own answer.
+func TestBatchingIsolatesIDErrorsThroughMiddleware(t *testing.T) {
+	ctx := context.Background()
+	g := Barbell(5)
+	srv := httptest.NewServer(httpsrc.Handler(g, httpsrc.ServerOptions{}))
+	defer srv.Close()
+	be, err := OpenBackend(ctx, srv.URL)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := inner.callCount(); got != 0 {
-		t.Fatalf("strict Fetch was called %d times despite the PartialFetcher capability", got)
+	var m BackendMetrics
+	b := WithBatching(WithRateLimit(WithMetrics(be, &m), 1000, 10), BatchingOptions{MaxWait: time.Hour, MaxInflight: 1})
+	defer closeBackend(b)
+
+	// Hold the only dispatch slot so both demands queue in one window, then
+	// release it: the completion drain sends them together.
+	c := b.(*batchingBackend)
+	c.mu.Lock()
+	c.inflight++
+	c.mu.Unlock()
+	good := make(chan error, 1)
+	bad := make(chan error, 1)
+	go func() {
+		lists, err := b.Fetch(ctx, []NodeID{1})
+		if err == nil && !slices.Equal(lists[0], g.Neighbors(1)) {
+			err = fmt.Errorf("wrong answer %v", lists[0])
+		}
+		good <- err
+	}()
+	go func() {
+		_, err := b.Fetch(ctx, []NodeID{999})
+		bad <- err
+	}()
+	waitPending(t, b, 2)
+	c.finish()
+	if err := <-good; err != nil {
+		t.Fatalf("known id coalesced with an unknown one got %v, want its answer", err)
+	}
+	if err := <-bad; !errors.Is(err, ErrNoSuchUser) {
+		t.Fatalf("unknown id err = %v, want ErrNoSuchUser", err)
+	}
+	hs, ok := BackendAs[interface{ Stats() httpsrc.Stats }](b)
+	if !ok {
+		t.Fatal("http driver statistics not reachable through the stack")
+	}
+	if st := hs.Stats(); st.BatchPosts != 1 || st.Gets != 0 {
+		t.Fatalf("wire stats = %+v, want exactly one POST /neighbors/batch", st)
+	}
+	if snap := m.Snapshot(); snap.Fetches != 1 || snap.Failures != 0 || snap.IDs != 2 {
+		t.Fatalf("metrics = %+v, want one 2-id fetch and no failures", snap)
 	}
 }
 

@@ -285,9 +285,6 @@ func TestOpenBackendUnknownDriverError(t *testing.T) {
 	if !errors.Is(err, rewire.ErrUnknownDriver) {
 		t.Fatalf("err = %v, want ErrUnknownDriver", err)
 	}
-	if !errors.Is(err, rewire.ErrUnknownScheme) { // deprecated alias keeps matching
-		t.Fatalf("err = %v does not match legacy ErrUnknownScheme", err)
-	}
 	var ude *rewire.UnknownDriverError
 	if !errors.As(err, &ude) {
 		t.Fatalf("err %T is not *UnknownDriverError", err)

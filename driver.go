@@ -31,8 +31,10 @@ import (
 //	http://host/path?timeout=5s   live JSON neighbor-list provider
 //	                              (driver params: timeout, retries, backoff,
 //	                              max_backoff, batch, batchwait — anything
-//	                              else is forwarded to the provider; batchwait
-//	                              > 0 wraps the backend in a WithBatching
+//	                              else is forwarded to the provider; retries,
+//	                              backoff and max_backoff configure the
+//	                              WithRetry the driver wraps around it;
+//	                              batchwait > 0 adds a WithBatching
 //	                              coalescing window of batch ids flushed
 //	                              after at most that wait)
 //	snapshot:crawl.csr            read-only binary CSR snapshot, mmap'd on
@@ -324,27 +326,28 @@ func (h httpBackend) RateLimit() (RateLimitInfo, bool) {
 func openHTTP(ctx context.Context, u *url.URL) (Backend, error) {
 	q := u.Query()
 	opt := httpsrc.Options{}
+	var ro RetryOptions
 	var err error
-	if s := q.Get("timeout"); s != "" {
-		if opt.RequestTimeout, err = time.ParseDuration(s); err != nil {
-			return nil, fmt.Errorf("rewire: http: bad timeout=%q", s)
+	for _, f := range []struct {
+		key string
+		dst *time.Duration
+	}{
+		{"timeout", &opt.RequestTimeout},
+		{"backoff", &ro.BaseDelay},
+		{"max_backoff", &ro.MaxDelay},
+	} {
+		if s := q.Get(f.key); s != "" {
+			if *f.dst, err = time.ParseDuration(s); err != nil {
+				return nil, fmt.Errorf("rewire: http: bad %s=%q", f.key, s)
+			}
 		}
 	}
 	if s := q.Get("retries"); s != "" {
-		if opt.MaxAttempts, err = strconv.Atoi(s); err != nil || opt.MaxAttempts < 1 {
+		if ro.MaxAttempts, err = strconv.Atoi(s); err != nil || ro.MaxAttempts < 1 {
 			return nil, fmt.Errorf("rewire: http: bad retries=%q", s)
 		}
 	}
-	if s := q.Get("backoff"); s != "" {
-		if opt.BaseBackoff, err = time.ParseDuration(s); err != nil {
-			return nil, fmt.Errorf("rewire: http: bad backoff=%q", s)
-		}
-	}
-	if s := q.Get("max_backoff"); s != "" {
-		if opt.MaxBackoff, err = time.ParseDuration(s); err != nil {
-			return nil, fmt.Errorf("rewire: http: bad max_backoff=%q", s)
-		}
-	}
+	ro = ro.withDefaults()
 	if s := q.Get("batch"); s != "" {
 		if opt.BatchSize, err = strconv.Atoi(s); err != nil || opt.BatchSize < 1 {
 			return nil, fmt.Errorf("rewire: http: bad batch=%q", s)
@@ -366,13 +369,17 @@ func openHTTP(ctx context.Context, u *url.URL) (Backend, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Eager connectivity + metadata probe under the caller's ctx: an
-	// unreachable or non-protocol endpoint fails at Open, and the published
-	// user count is cached before the first walk asks for it.
-	if _, err := hb.Meta(ctx); err != nil {
+	// Eager connectivity + metadata probe under the caller's ctx and the same
+	// retry policy as fetches: an unreachable or non-protocol endpoint fails
+	// at Open, and the published user count is cached before the first walk
+	// asks for it.
+	if err := ro.retry(ctx, func() error {
+		_, err := hb.Meta(ctx)
+		return err
+	}); err != nil {
 		return nil, fmt.Errorf("rewire: http: probing %s: %w", opt.BaseURL, err)
 	}
-	var be Backend = httpBackend{hb}
+	be := WithRetry(httpBackend{hb}, ro)
 	if batchWait > 0 {
 		// batchwait opts into demand coalescing at the driver level: distinct
 		// walkers' misses share POST round-trips without any SDK-side wiring.

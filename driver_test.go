@@ -24,7 +24,6 @@ type fakeBackend struct {
 	fails   int // fail this many Fetches before succeeding
 	failErr error
 	calls   atomic.Int64
-	hints   atomic.Int64
 	closed  atomic.Bool
 }
 
@@ -61,17 +60,16 @@ func (f *fakeBackend) Fetch(ctx context.Context, ids []rewire.NodeID) ([][]rewir
 	return out, nil
 }
 
-func (f *fakeBackend) NumUsers() int            { return f.users }
-func (f *fakeBackend) Hint(ids []rewire.NodeID) { f.hints.Add(int64(len(ids))) }
-func (f *fakeBackend) Close() error             { f.closed.Store(true); return nil }
+func (f *fakeBackend) NumUsers() int { return f.users }
+func (f *fakeBackend) Close() error  { f.closed.Store(true); return nil }
 
 func TestOpenUnknownScheme(t *testing.T) {
 	ctx := context.Background()
-	if _, err := rewire.Open(ctx, "bogus:thing"); !errors.Is(err, rewire.ErrUnknownScheme) {
-		t.Fatalf("err = %v, want ErrUnknownScheme", err)
+	if _, err := rewire.Open(ctx, "bogus:thing"); !errors.Is(err, rewire.ErrUnknownDriver) {
+		t.Fatalf("err = %v, want ErrUnknownDriver", err)
 	}
-	if _, err := rewire.Open(ctx, "no-scheme-at-all"); !errors.Is(err, rewire.ErrUnknownScheme) {
-		t.Fatalf("err = %v, want ErrUnknownScheme", err)
+	if _, err := rewire.Open(ctx, "no-scheme-at-all"); !errors.Is(err, rewire.ErrUnknownDriver) {
+		t.Fatalf("err = %v, want ErrUnknownDriver", err)
 	}
 	for _, s := range []string{"mem", "sim", "http", "https", "snapshot"} {
 		if !slices.Contains(rewire.Drivers(), s) {
@@ -205,8 +203,8 @@ func TestWithMetricsCounts(t *testing.T) {
 
 // TestMiddlewareCompositionKeepsCapabilities proves capability probing
 // follows the Unwrap chain through stacked middleware: a Provider over
-// metrics(retry(ratelimit(backend))) still sees NumUsers, forwards hints,
-// and closes the inner backend.
+// metrics(retry(ratelimit(backend))) still sees NumUsers and closes the
+// inner backend.
 func TestMiddlewareCompositionKeepsCapabilities(t *testing.T) {
 	fb := newFakeBackend()
 	var m rewire.BackendMetrics
@@ -230,9 +228,6 @@ func TestMiddlewareCompositionKeepsCapabilities(t *testing.T) {
 	}
 	if m.Snapshot().Fetches == 0 {
 		t.Fatal("metrics wrapper saw no fetches")
-	}
-	if fb.hints.Load() == 0 {
-		t.Fatal("accepted prefetch hints were not forwarded to the backend's Hinter")
 	}
 	if err := p.Close(); err != nil || !fb.closed.Load() {
 		t.Fatalf("Close did not traverse the middleware chain (err %v, closed %v)", err, fb.closed.Load())

@@ -101,7 +101,7 @@ func (b *cacheBackend) Fetch(ctx context.Context, ids []NodeID) ([][]NodeID, err
 	return b.inner.Fetch(ctx, ids)
 }
 
-// Unwrap exposes the inner backend's capabilities (UserCounter, Hinter,
+// Unwrap exposes the inner backend's capabilities (UserCounter,
 // RateLimited, ...) through the standard probe chain.
 func (b *cacheBackend) Unwrap() Backend { return b.inner }
 

@@ -52,16 +52,9 @@ var (
 	ErrCheckpointVersion = errors.New("rewire: unsupported checkpoint version")
 )
 
-// ErrUnknownScheme is the historical name of ErrUnknownDriver, kept so
-// existing errors.Is checks keep matching.
-//
-// Deprecated: use ErrUnknownDriver.
-var ErrUnknownScheme = ErrUnknownDriver
-
 // UnknownDriverError is the concrete error Open and OpenBackend return for a
 // URL whose scheme resolves to no registered driver. It wraps
-// ErrUnknownDriver (and therefore also matches the deprecated
-// ErrUnknownScheme), and carries enough context to render an actionable
+// ErrUnknownDriver and carries enough context to render an actionable
 // message: which scheme failed, in which URL, and which schemes would have
 // worked.
 type UnknownDriverError struct {

@@ -73,6 +73,12 @@ func listen() (net.Listener, string) {
 	return ln, "http://" + ln.Addr().String()
 }
 
+// boundedServer serves h with the header and idle timeouts cmd/rewire-serve
+// uses, so a stalled or idle client cannot pin a connection forever.
+func boundedServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: 10 * time.Second, IdleTimeout: 2 * time.Minute}
+}
+
 func main() {
 	// 1. The reference provider: a 3000-user social graph behind a real
 	// socket, 1ms per request — slow enough that pausing lands mid-run.
@@ -81,13 +87,13 @@ func main() {
 		log.Fatal(err)
 	}
 	provLn, provURL := listen()
-	go http.Serve(provLn, httpsrc.Handler(g, httpsrc.ServerOptions{Latency: time.Millisecond}))
+	go boundedServer(httpsrc.Handler(g, httpsrc.ServerOptions{Latency: time.Millisecond})).Serve(provLn)
 
 	// 2. The daemon: one shared provider stack per backend URL.
 	srv := serve.New(context.Background(), serve.Options{})
 	defer srv.Close()
 	srvLn, base := listen()
-	go http.Serve(srvLn, srv.Handler())
+	go boundedServer(srv.Handler()).Serve(srvLn)
 	fmt.Printf("provider at %s, daemon at %s\n\n", provURL, base)
 
 	// 3. Submit: a JSON spec mirroring the SDK's functional options.

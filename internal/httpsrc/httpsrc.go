@@ -2,8 +2,10 @@
 // JSON neighbor-list protocol over HTTP — the paper's restrictive third-party
 // web interface made literal. It handles what real rate-limited endpoints
 // throw at a crawler: X-RateLimit-* feedback, 429 with Retry-After, transient
-// 5xx, and slow responses, with bounded-jitter exponential backoff and a
-// per-attempt context deadline. The package also ships the reference server
+// 5xx, and slow responses, each bounded by a per-attempt context deadline.
+// A Backend makes single attempts and classifies every failure (Temporary,
+// RetryDelay); retrying is the caller's business — the rewire http driver
+// wraps it in rewire.WithRetry. The package also ships the reference server
 // (Handler) the conformance and driver tests run against.
 //
 // Protocol (all responses JSON):
@@ -45,7 +47,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand/v2"
 	"net/http"
 	"net/url"
 	"slices"
@@ -61,12 +62,8 @@ import (
 
 // Defaults for Options zero values.
 const (
-	DefaultMaxAttempts     = 4
-	DefaultBaseBackoff     = 100 * time.Millisecond
-	DefaultMaxBackoff      = 5 * time.Second
 	DefaultRequestTimeout  = 10 * time.Second
 	DefaultBatchSize       = 64
-	DefaultChunkParallel   = 4
 	DefaultValidationCache = 256
 )
 
@@ -83,57 +80,29 @@ type Options struct {
 	// Client is the http.Client to use (default: a fresh client, so closing
 	// idle connections never touches a shared transport).
 	Client *http.Client
-	// MaxAttempts bounds tries per batch, first attempt included.
-	MaxAttempts int
-	// BaseBackoff and MaxBackoff bound the exponential backoff between
-	// retries. The delay before retry n is min(MaxBackoff, BaseBackoff·2ⁿ⁻¹)
-	// with bounded jitter in [delay/2, delay), and a server Retry-After
-	// overrides the computed delay when longer — up to MaxBackoff. A
-	// Retry-After beyond MaxBackoff (a 429 on an hour-long quota window) is
-	// not slept out: the StatusError is returned, RetryAfter included, for
-	// the caller to schedule around.
-	BaseBackoff time.Duration
-	MaxBackoff  time.Duration
 	// RequestTimeout is the per-attempt deadline, layered under the caller's
-	// context: one slow attempt fails fast and retries instead of eating the
-	// whole walk deadline.
+	// context: one slow attempt fails fast (and is retried by the caller's
+	// retry policy) instead of eating the whole walk deadline.
 	RequestTimeout time.Duration
-	// BatchSize caps ids per request; larger Fetch batches are chunked.
+	// BatchSize caps ids per request; larger Fetch batches go out as
+	// sequential BatchSize-id requests (rewire.WithBatching is the place for
+	// parallel chunking).
 	BatchSize int
-	// ChunkParallel caps how many chunks of one oversized Fetch are in
-	// flight concurrently (default 4; 1 restores strictly sequential
-	// chunking). Result order is preserved regardless.
-	ChunkParallel int
 	// ValidationCache bounds the ETag revalidation cache: how many recent
 	// (ids → ETag, lists) pairs are kept for If-None-Match conditional
 	// requests (default 256; negative disables revalidation).
 	ValidationCache int
-	// DisableBatchPost forces the legacy GET protocol even against providers
-	// that advertise POST /neighbors/batch.
-	DisableBatchPost bool
 }
 
 func (o *Options) withDefaults() {
 	if o.Client == nil {
 		o.Client = &http.Client{}
 	}
-	if o.MaxAttempts <= 0 {
-		o.MaxAttempts = DefaultMaxAttempts
-	}
-	if o.BaseBackoff <= 0 {
-		o.BaseBackoff = DefaultBaseBackoff
-	}
-	if o.MaxBackoff <= 0 {
-		o.MaxBackoff = DefaultMaxBackoff
-	}
 	if o.RequestTimeout <= 0 {
 		o.RequestTimeout = DefaultRequestTimeout
 	}
 	if o.BatchSize <= 0 {
 		o.BatchSize = DefaultBatchSize
-	}
-	if o.ChunkParallel <= 0 {
-		o.ChunkParallel = DefaultChunkParallel
 	}
 	if o.ValidationCache == 0 {
 		o.ValidationCache = DefaultValidationCache
@@ -155,12 +124,40 @@ func (e *StatusError) Error() string {
 // errors are transient, other 4xx are not.
 func (e *StatusError) Temporary() bool { return e.Code == http.StatusTooManyRequests || e.Code >= 500 }
 
+// RetryDelay is the provider's Retry-After: a retry waits at least this long,
+// and a retry policy whose longest wait is shorter returns the error instead
+// of sleeping it out (a 429 on an hour-long quota window).
+func (e *StatusError) RetryDelay() time.Duration { return e.RetryAfter }
+
 // ProtocolError reports a response that is not valid protocol JSON (or that
 // answers a different question than asked). It is permanent: retrying a
 // server that speaks garbage is not a recovery strategy.
 type ProtocolError struct{ msg string }
 
 func (e *ProtocolError) Error() string { return "httpsrc: " + e.msg }
+
+// Temporary reports false: see ProtocolError.
+func (e *ProtocolError) Temporary() bool { return false }
+
+// transportError is a round-trip that produced no response: connection
+// refused or reset, the per-attempt timeout, a body cut short. Such failures
+// are transient, but the *url.Error beneath does not say so for a refused
+// connection, hence the wrapper.
+type transportError struct{ err error }
+
+func (e *transportError) Error() string   { return e.err.Error() }
+func (e *transportError) Unwrap() error   { return e.err }
+func (e *transportError) Temporary() bool { return true }
+
+// transportFailure classifies a round-trip that produced no usable response:
+// the caller's context error when that is what ended it, a transportError
+// otherwise.
+func transportFailure(ctx context.Context, err error) error {
+	if ctx.Err() != nil {
+		return ctx.Err()
+	}
+	return &transportError{err}
+}
 
 // RateLimitState is the latest provider-published quota feedback.
 type RateLimitState struct {
@@ -170,8 +167,8 @@ type RateLimitState struct {
 	Reset time.Time
 }
 
-// Backend fetches neighbor lists from an HTTP provider. It implements the
-// osn Backend contract and is safe for concurrent use — the walker fleet and
+// Backend fetches neighbor lists from an HTTP provider. Its Fetch has the
+// shape of the SDK's driver contract, and it is safe for concurrent use — the walker fleet and
 // the prefetch pool share one Backend, and the underlying http.Client pools
 // connections across them.
 type Backend struct {
@@ -257,152 +254,45 @@ func (b *Backend) endpoint(leaf string, extra url.Values) string {
 	return u.String()
 }
 
-// Fetch resolves the ids' neighbor lists (one per id, input order), chunking
-// into BatchSize-id requests and retrying transient failures with
-// bounded-jitter exponential backoff. Any id outside the provider's user
-// space fails the batch with an error matching osn.ErrNoSuchUser — the
-// strict Backend contract. Callers that want one bad id isolated instead of
-// fatal use FetchPartial.
+// Fetch resolves the ids' neighbor lists (one per id, input order) in one
+// attempt, sending an oversized batch as sequential BatchSize-id requests.
+// An id outside the provider's user space does not fail the ids batched with
+// it: the lists come back with an *osn.IDErrors whose entry for that id
+// matches osn.ErrNoSuchUser. Any other error fails the whole batch.
 func (b *Backend) Fetch(ctx context.Context, ids []graph.NodeID) ([][]graph.NodeID, error) {
-	lists, errs, err := b.FetchPartial(ctx, ids)
-	if err != nil {
-		return nil, err
-	}
-	for _, e := range errs {
-		if e != nil {
-			return nil, e
+	lists := make([][]graph.NodeID, len(ids))
+	var errs []error
+	for off := 0; off < len(ids); off += b.opt.BatchSize {
+		ls, es, err := b.attemptChunk(ctx, ids[off:min(off+b.opt.BatchSize, len(ids))])
+		if err != nil {
+			return nil, err
 		}
+		copy(lists[off:], ls)
+		for j, e := range es {
+			if e != nil {
+				if errs == nil {
+					errs = make([]error, len(ids))
+				}
+				errs[off+j] = e
+			}
+		}
+	}
+	if errs != nil {
+		return lists, &osn.IDErrors{Errs: errs}
 	}
 	return lists, nil
 }
 
-// FetchPartial resolves the ids with per-id granularity: lists[i] is valid
-// where errs[i] is nil, and an id outside the provider's user space yields
-// errs[i] matching osn.ErrNoSuchUser without disturbing the others. The
-// batch error is non-nil only when the round-trip as a whole failed (errs
-// may be nil when every id succeeded). Oversized batches are chunked into
-// BatchSize-id requests dispatched with at most ChunkParallel in flight;
-// result order is the input order.
+// FetchPartial is Fetch with the per-id errors split out: lists[i] is valid
+// where errs[i] is nil (errs is nil when every id succeeded), and the batch
+// error is non-nil only when the round-trip as a whole failed.
 func (b *Backend) FetchPartial(ctx context.Context, ids []graph.NodeID) ([][]graph.NodeID, []error, error) {
-	lists := make([][]graph.NodeID, len(ids))
-	var errs []error
-	type chunk struct{ off, n int }
-	var chunks []chunk
-	for off := 0; off < len(ids); off += b.opt.BatchSize {
-		chunks = append(chunks, chunk{off, min(b.opt.BatchSize, len(ids)-off)})
+	lists, err := b.Fetch(ctx, ids)
+	var ie *osn.IDErrors
+	if errors.As(err, &ie) {
+		return lists, ie.Errs, nil
 	}
-	merge := func(off int, ls [][]graph.NodeID, es []error) {
-		copy(lists[off:], ls)
-		for j, e := range es {
-			if e == nil {
-				continue
-			}
-			if errs == nil {
-				errs = make([]error, len(ids))
-			}
-			errs[off+j] = e
-		}
-	}
-	if len(chunks) <= 1 || b.opt.ChunkParallel == 1 {
-		for _, c := range chunks {
-			ls, es, err := b.fetchChunkPartial(ctx, ids[c.off:c.off+c.n])
-			if err != nil {
-				return nil, nil, err
-			}
-			merge(c.off, ls, es)
-		}
-		return lists, errs, nil
-	}
-	// Bounded-parallel chunk dispatch: a semaphore caps in-flight requests,
-	// each chunk writes into its own offset so order is preserved, and the
-	// first chunk-level failure cancels the rest.
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	sem := make(chan struct{}, b.opt.ChunkParallel)
-	var wg sync.WaitGroup
-	var fmu sync.Mutex
-	var firstErr error
-	for _, c := range chunks {
-		fmu.Lock()
-		failed := firstErr != nil
-		fmu.Unlock()
-		if failed {
-			break
-		}
-		select {
-		case sem <- struct{}{}:
-		case <-cctx.Done():
-		}
-		if cctx.Err() != nil {
-			break
-		}
-		wg.Add(1)
-		go func(c chunk) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			ls, es, err := b.fetchChunkPartial(cctx, ids[c.off:c.off+c.n])
-			fmu.Lock()
-			defer fmu.Unlock()
-			if err != nil {
-				if firstErr == nil {
-					firstErr = err
-					cancel()
-				}
-				return
-			}
-			merge(c.off, ls, es)
-		}(c)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, nil, firstErr
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, nil, err
-	}
-	return lists, errs, nil
-}
-
-// fetchChunkPartial is one chunk's resolution with the retry loop around it.
-// Per-id errors are final answers and never retried; only whole-chunk
-// transient failures re-attempt.
-func (b *Backend) fetchChunkPartial(ctx context.Context, ids []graph.NodeID) ([][]graph.NodeID, []error, error) {
-	var lastErr error
-	var retryAfter time.Duration
-	for attempt := 1; attempt <= b.opt.MaxAttempts; attempt++ {
-		if attempt > 1 {
-			if err := b.sleepBackoff(ctx, attempt-1, retryAfter); err != nil {
-				return nil, nil, err
-			}
-		}
-		lists, errs, err := b.attemptChunk(ctx, ids)
-		if err == nil {
-			return lists, errs, nil
-		}
-		if ctx.Err() != nil {
-			// The caller's context ended (their cancellation or deadline, not
-			// the per-attempt timeout): report it, not the transport noise.
-			return nil, nil, ctx.Err()
-		}
-		if !temporary(err) {
-			return nil, nil, err
-		}
-		lastErr = err
-		retryAfter = 0
-		var se *StatusError
-		if errors.As(err, &se) {
-			retryAfter = se.RetryAfter
-			if retryAfter > b.opt.MaxBackoff {
-				// The provider wants a wait longer than this client is
-				// configured to block (a 429 on an hour-long quota window,
-				// say). Sleeping it out here would wedge the walk — surface
-				// the StatusError, RetryAfter included, and let the caller
-				// decide (budget the crawl, WithRateLimit, resume later).
-				return nil, nil, err
-			}
-		}
-	}
-	return nil, nil, fmt.Errorf("httpsrc: %d attempts exhausted: %w", b.opt.MaxAttempts, lastErr)
+	return lists, nil, err
 }
 
 // attemptChunk is one protocol attempt for a chunk: the batch POST when the
@@ -410,7 +300,7 @@ func (b *Backend) fetchChunkPartial(ctx context.Context, ids []graph.NodeID) ([]
 // The route probe result is remembered, so exactly one wasted round-trip is
 // spent discovering a GET-only provider.
 func (b *Backend) attemptChunk(ctx context.Context, ids []graph.NodeID) ([][]graph.NodeID, []error, error) {
-	if !b.opt.DisableBatchPost && !b.batchUnsupported.Load() {
+	if !b.batchUnsupported.Load() {
 		lists, errs, err := b.doBatchPost(ctx, ids)
 		var se *StatusError
 		if err != nil && errors.As(err, &se) && (se.Code == http.StatusNotFound || se.Code == http.StatusMethodNotAllowed) {
@@ -481,45 +371,6 @@ func (b *Backend) getChunkPartial(ctx context.Context, ids []graph.NodeID) ([][]
 	return lists, errs, nil
 }
 
-// temporary reports whether err is worth a retry.
-func temporary(err error) bool {
-	var se *StatusError
-	if errors.As(err, &se) {
-		return se.Temporary()
-	}
-	var pe *ProtocolError
-	if errors.As(err, &pe) || errors.Is(err, osn.ErrNoSuchUser) {
-		return false
-	}
-	// Transport-level failures (connection refused/reset, the per-attempt
-	// timeout) are transient by default.
-	return true
-}
-
-// sleepBackoff waits out the bounded-jitter exponential delay before retry n
-// (1-based), or the server's Retry-After when that is longer. Cancellation
-// interrupts the wait immediately.
-func (b *Backend) sleepBackoff(ctx context.Context, n int, retryAfter time.Duration) error {
-	d := b.opt.BaseBackoff << (n - 1)
-	if d > b.opt.MaxBackoff || d <= 0 {
-		d = b.opt.MaxBackoff
-	}
-	// Bounded jitter: uniform in [d/2, d). Decorrelates a fleet of crawlers
-	// without ever waiting less than half the intended delay.
-	d = d/2 + time.Duration(rand.Int64N(int64(d/2)+1))
-	if retryAfter > d {
-		d = retryAfter
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
-	}
-}
-
 // neighborsResponse is the wire shape of a /neighbors answer.
 type neighborsResponse struct {
 	Results []struct {
@@ -582,21 +433,22 @@ func idsKey(ids []graph.NodeID) string {
 func (b *Backend) doNeighbors(ctx context.Context, ids []graph.NodeID) ([][]graph.NodeID, error) {
 	joined := idsKey(ids)
 	key := "G:" + joined
-	entry := b.cacheLookup(key)
-	var ifNoneMatch string
-	if entry != nil {
-		ifNoneMatch = entry.etag
-	}
-	body, etag, notModified, err := b.do(ctx, http.MethodGet,
-		b.endpoint("neighbors", url.Values{"ids": {joined}}), nil, ifNoneMatch, true)
+	body, etag, cached, err := b.do(ctx, http.MethodGet,
+		b.endpoint("neighbors", url.Values{"ids": {joined}}), nil, key, true)
 	b.gets.Add(1)
-	if err != nil {
-		return nil, err
+	if err != nil || cached != nil {
+		return cached, err
 	}
-	if notModified {
-		b.revalidated.Add(1)
-		return cloneLists(entry.lists), nil
+	out, err := decodeNeighbors(body, ids)
+	if err == nil && etag != "" {
+		b.cacheStore(key, etag, out)
 	}
+	return out, err
+}
+
+// decodeNeighbors parses a 200 GET /neighbors body answering ids: one list
+// per id, in order, or a *ProtocolError.
+func decodeNeighbors(body []byte, ids []graph.NodeID) ([][]graph.NodeID, error) {
 	var nr neighborsResponse
 	if err := json.Unmarshal(body, &nr); err != nil {
 		return nil, &ProtocolError{msg: fmt.Sprintf("malformed neighbors JSON: %v", err)}
@@ -610,9 +462,6 @@ func (b *Backend) doNeighbors(ctx context.Context, ids []graph.NodeID) ([][]grap
 			return nil, &ProtocolError{msg: fmt.Sprintf("result %d answers id %d, want %d", i, res.ID, ids[i])}
 		}
 		out[i] = res.Neighbors
-	}
-	if etag != "" {
-		b.cacheStore(key, etag, out)
 	}
 	return out, nil
 }
@@ -628,20 +477,23 @@ func (b *Backend) doBatchPost(ctx context.Context, ids []graph.NodeID) ([][]grap
 		return nil, nil, err
 	}
 	key := "P:" + idsKey(ids)
-	entry := b.cacheLookup(key)
-	var ifNoneMatch string
-	if entry != nil {
-		ifNoneMatch = entry.etag
-	}
-	body, etag, notModified, err := b.do(ctx, http.MethodPost, b.endpoint("neighbors/batch", nil), payload, ifNoneMatch, false)
+	body, etag, cached, err := b.do(ctx, http.MethodPost, b.endpoint("neighbors/batch", nil), payload, key, false)
 	b.batchPosts.Add(1)
-	if err != nil {
-		return nil, nil, err
+	if err != nil || cached != nil {
+		return cached, nil, err
 	}
-	if notModified {
-		b.revalidated.Add(1)
-		return cloneLists(entry.lists), nil, nil
+	lists, errs, err := decodeBatch(body, ids)
+	if err == nil && errs == nil && etag != "" {
+		b.cacheStore(key, etag, lists)
 	}
+	return lists, errs, err
+}
+
+// decodeBatch parses a 200 POST /neighbors/batch body answering ids: one
+// list per id, in order, with per-id errors (nil when every id resolved) for
+// ids the provider reports as "no such user". Anything else off-protocol is
+// a *ProtocolError.
+func decodeBatch(body []byte, ids []graph.NodeID) ([][]graph.NodeID, []error, error) {
 	var br batchResponse
 	if err := json.Unmarshal(body, &br); err != nil {
 		return nil, nil, &ProtocolError{msg: fmt.Sprintf("malformed batch JSON: %v", err)}
@@ -666,9 +518,6 @@ func (b *Backend) doBatchPost(ctx context.Context, ids []graph.NodeID) ([][]grap
 		default:
 			return nil, nil, &ProtocolError{msg: fmt.Sprintf("result %d carries unknown error %q", i, res.Error)}
 		}
-	}
-	if errs == nil && etag != "" {
-		b.cacheStore(key, etag, lists)
 	}
 	return lists, errs, nil
 }
@@ -716,48 +565,23 @@ func (b *Backend) cacheStore(key, etag string, lists [][]graph.NodeID) {
 	b.vcache[key] = &valEntry{etag: etag, lists: cloneLists(lists)}
 }
 
-// Meta fetches the provider-published user count (with the same retry
-// policy) and caches it for NumUsers.
+// Meta fetches the provider-published user count in one attempt and caches
+// it for NumUsers.
 func (b *Backend) Meta(ctx context.Context) (int, error) {
-	var n int
-	var lastErr error
-	for attempt := 1; attempt <= b.opt.MaxAttempts; attempt++ {
-		if attempt > 1 {
-			var retryAfter time.Duration
-			var se *StatusError
-			if errors.As(lastErr, &se) {
-				retryAfter = se.RetryAfter
-				if retryAfter > b.opt.MaxBackoff {
-					return 0, lastErr // see fetchChunk: never out-sleep MaxBackoff
-				}
-			}
-			if err := b.sleepBackoff(ctx, attempt-1, retryAfter); err != nil {
-				return 0, err
-			}
-		}
-		body, err := b.get(ctx, b.endpoint("meta", nil), false)
-		if err == nil {
-			var meta struct {
-				NumUsers int `json:"num_users"`
-			}
-			if err := json.Unmarshal(body, &meta); err != nil {
-				return 0, &ProtocolError{msg: fmt.Sprintf("malformed meta JSON: %v", err)}
-			}
-			n = meta.NumUsers
-			b.mu.Lock()
-			b.users = n
-			b.mu.Unlock()
-			return n, nil
-		}
-		if ctx.Err() != nil {
-			return 0, ctx.Err()
-		}
-		if !temporary(err) {
-			return 0, err
-		}
-		lastErr = err
+	body, _, _, err := b.do(ctx, http.MethodGet, b.endpoint("meta", nil), nil, "", false)
+	if err != nil {
+		return 0, err
 	}
-	return 0, fmt.Errorf("httpsrc: %d attempts exhausted: %w", b.opt.MaxAttempts, lastErr)
+	var meta struct {
+		NumUsers int `json:"num_users"`
+	}
+	if err := json.Unmarshal(body, &meta); err != nil {
+		return 0, &ProtocolError{msg: fmt.Sprintf("malformed meta JSON: %v", err)}
+	}
+	b.mu.Lock()
+	b.users = meta.NumUsers
+	b.mu.Unlock()
+	return meta.NumUsers, nil
 }
 
 // NumUsers returns the cached /meta user count, fetching it once on first
@@ -791,22 +615,19 @@ func (b *Backend) Close() error {
 	return nil
 }
 
-// get performs one GET under the per-attempt deadline and returns the
-// (bounded) body — the simple form of do for endpoints without conditional
-// requests (/meta).
-func (b *Backend) get(ctx context.Context, rawURL string, idLookup bool) ([]byte, error) {
-	body, _, _, err := b.do(ctx, http.MethodGet, rawURL, nil, "", idLookup)
-	return body, err
-}
-
 // do performs one request under the per-attempt deadline and maps the status
 // code onto the error taxonomy. A 200 returns the (bounded) body and the
-// response's ETag; a 304 against the sent If-None-Match returns
-// notModified. Only the neighbor endpoints define 404 as "no such user"
+// response's ETag. A non-empty key names the request's revalidation-cache
+// entry: its ETag goes out as If-None-Match, and a 304 returns its lists
+// (cloned) as cached. Only the neighbor endpoints define 404 as "no such user"
 // (idLookup); anywhere else — a mistyped base URL 404ing on /meta, say — a
 // 404 stays a plain StatusError so configuration mistakes are not disguised
 // as missing users.
-func (b *Backend) do(ctx context.Context, method, rawURL string, payload []byte, ifNoneMatch string, idLookup bool) (body []byte, etag string, notModified bool, err error) {
+func (b *Backend) do(ctx context.Context, method, rawURL string, payload []byte, key string, idLookup bool) (body []byte, etag string, cached [][]graph.NodeID, err error) {
+	var entry *valEntry
+	if key != "" {
+		entry = b.cacheLookup(key)
+	}
 	actx, cancel := context.WithTimeout(ctx, b.opt.RequestTimeout)
 	defer cancel()
 	var rd io.Reader
@@ -815,17 +636,17 @@ func (b *Backend) do(ctx context.Context, method, rawURL string, payload []byte,
 	}
 	req, err := http.NewRequestWithContext(actx, method, rawURL, rd)
 	if err != nil {
-		return nil, "", false, err
+		return nil, "", nil, err
 	}
 	if payload != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
-	if ifNoneMatch != "" {
-		req.Header.Set("If-None-Match", ifNoneMatch)
+	if entry != nil {
+		req.Header.Set("If-None-Match", entry.etag)
 	}
 	resp, err := b.opt.Client.Do(req)
 	if err != nil {
-		return nil, "", false, err
+		return nil, "", nil, transportFailure(ctx, err)
 	}
 	defer func() {
 		io.Copy(io.Discard, io.LimitReader(resp.Body, maxResponseBytes))
@@ -835,18 +656,22 @@ func (b *Backend) do(ctx context.Context, method, rawURL string, payload []byte,
 	switch {
 	case resp.StatusCode == http.StatusOK:
 		body, err = io.ReadAll(io.LimitReader(resp.Body, maxResponseBytes))
-		return body, resp.Header.Get("ETag"), false, err
-	case resp.StatusCode == http.StatusNotModified && ifNoneMatch != "":
-		return nil, "", true, nil
+		if err != nil {
+			return nil, "", nil, transportFailure(ctx, err)
+		}
+		return body, resp.Header.Get("ETag"), nil, nil
+	case resp.StatusCode == http.StatusNotModified && entry != nil:
+		b.revalidated.Add(1)
+		return nil, "", cloneLists(entry.lists), nil
 	case resp.StatusCode == http.StatusNotFound && idLookup:
 		var er errorResponse
 		body, _ := io.ReadAll(io.LimitReader(resp.Body, maxResponseBytes))
 		if json.Unmarshal(body, &er) == nil && er.Error != "" {
-			return nil, "", false, &noSuchUserError{id: er.ID, hasID: true}
+			return nil, "", nil, &noSuchUserError{id: er.ID, hasID: true}
 		}
-		return nil, "", false, &noSuchUserError{ref: rawURL}
+		return nil, "", nil, &noSuchUserError{ref: rawURL}
 	default:
-		return nil, "", false, &StatusError{Code: resp.StatusCode, RetryAfter: parseRetryAfter(resp.Header.Get("Retry-After"))}
+		return nil, "", nil, &StatusError{Code: resp.StatusCode, RetryAfter: parseRetryAfter(resp.Header.Get("Retry-After"))}
 	}
 }
 

@@ -26,15 +26,9 @@ func testGraph() *graph.Graph {
 	return b.Build()
 }
 
-// fastOptions keeps retry delays test-sized.
+// fastOptions keeps the per-attempt deadline test-sized.
 func fastOptions(baseURL string) Options {
-	return Options{
-		BaseURL:        baseURL,
-		MaxAttempts:    4,
-		BaseBackoff:    time.Millisecond,
-		MaxBackoff:     5 * time.Millisecond,
-		RequestTimeout: 2 * time.Second,
-	}
+	return Options{BaseURL: baseURL, RequestTimeout: 2 * time.Second}
 }
 
 func mustFetch(t *testing.T, b *Backend, ids ...graph.NodeID) [][]graph.NodeID {
@@ -111,121 +105,6 @@ func TestFetchChunksLargeBatches(t *testing.T) {
 	}
 }
 
-func TestRetryAfter429(t *testing.T) {
-	g := testGraph()
-	var calls atomic.Int64
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if calls.Add(1) <= 2 {
-			w.Header().Set("Retry-After", "0")
-			w.Header().Set("X-RateLimit-Limit", "2")
-			w.Header().Set("X-RateLimit-Remaining", "0")
-			w.WriteHeader(http.StatusTooManyRequests)
-			return
-		}
-		Handler(g, ServerOptions{}).ServeHTTP(w, r)
-	}))
-	defer srv.Close()
-	b, err := New(fastOptions(srv.URL))
-	if err != nil {
-		t.Fatal(err)
-	}
-	lists := mustFetch(t, b, 4)
-	if len(lists[0]) != g.Degree(4) {
-		t.Fatalf("user 4: %d neighbors, want %d", len(lists[0]), g.Degree(4))
-	}
-	if calls.Load() != 3 {
-		t.Fatalf("server saw %d calls, want 3 (two 429s then success)", calls.Load())
-	}
-	rl, ok := b.RateLimit()
-	if !ok || rl.Limit != 2 || rl.Remaining != 0 {
-		t.Fatalf("RateLimit = %+v, %v; want limit 2 remaining 0", rl, ok)
-	}
-}
-
-func TestRateLimitedServerEmits429(t *testing.T) {
-	g := testGraph()
-	srv := httptest.NewServer(Handler(g, ServerOptions{QueriesPerWindow: 1, Window: time.Hour}))
-	defer srv.Close()
-	o := fastOptions(srv.URL)
-	o.MaxAttempts = 2
-	b, err := New(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustFetch(t, b, 0) // spends the window's only slot
-	_, err = b.Fetch(context.Background(), []graph.NodeID{1})
-	var se *StatusError
-	if !errors.As(err, &se) || se.Code != http.StatusTooManyRequests {
-		t.Fatalf("err = %v, want 429 StatusError", err)
-	}
-	if se.RetryAfter <= 0 {
-		t.Fatalf("RetryAfter = %v, want > 0", se.RetryAfter)
-	}
-}
-
-func TestRetry5xxThenSucceed(t *testing.T) {
-	g := testGraph()
-	var calls atomic.Int64
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if calls.Add(1) == 1 {
-			http.Error(w, "transient", http.StatusBadGateway)
-			return
-		}
-		Handler(g, ServerOptions{}).ServeHTTP(w, r)
-	}))
-	defer srv.Close()
-	b, err := New(fastOptions(srv.URL))
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustFetch(t, b, 7)
-	if calls.Load() != 2 {
-		t.Fatalf("server saw %d calls, want 2", calls.Load())
-	}
-}
-
-func TestPermanent4xxDoesNotRetry(t *testing.T) {
-	var calls atomic.Int64
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		calls.Add(1)
-		http.Error(w, "nope", http.StatusForbidden)
-	}))
-	defer srv.Close()
-	b, err := New(fastOptions(srv.URL))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = b.Fetch(context.Background(), []graph.NodeID{0})
-	var se *StatusError
-	if !errors.As(err, &se) || se.Code != http.StatusForbidden {
-		t.Fatalf("err = %v, want 403 StatusError", err)
-	}
-	if calls.Load() != 1 {
-		t.Fatalf("server saw %d calls, want exactly 1 (no retry on 403)", calls.Load())
-	}
-}
-
-func TestMalformedJSONIsPermanent(t *testing.T) {
-	var calls atomic.Int64
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		calls.Add(1)
-		w.Write([]byte(`{"results": [{"id": 0, "neighbors": [1,`)) // truncated
-	}))
-	defer srv.Close()
-	b, err := New(fastOptions(srv.URL))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = b.Fetch(context.Background(), []graph.NodeID{0})
-	var pe *ProtocolError
-	if !errors.As(err, &pe) {
-		t.Fatalf("err = %v, want ProtocolError", err)
-	}
-	if calls.Load() != 1 {
-		t.Fatalf("server saw %d calls, want 1 (garbage is not retried)", calls.Load())
-	}
-}
-
 func TestWrongAnswerIsProtocolError(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Write([]byte(`{"results": [{"id": 3, "neighbors": [1]}]}`)) // asked for 0
@@ -248,9 +127,7 @@ func TestWrongAnswerIsProtocolError(t *testing.T) {
 func TestMeta404IsNotNoSuchUser(t *testing.T) {
 	srv := httptest.NewServer(http.NotFoundHandler())
 	defer srv.Close()
-	o := fastOptions(srv.URL + "/wrongpath")
-	o.MaxAttempts = 1
-	b, err := New(o)
+	b, err := New(fastOptions(srv.URL + "/wrongpath"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,62 +138,6 @@ func TestMeta404IsNotNoSuchUser(t *testing.T) {
 	var se *StatusError
 	if !errors.As(err, &se) || se.Code != http.StatusNotFound {
 		t.Fatalf("err = %v, want 404 StatusError", err)
-	}
-}
-
-func TestCancellationMidBackoff(t *testing.T) {
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusTooManyRequests) // no Retry-After: backoff applies
-	}))
-	defer srv.Close()
-	o := fastOptions(srv.URL)
-	o.BaseBackoff = 10 * time.Second // park the retry loop in a long sleep
-	o.MaxBackoff = 30 * time.Second
-	b, err := New(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() {
-		_, err := b.Fetch(ctx, []graph.NodeID{0})
-		done <- err
-	}()
-	time.Sleep(20 * time.Millisecond) // let it land in the backoff sleep
-	cancel()
-	select {
-	case err := <-done:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("err = %v, want context.Canceled", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("Fetch did not return promptly after cancellation mid-backoff")
-	}
-}
-
-func TestPerAttemptTimeoutRetries(t *testing.T) {
-	g := testGraph()
-	var calls atomic.Int64
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if calls.Add(1) == 1 {
-			select { // hang well past the per-attempt deadline
-			case <-time.After(5 * time.Second):
-			case <-r.Context().Done():
-			}
-			return
-		}
-		Handler(g, ServerOptions{}).ServeHTTP(w, r)
-	}))
-	defer srv.Close()
-	o := fastOptions(srv.URL)
-	o.RequestTimeout = 50 * time.Millisecond
-	b, err := New(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustFetch(t, b, 2)
-	if calls.Load() != 2 {
-		t.Fatalf("server saw %d calls, want 2 (timeout then success)", calls.Load())
 	}
 }
 
@@ -441,9 +262,9 @@ func TestFetchPartialGETFallback(t *testing.T) {
 	}
 }
 
-// TestWholeBatch404NoLongerPoisons: the satellite fix on the GET path — the
-// strict Fetch still fails the batch on an unknown id, but FetchPartial over
-// the same GET-only provider answers every other id.
+// TestWholeBatch404NoLongerPoisons: on the GET path a whole-batch 404 still
+// isolates the guilty id — Fetch answers the other ids alongside an
+// *osn.IDErrors, and FetchPartial splits the same result out.
 func TestWholeBatch404NoLongerPoisons(t *testing.T) {
 	g := testGraph()
 	srv := httptest.NewServer(Handler(g, ServerOptions{DisableBatch: true}))
@@ -453,8 +274,10 @@ func TestWholeBatch404NoLongerPoisons(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer b.Close()
-	if _, err := b.Fetch(context.Background(), []graph.NodeID{3, 42}); !errors.Is(err, osn.ErrNoSuchUser) {
-		t.Fatalf("strict Fetch err = %v, want ErrNoSuchUser", err)
+	got, err := b.Fetch(context.Background(), []graph.NodeID{3, 42})
+	var ie *osn.IDErrors
+	if !errors.As(err, &ie) || !errors.Is(err, osn.ErrNoSuchUser) || ie.Errs[0] != nil || got[0] == nil {
+		t.Fatalf("Fetch = (%v, %v), want id 3 answered and id 42 in an IDErrors", got, err)
 	}
 	lists, errs, err := b.FetchPartial(context.Background(), []graph.NodeID{3, 42})
 	if err != nil || !errors.Is(errs[1], osn.ErrNoSuchUser) || lists[0] == nil {
@@ -505,61 +328,6 @@ func TestETagRevalidation(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestChunkParallelism: an oversized fetch dispatches chunks concurrently,
-// bounded by ChunkParallel, and reassembles results in input order.
-func TestChunkParallelism(t *testing.T) {
-	g := testGraph()
-	var inflight, maxInflight atomic.Int64
-	inner := Handler(g, ServerOptions{})
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		cur := inflight.Add(1)
-		for {
-			old := maxInflight.Load()
-			if cur <= old || maxInflight.CompareAndSwap(old, cur) {
-				break
-			}
-		}
-		time.Sleep(2 * time.Millisecond)
-		inflight.Add(-1)
-		inner.ServeHTTP(w, r)
-	}))
-	defer srv.Close()
-	o := fastOptions(srv.URL)
-	o.BatchSize = 2
-	o.ChunkParallel = 3
-	b, err := New(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-
-	ids := make([]graph.NodeID, 20)
-	for i := range ids {
-		ids[i] = graph.NodeID(i % 10)
-	}
-	lists, err := b.Fetch(context.Background(), ids)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range ids {
-		want := g.Neighbors(v)
-		if len(lists[i]) != len(want) {
-			t.Fatalf("lists[%d] (id %d): %d neighbors, want %d", i, v, len(lists[i]), len(want))
-		}
-		for j := range want {
-			if lists[i][j] != want[j] {
-				t.Fatalf("lists[%d] (id %d) out of order", i, v)
-			}
-		}
-	}
-	if m := maxInflight.Load(); m < 2 {
-		t.Fatalf("max in-flight chunks = %d, want concurrent dispatch", m)
-	}
-	if m := maxInflight.Load(); m > 3 {
-		t.Fatalf("max in-flight chunks = %d, cap is 3", m)
 	}
 }
 

@@ -109,10 +109,21 @@ func (s *server) rateHeaders(w http.ResponseWriter, now time.Time) {
 	}
 }
 
-// occupy models the request's service time: take the serialization token
-// (when configured), then sleep out the latency while holding it. The
-// returned release func is nil when the client gave up while queued.
-func (s *server) occupy(r *http.Request) func() {
+// enter admits a neighbor request and models its service time: a spent
+// window answers 429 with Retry-After; otherwise the request takes the
+// serialization token (when configured) and sleeps out the latency while
+// holding it. The returned release func is nil when the request was refused
+// or its client gave up while queued.
+func (s *server) enter(w http.ResponseWriter, r *http.Request) func() {
+	now := time.Now()
+	wait, ok := s.admit(now)
+	s.rateHeaders(w, now)
+	if !ok {
+		w.Header().Set("Retry-After", strconv.Itoa(int(wait/time.Second)+1))
+		w.WriteHeader(http.StatusTooManyRequests)
+		fmt.Fprintf(w, `{"error":"rate limited"}`)
+		return nil
+	}
 	release := func() {}
 	if s.serial != nil {
 		select {
@@ -154,17 +165,7 @@ func writeJSON(w http.ResponseWriter, r *http.Request, v any) {
 }
 
 func (s *server) neighbors(w http.ResponseWriter, r *http.Request) {
-	now := time.Now()
-	if wait, ok := s.admit(now); !ok {
-		s.rateHeaders(w, now)
-		secs := int(wait/time.Second) + 1
-		w.Header().Set("Retry-After", strconv.Itoa(secs))
-		w.WriteHeader(http.StatusTooManyRequests)
-		fmt.Fprintf(w, `{"error":"rate limited"}`)
-		return
-	}
-	s.rateHeaders(w, now)
-	release := s.occupy(r)
+	release := s.enter(w, r)
 	if release == nil {
 		return
 	}
@@ -204,17 +205,7 @@ func (s *server) neighbors(w http.ResponseWriter, r *http.Request) {
 // entries in a 200 answer — the partial-result contract that keeps one bad
 // id from failing the walkers coalesced alongside it.
 func (s *server) batch(w http.ResponseWriter, r *http.Request) {
-	now := time.Now()
-	if wait, ok := s.admit(now); !ok {
-		s.rateHeaders(w, now)
-		secs := int(wait/time.Second) + 1
-		w.Header().Set("Retry-After", strconv.Itoa(secs))
-		w.WriteHeader(http.StatusTooManyRequests)
-		fmt.Fprintf(w, `{"error":"rate limited"}`)
-		return
-	}
-	s.rateHeaders(w, now)
-	release := s.occupy(r)
+	release := s.enter(w, r)
 	if release == nil {
 		return
 	}

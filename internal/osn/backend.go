@@ -2,6 +2,7 @@ package osn
 
 import (
 	"context"
+	"fmt"
 
 	"rewire/internal/graph"
 )
@@ -21,8 +22,7 @@ import (
 //     fetches on its demand path, so per-id granularity is preserved there —
 //     and the SDK's coalescing middleware (rewire.WithBatching), which merges
 //     those single-id fetches back into multi-id round-trips, keeps it by
-//     probing for a per-id PartialFetcher capability and isolating unknown
-//     ids when the backend lacks one.
+//     reading per-id IDErrors from the public driver contract.
 //   - An id outside the backend's user space fails with an error matching
 //     ErrNoSuchUser (errors.Is).
 //   - Fetch honors ctx: cancellation or deadline expiry aborts the in-flight
@@ -43,14 +43,37 @@ type UserCounter interface {
 	NumUsers() int
 }
 
-// Hinter is the optional backend capability of accepting advisory prefetch
-// hints: ids the sampler expects to demand soon. The client forwards every
-// hint its speculative pool accepts, so a backend can warm whatever is cheap
-// on its side (an HTTP driver could pipeline, a snapshot could fault pages
-// in). Hint must not block and must be safe for concurrent use; it carries no
-// obligation whatsoever.
-type Hinter interface {
-	Hint(ids []graph.NodeID)
+// IDErrors is the error a neighbor-list fetch returns when the round-trip
+// itself succeeded but some ids failed on their own: Errs holds one entry per
+// requested id, nil where that id's list is valid. An unknown id among
+// strangers (ErrNoSuchUser) is the typical entry. Callers that treat a batch
+// as all-or-nothing still match the entries' classes with errors.Is.
+type IDErrors struct {
+	Errs []error
+}
+
+// Error reports the single failure verbatim, or how many ids failed.
+func (e *IDErrors) Error() string {
+	errs := e.Unwrap()
+	switch len(errs) {
+	case 0:
+		return "osn: no id failed"
+	case 1:
+		return errs[0].Error()
+	}
+	return fmt.Sprintf("%d of %d ids failed, first: %v", len(errs), len(e.Errs), errs[0])
+}
+
+// Unwrap returns the non-nil per-id errors, so errors.Is and errors.As see
+// every failure class in the batch.
+func (e *IDErrors) Unwrap() []error {
+	var errs []error
+	for _, err := range e.Errs {
+		if err != nil {
+			errs = append(errs, err)
+		}
+	}
+	return errs
 }
 
 // backendUsers resolves the optional UserCounter capability (0 when absent).

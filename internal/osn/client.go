@@ -148,12 +148,9 @@ func (l *ledger) overBudgetLocked() bool {
 // demand Query that lands on an in-flight or completed speculative fetch
 // consumes it at exactly one unique query — never zero, never two.
 type Client struct {
-	be Backend
-	// hinter is be's optional advisory-prefetch capability, probed once at
-	// construction (nil when absent).
-	hinter Hinter
-	state  *store.Map[graph.NodeID, nodeState]
-	led    ledger
+	be    Backend
+	state *store.Map[graph.NodeID, nodeState]
+	led   ledger
 
 	// pool is the optional prefetch worker pool; nil means Prefetch is a
 	// no-op. Guarded by poolMu (not the shard locks: enqueueing must not
@@ -179,12 +176,10 @@ func NewClient(be Backend) *Client {
 // n == 1 is the legacy single-lock layout the contention benchmarks compare
 // against).
 func NewClientShards(be Backend, n int) *Client {
-	c := &Client{
+	return &Client{
 		be:    be,
 		state: store.NewMap[graph.NodeID, nodeState](n),
 	}
-	c.hinter, _ = be.(Hinter)
-	return c
 }
 
 // fetchOne performs the backend round-trip for a single user. The demand and

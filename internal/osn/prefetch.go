@@ -157,8 +157,6 @@ func (c *Client) StopPrefetch() {
 // and returns how many were accepted. Redundant hints (already cached or in
 // flight) and hints beyond the queue capacity are dropped — a prefetch is a
 // bet, never an obligation. Without a running pool it accepts nothing.
-// Accepted hints are additionally forwarded to the backend when it has the
-// Hinter capability, so a driver can warm its own side of the fetch.
 func (c *Client) Prefetch(ids ...graph.NodeID) int {
 	c.poolMu.RLock()
 	p := c.pool
@@ -167,20 +165,10 @@ func (c *Client) Prefetch(ids ...graph.NodeID) int {
 		return 0
 	}
 	accepted := 0
-	var hinted []graph.NodeID
 	for _, v := range ids {
-		if c.Known(v) {
-			continue
-		}
-		if p.enqueue(prefetchJob{id: v, depth: p.cfg.Depth}) {
+		if !c.Known(v) && p.enqueue(prefetchJob{id: v, depth: p.cfg.Depth}) {
 			accepted++
-			if c.hinter != nil {
-				hinted = append(hinted, v)
-			}
 		}
-	}
-	if len(hinted) > 0 {
-		c.hinter.Hint(hinted)
 	}
 	return accepted
 }

@@ -140,16 +140,16 @@ func Simulate(g *Graph, limits Limits) *Provider {
 // BackendSource wraps any Backend in a Provider, attaching the full client
 // stack: sharded response cache, per-user singleflight, unique-query demand
 // billing, budgets, and the speculative prefetch pool. Capabilities
-// (UserCounter, Hinter, RateLimited, io.Closer) are discovered through the
+// (UserCounter, RateLimited, io.Closer) are discovered through the
 // backend's Unwrap chain, so middleware composition never hides them.
 func BackendSource(b Backend) *Provider {
 	p := &Provider{client: osn.NewClient(newOSNBackend(b)), backend: b}
-	if sb, ok := backendAs[*simBackend](b); ok {
+	if sb, ok := BackendAs[*simBackend](b); ok {
 		// Simulated backends opened through the driver registry report their
 		// simulation telemetry exactly like the Simulate constructor.
 		p.svc = sb.svc
 	}
-	if cb, ok := backendAs[*cacheBackend](b); ok {
+	if cb, ok := BackendAs[*cacheBackend](b); ok {
 		// A cache: backend carries an opened durable cache; replay its
 		// recovered state into the fresh client and journal from here on.
 		// Attach can only fail on a client that already served queries or a
@@ -343,7 +343,7 @@ func (p *Provider) RateLimit() (RateLimitInfo, bool) {
 	if p.backend == nil {
 		return RateLimitInfo{}, false
 	}
-	rl, ok := backendAs[RateLimited](p.backend)
+	rl, ok := BackendAs[RateLimited](p.backend)
 	if !ok {
 		return RateLimitInfo{}, false
 	}
