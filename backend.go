@@ -103,44 +103,6 @@ func BackendAs[T any](b Backend) (T, bool) {
 	return zero, false
 }
 
-// osnBackend adapts a public Backend to the internal client contract,
-// resolving the UserCounter capability through the Unwrap chain once at
-// construction.
-type osnBackend struct {
-	b     Backend
-	users func() int
-}
-
-func newOSNBackend(b Backend) osn.Backend {
-	a := &osnBackend{b: b}
-	if uc, ok := BackendAs[UserCounter](b); ok {
-		a.users = uc.NumUsers
-	}
-	return a
-}
-
-func (a *osnBackend) Fetch(ctx context.Context, ids []NodeID) ([]osn.Response, error) {
-	lists, err := a.b.Fetch(ctx, ids)
-	if err != nil {
-		return nil, err
-	}
-	if len(lists) != len(ids) {
-		return nil, fmt.Errorf("rewire: backend returned %d lists for %d ids", len(lists), len(ids))
-	}
-	out := make([]osn.Response, len(ids))
-	for i, v := range ids {
-		out[i] = osn.Response{User: v, Neighbors: lists[i]}
-	}
-	return out, nil
-}
-
-func (a *osnBackend) NumUsers() int {
-	if a.users == nil {
-		return 0
-	}
-	return a.users()
-}
-
 // closeBackend closes every io.Closer on b's Unwrap chain, returning the
 // first error.
 func closeBackend(b Backend) error {

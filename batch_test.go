@@ -552,7 +552,7 @@ func TestBatchingIsolatesIDErrorsThroughMiddleware(t *testing.T) {
 // TestBatchingRaceHammer drives the full client stack — demand queries,
 // cancellation, tenant billing, and the speculative prefetch pool — through
 // one coalescing window under -race, then checks the ledger invariants the
-// paper's cost model depends on: every cached response is billed exactly
+// paper's cost model depends on: every cached list is billed exactly
 // once or parked speculative, and per-tenant bills sum to the total.
 func TestBatchingRaceHammer(t *testing.T) {
 	const (
@@ -562,7 +562,7 @@ func TestBatchingRaceHammer(t *testing.T) {
 	)
 	inner := &ringBackend{n: nodes, delay: 200 * time.Microsecond}
 	bb := WithBatching(inner, BatchingOptions{MaxBatch: 8, MaxWait: 500 * time.Microsecond, MaxInflight: 4})
-	client := osn.NewPrefetchingClient(newOSNBackend(bb), osn.PrefetchConfig{Workers: 4, Depth: 1})
+	client := osn.NewPrefetchingClient(bb, osn.PrefetchConfig{Workers: 4, Depth: 1})
 	defer client.StopPrefetch()
 
 	var wg sync.WaitGroup
@@ -580,7 +580,7 @@ func TestBatchingRaceHammer(t *testing.T) {
 					// Demand with a racing cancellation: sometimes the answer
 					// lands first, sometimes the withdrawal does.
 					cctx, cancel := context.WithTimeout(ctx, time.Duration(rng.IntN(300))*time.Microsecond)
-					_, err := client.QueryContext(cctx, id)
+					_, err := client.NeighborsContext(cctx, id)
 					cancel()
 					if err != nil && !errors.Is(err, context.DeadlineExceeded) && !errors.Is(err, context.Canceled) {
 						errc <- fmt.Errorf("worker %d: cancelled query: %v", w, err)
@@ -594,10 +594,10 @@ func TestBatchingRaceHammer(t *testing.T) {
 					// Coalesced waiters share the driving fetch's fate, errors
 					// included (singleflight semantics): a context error not
 					// our own means the first demander bailed — retry.
-					var resp osn.Response
+					var nbrs []NodeID
 					var err error
 					for range 50 {
-						resp, err = client.QueryContext(ctx, id)
+						nbrs, err = client.NeighborsContext(ctx, id)
 						if err == nil || (!errors.Is(err, context.DeadlineExceeded) && !errors.Is(err, context.Canceled)) {
 							break
 						}
@@ -607,8 +607,8 @@ func TestBatchingRaceHammer(t *testing.T) {
 						return
 					}
 					want := inner.neighbors(id)
-					if !slices.Equal(resp.Neighbors, want) {
-						errc <- fmt.Errorf("worker %d: id %d got %v want %v", w, id, resp.Neighbors, want)
+					if !slices.Equal(nbrs, want) {
+						errc <- fmt.Errorf("worker %d: id %d got %v want %v", w, id, nbrs, want)
 						return
 					}
 				}

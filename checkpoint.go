@@ -16,6 +16,11 @@ import (
 // rejects other versions with ErrCheckpointVersion.
 const checkpointVersion = 1
 
+// maxCoreInner bounds the envelope's MTO inner re-pick cap. No option sets
+// MaxInner (the default is 64); a huge cap with a zero move probability
+// would spin one step forever.
+const maxCoreInner = 1 << 12
+
 // checkpointEnvelope is the serialized form of a paused session: the full
 // construction config plus the per-walker chain state (position and RNG
 // stream) and the MTO overlay's edge delta. It deliberately carries NO
@@ -57,6 +62,26 @@ type overlayEnvelope struct {
 	Removed [][2]NodeID `json:"removed"`
 	Added   [][2]NodeID `json:"added"`
 	Pivots  []NodeID    `json:"pivots"`
+}
+
+// check rejects what no real overlay holds: self-loops, and node ids outside
+// the source's n users (only negative ids when the source publishes no
+// count).
+func (o *overlayEnvelope) check(n int) error {
+	bad := func(v NodeID) bool { return v < 0 || (n > 0 && int(v) >= n) }
+	for _, pairs := range [][][2]NodeID{o.Removed, o.Added} {
+		for _, p := range pairs {
+			if p[0] == p[1] || bad(p[0]) || bad(p[1]) {
+				return fmt.Errorf("rewire: checkpoint overlay edge %v is not an edge among %d users", p, n)
+			}
+		}
+	}
+	for _, v := range o.Pivots {
+		if bad(v) {
+			return fmt.Errorf("rewire: checkpoint overlay pivot %d outside %d users", v, n)
+		}
+	}
+	return nil
 }
 
 func edgePairs(keys []graph.EdgeKey) [][2]NodeID {
@@ -175,16 +200,29 @@ func Resume(ctx context.Context, data []byte, opts ...Option) (*Session, error) 
 		return nil, err
 	}
 
+	if env.Core.MaxInner > maxCoreInner {
+		return nil, fmt.Errorf("rewire: checkpoint MaxInner %d > %d", env.Core.MaxInner, maxCoreInner)
+	}
+
 	cfg := defaults()
 	cfg.alg = alg
 	cfg.seed = env.Seed
-	if env.PJump > 0 {
-		cfg.pJump = env.PJump
-	}
 	cfg.partitioned = env.Partitioned
-	cfg.shards = env.Shards
 	cfg.core = env.Core
-	cfg.prefetch = env.Prefetch
+	// The envelope's fields pass the same validators as the options that
+	// set them: the bytes may come from a state file, not this process.
+	if env.PJump > 0 {
+		WithJumpProbability(env.PJump)(&cfg)
+	}
+	if env.Shards != 0 {
+		WithStoreShards(env.Shards)(&cfg)
+	}
+	if env.Prefetch != nil {
+		WithPrefetch(*env.Prefetch)(&cfg)
+	}
+	if cfg.err != nil {
+		return nil, fmt.Errorf("rewire: checkpoint envelope: %w", cfg.err)
+	}
 	cfg.fleet = len(env.Walkers)
 	cfg.starts = make([]NodeID, len(env.Walkers))
 	for i, w := range env.Walkers {
@@ -208,6 +246,11 @@ func Resume(ctx context.Context, data []byte, opts ...Option) (*Session, error) 
 	}
 	if cfg.src == nil {
 		return nil, fmt.Errorf("rewire: Resume needs a backend — checkpoints are backend-free, pass WithSource")
+	}
+	if env.Overlay != nil {
+		if err := env.Overlay.check(cfg.src.NumUsers()); err != nil {
+			return nil, err
+		}
 	}
 
 	s, err := newSession(cfg.src, cfg)

@@ -5,8 +5,10 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"rewire"
 )
@@ -300,4 +302,113 @@ func TestOpenBackendUnknownDriverError(t *testing.T) {
 	if _, err := rewire.OpenBackend(context.Background(), "noscheme"); !errors.Is(err, rewire.ErrUnknownDriver) {
 		t.Fatalf("scheme-less URL err = %v, want ErrUnknownDriver", err)
 	}
+}
+
+// hostileEnvelopes are checkpoint envelopes that once crashed or hung the
+// process inside Resume or the first run: each patches one field of a real
+// MTO checkpoint.
+var hostileEnvelopes = []struct {
+	name  string
+	key   string
+	value any
+}{
+	{"shards 1<<40", "shards", 1 << 40},
+	{"shards MaxInt64", "shards", int64(math.MaxInt64)},
+	{"shards negative", "shards", -4},
+	{"prefetch queue 1<<40", "prefetch", map[string]any{"Queue": 1 << 40}},
+	{"prefetch workers 2e7", "prefetch", map[string]any{"Workers": 20_000_000}},
+	{"prefetch strategy 7", "prefetch", map[string]any{"Strategy": 7}},
+	{"prefetch topk 1<<40", "prefetch", map[string]any{"Strategy": 1, "TopK": 1 << 40}},
+	{"jump probability 5", "p_jump", 5.0},
+	{"inner re-pick cap 1<<40", "core", map[string]any{"MaxInner": 1 << 40, "LazyProb": 0}},
+	{"overlay edge out of range", "overlay", map[string]any{"removed": [][2]int{}, "added": [][2]int{{0, 1 << 20}}, "pivots": []int{}}},
+	{"overlay negative pivot", "overlay", map[string]any{"removed": [][2]int{}, "added": [][2]int{}, "pivots": []int{-1}}},
+	{"overlay self-loop", "overlay", map[string]any{"removed": [][2]int{{2, 2}}, "added": [][2]int{}, "pivots": []int{}}},
+}
+
+// simCheckpoint checkpoints a paused single-walker MTO session over a
+// simulated barbell provider.
+func simCheckpoint(t testing.TB, g *rewire.Graph) []byte {
+	t.Helper()
+	s, err := rewire.NewSession(rewire.Simulate(g, rewire.Limits{}), rewire.WithSeed(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Samples(context.Background(), 40); err != nil {
+		t.Fatal(err)
+	}
+	data, err := s.Checkpoint(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// patchEnvelope returns data with one top-level key replaced.
+func patchEnvelope(t testing.TB, data []byte, key string, value any) []byte {
+	t.Helper()
+	var env map[string]any
+	if err := json.Unmarshal(data, &env); err != nil {
+		t.Fatal(err)
+	}
+	env[key] = value
+	out, err := json.Marshal(env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestResumeRejectsHostileEnvelopes checks that Resume validates the sizes
+// and node ids a checkpoint carries instead of trusting them: every envelope
+// in hostileEnvelopes must fail with an error, promptly.
+func TestResumeRejectsHostileEnvelopes(t *testing.T) {
+	g := rewire.Barbell(6)
+	data := simCheckpoint(t, g)
+	for _, tc := range hostileEnvelopes {
+		t.Run(tc.name, func(t *testing.T) {
+			bad := patchEnvelope(t, data, tc.key, tc.value)
+			s, err := rewire.Resume(context.Background(), bad, rewire.WithSource(rewire.Simulate(g, rewire.Limits{})))
+			if err == nil {
+				t.Fatalf("Resume accepted %s (session %v)", bad, s != nil)
+			}
+		})
+	}
+}
+
+// FuzzResume feeds arbitrary bytes to Resume over a small simulated
+// barbell: it must never panic or hang, and any session it returns must
+// draw 10 samples.
+func FuzzResume(f *testing.F) {
+	g := rewire.Barbell(6)
+	data := simCheckpoint(f, g)
+	f.Add(data)
+	for _, tc := range hostileEnvelopes {
+		f.Add(patchEnvelope(f, data, tc.key, tc.value))
+	}
+	srw, err := rewire.NewSession(rewire.Simulate(g, rewire.Limits{}), rewire.WithAlgorithm(rewire.AlgRJ),
+		rewire.WithFleet(3), rewire.WithPrefetch(rewire.PrefetchOptions{Strategy: rewire.PrefetchFrontier}))
+	if err != nil {
+		f.Fatal(err)
+	}
+	if _, err := srw.Samples(context.Background(), 30); err != nil {
+		f.Fatal(err)
+	}
+	if data, err = srw.Checkpoint(context.Background()); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(data)
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		s, err := rewire.Resume(ctx, data, rewire.WithSource(rewire.Simulate(g, rewire.Limits{})))
+		if err != nil {
+			return
+		}
+		got, err := s.Samples(ctx, 10)
+		if err != nil || len(got) != 10 {
+			t.Fatalf("resumed session drew %d samples, err %v", len(got), err)
+		}
+	})
 }

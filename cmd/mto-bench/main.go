@@ -254,7 +254,7 @@ func run(which string, full bool, seed uint64, dataset, jsonOut string, pf prefe
 		// bench suite's SnapshotOpenCold row runs the same workload).
 		section("Snapshot cold open — CSR snapshot open + 10k-step walk")
 		ds := exp.Datasets(full)[0]
-		row, err := exp.RunSnapshotCold(ds, 10_000, seed)
+		row, err := exp.RunSnapshotCold(context.Background(), ds, 10_000, seed)
 		if err != nil {
 			return err
 		}

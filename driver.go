@@ -234,26 +234,6 @@ func openMem(ctx context.Context, u *url.URL) (Backend, error) {
 	return graphBackend{g: g}, nil
 }
 
-// simBackend serves a simulated restrictive provider (osn.Service) through
-// the driver contract and forwards its simulation telemetry, so a Provider
-// over it reports TotalQueries/SimulatedElapsed/RateLimitWaits exactly like
-// the Simulate compatibility constructor.
-type simBackend struct{ svc *osn.Service }
-
-func (b *simBackend) Fetch(ctx context.Context, ids []NodeID) ([][]NodeID, error) {
-	resps, err := b.svc.Fetch(ctx, ids)
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]NodeID, len(resps))
-	for i, r := range resps {
-		out[i] = r.Neighbors
-	}
-	return out, nil
-}
-
-func (b *simBackend) NumUsers() int { return b.svc.NumUsers() }
-
 // parseLimits resolves the sim: quota parameters: limits= names a preset
 // (facebook, twitter, none — default none), and qpw, window, latency, real
 // override individual fields.
@@ -307,7 +287,9 @@ func openSim(ctx context.Context, u *url.URL) (Backend, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &simBackend{svc: osn.NewService(g, nil, osn.Config(lim))}, nil
+	// The simulator is a Backend itself; a Provider over it finds the
+	// simulation telemetry with BackendAs[*osn.Service].
+	return osn.NewService(g, nil, osn.Config(lim)), nil
 }
 
 // httpDriverParams are the query keys the http driver consumes; everything

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -23,6 +24,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	g := gen.GooglePlusLikeSmall(21)
 	attrs := osn.SynthesizeAttributes(g, rng.New(22))
 	truth := attrs.MeanDescLen()
@@ -43,16 +45,14 @@ func main() {
 			m := core.NewSampler(client, start, core.DefaultConfig(), r)
 			walker, weighter = m, m
 		}
+		// The walk has already paid q(v) for every sampled v, so the
+		// attributes come from the table the service serves.
 		info := func(v graph.NodeID) (int, estimate.Attrs) {
-			resp, err := client.Query(v)
+			nbrs, err := client.NeighborsContext(ctx, v)
 			if err != nil {
 				log.Fatal(err)
 			}
-			return resp.Degree(), estimate.Attrs{
-				Age:     resp.Attrs.Age,
-				DescLen: resp.Attrs.DescLen,
-				Posts:   resp.Attrs.Posts,
-			}
+			return len(nbrs), estimate.Attrs(attrs.Of(v))
 		}
 		res := estimate.RunSession(walker, weighter, estimate.AvgDescLen(), info,
 			client.UniqueQueries, estimate.SessionConfig{

@@ -327,7 +327,7 @@ func (c *Cache) Attach(client *osn.Client) error {
 			}
 			nbrs = row
 		}
-		client.SeedCached(id, osn.Response{User: id, Neighbors: nbrs, Attrs: e.attrs}, e.billed, e.tenant)
+		client.SeedCached(id, nbrs, e.billed, e.tenant)
 		if e.billed {
 			seeded[e.tenant]++
 		}

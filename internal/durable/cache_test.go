@@ -13,25 +13,20 @@ import (
 )
 
 // mapBackend is a deterministic in-memory backend: neighbors of v are
-// (v+1)%n and (v+2)%n, attrs derived from v. Fetches count for warm-start
-// assertions.
+// (v+1)%n and (v+2)%n. Fetches count for warm-start assertions.
 type mapBackend struct {
 	n       int32
 	fetches int
 }
 
-func (b *mapBackend) Fetch(ctx context.Context, ids []graph.NodeID) ([]osn.Response, error) {
-	out := make([]osn.Response, len(ids))
+func (b *mapBackend) Fetch(ctx context.Context, ids []graph.NodeID) ([][]graph.NodeID, error) {
+	out := make([][]graph.NodeID, len(ids))
 	for i, v := range ids {
 		if v < 0 || v >= b.n {
 			return nil, osn.ErrNoSuchUser
 		}
 		b.fetches++
-		out[i] = osn.Response{
-			User:      v,
-			Neighbors: []graph.NodeID{(v + 1) % b.n, (v + 2) % b.n},
-			Attrs:     osn.UserAttrs{Age: int(v % 90), DescLen: int(v % 7), Posts: int(v % 13)},
-		}
+		out[i] = []graph.NodeID{(v + 1) % b.n, (v + 2) % b.n}
 	}
 	return out, nil
 }
@@ -191,11 +186,11 @@ func TestCacheReopenRestoresExactState(t *testing.T) {
 	client.SetTenantBudget("acme", 300)
 	ctx := osn.WithTenant(context.Background(), "acme")
 	for v := graph.NodeID(0); v < 50; v++ {
-		if _, err := client.QueryContext(ctx, v); err != nil {
+		if _, err := client.NeighborsContext(ctx, v); err != nil {
 			t.Fatalf("query %d: %v", v, err)
 		}
 	}
-	if _, err := client.QueryContext(context.Background(), 200); err != nil {
+	if _, err := client.NeighborsContext(context.Background(), 200); err != nil {
 		t.Fatalf("anonymous query: %v", err)
 	}
 	wantUnique := client.UniqueQueries()
@@ -220,15 +215,12 @@ func TestCacheReopenRestoresExactState(t *testing.T) {
 	// Replayed entries are warm: re-querying them costs no backend fetch and
 	// no unique query.
 	for v := graph.NodeID(0); v < 50; v++ {
-		resp, err := client2.QueryContext(ctx, v)
+		nbrs, err := client2.NeighborsContext(ctx, v)
 		if err != nil {
 			t.Fatalf("warm query %d: %v", v, err)
 		}
-		if len(resp.Neighbors) != 2 || resp.Neighbors[0] != (v+1)%1000 {
-			t.Fatalf("warm query %d: wrong neighbors %v", v, resp.Neighbors)
-		}
-		if resp.Attrs != (osn.UserAttrs{Age: int(v % 90), DescLen: int(v % 7), Posts: int(v % 13)}) {
-			t.Fatalf("warm query %d: wrong attrs %+v", v, resp.Attrs)
+		if len(nbrs) != 2 || nbrs[0] != (v+1)%1000 {
+			t.Fatalf("warm query %d: wrong neighbors %v", v, nbrs)
 		}
 	}
 	if be2.fetches != 0 {
@@ -239,7 +231,7 @@ func TestCacheReopenRestoresExactState(t *testing.T) {
 	}
 	// The replayed budget still binds: 800 global, and the crawl above used
 	// 51; a fresh query must bill normally until the cap.
-	if _, err := client2.QueryContext(ctx, 900); err != nil {
+	if _, err := client2.NeighborsContext(ctx, 900); err != nil {
 		t.Fatalf("fresh query after reopen: %v", err)
 	}
 	if got := client2.UniqueQueries(); got != wantUnique+1 {
@@ -255,7 +247,7 @@ func TestCacheRotationAndCompaction(t *testing.T) {
 	c, client := openAttached(t, dir, Options{SegmentBytes: 1 << 10, CompactSegments: -1}, be)
 	ctx := osn.WithTenant(context.Background(), "t")
 	for v := graph.NodeID(0); v < 500; v++ {
-		if _, err := client.QueryContext(ctx, v); err != nil {
+		if _, err := client.NeighborsContext(ctx, v); err != nil {
 			t.Fatalf("query %d: %v", v, err)
 		}
 	}
@@ -283,7 +275,7 @@ func TestCacheRotationAndCompaction(t *testing.T) {
 	// More traffic after compaction, then a second compact folds snapshot +
 	// new segments.
 	for v := graph.NodeID(500); v < 900; v++ {
-		if _, err := client.QueryContext(ctx, v); err != nil {
+		if _, err := client.NeighborsContext(ctx, v); err != nil {
 			t.Fatalf("query %d: %v", v, err)
 		}
 	}
@@ -305,9 +297,9 @@ func TestCacheRotationAndCompaction(t *testing.T) {
 		t.Errorf("UniqueQueries after compacted reopen = %d, want %d", got, wantUnique)
 	}
 	for v := graph.NodeID(0); v < 900; v++ {
-		resp, err := client2.QueryContext(ctx, v)
-		if err != nil || len(resp.Neighbors) != 2 || resp.Neighbors[1] != (v+2)%4000 {
-			t.Fatalf("warm row %d after compacted reopen: %v %v", v, resp.Neighbors, err)
+		nbrs, err := client2.NeighborsContext(ctx, v)
+		if err != nil || len(nbrs) != 2 || nbrs[1] != (v+2)%4000 {
+			t.Fatalf("warm row %d after compacted reopen: %v %v", v, nbrs, err)
 		}
 	}
 	if be2.fetches != 0 {
@@ -321,7 +313,7 @@ func TestTombstoneKeepsBillOnReplay(t *testing.T) {
 	for _, compact := range []bool{false, true} {
 		dir := t.TempDir()
 		c, client := openAttached(t, dir, Options{CompactSegments: -1}, &mapBackend{n: 10})
-		if _, err := client.Query(3); err != nil {
+		if _, err := client.NeighborsContext(context.Background(), 3); err != nil {
 			t.Fatalf("query: %v", err)
 		}
 		if err := c.append(Record{Type: recTombstone, User: 3}); err != nil {
@@ -343,7 +335,7 @@ func TestTombstoneKeepsBillOnReplay(t *testing.T) {
 			t.Fatalf("compact=%v: tombstoned entry came back cached", compact)
 		}
 		// Re-fetching the tombstoned id bills again, exactly as live.
-		if _, err := client2.Query(3); err != nil {
+		if _, err := client2.NeighborsContext(context.Background(), 3); err != nil {
 			t.Fatalf("refetch: %v", err)
 		}
 		if got := client2.UniqueQueries(); got != 2 {
@@ -368,7 +360,7 @@ func TestOpenRefusesSecondProcessLock(t *testing.T) {
 func TestOpenPrunesDebris(t *testing.T) {
 	dir := t.TempDir()
 	c, client := openAttached(t, dir, Options{}, &mapBackend{n: 10})
-	if _, err := client.Query(1); err != nil {
+	if _, err := client.NeighborsContext(context.Background(), 1); err != nil {
 		t.Fatalf("query: %v", err)
 	}
 	c.Close()
@@ -404,7 +396,7 @@ func TestSpeculativeEntriesSurviveReopen(t *testing.T) {
 	if err := c.RecordFetch(7, osn.Response{User: 7, Neighbors: []graph.NodeID{8, 9}}, false, ""); err != nil {
 		t.Fatalf("RecordFetch: %v", err)
 	}
-	client.SeedCached(7, osn.Response{User: 7, Neighbors: []graph.NodeID{8, 9}}, false, "")
+	client.SeedCached(7, []graph.NodeID{8, 9}, false, "")
 	c.Close()
 
 	be := &mapBackend{n: 100}
@@ -417,7 +409,7 @@ func TestSpeculativeEntriesSurviveReopen(t *testing.T) {
 		t.Fatalf("SpeculativeCount after reopen = %d, want 1", got)
 	}
 	// First demand upgrades it: one unique query, zero backend fetches.
-	if _, err := client2.Query(7); err != nil {
+	if _, err := client2.NeighborsContext(context.Background(), 7); err != nil {
 		t.Fatalf("upgrade query: %v", err)
 	}
 	if got := client2.UniqueQueries(); got != 1 {
@@ -454,7 +446,7 @@ func TestAttachGuards(t *testing.T) {
 	}
 	defer c2.Close()
 	dirty := osn.NewClient(&mapBackend{n: 10})
-	if _, err := dirty.Query(1); err != nil {
+	if _, err := dirty.NeighborsContext(context.Background(), 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := c2.Attach(dirty); err == nil {

@@ -32,7 +32,7 @@ func TestCloseDuringBackgroundCompaction(t *testing.T) {
 		if queried == n {
 			t.Fatal("no background compaction started")
 		}
-		if _, err := client.QueryContext(ctx, queried); err != nil {
+		if _, err := client.NeighborsContext(ctx, queried); err != nil {
 			t.Fatalf("query %d: %v", queried, err)
 		}
 		select {
@@ -63,9 +63,9 @@ func TestCloseDuringBackgroundCompaction(t *testing.T) {
 		t.Errorf("UniqueQueries after reopen = %d, want %d", got, wantUnique)
 	}
 	for v := graph.NodeID(0); v < queried; v++ {
-		resp, err := client2.QueryContext(ctx, v)
-		if err != nil || len(resp.Neighbors) != 2 || resp.Neighbors[0] != (v+1)%n {
-			t.Fatalf("warm row %d after reopen: %v %v", v, resp.Neighbors, err)
+		nbrs, err := client2.NeighborsContext(ctx, v)
+		if err != nil || len(nbrs) != 2 || nbrs[0] != (v+1)%n {
+			t.Fatalf("warm row %d after reopen: %v %v", v, nbrs, err)
 		}
 	}
 	if be.fetches != 0 {

@@ -45,7 +45,7 @@ func SteadyStateAllocs(ds Dataset, seed uint64) AllocRow {
 		svc := osn.NewService(ds.Graph, nil, osn.Config{})
 		client := osn.NewClient(svc)
 		for v := 0; v < ds.Graph.NumNodes(); v++ {
-			client.Query(graph.NodeID(v))
+			client.Neighbors(graph.NodeID(v))
 		}
 		return client
 	}

@@ -85,9 +85,9 @@ func BenchSuite(ctx context.Context, seed uint64) (benchcmp.Suite, error) {
 	// wall-clock (best of 3) is recorded so snapshot-load regressions are
 	// visible in the artifact even before they trip anything.
 	const snapSamples = 10_000
-	snap, err := RunSnapshotCold(ds, snapSamples, seed)
+	snap, err := RunSnapshotCold(ctx, ds, snapSamples, seed)
 	for i := 1; i < 3 && err == nil; i++ {
-		row, e := RunSnapshotCold(ds, snapSamples, seed)
+		row, e := RunSnapshotCold(ctx, ds, snapSamples, seed)
 		if e != nil {
 			err = e
 			break

@@ -118,16 +118,10 @@ func Fig11(full bool, cfg Fig11Config, seed uint64) (Fig11Result, error) {
 				if err != nil {
 					return res, err
 				}
+				// The walk has already paid q(v) for every sampled v, so the
+				// attributes come from the table the service serves.
 				info := func(v graph.NodeID) (int, estimate.Attrs) {
-					resp, err := client.Query(v)
-					if err != nil {
-						return 0, estimate.Attrs{}
-					}
-					return resp.Degree(), estimate.Attrs{
-						Age:     resp.Attrs.Age,
-						DescLen: resp.Attrs.DescLen,
-						Posts:   resp.Attrs.Posts,
-					}
+					return client.Degree(v), estimate.Attrs(attrs.Of(v))
 				}
 				sr := estimate.RunSession(walker, weighter, agg, info, client.UniqueQueries,
 					estimate.SessionConfig{

@@ -2,12 +2,12 @@ package exp
 
 import (
 	"context"
+	"io"
 	"os"
 	"path/filepath"
-	"slices"
 	"time"
 
-	"rewire/internal/graph"
+	"rewire"
 	"rewire/internal/osn"
 	"rewire/internal/rng"
 	"rewire/internal/walk"
@@ -22,35 +22,15 @@ type SnapshotColdRow struct {
 	Unique int64
 }
 
-// snapshotBackend lifts a read-only CSR snapshot onto the client's Backend
-// contract, row-cloning exactly like the public snapshot: driver does — the
-// gate must measure the shipped fetch path (clone included: cached lists
-// must outlive the mapping), not a cheaper look-alike.
-type snapshotBackend struct{ snap *graph.Snapshot }
-
-func (b snapshotBackend) Fetch(ctx context.Context, ids []graph.NodeID) ([]osn.Response, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	out := make([]osn.Response, len(ids))
-	for i, v := range ids {
-		nbrs, err := b.snap.Neighbors(v)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = osn.Response{User: v, Neighbors: slices.Clone(nbrs)}
-	}
-	return out, nil
-}
-
-func (b snapshotBackend) NumUsers() int { return b.snap.NumNodes() }
-
 // RunSnapshotCold serializes ds to a snapshot file, then measures the cold
-// path a resumed crawl pays: open the snapshot and drive a single SRW walker
-// through `samples` steps over the full client stack (sharded cache, demand
-// billing). The write is setup, not measurement. The unique-query bill is a
-// deterministic function of the seed — the CI gate pins it.
-func RunSnapshotCold(ds Dataset, samples int, seed uint64) (SnapshotColdRow, error) {
+// path a resumed crawl pays: open the file through the shipped snapshot:
+// driver and drive a single SRW walker through `samples` steps over the full
+// client stack (sharded cache, demand billing). The driver's backend goes
+// into the client unconverted, so the gate measures the shipped fetch path
+// (row clone included), not a cheaper look-alike. The write is setup, not
+// measurement. The unique-query bill is a deterministic function of the
+// seed — the CI gate pins it.
+func RunSnapshotCold(ctx context.Context, ds Dataset, samples int, seed uint64) (SnapshotColdRow, error) {
 	dir, err := os.MkdirTemp("", "rewire-snapbench-*")
 	if err != nil {
 		return SnapshotColdRow{}, err
@@ -62,12 +42,14 @@ func RunSnapshotCold(ds Dataset, samples int, seed uint64) (SnapshotColdRow, err
 	}
 
 	t0 := time.Now()
-	snap, err := graph.OpenSnapshot(path)
+	be, err := rewire.OpenBackend(ctx, "snapshot:"+path)
 	if err != nil {
 		return SnapshotColdRow{}, err
 	}
-	defer snap.Close()
-	client := osn.NewClient(snapshotBackend{snap: snap})
+	if c, ok := be.(io.Closer); ok {
+		defer c.Close()
+	}
+	client := osn.NewClient(be)
 	r := rng.New(seed)
 	w := walk.NewSimple(client, 0, r.Split())
 	for i := 0; i < samples; i++ {

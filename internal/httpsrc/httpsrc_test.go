@@ -141,22 +141,6 @@ func TestMeta404IsNotNoSuchUser(t *testing.T) {
 	}
 }
 
-// osnAdapter lifts the driver-shaped Fetch onto the internal client contract
-// (the public SDK does the same through its Backend adapter).
-type osnAdapter struct{ b *Backend }
-
-func (a osnAdapter) Fetch(ctx context.Context, ids []graph.NodeID) ([]osn.Response, error) {
-	lists, err := a.b.Fetch(ctx, ids)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]osn.Response, len(ids))
-	for i, v := range ids {
-		out[i] = osn.Response{User: v, Neighbors: lists[i]}
-	}
-	return out, nil
-}
-
 // TestConcurrentWalkersOverHTTP is the -race hammer: a fleet of SRW walkers
 // sharing one osn.Client over the HTTP backend, so the full stack — sharded
 // cache, per-user singleflight, demand billing, HTTP connection pool — runs
@@ -170,7 +154,7 @@ func TestConcurrentWalkersOverHTTP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	client := osn.NewClient(osnAdapter{b})
+	client := osn.NewClient(b)
 	const k, steps = 8, 200
 	r := rng.New(7)
 	var wg sync.WaitGroup

@@ -7,32 +7,41 @@ import (
 	"rewire/internal/graph"
 )
 
-// Backend is the minimal driver contract the Client wraps: one batch-capable,
-// context-first fetch. Everything the client layers on top — the sharded
-// response cache, per-user singleflight, demand billing, budgets, the
-// speculative prefetch pool — is backend-agnostic, so the same machinery
-// serves a simulated provider (Service), a live HTTP endpoint, a read-only
-// CSR snapshot, or anything a third party registers.
+// Backend is the driver contract the Client wraps: one batch-capable,
+// context-first fetch of neighbor lists. It has the same method set as the
+// public rewire.Backend, so any SDK backend — middleware included — plugs
+// into NewClient unconverted. Everything the client layers on top — the
+// sharded neighbor-list cache, per-user singleflight, demand billing,
+// budgets, the speculative prefetch pool — is backend-agnostic, so the same
+// machinery serves a simulated provider (Service), a live HTTP endpoint, a
+// read-only CSR snapshot, or anything a third party registers.
 //
 // Contract:
 //
-//   - Fetch returns exactly one Response per requested id, in input order, or
-//     a non-nil error for the batch as a whole. Partial results are not
-//     returned: a failed batch is all-failed. The client issues single-id
-//     fetches on its demand path, so per-id granularity is preserved there —
-//     and the SDK's coalescing middleware (rewire.WithBatching), which merges
-//     those single-id fetches back into multi-id round-trips, keeps it by
-//     reading per-id IDErrors from the public driver contract.
+//   - Fetch returns exactly one neighbor list per requested id, in input
+//     order, or a non-nil error. An empty list is a valid answer for an
+//     isolated user. The client issues single-id fetches and rejects any
+//     other list count, so a misbehaving backend fails the query instead of
+//     caching a wrong answer.
+//   - The one partial result is an *IDErrors: the round-trip succeeded but
+//     some ids failed on their own, and lists[i] is valid wherever Errs[i] is
+//     nil. The client treats it like any other error for its single id;
+//     rewire.WithBatching, which merges single-id fetches into multi-id
+//     round-trips, hands each entry to its own demander.
 //   - An id outside the backend's user space fails with an error matching
 //     ErrNoSuchUser (errors.Is).
 //   - Fetch honors ctx: cancellation or deadline expiry aborts the in-flight
 //     round-trip and returns the context's error.
-//   - Returned neighbor slices are owned by the caller; the backend must not
-//     retain or mutate them after returning (the client caches them forever).
+//   - Returned lists are owned by the caller; the backend must not retain or
+//     mutate them after returning (the client caches them forever).
 //   - Fetch must be safe for concurrent use: the client overlaps misses for
 //     different users, and the prefetch pool fetches speculatively alongside.
+//
+// Attributes are not part of the contract: the walk, the rewiring criteria
+// and the stationary weights read only neighbor lists. Service.Query still
+// answers the paper's full q(v), attributes included.
 type Backend interface {
-	Fetch(ctx context.Context, ids []graph.NodeID) ([]Response, error)
+	Fetch(ctx context.Context, ids []graph.NodeID) ([][]graph.NodeID, error)
 }
 
 // UserCounter is the optional backend capability of publishing the total user

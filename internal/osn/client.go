@@ -11,19 +11,19 @@ import (
 
 // inflight coordinates concurrent fetches for one user: the first goroutine
 // to miss (or the prefetch worker) performs the service round-trip, later
-// arrivals wait on done and share the result. Publishing resp/err before
+// arrivals wait on done and share the result. Publishing nbrs/err before
 // close(done) gives waiters a happens-before edge, so no lock is needed to
 // read them.
 type inflight struct {
 	done chan struct{}
-	resp Response
+	nbrs []graph.NodeID
 	err  error
-	// demand counts the demand-path callers (Query, QueryBatch, waiters that
-	// coalesced onto this fetch) currently needing the result. Guarded by the
-	// user's shard lock. A waiter whose context is cancelled before the fetch
-	// commits withdraws its demand; a fetch whose demand count is zero at
-	// commit time stays speculative and does not touch the unique-query
-	// ledger.
+	// demand counts the demand-path callers (NeighborsContext,
+	// QueryBatchContext, waiters that coalesced onto this fetch) currently
+	// needing the result. Guarded by the user's shard lock. A waiter whose
+	// context is cancelled before the fetch commits withdraws its demand; a
+	// fetch whose demand count is zero at commit time stays speculative and
+	// does not touch the unique-query ledger.
 	demand int
 	// tenant names the account the fetch's reservation — and, at commit, its
 	// unique-query bill — belongs to: the FIRST demander's tenant (the one
@@ -38,14 +38,14 @@ type inflight struct {
 // sharded-map entry so "check the cache, join an in-flight fetch, or claim
 // the fetch" is one atomic step under one shard lock — per-shard singleflight.
 // Exactly one of the two halves is live: flight != nil while a fetch is in
-// progress, cached once a response landed. Speculative entries were fetched
-// by the prefetch pool and not yet consumed by any demand query: they are
-// invisible to the cost ledger AND to the free-knowledge accessors (Cached,
-// CachedDegree, CachedAttrs) until a demand query upgrades them, so enabling
-// prefetch changes neither walk trajectories nor Theorem 5 verdicts nor
-// UniqueQueries — it is purely a latency optimization.
+// progress, cached once a neighbor list landed. Speculative entries were
+// fetched by the prefetch pool and not yet consumed by any demand query: they
+// are invisible to the cost ledger AND to the free-knowledge accessors
+// (Cached, CachedDegree, CachedNeighbors) until a demand query upgrades them,
+// so enabling prefetch changes neither walk trajectories nor Theorem 5
+// verdicts nor UniqueQueries — it is purely a latency optimization.
 type nodeState struct {
-	resp        Response
+	nbrs        []graph.NodeID
 	cached      bool
 	speculative bool
 	flight      *inflight
@@ -118,11 +118,27 @@ func (l *ledger) overBudgetLocked() bool {
 	return l.budget > 0 && l.unique+l.reserved >= l.budget
 }
 
+// reserve admits one demanded fetch billed to tenant: it reports false when
+// the client-wide or the tenant's budget is spent, and otherwise reserves one
+// unique query on both ledgers, which commit turns into a bill or a
+// withdrawal releases. Callers hold the user's shard lock.
+func (l *ledger) reserve(tenant string) bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	t := l.tenantLocked(tenant)
+	if l.overBudgetLocked() || l.overTenantBudgetLocked(t) {
+		return false
+	}
+	l.reserved++
+	t.reserved++
+	return true
+}
+
 // Client is the third-party sampler's view of a network backend. It
 // implements the paper's query-cost accounting (§II-B): "we consider the
 // number of unique queries one has to issue for the sampling process, as any
 // duplicate query can be answered from local cache without consuming the
-// query limit". Every response is cached forever (the paper's Redis/Mongo
+// query limit". Every neighbor list is cached forever (the paper's Redis/Mongo
 // local store), and cached degree knowledge powers the Theorem 5 extended
 // removal criterion.
 //
@@ -145,7 +161,7 @@ func (l *ledger) overBudgetLocked() bool {
 // A Client can additionally run an asynchronous prefetch pool (see
 // NewPrefetchingClient / StartPrefetch): Prefetch(ids...) enqueues
 // speculative fetches that overlap their round-trips with the walk, and a
-// demand Query that lands on an in-flight or completed speculative fetch
+// demand query that lands on an in-flight or completed speculative fetch
 // consumes it at exactly one unique query — never zero, never two.
 type Client struct {
 	be    Backend
@@ -184,16 +200,16 @@ func NewClientShards(be Backend, n int) *Client {
 
 // fetchOne performs the backend round-trip for a single user. The demand and
 // speculative paths both funnel through it, so the Backend contract — one
-// Response per id or a batch-wide error — is enforced in exactly one place.
-func (c *Client) fetchOne(ctx context.Context, v graph.NodeID) (Response, error) {
-	resps, err := c.be.Fetch(ctx, []graph.NodeID{v})
+// list per id or an error — is enforced in exactly one place.
+func (c *Client) fetchOne(ctx context.Context, v graph.NodeID) ([]graph.NodeID, error) {
+	lists, err := c.be.Fetch(ctx, []graph.NodeID{v})
 	if err != nil {
-		return Response{}, err
+		return nil, err
 	}
-	if len(resps) != 1 {
-		return Response{}, fmt.Errorf("osn: backend returned %d responses for 1 id", len(resps))
+	if len(lists) != 1 {
+		return nil, fmt.Errorf("osn: backend returned %d lists for 1 id", len(lists))
 	}
-	return resps[0], nil
+	return lists[0], nil
 }
 
 // Reshard rebuilds the local store with a new shard count. It is NOT safe to
@@ -220,18 +236,14 @@ func (c *Client) SetBudget(n int64) {
 	}
 }
 
-// Query returns q(v), from cache when possible. Only cache misses reach the
-// service, and only demanded responses count toward UniqueQueries: a
-// response the prefetch pool fetched speculatively is billed here, on first
-// demand, exactly once.
-func (c *Client) Query(v graph.NodeID) (Response, error) {
-	//rewirelint:allow ctxflow context-less convenience shim; ctx-aware callers use QueryContext
-	return c.QueryContext(context.Background(), v)
-}
-
-// QueryContext is Query bound to a context: a cache miss's provider
-// round-trip honors ctx (see Service.QueryContext), and a caller coalescing
-// onto someone else's in-flight fetch stops waiting when ctx is cancelled.
+// NeighborsContext returns v's neighbor list (shared slice, do not modify),
+// from cache when possible. Only cache misses reach the backend, and only
+// demanded lists count toward UniqueQueries: a list the prefetch pool
+// fetched speculatively is billed here, on first demand, exactly once. A
+// miss's round-trip honors ctx, and a caller coalescing onto someone else's
+// in-flight fetch stops waiting when ctx is cancelled. Errors —
+// cancellation, budget exhaustion, unknown IDs — are returned, which is what
+// lets a cancelled walk distinguish "isolated node" from "aborted query".
 //
 // Billing stays exact under cancellation. A waiter that gives up before the
 // shared fetch commits withdraws its demand, so a fetch nobody ended up
@@ -241,19 +253,19 @@ func (c *Client) Query(v graph.NodeID) (Response, error) {
 // it. Coalesced waiters share the driving fetch's fate, errors included,
 // exactly like singleflight; a waiter that sees a context error not its own
 // may simply retry.
-func (c *Client) QueryContext(ctx context.Context, v graph.NodeID) (Response, error) {
+func (c *Client) NeighborsContext(ctx context.Context, v graph.NodeID) ([]graph.NodeID, error) {
 	// Hot path: a demanded cache hit costs one shard read-lock.
 	if st, ok := c.state.Get(v); ok && st.cached && !st.speculative {
-		return st.resp, nil
+		return st.nbrs, nil
 	}
 	if err := ctx.Err(); err != nil {
-		return Response{}, err
+		return nil, err
 	}
 	// Tenant attribution is read from ctx BEFORE any lock: the billing
 	// branches below run under a shard lock and the ledger mutex.
 	tn := TenantFrom(ctx)
 	var (
-		resp    Response
+		nbrs    []graph.NodeID
 		retErr  error
 		settled bool // resolved under the shard lock; return immediately
 		f       *inflight
@@ -264,7 +276,7 @@ func (c *Client) QueryContext(ctx context.Context, v graph.NodeID) (Response, er
 		switch {
 		case ok && st.cached:
 			if st.speculative {
-				// First demand touch of a prefetched response: bill it now,
+				// First demand touch of a prefetched list: bill it now,
 				// to the tenant whose demand consumed the speculation.
 				c.led.mu.Lock()
 				tl := c.led.tenantLocked(tn)
@@ -292,7 +304,7 @@ func (c *Client) QueryContext(ctx context.Context, v graph.NodeID) (Response, er
 				st.speculative = false
 				s.Put(v, st)
 			}
-			resp = st.resp
+			nbrs = st.nbrs
 			settled = true
 		case ok && st.flight != nil:
 			// Someone else — a sibling walker or the prefetch pool — is
@@ -303,55 +315,43 @@ func (c *Client) QueryContext(ctx context.Context, v graph.NodeID) (Response, er
 			// already-demanded fetch costs nothing — for anyone.
 			f = st.flight
 			if f.demand == 0 {
-				c.led.mu.Lock()
-				tl := c.led.tenantLocked(tn)
-				if c.led.overBudgetLocked() || c.led.overTenantBudgetLocked(tl) {
-					c.led.mu.Unlock()
+				if !c.led.reserve(tn) {
 					f = nil
 					retErr = ErrBudgetExhausted
 					settled = true
 					return
 				}
-				c.led.reserved++
-				tl.reserved++
-				c.led.mu.Unlock()
 				f.tenant = tn
 			}
 			f.demand++
 		default:
-			c.led.mu.Lock()
-			tl := c.led.tenantLocked(tn)
-			if c.led.overBudgetLocked() || c.led.overTenantBudgetLocked(tl) {
-				c.led.mu.Unlock()
+			if !c.led.reserve(tn) {
 				retErr = ErrBudgetExhausted
 				settled = true
 				return
 			}
-			c.led.reserved++
-			tl.reserved++
-			c.led.mu.Unlock()
 			f = &inflight{done: make(chan struct{}), demand: 1, tenant: tn}
 			owner = true
 			s.Put(v, nodeState{flight: f})
 		}
 	})
 	if settled {
-		return resp, retErr
+		return nbrs, retErr
 	}
 	if owner {
-		f.resp, f.err = c.fetchOne(ctx, v)
+		f.nbrs, f.err = c.fetchOne(ctx, v)
 		c.commit(v, f)
 		if f.err != nil {
-			return Response{}, f.err
+			return nil, f.err
 		}
-		return f.resp, nil
+		return f.nbrs, nil
 	}
 	select {
 	case <-f.done:
 		if f.err != nil {
-			return Response{}, f.err
+			return nil, f.err
 		}
-		return f.resp, nil
+		return f.nbrs, nil
 	case <-ctx.Done():
 		// Withdraw the demand unless the fetch already committed (commit
 		// removes the flight entry under the shard lock before closing done,
@@ -374,18 +374,18 @@ func (c *Client) QueryContext(ctx context.Context, v graph.NodeID) (Response, er
 			}
 		})
 		if !withdrawn {
-			// Commit won: the response (if any) is cached and billed on this
+			// Commit won: the list (if any) is cached and billed on this
 			// walker's behalf — return it rather than the late cancellation.
 			<-f.done
 			if f.err == nil {
-				return f.resp, nil
+				return f.nbrs, nil
 			}
 		}
-		return Response{}, ctx.Err()
+		return nil, ctx.Err()
 	}
 }
 
-// commit publishes a finished fetch: the response enters the cache (tagged
+// commit publishes a finished fetch: the list enters the cache (tagged
 // speculative when no demand caller still wants the fetch), the ledger is
 // billed for demanded fetches, and waiters are released. Failed fetches
 // cache nothing and bill nothing — the next demand retries.
@@ -415,7 +415,7 @@ func (c *Client) commit(v graph.NodeID, f *inflight) {
 		}
 		c.led.mu.Unlock()
 		if f.err == nil {
-			s.Put(v, nodeState{resp: f.resp, cached: true, speculative: f.demand == 0})
+			s.Put(v, nodeState{nbrs: f.nbrs, cached: true, speculative: f.demand == 0})
 		} else {
 			s.Delete(v)
 		}
@@ -431,7 +431,7 @@ func (c *Client) commit(v graph.NodeID, f *inflight) {
 // and still expand the frontier behind it — the common case for next-hop
 // hints, which lose the race against the walker's own demand query almost
 // every time.
-func (c *Client) fetchSpeculative(ctx context.Context, v graph.NodeID) (resp Response, fetched bool, pending *inflight) {
+func (c *Client) fetchSpeculative(ctx context.Context, v graph.NodeID) (nbrs []graph.NodeID, fetched bool, pending *inflight) {
 	var (
 		f      *inflight
 		cached bool
@@ -440,7 +440,7 @@ func (c *Client) fetchSpeculative(ctx context.Context, v graph.NodeID) (resp Res
 		st, ok := s.Get(v)
 		switch {
 		case ok && st.cached:
-			resp = st.resp
+			nbrs = st.nbrs
 			cached = true
 		case ok && st.flight != nil:
 			pending = st.flight
@@ -450,43 +450,35 @@ func (c *Client) fetchSpeculative(ctx context.Context, v graph.NodeID) (resp Res
 		}
 	})
 	if cached || pending != nil {
-		return resp, false, pending
+		return nbrs, false, pending
 	}
-	f.resp, f.err = c.fetchOne(ctx, v)
+	f.nbrs, f.err = c.fetchOne(ctx, v)
 	c.commit(v, f)
-	return f.resp, f.err == nil, nil
+	return f.nbrs, f.err == nil, nil
 }
 
-// QueryBatch resolves all ids, blocking until every response is available,
-// and returns them in input order. Misses are fetched concurrently — they
-// coalesce with any in-flight fetches and with each other — so a batch of m
-// cold ids costs roughly one RealLatency of wall-clock, not m, while each id
-// is billed as a demand query exactly once however many batches or walkers
-// race for it. The first error (if any) is returned after all fetches
-// settle.
-func (c *Client) QueryBatch(ids []graph.NodeID) ([]Response, error) {
-	//rewirelint:allow ctxflow context-less convenience shim; ctx-aware callers use QueryBatchContext
-	return c.QueryBatchContext(context.Background(), ids)
-}
-
-// QueryBatchContext is QueryBatch bound to a context: cancellation or
-// deadline expiry aborts the in-flight misses promptly (see QueryContext for
-// the exact billing semantics) and the call returns the context's error
-// after the per-id fetches settle. Responses already resolved are still
-// returned at their slots.
-func (c *Client) QueryBatchContext(ctx context.Context, ids []graph.NodeID) ([]Response, error) {
-	out := make([]Response, len(ids))
+// QueryBatchContext resolves all ids, blocking until every neighbor list is
+// available, and returns them in input order. Misses are fetched
+// concurrently — they coalesce with any in-flight fetches and with each
+// other — so a batch of m cold ids costs roughly one RealLatency of
+// wall-clock, not m, while each id is billed as a demand query exactly once
+// however many batches or walkers race for it. Cancellation or deadline
+// expiry aborts the in-flight misses promptly (see NeighborsContext for the
+// exact billing semantics). The first error (if any) is returned after all
+// fetches settle; lists already resolved are still returned at their slots.
+func (c *Client) QueryBatchContext(ctx context.Context, ids []graph.NodeID) ([][]graph.NodeID, error) {
+	out := make([][]graph.NodeID, len(ids))
 	errs := make([]error, len(ids))
 	var wg sync.WaitGroup
 	for i, v := range ids {
 		if st, ok := c.state.Get(v); ok && st.cached && !st.speculative {
-			out[i] = st.resp
+			out[i] = st.nbrs
 			continue
 		}
 		wg.Add(1)
 		go func(i int, v graph.NodeID) {
 			defer wg.Done()
-			out[i], errs[i] = c.QueryContext(ctx, v)
+			out[i], errs[i] = c.NeighborsContext(ctx, v)
 		}(i, v)
 	}
 	wg.Wait()
@@ -498,29 +490,14 @@ func (c *Client) QueryBatchContext(ctx context.Context, ids []graph.NodeID) ([]R
 	return out, nil
 }
 
-// NeighborsContext returns v's neighbor list (shared slice, do not modify),
-// querying on a cache miss with the round-trip bound to ctx. Unlike
-// Neighbors, errors — cancellation, budget exhaustion, unknown IDs — are
-// returned instead of swallowed, which is what lets a cancelled walk
-// distinguish "isolated node" from "aborted query".
-func (c *Client) NeighborsContext(ctx context.Context, v graph.NodeID) ([]graph.NodeID, error) {
-	resp, err := c.QueryContext(ctx, v)
-	if err != nil {
-		return nil, err
-	}
-	return resp.Neighbors, nil
-}
-
 // Neighbors returns v's neighbor list (shared slice, do not modify),
 // querying on a cache miss. Unknown IDs return nil — walkers only ever hold
 // IDs the interface handed them, so this is a programming-error guard, not a
 // control path.
 func (c *Client) Neighbors(v graph.NodeID) []graph.NodeID {
-	resp, err := c.Query(v)
-	if err != nil {
-		return nil
-	}
-	return resp.Neighbors
+	//rewirelint:allow ctxflow context-less convenience shim; ctx-aware callers use NeighborsContext
+	nbrs, _ := c.NeighborsContext(context.Background(), v)
+	return nbrs
 }
 
 // Degree returns v's degree, querying on a cache miss (0 for unknown IDs).
@@ -528,8 +505,8 @@ func (c *Client) Degree(v graph.NodeID) int {
 	return len(c.Neighbors(v))
 }
 
-// Cached reports whether v's response is already in the local store AND has
-// been paid for by a demand query. Speculative prefetch results are
+// Cached reports whether v's neighbor list is already in the local store
+// AND has been paid for by a demand query. Speculative prefetch results are
 // deliberately excluded: free-knowledge consumers (the Theorem 5 criterion)
 // must see the exact same world with and without prefetching, or enabling
 // the pool would silently change trajectories and query bills.
@@ -556,7 +533,7 @@ func (c *Client) CachedDegree(v graph.NodeID) (int, bool) {
 	if !ok || !st.cached || st.speculative {
 		return 0, false
 	}
-	return len(st.resp.Neighbors), true
+	return len(st.nbrs), true
 }
 
 // CachedNeighbors returns v's neighbor list (shared slice, do not modify) if
@@ -567,19 +544,10 @@ func (c *Client) CachedNeighbors(v graph.NodeID) ([]graph.NodeID, bool) {
 	if !ok || !st.cached || st.speculative {
 		return nil, false
 	}
-	return st.resp.Neighbors, true
+	return st.nbrs, true
 }
 
-// CachedAttrs returns v's attributes if already demand-cached.
-func (c *Client) CachedAttrs(v graph.NodeID) (UserAttrs, bool) {
-	st, ok := c.state.Get(v)
-	if !ok || !st.cached || st.speculative {
-		return UserAttrs{}, false
-	}
-	return st.resp.Attrs, true
-}
-
-// UniqueQueries returns the paper's query-cost metric: responses a sampler
+// UniqueQueries returns the paper's query-cost metric: lists a sampler
 // actually demanded. Speculative fetches still sitting unconsumed in the
 // cache are not included — see SpeculativeCount for the pool's outstanding
 // bet and Service.TotalQueries for the provider's view.
@@ -589,7 +557,7 @@ func (c *Client) UniqueQueries() int64 {
 	return c.led.unique
 }
 
-// SpeculativeCount returns the number of prefetched responses no demand
+// SpeculativeCount returns the number of prefetched lists no demand
 // query has consumed yet.
 func (c *Client) SpeculativeCount() int64 {
 	c.led.mu.Lock()
@@ -613,7 +581,7 @@ func (c *Client) CacheSize() int {
 // TenantBill is one tenant's slice of the billing ledger (see WithTenant).
 type TenantBill struct {
 	// Unique is the tenant's demand-query bill: fetches whose FIRST demand
-	// came from this tenant, plus speculative responses this tenant's
+	// came from this tenant, plus speculative lists this tenant's
 	// demand consumed. Cache hits and coalesced waits are free, so
 	// Σ all tenants' Unique == UniqueQueries exactly.
 	Unique int64

@@ -1,6 +1,7 @@
 package osn
 
 import (
+	"context"
 	"sync"
 	"testing"
 	"time"
@@ -35,7 +36,7 @@ func TestClientConcurrentUniqueAccounting(t *testing.T) {
 			r := rng.New(seed)
 			for i := 0; i < queriesPerWorker; i++ {
 				v := graph.NodeID(r.Intn(g.NumNodes()))
-				if _, err := client.Query(v); err != nil {
+				if _, err := client.NeighborsContext(context.Background(), v); err != nil {
 					t.Error(err)
 					return
 				}
@@ -119,7 +120,7 @@ func TestClientCoalescesConcurrentMisses(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for _, v := range targets {
-				if _, err := client.Query(v); err != nil {
+				if _, err := client.NeighborsContext(context.Background(), v); err != nil {
 					t.Error(err)
 				}
 			}

@@ -62,7 +62,7 @@ func TestQueryContextDeadlineOnColdMiss(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
 	begin := time.Now()
-	_, err := c.QueryContext(ctx, 3)
+	_, err := c.NeighborsContext(ctx, 3)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("got %v, want context.DeadlineExceeded", err)
 	}
@@ -70,12 +70,12 @@ func TestQueryContextDeadlineOnColdMiss(t *testing.T) {
 		t.Fatalf("deadline-bound query took %v", elapsed)
 	}
 	// Cache hits never consult the context: once paid, always served.
-	if _, err := c.Query(3); err != nil {
+	if _, err := c.NeighborsContext(context.Background(), 3); err != nil {
 		t.Fatal(err)
 	}
 	dead, cancelNow := context.WithCancel(context.Background())
 	cancelNow()
-	if _, err := c.QueryContext(dead, 3); err != nil {
+	if _, err := c.NeighborsContext(dead, 3); err != nil {
 		t.Fatalf("cache hit failed under dead context: %v", err)
 	}
 	if got := c.UniqueQueries(); got != 1 {
@@ -104,7 +104,7 @@ func TestAbortBetweenSpeculativeFetchAndDemand(t *testing.T) {
 	// fails without touching the parked response.
 	dead, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := c.QueryContext(dead, 5); !errors.Is(err, context.Canceled) {
+	if _, err := c.NeighborsContext(dead, 5); !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
 	}
 	if u, s := c.UniqueQueries(), c.SpeculativeCount(); u != 0 || s != 1 {
@@ -112,13 +112,13 @@ func TestAbortBetweenSpeculativeFetchAndDemand(t *testing.T) {
 	}
 
 	// The resumed walk demands it: billed exactly once, never again.
-	if _, err := c.Query(5); err != nil {
+	if _, err := c.NeighborsContext(context.Background(), 5); err != nil {
 		t.Fatal(err)
 	}
 	if u, s := c.UniqueQueries(), c.SpeculativeCount(); u != 1 || s != 0 {
 		t.Fatalf("demand consumption: unique %d, speculative %d; want 1, 0", u, s)
 	}
-	if _, err := c.Query(5); err != nil {
+	if _, err := c.NeighborsContext(context.Background(), 5); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.UniqueQueries(); got != 1 {
@@ -143,7 +143,7 @@ func TestCancelledWaiterWithdrawsDemand(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := c.QueryContext(ctx, 7)
+		_, err := c.NeighborsContext(ctx, 7)
 		done <- err
 	}()
 	time.Sleep(10 * time.Millisecond) // let the waiter coalesce
@@ -164,7 +164,7 @@ func TestCancelledWaiterWithdrawsDemand(t *testing.T) {
 	if s := c.SpeculativeCount(); s != 1 {
 		t.Fatalf("withdrawn fetch not parked speculative: %d", s)
 	}
-	if _, err := c.Query(7); err != nil {
+	if _, err := c.NeighborsContext(context.Background(), 7); err != nil {
 		t.Fatal(err)
 	}
 	if u, s := c.UniqueQueries(), c.SpeculativeCount(); u != 1 || s != 0 {
@@ -179,15 +179,15 @@ func TestBudgetExhaustion(t *testing.T) {
 	c := NewClient(svc)
 	c.SetBudget(3)
 	for v := graph.NodeID(0); v < 3; v++ {
-		if _, err := c.Query(v); err != nil {
+		if _, err := c.NeighborsContext(context.Background(), v); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := c.Query(10); !errors.Is(err, ErrBudgetExhausted) {
+	if _, err := c.NeighborsContext(context.Background(), 10); !errors.Is(err, ErrBudgetExhausted) {
 		t.Fatalf("got %v, want ErrBudgetExhausted", err)
 	}
 	// Cached responses stay free past exhaustion.
-	if _, err := c.Query(1); err != nil {
+	if _, err := c.NeighborsContext(context.Background(), 1); err != nil {
 		t.Fatalf("cache hit failed after exhaustion: %v", err)
 	}
 	if got := c.UniqueQueries(); got != 3 {
@@ -195,7 +195,7 @@ func TestBudgetExhaustion(t *testing.T) {
 	}
 	// Raising the budget resumes.
 	c.SetBudget(4)
-	if _, err := c.Query(10); err != nil {
+	if _, err := c.NeighborsContext(context.Background(), 10); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.UniqueQueries(); got != 4 {

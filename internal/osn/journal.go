@@ -9,7 +9,7 @@ import (
 // Journal is the client's durability hook: when installed (SetJournal), every
 // billing-relevant cache transition is persisted through it BEFORE the
 // transition becomes observable — a fetch whose record cannot be appended
-// fails rather than serving an unpersisted response. internal/durable's WAL
+// fails rather than serving an unpersisted list. internal/durable's WAL
 // implements it; the interface lives here so osn does not import its own
 // persistence layer.
 //
@@ -19,7 +19,9 @@ import (
 type Journal interface {
 	// RecordFetch persists one committed fetch: billed reports whether the
 	// commit bills a unique query (demand path) or stays speculative, tenant
-	// names the paying account ("" = anonymous).
+	// names the paying account ("" = anonymous). The client journals
+	// Response{User: v, Neighbors: list}; Attrs stays zero, because the
+	// cache holds neighbor lists only.
 	RecordFetch(v graph.NodeID, resp Response, billed bool, tenant string) error
 	// RecordUpgrade persists a speculative entry's promotion to billed on
 	// first demand consumption.
@@ -39,15 +41,15 @@ func (c *Client) SetJournal(j Journal) { c.journal = j }
 // Journaled reports whether a journal is installed.
 func (c *Client) Journaled() bool { return c.journal != nil }
 
-// SeedCached inserts a recovered response into the cache and ledger without
-// journaling: replayed WAL entries are cache hits, never re-billed and never
-// re-persisted. billed mirrors the original commit's demand flag; tenant the
+// SeedCached inserts a recovered neighbor list into the cache and ledger
+// without journaling: replayed WAL entries are cache hits, never re-billed
+// and never re-persisted. billed mirrors the original commit's demand flag; tenant the
 // original paying account. Like SetJournal, seeding is construction-time
 // only — not safe concurrently with queries, and the id must not already be
 // cached (the caller replays a journal, in which each id's last fetch record
 // is unique).
-func (c *Client) SeedCached(v graph.NodeID, resp Response, billed bool, tenant string) {
-	c.state.Put(v, nodeState{resp: resp, cached: true, speculative: !billed})
+func (c *Client) SeedCached(v graph.NodeID, nbrs []graph.NodeID, billed bool, tenant string) {
+	c.state.Put(v, nodeState{nbrs: nbrs, cached: true, speculative: !billed})
 	c.led.mu.Lock()
 	defer c.led.mu.Unlock()
 	if billed {
@@ -78,7 +80,7 @@ func (c *Client) journalFetch(v graph.NodeID, f *inflight) error {
 	if c.journal == nil || f.err != nil {
 		return nil
 	}
-	if err := c.journal.RecordFetch(v, f.resp, f.demand > 0, f.tenant); err != nil {
+	if err := c.journal.RecordFetch(v, Response{User: v, Neighbors: f.nbrs}, f.demand > 0, f.tenant); err != nil {
 		return fmt.Errorf("osn: journaling fetch: %w", err)
 	}
 	return nil

@@ -1,6 +1,7 @@
 package osn
 
 import (
+	"context"
 	"errors"
 	"testing"
 	"time"
@@ -24,8 +25,8 @@ func TestQueryReturnsNeighborhood(t *testing.T) {
 	if resp.User != 0 {
 		t.Errorf("User = %d", resp.User)
 	}
-	if resp.Degree() != g.Degree(0) {
-		t.Errorf("Degree = %d, want %d", resp.Degree(), g.Degree(0))
+	if len(resp.Neighbors) != g.Degree(0) {
+		t.Errorf("degree = %d, want %d", len(resp.Neighbors), g.Degree(0))
 	}
 }
 
@@ -104,7 +105,7 @@ func TestClientCacheAndUniqueCost(t *testing.T) {
 	svc, _ := newTestService(Config{})
 	c := NewClient(svc)
 	for i := 0; i < 5; i++ {
-		if _, err := c.Query(3); err != nil {
+		if _, err := c.NeighborsContext(context.Background(), 3); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -152,7 +153,7 @@ func TestCachedDegreeNeverQueries(t *testing.T) {
 	if svc.TotalQueries() != 0 {
 		t.Error("CachedDegree must not issue queries")
 	}
-	if _, err := c.Query(2); err != nil {
+	if _, err := c.NeighborsContext(context.Background(), 2); err != nil {
 		t.Fatal(err)
 	}
 	d, ok := c.CachedDegree(2)
@@ -203,20 +204,15 @@ func TestAttributesThroughService(t *testing.T) {
 	g := gen.Barbell(4)
 	attrs := SynthesizeAttributes(g, rng.New(5))
 	svc := NewService(g, attrs, Config{})
-	c := NewClient(svc)
-	resp, err := c.Query(1)
+	resp, err := svc.Query(1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if resp.Attrs != attrs.Of(1) {
 		t.Error("attrs not forwarded through query")
 	}
-	got, ok := c.CachedAttrs(1)
-	if !ok || got != attrs.Of(1) {
-		t.Error("CachedAttrs mismatch")
-	}
-	if _, ok := c.CachedAttrs(2); ok {
-		t.Error("CachedAttrs hit for unqueried user")
+	if resp, _ := NewService(g, nil, Config{}).Query(1); resp.Attrs != (UserAttrs{}) {
+		t.Errorf("attribute-free service answered attrs %+v", resp.Attrs)
 	}
 }
 

@@ -234,7 +234,7 @@ func (p *prefetchPool) run(j prefetchJob) {
 		atomic.AddInt64(&p.skipped, 1)
 		return
 	}
-	resp, fetched, pending := p.c.fetchSpeculative(p.ctx, j.id)
+	nbrs, fetched, pending := p.c.fetchSpeculative(p.ctx, j.id)
 	if !fetched {
 		if p.cfg.Budget > 0 {
 			atomic.AddInt64(&p.reserved, -1) // no round-trip happened
@@ -261,10 +261,10 @@ func (p *prefetchPool) run(j prefetchJob) {
 			if pending.err != nil {
 				return
 			}
-			resp = pending.resp
-		} else if resp.Neighbors == nil {
+			nbrs = pending.nbrs
+		} else if nbrs == nil {
 			var ok bool
-			if resp, ok = p.c.cachedResponse(j.id); !ok {
+			if nbrs, ok = p.c.cachedNeighbors(j.id); !ok {
 				return
 			}
 		}
@@ -274,7 +274,7 @@ func (p *prefetchPool) run(j prefetchJob) {
 	if j.depth <= 0 {
 		return
 	}
-	for _, w := range resp.Neighbors {
+	for _, w := range nbrs {
 		if p.c.Known(w) {
 			continue
 		}
@@ -282,13 +282,13 @@ func (p *prefetchPool) run(j prefetchJob) {
 	}
 }
 
-// cachedResponse returns v's cached response regardless of whether it is
+// cachedNeighbors returns v's cached list regardless of whether it is
 // speculative or demanded — pool-internal only: the pool may expand any
 // known neighborhood without upgrading the entry's billing state.
-func (c *Client) cachedResponse(v graph.NodeID) (Response, bool) {
+func (c *Client) cachedNeighbors(v graph.NodeID) ([]graph.NodeID, bool) {
 	st, ok := c.state.Get(v)
 	if !ok || !st.cached {
-		return Response{}, false
+		return nil, false
 	}
-	return st.resp, true
+	return st.nbrs, true
 }

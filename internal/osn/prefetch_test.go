@@ -1,6 +1,8 @@
 package osn
 
 import (
+	"context"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -53,7 +55,7 @@ func TestPrefetchInvisibleUntilDemanded(t *testing.T) {
 	}
 
 	// Demanding a prefetched node bills it once and upgrades it.
-	if _, err := client.Query(1); err != nil {
+	if _, err := client.NeighborsContext(context.Background(), 1); err != nil {
 		t.Fatal(err)
 	}
 	if got := client.UniqueQueries(); got != 1 {
@@ -66,7 +68,7 @@ func TestPrefetchInvisibleUntilDemanded(t *testing.T) {
 		t.Errorf("SpeculativeCount = %d, want 2", got)
 	}
 	// Re-demanding is free, and the service saw no extra round-trip.
-	if _, err := client.Query(1); err != nil {
+	if _, err := client.NeighborsContext(context.Background(), 1); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := client.UniqueQueries(), int64(1); got != want {
@@ -172,7 +174,7 @@ func TestPrefetchDemandRace(t *testing.T) {
 					client.Prefetch(v)
 					fallthrough
 				case 1:
-					if _, err := client.Query(v); err != nil {
+					if _, err := client.NeighborsContext(context.Background(), v); err != nil {
 						t.Error(err)
 						return
 					}
@@ -181,7 +183,7 @@ func TestPrefetchDemandRace(t *testing.T) {
 					mu.Unlock()
 				default:
 					u := graph.NodeID(r.Intn(g.NumNodes()))
-					if _, err := client.QueryBatch([]graph.NodeID{v, u}); err != nil {
+					if _, err := client.QueryBatchContext(context.Background(), []graph.NodeID{v, u}); err != nil {
 						t.Error(err)
 						return
 					}
@@ -215,14 +217,14 @@ func TestQueryBatchOverlapsAndBillsOnce(t *testing.T) {
 
 	ids := []graph.NodeID{5, 9, 5, 23, 42, 9}
 	t0 := time.Now()
-	resps, err := client.QueryBatch(ids)
+	lists, err := client.QueryBatchContext(context.Background(), ids)
 	wall := time.Since(t0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, v := range ids {
-		if resps[i].User != v {
-			t.Errorf("resps[%d].User = %d, want %d", i, resps[i].User, v)
+		if !slices.Equal(lists[i], g.Neighbors(v)) {
+			t.Errorf("lists[%d] = %v, want neighbors of %d %v", i, lists[i], v, g.Neighbors(v))
 		}
 	}
 	if got, want := client.UniqueQueries(), int64(4); got != want {
@@ -233,7 +235,7 @@ func TestQueryBatchOverlapsAndBillsOnce(t *testing.T) {
 		t.Errorf("batch wall-clock %v, want < %v (misses must overlap)", wall, 4*latency)
 	}
 	// A second batch over the same ids is free.
-	if _, err := client.QueryBatch(ids); err != nil {
+	if _, err := client.QueryBatchContext(context.Background(), ids); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := client.UniqueQueries(), int64(4); got != want {

@@ -37,9 +37,6 @@ type Response struct {
 	Attrs     UserAttrs
 }
 
-// Degree returns the number of connections in the response.
-func (r Response) Degree() int { return len(r.Neighbors) }
-
 // Config controls the simulated provider limits.
 type Config struct {
 	// QueriesPerWindow caps queries per Window; 0 disables rate limiting.
@@ -141,15 +138,15 @@ func (s *Service) QueryContext(ctx context.Context, v graph.NodeID) (Response, e
 // Fetch implements Backend over the simulated provider: each id is served as
 // one individual-user query in input order, so a batch of m ids spends m
 // units of the rate-limit quota exactly as m separate queries would. The
-// first failure aborts the batch (see the Backend contract).
-func (s *Service) Fetch(ctx context.Context, ids []graph.NodeID) ([]Response, error) {
-	out := make([]Response, len(ids))
+// first failure aborts the batch.
+func (s *Service) Fetch(ctx context.Context, ids []graph.NodeID) ([][]graph.NodeID, error) {
+	out := make([][]graph.NodeID, len(ids))
 	for i, v := range ids {
 		resp, err := s.QueryContext(ctx, v)
 		if err != nil {
 			return nil, err
 		}
-		out[i] = resp
+		out[i] = resp.Neighbors
 	}
 	return out, nil
 }

@@ -30,16 +30,16 @@ func TestTenantAttribution(t *testing.T) {
 	ctxA := WithTenant(context.Background(), "alice")
 	ctxB := WithTenant(context.Background(), "bob")
 	for v := graph.NodeID(0); v < 5; v++ { // alice demands 0..4 cold
-		if _, err := c.QueryContext(ctxA, v); err != nil {
+		if _, err := c.NeighborsContext(ctxA, v); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for v := graph.NodeID(3); v < 8; v++ { // bob: 3,4 are hits, 5..7 cold
-		if _, err := c.QueryContext(ctxB, v); err != nil {
+		if _, err := c.NeighborsContext(ctxB, v); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := c.QueryContext(context.Background(), 8); err != nil { // anonymous
+	if _, err := c.NeighborsContext(context.Background(), 8); err != nil { // anonymous
 		t.Fatal(err)
 	}
 	if got := c.TenantBill("alice").Unique; got != 5 {
@@ -69,11 +69,11 @@ func TestTenantCoalescedFetchBillsFirstDemander(t *testing.T) {
 	ctxB := WithTenant(context.Background(), "bob")
 	done := make(chan error, 1)
 	go func() {
-		_, err := c.QueryContext(ctxA, 2)
+		_, err := c.NeighborsContext(ctxA, 2)
 		done <- err
 	}()
 	time.Sleep(30 * time.Millisecond) // alice owns the in-flight fetch
-	if _, err := c.QueryContext(ctxB, 2); err != nil {
+	if _, err := c.NeighborsContext(ctxB, 2); err != nil {
 		t.Fatal(err)
 	}
 	if err := <-done; err != nil {
@@ -107,7 +107,7 @@ func TestTenantWithdrawalAndSpeculativeUpgrade(t *testing.T) {
 	// ...alice coalesces onto it as first demander, then gives up.
 	ctxA, cancel := context.WithTimeout(WithTenant(context.Background(), "alice"), 60*time.Millisecond)
 	defer cancel()
-	if _, err := c.QueryContext(ctxA, 3); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := c.NeighborsContext(ctxA, 3); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("got %v, want context.DeadlineExceeded", err)
 	}
 	if got := c.TenantBill("alice"); got.Unique != 0 || got.Reserved != 0 {
@@ -118,7 +118,7 @@ func TestTenantWithdrawalAndSpeculativeUpgrade(t *testing.T) {
 		t.Fatalf("fetch nobody waited for committed non-speculative (count %d)", got)
 	}
 	// Bob's demand consumes the parked response: billed to bob, once.
-	if _, err := c.QueryContext(WithTenant(context.Background(), "bob"), 3); err != nil {
+	if _, err := c.NeighborsContext(WithTenant(context.Background(), "bob"), 3); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.TenantBill("bob").Unique; got != 1 {
@@ -137,25 +137,25 @@ func TestTenantBudgetIsolation(t *testing.T) {
 	c.SetTenantBudget("alice", 3)
 	ctxA := WithTenant(context.Background(), "alice")
 	for v := graph.NodeID(0); v < 3; v++ {
-		if _, err := c.QueryContext(ctxA, v); err != nil {
+		if _, err := c.NeighborsContext(ctxA, v); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := c.QueryContext(ctxA, 9); !errors.Is(err, ErrBudgetExhausted) {
+	if _, err := c.NeighborsContext(ctxA, 9); !errors.Is(err, ErrBudgetExhausted) {
 		t.Fatalf("alice's 4th cold query got %v, want ErrBudgetExhausted", err)
 	}
-	if _, err := c.QueryContext(ctxA, 1); err != nil {
+	if _, err := c.NeighborsContext(ctxA, 1); err != nil {
 		t.Fatalf("alice's cache hit failed past her cap: %v", err)
 	}
 	// Bob is untouched by alice's cap — including on the very id alice was
 	// refused.
 	ctxB := WithTenant(context.Background(), "bob")
-	if _, err := c.QueryContext(ctxB, 9); err != nil {
+	if _, err := c.NeighborsContext(ctxB, 9); err != nil {
 		t.Fatal(err)
 	}
 	// Raising the cap resumes alice.
 	c.SetTenantBudget("alice", 10)
-	if _, err := c.QueryContext(ctxA, 5); err != nil {
+	if _, err := c.NeighborsContext(ctxA, 5); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.TenantBill("alice"); got.Unique != 4 || got.Budget != 10 {
@@ -178,7 +178,7 @@ func TestTenantBillsPartitionLedgerUnderConcurrency(t *testing.T) {
 			ctx := WithTenant(context.Background(), fmt.Sprintf("tenant-%d", w%4))
 			for i := 0; i < 200; i++ {
 				v := graph.NodeID((i*7 + w*13) % 64)
-				if _, err := c.QueryContext(ctx, v); err != nil {
+				if _, err := c.NeighborsContext(ctx, v); err != nil {
 					t.Error(err)
 					return
 				}

@@ -26,6 +26,7 @@
 package store
 
 import (
+	"math"
 	"runtime"
 	"sync"
 )
@@ -105,13 +106,14 @@ func NewMap[K Key, V any](n int) *Map[K, V] {
 	return m
 }
 
-// ceilPow2 rounds n up to the next power of two (n <= 0 => DefaultShards()).
+// ceilPow2 rounds n up to the next power of two (n <= 0 => DefaultShards()),
+// clamped to the largest power of two an int holds.
 func ceilPow2(n int) int {
 	if n <= 0 {
 		return DefaultShards()
 	}
 	p := 1
-	for p < n {
+	for p < n && p <= math.MaxInt/2 {
 		p <<= 1
 	}
 	return p

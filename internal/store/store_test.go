@@ -1,6 +1,7 @@
 package store
 
 import (
+	"math"
 	"runtime"
 	"sync"
 	"testing"
@@ -231,6 +232,21 @@ func TestArenaConcurrent(t *testing.T) {
 			if v != int32(g) {
 				t.Fatalf("goroutine %d's carve contains %d — carves overlapped", g, v)
 			}
+		}
+	}
+}
+
+func TestCeilPow2ClampsInsteadOfOverflowing(t *testing.T) {
+	for _, tc := range []struct{ n, want int }{
+		{1, 1},
+		{3, 4},
+		{1 << 20, 1 << 20},
+		{1<<20 + 1, 1 << 21},
+		{math.MaxInt, math.MaxInt/2 + 1},
+		{math.MaxInt/2 + 2, math.MaxInt/2 + 1},
+	} {
+		if got := ceilPow2(tc.n); got != tc.want {
+			t.Errorf("ceilPow2(%d) = %d, want %d", tc.n, got, tc.want)
 		}
 	}
 }

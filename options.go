@@ -77,12 +77,14 @@ const (
 type PrefetchOptions struct {
 	// Strategy picks the hinting policy.
 	Strategy PrefetchStrategy
-	// TopK is the frontier width for PrefetchFrontier (default 8).
+	// TopK is the frontier width for PrefetchFrontier (default 8, at most
+	// 4096).
 	TopK int
 	// Workers is the number of concurrent speculative round-trips (default
-	// osn pool sizing).
+	// osn pool sizing, at most 4096).
 	Workers int
-	// Queue is the pending-hint buffer; hints beyond it are dropped.
+	// Queue is the pending-hint buffer; hints beyond it are dropped (at
+	// most 1<<20).
 	Queue int
 	// Depth is the recursive lookahead: after fetching a hinted node, its
 	// still-unknown neighbors are re-enqueued with Depth-1.
@@ -111,6 +113,18 @@ type config struct {
 
 // Option configures a Session at construction.
 type Option func(*config)
+
+// Upper bounds on what a session allocates up front: store shards, prefetch
+// goroutines, the hint queue, and the frontier ranking. No useful session
+// comes near them; they exist so that Resume, which routes a checkpoint's
+// fields through the same validators, cannot be talked into allocating
+// without limit.
+const (
+	maxStoreShards     = 1 << 16
+	maxPrefetchWorkers = 4096
+	maxPrefetchQueue   = 1 << 20
+	maxPrefetchTopK    = 4096
+)
 
 func defaults() config {
 	return config{
@@ -231,13 +245,13 @@ func WithPartitionedBudget(on bool) Option {
 
 // WithStoreShards sets the shard count of the session's storage engine —
 // the sharded maps behind the provider's query cache and the MTO overlay's
-// edit sets and materialized lists (internal/store). n is rounded up to a
-// power of two. The default adapts to the machine: the next power of two
-// >= 4x GOMAXPROCS, clamped to [8, 256], so small runners stop paying for
-// shards they cannot contend on and many-core boxes get headroom without
-// tuning. Set it explicitly for very large fleets beyond the clamp, or 1 to
-// force the legacy single-lock layout the contention benchmarks compare
-// against.
+// edit sets and materialized lists (internal/store). n must lie in
+// [1, 65536] and is rounded up to a power of two. The default adapts to the
+// machine: the next power of two >= 4x GOMAXPROCS, clamped to [8, 256], so
+// small runners stop paying for shards they cannot contend on and many-core
+// boxes get headroom without tuning. Set it explicitly for very large
+// fleets beyond the clamp, or 1 to force the legacy single-lock layout the
+// contention benchmarks compare against.
 // Sharding is invisible to results: trajectories and query bills for a fixed
 // seed are identical at any shard count.
 //
@@ -246,8 +260,8 @@ func WithPartitionedBudget(on bool) Option {
 // that queries it concurrently.
 func WithStoreShards(n int) Option {
 	return func(c *config) {
-		if n < 1 {
-			c.fail(fmt.Errorf("rewire: store shards %d < 1", n))
+		if n < 1 || n > maxStoreShards {
+			c.fail(fmt.Errorf("rewire: store shards %d outside [1, %d]", n, maxStoreShards))
 			return
 		}
 		c.shards = n
@@ -279,8 +293,18 @@ func WithSource(src Source) Option {
 // — a deadline aborts speculation with the walk.
 func WithPrefetch(o PrefetchOptions) Option {
 	return func(c *config) {
-		if o.Strategy < PrefetchNextHop || o.Strategy > PrefetchFrontier {
+		switch {
+		case o.Strategy < PrefetchNextHop || o.Strategy > PrefetchFrontier:
 			c.fail(fmt.Errorf("rewire: unknown prefetch strategy %d", int(o.Strategy)))
+			return
+		case o.Workers > maxPrefetchWorkers:
+			c.fail(fmt.Errorf("rewire: %d prefetch workers > %d", o.Workers, maxPrefetchWorkers))
+			return
+		case o.Queue > maxPrefetchQueue:
+			c.fail(fmt.Errorf("rewire: prefetch queue %d > %d", o.Queue, maxPrefetchQueue))
+			return
+		case o.TopK > maxPrefetchTopK:
+			c.fail(fmt.Errorf("rewire: prefetch frontier width %d > %d", o.TopK, maxPrefetchTopK))
 			return
 		}
 		if o.TopK <= 0 {

@@ -416,8 +416,11 @@ func (s *Session) Samples(ctx context.Context, total int) ([]Sample, error) {
 	return out, nil
 }
 
-// Attrs carries the published per-user attributes an Aggregate may consume
-// (zero-valued on purely topological backends).
+// Attrs carries the published per-user attributes an Aggregate may consume.
+// No built-in Source publishes attributes — every backend answers with
+// neighbor lists only — so Session.Estimate hands aggregates zero Attrs;
+// attribute aggregates are computed over a walk driven directly against an
+// attribute table (see examples/gplus).
 type Attrs = estimate.Attrs
 
 // Aggregate is a per-user quantity being averaged over the network, e.g.
@@ -487,16 +490,7 @@ func (s *Session) Estimate(ctx context.Context, agg Aggregate, opt EstimateOptio
 	if s.provider != nil {
 		cost = s.provider.UniqueQueries
 	}
-	info := func(v NodeID) (int, Attrs) {
-		deg := s.bound.Degree(v)
-		var attrs Attrs
-		if s.provider != nil {
-			if ua, ok := s.provider.client.CachedAttrs(v); ok {
-				attrs = Attrs(ua)
-			}
-		}
-		return deg, attrs
-	}
+	info := func(v NodeID) (int, Attrs) { return s.bound.Degree(v), Attrs{} }
 	res := estimate.RunSession(s.seq, s.seq, agg, info, cost, estimate.SessionConfig{
 		BurnIn:         monitor,
 		MaxBurnInSteps: opt.MaxBurnInSteps,

@@ -18,13 +18,13 @@ import (
 // context-taking form is what makes cancellation and deadlines abort
 // in-flight round-trips.
 //
-// Aliasing contract (applies to every Source and to Provider.Query/
-// QueryBatch): a returned neighbor slice is the caller's to read, never to
-// modify in place. GraphSource hands out read-only views into its graph's
-// CSR storage (zero-copy, capacity clipped so an append reallocates);
-// Provider returns defensive copies, because its cached lists also feed the
-// billing ledger and the Theorem 5 criterion and must stay immune to caller
-// mutation. Code that wants a mutable list clones it.
+// Aliasing contract (applies to every Source and to Provider.QueryBatch): a
+// returned neighbor slice is the caller's to read, never to modify in place.
+// GraphSource hands out read-only views into its graph's CSR storage
+// (zero-copy, capacity clipped so an append reallocates); Provider returns
+// defensive copies, because its cached lists also feed the billing ledger
+// and the Theorem 5 criterion and must stay immune to caller mutation. Code
+// that wants a mutable list clones it.
 type Source interface {
 	// Neighbors returns v's neighbor list (see the aliasing contract on
 	// Source), or nil for unknown IDs and failed round-trips — use
@@ -122,33 +122,27 @@ type PrefetchStats = osn.PrefetchStats
 type Provider struct {
 	svc     *osn.Service // non-nil only for simulated backends
 	client  *osn.Client
-	backend Backend        // nil for the legacy Simulate construction path
+	backend Backend
 	durable *durable.Cache // non-nil once a durable cache is attached
 }
 
-// Simulate wraps g in a simulated provider under the given limits. It is the
-// compatibility constructor for the sim: driver — Open(ctx,
-// "sim:...?limits=facebook") builds the same stack — and keeps its
-// historical behavior bit-for-bit: fixed-seed trajectories and unique-query
-// bills are byte-identical to pre-driver releases (the CI bench gate pins
-// them).
+// Simulate wraps g in a simulated provider under the given limits: it is
+// BackendSource over the simulator, the same stack Open(ctx,
+// "sim:...?limits=facebook") builds. Fixed-seed trajectories and
+// unique-query bills are pinned by the CI bench gate.
 func Simulate(g *Graph, limits Limits) *Provider {
-	svc := osn.NewService(g, nil, osn.Config(limits))
-	return &Provider{svc: svc, client: osn.NewClient(svc)}
+	return BackendSource(osn.NewService(g, nil, osn.Config(limits)))
 }
 
 // BackendSource wraps any Backend in a Provider, attaching the full client
-// stack: sharded response cache, per-user singleflight, unique-query demand
-// billing, budgets, and the speculative prefetch pool. Capabilities
+// stack: sharded neighbor-list cache, per-user singleflight, unique-query
+// demand billing, budgets, and the speculative prefetch pool. Capabilities
 // (UserCounter, RateLimited, io.Closer) are discovered through the
 // backend's Unwrap chain, so middleware composition never hides them.
 func BackendSource(b Backend) *Provider {
-	p := &Provider{client: osn.NewClient(newOSNBackend(b)), backend: b}
-	if sb, ok := BackendAs[*simBackend](b); ok {
-		// Simulated backends opened through the driver registry report their
-		// simulation telemetry exactly like the Simulate constructor.
-		p.svc = sb.svc
-	}
+	p := &Provider{client: osn.NewClient(clientBackend(b)), backend: b}
+	// A simulated backend, bare or wrapped, reports its simulation telemetry.
+	p.svc, _ = BackendAs[*osn.Service](b)
 	if cb, ok := BackendAs[*cacheBackend](b); ok {
 		// A cache: backend carries an opened durable cache; replay its
 		// recovered state into the fresh client and journal from here on.
@@ -163,9 +157,25 @@ func BackendSource(b Backend) *Provider {
 	return p
 }
 
-// Backend returns the backend this provider wraps (nil for the legacy
-// Simulate construction path). Probe it for capabilities — e.g.
-// RateLimited, or a WithMetrics wrapper's Metrics method.
+// clientBackend hands b to the client, which probes only the outermost
+// backend for UserCounter: when b lacks the capability but an inner backend
+// on its Unwrap chain has it, the pair is passed instead.
+func clientBackend(b Backend) osn.Backend {
+	if _, ok := b.(UserCounter); ok {
+		return b
+	}
+	if uc, ok := BackendAs[UserCounter](b); ok {
+		return struct {
+			Backend
+			UserCounter
+		}{b, uc}
+	}
+	return b
+}
+
+// Backend returns the backend this provider wraps. Probe it for
+// capabilities — e.g. RateLimited, or a WithMetrics wrapper's Metrics
+// method.
 func (p *Provider) Backend() Backend { return p.backend }
 
 // Close releases resources held by the backend chain (snapshot mappings,
@@ -182,10 +192,8 @@ func (p *Provider) Close() error {
 		// same cache again through cacheBackend.Close, which is then a no-op.
 		first = p.durable.Close()
 	}
-	if p.backend != nil {
-		if err := closeBackend(p.backend); first == nil {
-			first = err
-		}
+	if err := closeBackend(p.backend); first == nil {
+		first = err
 	}
 	return first
 }
@@ -219,16 +227,6 @@ func (p *Provider) NeighborsContext(ctx context.Context, v NodeID) ([]NodeID, er
 // lacks the UserCounter capability).
 func (p *Provider) NumUsers() int { return p.client.NumUsers() }
 
-// Query resolves q(v) under ctx and returns v's neighbor list (a defensive
-// copy, per the Source aliasing contract).
-func (p *Provider) Query(ctx context.Context, v NodeID) ([]NodeID, error) {
-	nbrs, err := p.client.NeighborsContext(ctx, v)
-	if err != nil {
-		return nil, err
-	}
-	return slices.Clone(nbrs), nil
-}
-
 // QueryBatch resolves all ids under ctx, overlapping the misses' round-trips,
 // and returns the neighbor lists in input order (defensive copies, per the
 // Source aliasing contract). Each id bills at most one unique query no
@@ -237,15 +235,14 @@ func (p *Provider) Query(ctx context.Context, v NodeID) ([]NodeID, error) {
 // error; responses that resolved before the failure are cached and billed,
 // and re-querying them is free.
 func (p *Provider) QueryBatch(ctx context.Context, ids []NodeID) ([][]NodeID, error) {
-	resps, err := p.client.QueryBatchContext(ctx, ids)
+	lists, err := p.client.QueryBatchContext(ctx, ids)
 	if err != nil {
 		return nil, err
 	}
-	out := make([][]NodeID, len(resps))
-	for i, r := range resps {
-		out[i] = slices.Clone(r.Neighbors)
+	for i, nbrs := range lists {
+		lists[i] = slices.Clone(nbrs)
 	}
-	return out, nil
+	return lists, nil
 }
 
 // SetBudget caps unique (demand) queries at n; the sampling path returns
@@ -340,9 +337,6 @@ func (p *Provider) RateLimitWaits() int64 {
 // RateLimited capability (the HTTP driver mirrors X-RateLimit-* headers
 // here); ok is false otherwise, and until feedback has been observed.
 func (p *Provider) RateLimit() (RateLimitInfo, bool) {
-	if p.backend == nil {
-		return RateLimitInfo{}, false
-	}
 	rl, ok := BackendAs[RateLimited](p.backend)
 	if !ok {
 		return RateLimitInfo{}, false

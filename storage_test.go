@@ -33,13 +33,6 @@ func TestNeighborAliasingProviderCopies(t *testing.T) {
 		t.Fatal(err)
 	}
 	n2[1] = -7
-	n3, err := p.Query(ctx, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range n3 {
-		n3[i] = 0
-	}
 	batch, err := p.QueryBatch(ctx, []rewire.NodeID{0, 2})
 	if err != nil {
 		t.Fatal(err)
