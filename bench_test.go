@@ -126,7 +126,7 @@ func benchSamplerVariant(b *testing.B, cfg core.Config) {
 		client := osn.NewClient(svc)
 		s := core.NewSampler(client, 0, cfg, rng.New(uint64(i+1)))
 		info := func(v graph.NodeID) (int, estimate.Attrs) { return client.Degree(v), estimate.Attrs{} }
-		res := estimate.RunSession(s, s, estimate.AvgDegree(), info, client.UniqueQueries,
+		res := estimate.RunSession([]walk.Walker{s}, estimate.AvgDegree(), info, client.UniqueQueries,
 			estimate.SessionConfig{BurnIn: diag.NewGeweke(0.3, 200), MaxBurnInSteps: 4000, Samples: 2000})
 		b.ReportMetric(float64(res.FinalCost), "queries/run")
 	}
@@ -178,7 +178,8 @@ func BenchmarkAblationWeightSampled(b *testing.B) {
 
 // benchFleetSamples draws a fixed sample budget with k shared-overlay MTO
 // samplers over one shared caching client, either concurrently (walk.Fleet,
-// k goroutines) or sequentially round-robin (walk.Parallel, one goroutine).
+// k goroutines) or sequentially (the same members stepped round-robin on
+// one goroutine).
 // The service charges a real 200µs round-trip per unique query — the
 // network cost a crawler actually pays — so comparing FleetConcurrentK16
 // against FleetSequentialK16 measures the wall-clock win of overlapping
@@ -192,12 +193,14 @@ func benchFleetSamples(b *testing.B, k int, concurrent bool) {
 		client := osn.NewClient(svc)
 		r := rng.New(uint64(i + 1))
 		starts := core.SpreadStarts(k, g.NumNodes(), r)
+		f, _ := core.NewFleet(client, starts, core.DefaultConfig(), r)
 		if concurrent {
-			f, _ := core.NewFleet(client, starts, core.DefaultConfig(), r)
 			f.Samples(samples)
 		} else {
-			p, _ := core.NewParallelSamplers(client, starts, core.DefaultConfig(), r)
-			walk.Run(p, samples)
+			members := f.Members()
+			for j := 0; j < samples; j++ {
+				members[j%len(members)].Step()
+			}
 		}
 		b.ReportMetric(float64(client.UniqueQueries()), "queries/run")
 	}
@@ -307,7 +310,7 @@ func BenchmarkSRWStepViaClient(b *testing.B) {
 	g := exp.SmallDatasets()[0].Graph
 	svc := osn.NewService(g, nil, osn.Config{})
 	client := osn.NewClient(svc)
-	w, _, err := exp.NewWalker(exp.AlgSRW, client, g.NumNodes(), 0, rng.New(1))
+	w, err := exp.NewWalker(exp.AlgSRW, client, g.NumNodes(), 0, rng.New(1))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -103,6 +103,52 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 	}
 }
 
+// TestCheckpointResumeThenEstimateEqual: Estimate steps the fleet's members
+// round-robin from member 0 on every call, so no schedule state lives outside
+// the checkpoint — a k-walker session checkpointed after an Estimate and
+// resumed elsewhere estimates exactly what the original does next.
+func TestCheckpointResumeThenEstimateEqual(t *testing.T) {
+	g, err := rewire.SocialGraph(400, 2000, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	// 1001 is not a multiple of the fleet size: the first Estimate's
+	// rotation ends mid-cycle.
+	opt := rewire.EstimateOptions{Samples: 1001}
+	for _, alg := range []rewire.Algorithm{rewire.AlgSRW, rewire.AlgMTO} {
+		t.Run(alg.String(), func(t *testing.T) {
+			src := rewire.GraphSource(g)
+			s1, err := rewire.NewSession(src, rewire.WithAlgorithm(alg), rewire.WithFleet(3), rewire.WithSeed(11))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s1.Estimate(ctx, rewire.AvgDegree(), opt); err != nil {
+				t.Fatal(err)
+			}
+			data, err := s1.Checkpoint(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s2, err := rewire.Resume(ctx, data, rewire.WithSource(src))
+			if err != nil {
+				t.Fatal(err)
+			}
+			r1, err := s1.Estimate(ctx, rewire.AvgDegree(), opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r2, err := s2.Estimate(ctx, rewire.AvgDegree(), opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r1 != r2 {
+				t.Errorf("next Estimate: original %+v, resumed %+v", r1, r2)
+			}
+		})
+	}
+}
+
 // TestCheckpointBytesDeterministic: the same paused session checkpoints to
 // the same bytes, and a resumed-but-not-yet-run session re-checkpoints to
 // those bytes too — the envelope is state, not history.

@@ -119,23 +119,9 @@ func run(dataset string, full bool, file, source, alg string, fleetK, samples in
 	if budget > 0 {
 		provider.SetBudget(budget)
 	}
-
-	opts, err := options(alg)
-	if err != nil {
-		return err
-	}
-	opts = append(opts, rewire.WithFleet(fleetK), rewire.WithSeed(seed))
 	if cache != "" {
-		opts = append(opts, rewire.WithDurableCache(cache))
-	}
-	session, err := rewire.NewSession(provider, opts...)
-	if err != nil {
-		return err
-	}
-	if cache != "" {
-		if st, ok := provider.DurableCacheStats(); ok && st.Entries > 0 {
-			fmt.Printf("warm start:         %d cached users recovered from %s (%d WAL records replayed, gen %d)\n",
-				st.Entries, cache, st.Replayed, st.Gen)
+		if err := provider.AttachDurableCache(cache); err != nil {
+			return err
 		}
 		if source == "" {
 			// The -source path deferred provider.Close above; the simulated
@@ -143,8 +129,21 @@ func run(dataset string, full bool, file, source, alg string, fleetK, samples in
 			// release on exit.
 			defer provider.Close()
 		}
+		if st, ok := provider.DurableCacheStats(); ok && st.Entries > 0 {
+			fmt.Printf("warm start:         %d cached users recovered from %s (%d WAL records replayed, gen %d)\n",
+				st.Entries, cache, st.Replayed, st.Gen)
+		}
 	}
 
+	opts, err := options(alg)
+	if err != nil {
+		return err
+	}
+	opts = append(opts, rewire.WithFleet(fleetK), rewire.WithSeed(seed))
+	session, err := rewire.NewSession(provider, opts...)
+	if err != nil {
+		return err
+	}
 	ctx := context.Background()
 	if timeout > 0 {
 		var cancel context.CancelFunc

@@ -13,38 +13,22 @@ import (
 // segment count. See Provider.DurableCacheStats.
 type DurableCacheStats = durable.Stats
 
-// WithDurableCache persists the session provider's demand-billed cache in a
-// write-ahead-logged directory: every committed fetch is journaled before it
-// is served, a background compactor folds sealed log segments into binary CSR
-// snapshots, and reopening the directory — after a clean shutdown or a
-// SIGKILL mid-crawl — warm-starts the cache and the billing ledger exactly.
-// A replayed entry is a cache hit, never re-billed, so a resumed same-seed
+// AttachDurableCache persists the provider's demand-billed cache in a
+// write-ahead-logged directory: it opens (creating if needed) dir, replays
+// its recovered state — cached neighbor lists, billing ledger, budgets —
+// into the provider, and journals every committed fetch before it is served
+// from now on. A background compactor folds sealed log segments into binary
+// CSR snapshots, and reopening the directory — after a clean shutdown or a
+// SIGKILL mid-crawl — warm-starts the cache and the ledger exactly. A
+// replayed entry is a cache hit, never re-billed, so a resumed same-seed
 // crawl replays its trajectory byte-identically at near-zero marginal query
 // cost.
 //
-// The option is construction-time only and requires a Provider-backed source
-// (the cache journals the provider's billing ledger; a free GraphSource has
-// nothing to persist). The directory is flock'd: one process at a time. The
-// cache closes with the Provider (Provider.Close).
-//
-// Equivalent spellings: Open(ctx, "cache:DIR?src=URL") wraps any registered
-// backend scheme, and Provider.AttachDurableCache is the imperative form.
-func WithDurableCache(dir string) Option {
-	return func(c *config) {
-		if dir == "" {
-			c.fail(fmt.Errorf("rewire: WithDurableCache with empty directory"))
-			return
-		}
-		c.cacheDir = dir
-	}
-}
-
-// AttachDurableCache opens (creating if needed) the durable cache directory
-// at dir, replays its recovered state — cached neighbor lists, billing
-// ledger, budgets — into the provider, and journals every committed fetch
-// from now on. It must run before the provider serves any query: the replay
-// seeds a still-empty cache. A provider carries at most one durable cache;
-// Close closes it with the provider.
+// It must run before the provider serves any query: the replay seeds a
+// still-empty cache. The directory is flock'd: one process at a time. A
+// provider carries at most one durable cache; Close closes it with the
+// provider. Open(ctx, "cache:DIR?src=URL") is the equivalent spelling that
+// wraps any registered backend scheme.
 func (p *Provider) AttachDurableCache(dir string) error {
 	return p.attachDurable(dir, durable.Options{})
 }

@@ -18,6 +18,7 @@ import (
 	"rewire/internal/osn"
 	"rewire/internal/rng"
 	"rewire/internal/stats"
+	"rewire/internal/walk"
 )
 
 func main() {
@@ -38,14 +39,14 @@ func main() {
 		client := osn.NewClient(svc)
 		r := rng.New(99)
 		start := graph.NodeID(r.Intn(g.NumNodes()))
-		walker, weighter, err := exp.NewWalker(alg, client, client.NumUsers(), start, r)
+		walker, err := exp.NewWalker(alg, client, client.NumUsers(), start, r)
 		if err != nil {
 			log.Fatal(err)
 		}
 		info := func(v graph.NodeID) (int, estimate.Attrs) {
 			return client.Degree(v), estimate.Attrs{}
 		}
-		res := estimate.RunSession(walker, weighter, estimate.AvgDegree(), info,
+		res := estimate.RunSession([]walk.Walker{walker}, estimate.AvgDegree(), info,
 			client.UniqueQueries, estimate.SessionConfig{
 				BurnIn:  diag.NewGeweke(diag.DefaultThreshold, 200),
 				Samples: 3000,

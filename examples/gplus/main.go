@@ -37,13 +37,10 @@ func main() {
 		r := rng.New(23)
 		start := graph.NodeID(r.Intn(g.NumNodes()))
 		var walker walk.Walker
-		var weighter walk.Weighter
 		if alg == "SRW" {
-			w := walk.NewSimple(client, start, r)
-			walker, weighter = w, w
+			walker = walk.NewSimple(client, start, r)
 		} else {
-			m := core.NewSampler(client, start, core.DefaultConfig(), r)
-			walker, weighter = m, m
+			walker = core.NewSampler(client, start, core.DefaultConfig(), r)
 		}
 		// The walk has already paid q(v) for every sampled v, so the
 		// attributes come from the table the service serves.
@@ -54,7 +51,7 @@ func main() {
 			}
 			return len(nbrs), estimate.Attrs(attrs.Of(v))
 		}
-		res := estimate.RunSession(walker, weighter, estimate.AvgDescLen(), info,
+		res := estimate.RunSession([]walk.Walker{walker}, estimate.AvgDescLen(), info,
 			client.UniqueQueries, estimate.SessionConfig{
 				BurnIn:  diag.NewGeweke(diag.DefaultThreshold, 200),
 				Samples: 3000,

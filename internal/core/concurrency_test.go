@@ -8,7 +8,6 @@ import (
 	"rewire/internal/graph"
 	"rewire/internal/osn"
 	"rewire/internal/rng"
-	"rewire/internal/walk"
 )
 
 func socialGraph(t testing.TB, nodes, edges int, seed uint64) *graph.Graph {
@@ -165,8 +164,11 @@ func TestFleetMatchesSequentialBudget(t *testing.T) {
 
 	svcSeq := osn.NewService(g, nil, osn.Config{})
 	clientSeq := osn.NewClient(svcSeq)
-	p, ovSeq := NewParallelSamplers(clientSeq, starts, DefaultConfig(), rng.New(11))
-	walk.Run(p, budget)
+	seq, ovSeq := NewFleet(clientSeq, starts, DefaultConfig(), rng.New(11))
+	members := seq.Members()
+	for i := 0; i < budget; i++ {
+		members[i%len(members)].Step()
+	}
 
 	svcFl := osn.NewService(g, nil, osn.Config{})
 	clientFl := osn.NewClient(svcFl)

@@ -14,26 +14,12 @@ import (
 // interleaving. The shared overlay is returned for post-run inspection
 // (Materialize, RemovedCount, ...).
 func NewFleet(src walk.Source, starts []graph.NodeID, cfg Config, r *rng.Rand) (*walk.Fleet, *Overlay) {
-	members, ov := samplersOn(src, starts, cfg, r)
-	return walk.NewFleet(members...), ov
-}
-
-// NewParallelSamplers builds the same shared-overlay MTO samplers as
-// NewFleet but wraps them in the sequential round-robin walk.Parallel — the
-// single-goroutine baseline a Fleet should beat on multicore hardware while
-// doing the identical sampling work.
-func NewParallelSamplers(src walk.Source, starts []graph.NodeID, cfg Config, r *rng.Rand) (*walk.Parallel, *Overlay) {
-	members, ov := samplersOn(src, starts, cfg, r)
-	return walk.NewParallel(members...), ov
-}
-
-func samplersOn(src walk.Source, starts []graph.NodeID, cfg Config, r *rng.Rand) ([]walk.Walker, *Overlay) {
 	ov := NewOverlay(src)
 	members := make([]walk.Walker, len(starts))
 	for i, s := range starts {
 		members[i] = NewSamplerOn(ov, s, cfg, r.Split())
 	}
-	return members, ov
+	return walk.NewFleet(members...), ov
 }
 
 // SpreadStarts picks k distinct start nodes spread uniformly over an n-node

@@ -1,6 +1,7 @@
 package estimate
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -175,7 +176,7 @@ func TestRunSessionEndToEnd(t *testing.T) {
 	client := osn.NewClient(svc)
 	w := walk.NewSimple(client, 0, rng.New(5))
 	info := func(v graph.NodeID) (int, Attrs) { return client.Degree(v), Attrs{} }
-	res := RunSession(w, w, AvgDegree(), info, client.UniqueQueries, SessionConfig{
+	res := RunSession([]walk.Walker{w}, AvgDegree(), info, client.UniqueQueries, SessionConfig{
 		BurnIn:  diag.NewGeweke(0.5, 200),
 		Samples: 4000,
 	})
@@ -201,7 +202,7 @@ func TestRunSessionWithoutCostMeter(t *testing.T) {
 	g := gen.Barbell(5)
 	w := walk.NewSimple(g, 0, rng.New(7))
 	info := func(v graph.NodeID) (int, Attrs) { return g.Degree(v), Attrs{} }
-	res := RunSession(w, w, AvgDegree(), info, nil, SessionConfig{Samples: 100})
+	res := RunSession([]walk.Walker{w}, AvgDegree(), info, nil, SessionConfig{Samples: 100})
 	// Cost falls back to step counting: 100 sampling steps, no burn-in.
 	if res.FinalCost != 100 {
 		t.Errorf("FinalCost = %d, want 100 steps", res.FinalCost)
@@ -210,9 +211,10 @@ func TestRunSessionWithoutCostMeter(t *testing.T) {
 
 func TestRunSessionUniformWalkerNoWeighter(t *testing.T) {
 	g := gen.Lollipop(5, 3)
-	mh := walk.NewMetropolisHastings(g, 0, rng.New(9))
+	// The anonymous struct hides MHRW's Weighter: samples weigh 1.
+	mh := struct{ walk.Walker }{walk.NewMetropolisHastings(g, 0, rng.New(9))}
 	info := func(v graph.NodeID) (int, Attrs) { return g.Degree(v), Attrs{} }
-	res := RunSession(mh, mh, AvgDegree(), info, nil, SessionConfig{Samples: 120000})
+	res := RunSession([]walk.Walker{mh}, AvgDegree(), info, nil, SessionConfig{Samples: 120000})
 	truth := GroundTruthDegree(g)
 	if rel := math.Abs(res.Estimate-truth) / truth; rel > 0.05 {
 		t.Errorf("MHRW estimate %v vs truth %v (rel %v)", res.Estimate, truth, rel)
@@ -223,7 +225,7 @@ func TestRunSessionBurnInCap(t *testing.T) {
 	g := gen.Barbell(8)
 	w := walk.NewSimple(g, 0, rng.New(11))
 	info := func(v graph.NodeID) (int, Attrs) { return g.Degree(v), Attrs{} }
-	res := RunSession(w, w, AvgDegree(), info, nil, SessionConfig{
+	res := RunSession([]walk.Walker{w}, AvgDegree(), info, nil, SessionConfig{
 		BurnIn:         diag.NewGeweke(1e-9, 100), // unreachable threshold
 		MaxBurnInSteps: 500,
 		Samples:        10,
@@ -233,5 +235,131 @@ func TestRunSessionBurnInCap(t *testing.T) {
 	}
 	if res.BurnInSteps != 500 {
 		t.Errorf("burn-in steps = %d, want cap 500", res.BurnInSteps)
+	}
+}
+
+// member is a scripted walker that stays on its own node id and weighs
+// every sample weight. It counts its steps and records every node its
+// weight was read at; failAt > 0 makes the weight read of its failAt-th
+// step fail (latching err, as a Bound does when a query fails).
+type member struct {
+	id      graph.NodeID
+	weight  float64
+	steps   int
+	weighed []graph.NodeID
+	failAt  int
+	err     error
+}
+
+func (m *member) Current() graph.NodeID { return m.id }
+func (m *member) Step() graph.NodeID    { m.steps++; return m.id }
+func (m *member) Err() error            { return m.err }
+
+func (m *member) StationaryWeight(v graph.NodeID) float64 {
+	m.weighed = append(m.weighed, v)
+	if m.steps == m.failAt {
+		m.err = errors.New("weight read failed")
+		return 0
+	}
+	return m.weight
+}
+
+// TestRunSessionRoundRobin pins the multi-member schedule: members step in
+// turn from member 0 (per-member step counts differ by at most one), and
+// each sample is weighed by the member that drew it — never by a neighbor
+// in the rotation.
+func TestRunSessionRoundRobin(t *testing.T) {
+	members := []*member{{id: 0, weight: 1}, {id: 1, weight: 2}, {id: 2, weight: 4}}
+	walkers := make([]walk.Walker, len(members))
+	for i, m := range members {
+		walkers[i] = m
+	}
+	// The aggregate is the node id itself; the monitor never converges, so
+	// burn-in runs its 7-step cap.
+	id := Aggregate{Value: func(v graph.NodeID, _ int, _ Attrs) float64 { return float64(v) }}
+	info := func(graph.NodeID) (int, Attrs) { return 1, Attrs{} }
+	res := RunSession(walkers, id, info, nil, SessionConfig{
+		BurnIn:         diag.NewGeweke(1e-9, 100),
+		MaxBurnInSteps: 7,
+		Samples:        10,
+		Thinning:       2,
+	})
+	if res.Samples != 10 || res.FinalCost != 27 {
+		t.Fatalf("samples %d, steps %d; want 10 samples over 7+20 steps", res.Samples, res.FinalCost)
+	}
+	// 27 steps from member 0: 9 each.
+	for i, m := range members {
+		if m.steps != 9 {
+			t.Errorf("member %d stepped %d times, want 9", i, m.steps)
+		}
+		for _, v := range m.weighed {
+			if v != m.id {
+				t.Errorf("member %d weighed member %d's sample", i, v)
+			}
+		}
+	}
+	// With Thinning 2 after 7 burn-in steps, samples are drawn by members
+	// 2,1,0,2,1,0,2,1,0,2 (steps 9,11,...,27): 4, 3 and 3 samples.
+	if n0, n1, n2 := len(members[0].weighed), len(members[1].weighed), len(members[2].weighed); n0 != 3 || n1 != 3 || n2 != 4 {
+		t.Errorf("samples per member = %d,%d,%d, want 3,3,4", n0, n1, n2)
+	}
+	want := (0*3/1.0 + 1*3/2.0 + 2*4/4.0) / (3/1.0 + 3/2.0 + 4/4.0)
+	if math.Abs(res.Estimate-want) > 1e-12 {
+		t.Errorf("estimate = %v, want %v", res.Estimate, want)
+	}
+
+	// A second call restarts the rotation at member 0.
+	RunSession(walkers, id, info, nil, SessionConfig{Samples: 4})
+	if s0, s1, s2 := members[0].steps, members[1].steps, members[2].steps; s0 != 11 || s1 != 10 || s2 != 10 {
+		t.Errorf("after a 4-sample rerun steps = %d,%d,%d, want 11,10,10", s0, s1, s2)
+	}
+}
+
+func TestRunSessionTwoWalkersCoverBarbellFaster(t *testing.T) {
+	// The point of many walks: members starting on both sides cover the
+	// barbell far faster than a single walk that must cross the bridge.
+	g := gen.Barbell(11)
+	coverSteps := func(seed uint64, starts ...graph.NodeID) int64 {
+		r := rng.New(seed)
+		walkers := make([]walk.Walker, len(starts))
+		for i, s := range starts {
+			walkers[i] = walk.NewSimple(g, s, r.Split())
+		}
+		seen := make(map[graph.NodeID]bool)
+		info := func(v graph.NodeID) (int, Attrs) { seen[v] = true; return g.Degree(v), Attrs{} }
+		// Without a cost meter FinalCost counts steps; Stop ends the session
+		// on the step after the one that covered the graph.
+		return RunSession(walkers, AvgDegree(), info, nil, SessionConfig{
+			Samples: 300000,
+			Stop:    func() bool { return len(seen) == g.NumNodes() },
+		}).FinalCost
+	}
+	var single, both int64
+	for seed := uint64(1); seed <= 30; seed++ {
+		single += coverSteps(seed, 0)
+		both += coverSteps(seed, 0, 11)
+	}
+	if both >= single {
+		t.Errorf("mean two-walker cover time %d not faster than single %d (30 seeds)", both/30, single/30)
+	}
+}
+
+func TestRunSessionPanicsOnEmpty(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic")
+		}
+	}()
+	RunSession(nil, AvgDegree(), nil, nil, SessionConfig{Samples: 1})
+}
+
+// TestRunSessionDropsFailedWeightRead pins that a sample whose weight read
+// failed never reaches the estimate: the session ends without it.
+func TestRunSessionDropsFailedWeightRead(t *testing.T) {
+	m := &member{id: 3, weight: 2, failAt: 5}
+	info := func(graph.NodeID) (int, Attrs) { return 1, Attrs{} }
+	res := RunSession([]walk.Walker{m}, AvgDegree(), info, nil, SessionConfig{Samples: 10})
+	if res.Samples != 4 {
+		t.Errorf("samples = %d, want the 4 drawn before the failed weight read", res.Samples)
 	}
 }

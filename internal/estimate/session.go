@@ -72,18 +72,32 @@ type SessionResult struct {
 	FinalCost int64
 }
 
-// RunSession executes the paper's sampling protocol: walk until the
-// convergence monitor fires (burn-in), then record samples with importance
-// weights, tracking the estimate as a function of spent query cost.
+// RunSession executes the paper's sampling protocol over walkers: walk until
+// the convergence monitor fires (burn-in), then record samples with
+// importance weights, tracking the estimate as a function of spent query
+// cost.
 //
-// weight may be nil for walkers that do not implement walk.Weighter, in
-// which case samples are unweighted (valid only for uniform-stationary
-// walkers like MHRW/RJ).
-func RunSession(w walk.Walker, weight walk.Weighter, agg Aggregate, info InfoFunc, cost CostFunc, cfg SessionConfig) SessionResult {
+// The walkers step round-robin, one step each in turn, starting at member 0
+// on every call, so every member contributes evenly and no schedule state
+// outlives the call. A sample's weight comes from the member that drew it:
+// its walk.Weighter, or 1 for a member that is not one (valid only for
+// uniform-stationary walkers like MHRW/RJ). A member whose query path fails
+// (walk.Failing) during its step, or while the sample's info and weight are
+// read, ends the session, and that sample is dropped. walkers must not be
+// empty.
+func RunSession(walkers []walk.Walker, agg Aggregate, info InfoFunc, cost CostFunc, cfg SessionConfig) SessionResult {
+	if len(walkers) == 0 {
+		panic("estimate: RunSession needs at least one walker")
+	}
 	cfg = cfg.withDefaults()
-	// Without a cost meter, fall back to counting steps.
+	// steps drives the round-robin and, without a cost meter, the cost.
 	var steps int64
-	step := func() graph.NodeID { steps++; return w.Step() }
+	var last walk.Walker // the member that drew the latest position
+	step := func() graph.NodeID {
+		last = walkers[steps%int64(len(walkers))]
+		steps++
+		return last.Step()
+	}
 	if cost == nil {
 		cost = func() int64 { return steps }
 	}
@@ -99,7 +113,7 @@ func RunSession(w walk.Walker, weight walk.Weighter, agg Aggregate, info InfoFun
 				break
 			}
 			v := step()
-			if stopped() {
+			if stopped() || failed(last) {
 				// The step's query path failed: v is stale and its degree
 				// would read as garbage — keep it out of the convergence
 				// trace (mirrors the sampling phase's post-step guard).
@@ -125,7 +139,7 @@ func RunSession(w walk.Walker, weight walk.Weighter, agg Aggregate, info InfoFun
 		for s := 0; s < cfg.Thinning; s++ {
 			v = step()
 		}
-		if stopped() {
+		if stopped() || failed(last) {
 			// The step's query path failed mid-walk (cancellation, budget):
 			// v is a stale position whose info read would observe garbage
 			// (e.g. degree 0) — drop it rather than poison the partial
@@ -135,8 +149,14 @@ func RunSession(w walk.Walker, weight walk.Weighter, agg Aggregate, info InfoFun
 		deg, attrs := info(v)
 		f := agg.Value(v, deg, attrs)
 		omega := 1.0
-		if weight != nil {
-			omega = weight.StationaryWeight(v)
+		if w, ok := last.(walk.Weighter); ok {
+			omega = w.StationaryWeight(v)
+		}
+		if failed(last) {
+			// The info or weight read queried the source (an uncached
+			// degree, MTO's exact or sampled weight) and that query failed:
+			// f and omega describe no real sample.
+			break
 		}
 		if omega <= 0 {
 			omega = 1 // degenerate weight: fall back rather than poison the ratio
@@ -155,4 +175,10 @@ func RunSession(w walk.Walker, weight walk.Weighter, agg Aggregate, info InfoFun
 		res.Trajectory.Record(res.FinalCost, res.Estimate)
 	}
 	return res
+}
+
+// failed reports whether w's query path has latched an error.
+func failed(w walk.Walker) bool {
+	f, ok := w.(walk.Failing)
+	return ok && f.Err() != nil
 }

@@ -31,30 +31,23 @@ func PaperAlgorithms() []string { return []string{AlgSRW, AlgMTO, AlgMHRW, AlgRJ
 
 // NewWalker builds the named sampler over src. numUsers is the provider-
 // published ID-space size (needed by RJ; the paper uses jump probability
-// 0.5). The returned Weighter may equal the Walker or be nil-equivalent
-// (constant 1) depending on the algorithm.
-func NewWalker(name string, src walk.Source, numUsers int, start graph.NodeID, r *rng.Rand) (walk.Walker, walk.Weighter, error) {
+// 0.5). Every returned walker is also its own walk.Weighter.
+func NewWalker(name string, src walk.Source, numUsers int, start graph.NodeID, r *rng.Rand) (walk.Walker, error) {
 	switch name {
 	case AlgSRW:
-		w := walk.NewSimple(src, start, r)
-		return w, w, nil
+		return walk.NewSimple(src, start, r), nil
 	case AlgMHRW:
-		w := walk.NewMetropolisHastings(src, start, r)
-		return w, w, nil
+		return walk.NewMetropolisHastings(src, start, r), nil
 	case AlgRJ:
-		w := walk.NewRandomJump(src, start, numUsers, 0.5, r)
-		return w, w, nil
+		return walk.NewRandomJump(src, start, numUsers, 0.5, r), nil
 	case AlgMTO:
-		s := core.NewSampler(src, start, core.DefaultConfig(), r)
-		return s, s, nil
+		return core.NewSampler(src, start, core.DefaultConfig(), r), nil
 	case AlgMTORM:
-		s := core.NewSampler(src, start, core.RemovalOnlyConfig(), r)
-		return s, s, nil
+		return core.NewSampler(src, start, core.RemovalOnlyConfig(), r), nil
 	case AlgMTORP:
-		s := core.NewSampler(src, start, core.ReplacementOnlyConfig(), r)
-		return s, s, nil
+		return core.NewSampler(src, start, core.ReplacementOnlyConfig(), r), nil
 	default:
-		return nil, nil, fmt.Errorf("exp: unknown algorithm %q", name)
+		return nil, fmt.Errorf("exp: unknown algorithm %q", name)
 	}
 }
 

@@ -8,17 +8,18 @@ import (
 
 	"rewire/internal/gen"
 	"rewire/internal/rng"
+	"rewire/internal/walk"
 )
 
 func TestNewWalkerAllAlgorithms(t *testing.T) {
 	g := gen.Barbell(5)
 	for _, alg := range []string{AlgSRW, AlgMTO, AlgMTORM, AlgMTORP, AlgMHRW, AlgRJ} {
-		w, weighter, err := NewWalker(alg, g, g.NumNodes(), 0, rng.New(1))
+		w, err := NewWalker(alg, g, g.NumNodes(), 0, rng.New(1))
 		if err != nil {
 			t.Fatalf("%s: %v", alg, err)
 		}
-		if w == nil || weighter == nil {
-			t.Fatalf("%s: nil walker or weighter", alg)
+		if _, ok := w.(walk.Weighter); !ok {
+			t.Fatalf("%s: walker is not a Weighter", alg)
 		}
 		for i := 0; i < 50; i++ {
 			v := w.Step()
@@ -27,7 +28,7 @@ func TestNewWalkerAllAlgorithms(t *testing.T) {
 			}
 		}
 	}
-	if _, _, err := NewWalker("nope", g, g.NumNodes(), 0, rng.New(1)); err == nil {
+	if _, err := NewWalker("nope", g, g.NumNodes(), 0, rng.New(1)); err == nil {
 		t.Error("unknown algorithm accepted")
 	}
 }

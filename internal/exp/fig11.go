@@ -11,6 +11,7 @@ import (
 	"rewire/internal/graph"
 	"rewire/internal/osn"
 	"rewire/internal/rng"
+	"rewire/internal/walk"
 )
 
 // Fig11Config controls the Google Plus experiment (paper Fig 11): walks
@@ -114,7 +115,7 @@ func Fig11(full bool, cfg Fig11Config, seed uint64) (Fig11Result, error) {
 				svc := osn.NewService(g, attrs, cfg.RateLimit)
 				client := osn.NewClient(svc)
 				start := graph.NodeID(r.Intn(g.NumNodes()))
-				walker, weighter, err := NewWalker(alg, client, client.NumUsers(), start, r)
+				walker, err := NewWalker(alg, client, client.NumUsers(), start, r)
 				if err != nil {
 					return res, err
 				}
@@ -123,7 +124,7 @@ func Fig11(full bool, cfg Fig11Config, seed uint64) (Fig11Result, error) {
 				info := func(v graph.NodeID) (int, estimate.Attrs) {
 					return client.Degree(v), estimate.Attrs(attrs.Of(v))
 				}
-				sr := estimate.RunSession(walker, weighter, agg, info, client.UniqueQueries,
+				sr := estimate.RunSession([]walk.Walker{walker}, agg, info, client.UniqueQueries,
 					estimate.SessionConfig{
 						BurnIn:         diag.NewGeweke(cfg.GewekeThreshold, 200),
 						MaxBurnInSteps: cfg.MaxBurnIn,

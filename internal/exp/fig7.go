@@ -10,6 +10,7 @@ import (
 	"rewire/internal/graph"
 	"rewire/internal/osn"
 	"rewire/internal/rng"
+	"rewire/internal/walk"
 )
 
 // Fig7Config controls the bias-vs-query-cost experiment (paper Fig 7: query
@@ -91,14 +92,14 @@ func Fig7(ds Dataset, cfg Fig7Config, seed uint64) (Fig7Result, error) {
 			svc := osn.NewService(ds.Graph, nil, osn.Config{})
 			client := osn.NewClient(svc)
 			start := graph.NodeID(r.Intn(ds.Graph.NumNodes()))
-			walker, weighter, err := NewWalker(alg, client, client.NumUsers(), start, r)
+			walker, err := NewWalker(alg, client, client.NumUsers(), start, r)
 			if err != nil {
 				return res, err
 			}
 			info := func(v graph.NodeID) (int, estimate.Attrs) {
 				return client.Degree(v), estimate.Attrs{}
 			}
-			sr := estimate.RunSession(walker, weighter, estimate.AvgDegree(), info, client.UniqueQueries,
+			sr := estimate.RunSession([]walk.Walker{walker}, estimate.AvgDegree(), info, client.UniqueQueries,
 				estimate.SessionConfig{
 					BurnIn:         diag.NewGeweke(cfg.GewekeThreshold, 200),
 					MaxBurnInSteps: cfg.MaxBurnIn,

@@ -59,7 +59,7 @@ func measureBias(ds Dataset, alg string, cfg Fig8Config, r *rng.Rand) (Fig8Cell,
 	svc := osn.NewService(ds.Graph, nil, osn.Config{})
 	client := osn.NewClient(svc)
 	start := graph.NodeID(r.Intn(ds.Graph.NumNodes()))
-	walker, _, err := NewWalker(alg, client, client.NumUsers(), start, r)
+	walker, err := NewWalker(alg, client, client.NumUsers(), start, r)
 	if err != nil {
 		return Fig8Cell{}, err
 	}

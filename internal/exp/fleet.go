@@ -9,13 +9,13 @@ import (
 	"rewire/internal/core"
 	"rewire/internal/osn"
 	"rewire/internal/rng"
-	"rewire/internal/walk"
 )
 
 // FleetConfig controls the fleet-scaling measurement: for each k it runs the
-// identical shared-overlay MTO sampling workload twice — sequentially
-// round-robin (walk.Parallel, one goroutine) and concurrently (walk.Fleet,
-// k goroutines) — and reports wall-clock time, speedup, and query cost.
+// identical shared-overlay MTO sampling workload twice — sequentially (the
+// fleet's members stepped round-robin on one goroutine) and concurrently
+// (walk.Fleet, k goroutines) — and reports wall-clock time, speedup, and
+// query cost.
 type FleetConfig struct {
 	// Ks are the fleet sizes to measure.
 	Ks []int
@@ -70,9 +70,12 @@ func FleetScaling(ds Dataset, cfg FleetConfig, seed uint64) *FleetResult {
 
 		svcSeq := osn.NewService(ds.Graph, nil, svcCfg)
 		clientSeq := osn.NewClient(svcSeq)
-		p, _ := core.NewParallelSamplers(clientSeq, starts, cfg.Sampler, rng.New(seed+1))
+		seq, _ := core.NewFleet(clientSeq, starts, cfg.Sampler, rng.New(seed+1))
+		members := seq.Members()
 		t0 := time.Now()
-		walk.Run(p, cfg.Samples)
+		for i := 0; i < cfg.Samples; i++ {
+			members[i%len(members)].Step()
+		}
 		seqWall := time.Since(t0)
 
 		svcFl := osn.NewService(ds.Graph, nil, svcCfg)

@@ -23,13 +23,14 @@ type Sample struct {
 }
 
 // Fleet runs k walkers on k goroutines against a shared Source, merging
-// their sample streams through a channel. Where Parallel interleaves its
-// members round-robin on the caller's goroutine, Fleet is truly concurrent:
-// each member advances on its own goroutine, and the members race to drain
-// a shared sample budget — the "many random walks are faster than one"
-// scheme (Alon et al.) executed the way the follow-up OSN-sampling work
-// (Nazi et al.; Zhou et al.) argues it should be, with every walker sharing
-// the discovered topology and the query budget of the common source.
+// their sample streams through a channel. Each member advances on its own
+// goroutine, and the members race to drain a shared sample budget — the
+// "many random walks are faster than one" scheme (Alon et al.) executed the
+// way the follow-up OSN-sampling work (Nazi et al.; Zhou et al.) argues it
+// should be, with every walker sharing the discovered topology and the query
+// budget of the common source. A caller that needs a deterministic
+// one-goroutine schedule instead (estimate.RunSession) steps Members()
+// round-robin itself, between runs.
 //
 // Each member's own state (position, RNG, rewiring bookkeeping) must be
 // confined to one goroutine — Fleet guarantees that by never stepping a
@@ -95,8 +96,8 @@ func (f *Fleet) Stream(total int) (samples <-chan Sample, stop func()) {
 // mid-send, and (when the shared source is context-aware, e.g. a Bound over
 // an osn.Client) mid-round-trip — and the channel closes after the last one
 // exits. A member whose walker reports a sticky failure (the Failing
-// capability: cancellation surfaced by the source, budget exhaustion)
-// retires without emitting the poisoned sample.
+// capability: cancellation surfaced by the source, budget exhaustion) during
+// its step or its weight read retires without emitting the poisoned sample.
 func (f *Fleet) StreamContext(ctx context.Context, total int) (samples <-chan Sample, stop func()) {
 	var claimed int64
 	return f.launch(ctx, func(int) bool {
@@ -179,6 +180,12 @@ func (f *Fleet) launch(ctx context.Context, claim func(id int) bool) (samples <-
 				s := Sample{Walker: id, Node: v, Weight: 1}
 				if weighter != nil {
 					s.Weight = weighter.StationaryWeight(v)
+					if failing != nil && failing.Err() != nil {
+						// The weight read queried the source (an uncached
+						// degree, MTO's exact or sampled weight) and that
+						// query failed: s.Weight is not a weight.
+						return
+					}
 				}
 				select {
 				case out <- s:

@@ -1,6 +1,7 @@
 package walk
 
 import (
+	"errors"
 	"testing"
 
 	"rewire/internal/gen"
@@ -43,9 +44,8 @@ func TestFleetSharesQueryBudget(t *testing.T) {
 	svc := osn.NewService(g, nil, osn.Config{})
 	client := osn.NewClient(svc)
 	// Two members starting in the two different cliques share the cache, so
-	// the fleet's whole cost stays bounded by the node count — the same
-	// shared-budget property TestParallelSharesQueryBudget checks for the
-	// sequential interleaving, now under real concurrency (run with -race).
+	// the fleet's whole cost stays bounded by the node count, under real
+	// concurrency (run with -race).
 	f := NewFleetSimple(client, []graph.NodeID{0, 8}, rng.New(3))
 	f.Samples(2000)
 	if client.UniqueQueries() > int64(g.NumNodes()) {
@@ -102,4 +102,28 @@ func TestFleetPanicsOnEmpty(t *testing.T) {
 		}
 	}()
 	NewFleet()
+}
+
+// weightFailer steps onto node 3, and its weight read fails the way an
+// exact- or sampled-weight read does when its neighbor query is cancelled
+// or over budget: it latches a sticky error and returns garbage.
+type weightFailer struct{ err error }
+
+func (w *weightFailer) Current() graph.NodeID { return 3 }
+func (w *weightFailer) Step() graph.NodeID    { return 3 }
+func (w *weightFailer) Err() error            { return w.err }
+
+func (w *weightFailer) StationaryWeight(graph.NodeID) float64 {
+	w.err = errors.New("weight read failed")
+	return 0
+}
+
+func TestFleetDropsFailedWeightRead(t *testing.T) {
+	f := NewFleet(&weightFailer{})
+	if got := f.Samples(5); len(got) != 0 {
+		t.Errorf("fleet emitted %+v from a failed weight read", got)
+	}
+	if got := NewFleet(&weightFailer{}).SamplesPartitioned(5); len(got) != 0 {
+		t.Errorf("partitioned fleet emitted %+v from a failed weight read", got)
+	}
 }

@@ -107,7 +107,6 @@ type config struct {
 	prefetch    *PrefetchOptions
 	shards      int    // 0 = store default
 	src         Source // WithSource; the backend for Resume (and an alternative spelling for NewSession)
-	cacheDir    string // WithDurableCache; attached to the provider at NewSession
 	err         error  // first option-validation failure, surfaced by NewSession
 }
 

@@ -40,8 +40,7 @@ type Session struct {
 	provider *Provider // nil for graph backends
 	bound    *walk.Bound
 	fleet    *walk.Fleet
-	seq      *walk.Parallel // same members, round-robin, for Estimate
-	overlay  *core.Overlay  // nil unless AlgMTO
+	overlay  *core.Overlay // nil unless AlgMTO
 	cfg      config
 
 	mu      sync.Mutex
@@ -125,23 +124,12 @@ func newSession(src Source, cfg config) (*Session, error) {
 	// the capability probes — prefetch hints, free cached-degree reads for
 	// Theorem 5 — find the real implementations.
 	var inner walk.Source = src
-	if s.provider == nil && cfg.cacheDir != "" {
-		return nil, fmt.Errorf("rewire: WithDurableCache needs a Provider source (a GraphSource has no billed cache to persist)")
-	}
 	if s.provider != nil {
 		inner = s.provider.client
 		if cfg.shards > 0 {
 			// The client is still idle (sessions are constructed before any
 			// run), so re-bucketing its store is cheap and race-free.
 			s.provider.client.Reshard(cfg.shards)
-		}
-		if cfg.cacheDir != "" {
-			// After the reshard: seeding replays straight into the final
-			// bucket layout. Reshard preserves entries either way, but the
-			// order keeps the one-time replay from being moved twice.
-			if err := s.provider.AttachDurableCache(cfg.cacheDir); err != nil {
-				return nil, err
-			}
 		}
 	}
 	s.bound = walk.NewBound(inner)
@@ -179,7 +167,6 @@ func newSession(src Source, cfg config) (*Session, error) {
 		}
 	}
 	s.fleet = walk.NewFleet(members...)
-	s.seq = walk.NewParallel(members...)
 	return s, nil
 }
 
@@ -349,7 +336,7 @@ func (s *Session) abortErr(ctx context.Context) error {
 // nil error; when the run aborts early — ctx cancelled, deadline expired,
 // budget exhausted — the final pair carries the zero Sample and the reason,
 // and iteration ends. A clean drain of the budgeted total yields no error
-// pair.
+// pair. A negative total yields a single error pair without starting a run.
 //
 // Fleet members race for the shared budget (WithPartitionedBudget splits it
 // instead); merged arrival order is nondeterministic, but each member's own
@@ -358,6 +345,10 @@ func (s *Session) abortErr(ctx context.Context) error {
 // range statement returns, and the session is immediately reusable.
 func (s *Session) Stream(ctx context.Context, total int) iter.Seq2[Sample, error] {
 	return func(yield func(Sample, error) bool) {
+		if total < 0 {
+			yield(Sample{}, fmt.Errorf("rewire: negative sample total %d", total))
+			return
+		}
 		if err := s.begin(ctx); err != nil {
 			yield(Sample{}, err)
 			return
@@ -406,7 +397,7 @@ func (s *Session) Nodes(ctx context.Context, total int) iter.Seq[NodeID] {
 // Samples drains Stream(ctx, total) into a slice. On an aborted run it
 // returns the samples drawn so far alongside the abort reason.
 func (s *Session) Samples(ctx context.Context, total int) ([]Sample, error) {
-	out := make([]Sample, 0, total)
+	out := make([]Sample, 0, max(total, 0))
 	for smp, err := range s.Stream(ctx, total) {
 		if err != nil {
 			return out, err
@@ -465,7 +456,8 @@ type Result struct {
 
 // Estimate runs the paper's estimation protocol under ctx: optional
 // Geweke-monitored burn-in, then importance-weighted sampling of agg, the
-// walkers advancing round-robin so every fleet member contributes evenly.
+// walkers advancing round-robin from member 0 so every fleet member
+// contributes evenly.
 // Cancellation, deadline expiry, and budget exhaustion end the run early
 // with the partial result and the reason.
 func (s *Session) Estimate(ctx context.Context, agg Aggregate, opt EstimateOptions) (Result, error) {
@@ -491,7 +483,7 @@ func (s *Session) Estimate(ctx context.Context, agg Aggregate, opt EstimateOptio
 		cost = s.provider.UniqueQueries
 	}
 	info := func(v NodeID) (int, Attrs) { return s.bound.Degree(v), Attrs{} }
-	res := estimate.RunSession(s.seq, s.seq, agg, info, cost, estimate.SessionConfig{
+	res := estimate.RunSession(s.fleet.Members(), agg, info, cost, estimate.SessionConfig{
 		BurnIn:         monitor,
 		MaxBurnInSteps: opt.MaxBurnInSteps,
 		Samples:        opt.Samples,

@@ -60,6 +60,34 @@ func TestSessionNodesIteratorAndReuse(t *testing.T) {
 	}
 }
 
+func TestSessionRejectsNegativeTotal(t *testing.T) {
+	s, err := rewire.NewSession(rewire.GraphSource(rewire.Barbell(8)), rewire.WithFleet(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if got, err := s.Samples(ctx, -1); err == nil || len(got) != 0 {
+		t.Errorf("Samples(-1) = %d samples, err %v; want none and an error", len(got), err)
+	}
+	pairs := 0
+	for smp, err := range s.Stream(ctx, -1) {
+		pairs++
+		if err == nil || smp != (rewire.Sample{}) {
+			t.Errorf("Stream(-1) yielded (%+v, %v), want the zero Sample and an error", smp, err)
+		}
+	}
+	if pairs != 1 {
+		t.Errorf("Stream(-1) yielded %d pairs, want 1", pairs)
+	}
+	for v := range s.Nodes(ctx, -1) {
+		t.Errorf("Nodes(-1) yielded node %d", v)
+	}
+	// The rejection never claimed the run: the session is still usable.
+	if got, err := s.Samples(ctx, 10); err != nil || len(got) != 10 {
+		t.Errorf("Samples(10) after rejections = %d samples, err %v", len(got), err)
+	}
+}
+
 func TestSessionErrRecordsDeadOnArrivalContext(t *testing.T) {
 	g := rewire.Barbell(5)
 	s, err := rewire.NewSession(rewire.GraphSource(g), rewire.WithAlgorithm(rewire.AlgSRW))
