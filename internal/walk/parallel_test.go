@@ -1,35 +1,56 @@
-package walk
+package walk_test
+
+// Parallel walks: a fleet's members stepped round-robin through
+// estimate.RunSession, the schedule Session.Estimate runs.
 
 import (
-	"math"
 	"testing"
 
+	"rewire/internal/estimate"
 	"rewire/internal/gen"
 	"rewire/internal/graph"
 	"rewire/internal/osn"
 	"rewire/internal/rng"
 	"rewire/internal/stats"
+	"rewire/internal/walk"
 )
+
+// runParallel steps f's members round-robin for samples samples, calling
+// observe on each sampled node in order, and returns the session result.
+func runParallel(f *walk.Fleet, src walk.Source, cost estimate.CostFunc, samples int, observe func(graph.NodeID)) estimate.SessionResult {
+	agg := estimate.Aggregate{Value: func(v graph.NodeID, _ int, _ estimate.Attrs) float64 {
+		if observe != nil {
+			observe(v)
+		}
+		return 1
+	}}
+	info := func(v graph.NodeID) (int, estimate.Attrs) { return src.Degree(v), estimate.Attrs{} }
+	return estimate.RunSession(f.Members(), agg, info, cost, estimate.SessionConfig{Samples: samples})
+}
 
 func TestParallelRoundRobin(t *testing.T) {
 	g := gen.Cycle(12)
-	p := NewParallelSimple(g, []graph.NodeID{0, 6}, rng.New(1))
-	if len(p.Members()) != 2 {
-		t.Fatalf("members = %d", len(p.Members()))
+	f := walk.NewFleetSimple(g, []graph.NodeID{0, 6}, rng.New(1))
+	if len(f.Members()) != 2 {
+		t.Fatalf("members = %d", len(f.Members()))
 	}
 	// Steps alternate between walkers started at 0 and 6; on a cycle each
 	// stays within ±i of its origin after i of its own steps.
-	first := p.Step()  // member 0
-	second := p.Step() // member 1
-	d0 := cycleDist(first, 0, 12)
-	d1 := cycleDist(second, 6, 12)
-	if d0 != 1 || d1 != 1 {
-		t.Errorf("first steps landed at %d,%d", first, second)
+	var got []graph.NodeID
+	runParallel(f, g, nil, 2, func(v graph.NodeID) { got = append(got, v) })
+	if len(got) != 2 {
+		t.Fatalf("drew %d samples, want 2", len(got))
+	}
+	if d0, d1 := cycleDist(got[0], 0, 12), cycleDist(got[1], 6, 12); d0 != 1 || d1 != 1 {
+		t.Errorf("first steps landed at %d,%d", got[0], got[1])
 	}
 }
 
 func cycleDist(a, b graph.NodeID, n int) int {
-	d := int(math.Abs(float64(a - b)))
+	d := int(a - b)
+	if d < 0 {
+		d = -d
+	}
 	if n-d < d {
 		d = n - d
 	}
@@ -39,11 +60,9 @@ func cycleDist(a, b graph.NodeID, n int) int {
 func TestParallelStationaryStillDegreeProportional(t *testing.T) {
 	g := gen.Lollipop(6, 4)
 	starts := []graph.NodeID{0, 3, 7, 9}
-	p := NewParallelSimple(g, starts, rng.New(2))
+	f := walk.NewFleetSimple(g, starts, rng.New(2))
 	h := stats.NewCountHistogram(g.NumNodes())
-	for i := 0; i < 400000; i++ {
-		h.Observe(int(p.Step()))
-	}
+	runParallel(f, g, nil, 400000, func(v graph.NodeID) { h.Observe(int(v)) })
 	want := make([]float64, g.NumNodes())
 	for u := range want {
 		want[u] = float64(g.Degree(graph.NodeID(u)))
@@ -58,8 +77,11 @@ func TestParallelSharesQueryBudget(t *testing.T) {
 	svc := osn.NewService(g, nil, osn.Config{})
 	client := osn.NewClient(svc)
 	// Two members starting in the two different cliques share the cache.
-	p := NewParallelSimple(client, []graph.NodeID{0, 8}, rng.New(3))
-	Run(p, 2000)
+	f := walk.NewFleetSimple(client, []graph.NodeID{0, 8}, rng.New(3))
+	res := runParallel(f, client, client.UniqueQueries, 2000, nil)
+	if res.FinalCost != client.UniqueQueries() {
+		t.Errorf("session cost %d, client cost %d", res.FinalCost, client.UniqueQueries())
+	}
 	if client.UniqueQueries() > int64(g.NumNodes()) {
 		t.Errorf("cost %d exceeds node count", client.UniqueQueries())
 	}
@@ -69,77 +91,48 @@ func TestParallelSharesQueryBudget(t *testing.T) {
 	}
 }
 
+// weighed records every weight read of the walker it wraps: the node, the
+// position the walker stood on at that moment, and the weight returned.
+type weighed struct {
+	*walk.Simple
+	reads []weightRead
+}
+
+type weightRead struct {
+	v, cur graph.NodeID
+	weight float64
+}
+
+func (w *weighed) StationaryWeight(v graph.NodeID) float64 {
+	weight := w.Simple.StationaryWeight(v)
+	w.reads = append(w.reads, weightRead{v: v, cur: w.Current(), weight: weight})
+	return weight
+}
+
 func TestParallelWeighterDelegation(t *testing.T) {
 	g := gen.Star(6)
-	p := NewParallelSimple(g, []graph.NodeID{1, 2}, rng.New(4))
-	v := p.Step()
-	if got, want := p.StationaryWeight(v), float64(g.Degree(v)); got != want {
-		t.Errorf("weight = %v, want %v", got, want)
+	r := rng.New(4)
+	members := []*weighed{
+		{Simple: walk.NewSimple(g, 1, r.Split())},
+		{Simple: walk.NewSimple(g, 2, r.Split())},
 	}
-	if p.Current() != v {
-		t.Errorf("Current = %d, want %d", p.Current(), v)
+	var drawn []graph.NodeID
+	runParallel(walk.NewFleet(members[0], members[1]), g, nil, 2, func(v graph.NodeID) { drawn = append(drawn, v) })
+	if len(drawn) != 2 {
+		t.Fatalf("drew %d samples, want 2", len(drawn))
 	}
-}
-
-func TestParallelCurrentAfterWrap(t *testing.T) {
-	g := gen.Cycle(12)
-	starts := []graph.NodeID{0, 4, 8}
-	p := NewParallelSimple(g, starts, rng.New(5))
-	k := len(starts)
-	if got := p.Current(); got != starts[0] {
-		t.Fatalf("Current before any step = %d, want member 0's start %d", got, starts[0])
-	}
-	// Exactly k steps: the internal index wraps back to 0, but the member
-	// that last stepped is k-1 — Current must report it, not member 0.
-	var last graph.NodeID
-	for i := 0; i < k; i++ {
-		last = p.Step()
-	}
-	if got := p.Current(); got != last {
-		t.Errorf("Current after %d steps = %d, want last returned %d", k, got, last)
-	}
-	if got, want := p.Current(), p.Members()[k-1].Current(); got != want {
-		t.Errorf("Current after wrap = %d, want member %d's position %d", got, k-1, want)
-	}
-	// k+1 steps: member 0 stepped again and is the latest.
-	last = p.Step()
-	if got := p.Current(); got != last {
-		t.Errorf("Current after %d steps = %d, want last returned %d", k+1, got, last)
-	}
-	if got, want := p.Current(), p.Members()[0].Current(); got != want {
-		t.Errorf("Current after k+1 steps = %d, want member 0's position %d", got, want)
-	}
-}
-
-func TestParallelPanicsOnEmpty(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
+	// Sample i was drawn by member i, so member i alone weighs it, at the
+	// node it stands on, with the SRW weight deg(v).
+	for i, m := range members {
+		if len(m.reads) != 1 {
+			t.Fatalf("member %d weighed %d samples, want 1", i, len(m.reads))
 		}
-	}()
-	NewParallel()
-}
-
-func TestParallelMixesFasterOnBarbell(t *testing.T) {
-	// The point of parallel walks: members starting on both sides cover the
-	// barbell far faster than a single walk that must cross the bridge.
-	g := gen.Barbell(11)
-	coverSteps := func(w Walker) int {
-		seen := make(map[graph.NodeID]bool)
-		for i := 1; i <= 300000; i++ {
-			seen[w.Step()] = true
-			if len(seen) == g.NumNodes() {
-				return i
-			}
+		rd := m.reads[0]
+		if rd.v != drawn[i] || rd.cur != drawn[i] {
+			t.Errorf("member %d weighed %d standing on %d, want sample %d", i, rd.v, rd.cur, drawn[i])
 		}
-		return 300001
-	}
-	var single, both int
-	for seed := uint64(1); seed <= 30; seed++ {
-		single += coverSteps(NewSimple(g, 0, rng.New(seed)))
-		both += coverSteps(NewParallelSimple(g, []graph.NodeID{0, 11}, rng.New(seed)))
-	}
-	if both >= single {
-		t.Errorf("mean parallel coverage %d not faster than single %d (30 seeds)", both/30, single/30)
+		if want := float64(g.Degree(rd.v)); rd.weight != want {
+			t.Errorf("member %d weight = %v, want %v", i, rd.weight, want)
+		}
 	}
 }
