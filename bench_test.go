@@ -136,21 +136,9 @@ func BenchmarkAblationCriterionOriginal(b *testing.B) {
 	benchSamplerVariant(b, core.DefaultConfig())
 }
 
-func BenchmarkAblationCriterionOverlay(b *testing.B) {
-	cfg := core.DefaultConfig()
-	cfg.Criterion = core.EvalOverlay
-	benchSamplerVariant(b, cfg)
-}
-
 func BenchmarkAblationNoExtension(b *testing.B) {
 	cfg := core.DefaultConfig()
 	cfg.UseExtended = false
-	benchSamplerVariant(b, cfg)
-}
-
-func BenchmarkAblationLazyProb1(b *testing.B) {
-	cfg := core.DefaultConfig()
-	cfg.LazyProb = 1.0
 	benchSamplerVariant(b, cfg)
 }
 

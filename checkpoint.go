@@ -16,11 +16,6 @@ import (
 // rejects other versions with ErrCheckpointVersion.
 const checkpointVersion = 1
 
-// maxCoreInner bounds the envelope's MTO inner re-pick cap. No option sets
-// MaxInner (the default is 64); a huge cap with a zero move probability
-// would spin one step forever.
-const maxCoreInner = 1 << 12
-
 // checkpointEnvelope is the serialized form of a paused session: the full
 // construction config plus the per-walker chain state (position and RNG
 // stream) and the MTO overlay's edge delta. It deliberately carries NO
@@ -37,7 +32,6 @@ type checkpointEnvelope struct {
 	Seed        uint64           `json:"seed"`
 	PJump       float64          `json:"p_jump,omitempty"`
 	Partitioned bool             `json:"partitioned,omitempty"`
-	Shards      int              `json:"shards,omitempty"`
 	Core        core.Config      `json:"core"`
 	Prefetch    *PrefetchOptions `json:"prefetch,omitempty"`
 	Walkers     []walkerEnvelope `json:"walkers"`
@@ -149,7 +143,6 @@ func (s *Session) Checkpoint(ctx context.Context) ([]byte, error) {
 		Seed:        s.cfg.seed,
 		PJump:       s.cfg.pJump,
 		Partitioned: s.cfg.partitioned,
-		Shards:      s.cfg.shards,
 		Core:        s.cfg.core,
 		Prefetch:    s.cfg.prefetch,
 		Walkers:     walkers,
@@ -175,11 +168,13 @@ func (s *Session) Checkpoint(ctx context.Context) ([]byte, error) {
 // follows the same nodes).
 //
 // Options that would change the chain (WithAlgorithm, WithFleet, WithStarts,
-// WithSeed) are rejected; operational options — WithSource, WithStoreShards,
-// WithPrefetch, budget and weight tuning — apply normally.
+// WithSeed) are rejected; operational options — WithSource, WithPrefetch,
+// budget and weight tuning — apply normally.
 //
 // Bytes from an incompatible envelope version fail with
-// ErrCheckpointVersion.
+// ErrCheckpointVersion. Version 1 envelopes that carry the retired "shards"
+// key, or Algorithm 1 settings under "core", still resume: the reader
+// ignores those keys, since the sampler fixes those settings.
 func Resume(ctx context.Context, data []byte, opts ...Option) (*Session, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -200,10 +195,6 @@ func Resume(ctx context.Context, data []byte, opts ...Option) (*Session, error) 
 		return nil, err
 	}
 
-	if env.Core.MaxInner > maxCoreInner {
-		return nil, fmt.Errorf("rewire: checkpoint MaxInner %d > %d", env.Core.MaxInner, maxCoreInner)
-	}
-
 	cfg := defaults()
 	cfg.alg = alg
 	cfg.seed = env.Seed
@@ -211,11 +202,9 @@ func Resume(ctx context.Context, data []byte, opts ...Option) (*Session, error) 
 	cfg.core = env.Core
 	// The envelope's fields pass the same validators as the options that
 	// set them: the bytes may come from a state file, not this process.
+	WithWeightMode(WeightMode(env.Core.Weights))(&cfg)
 	if env.PJump > 0 {
 		WithJumpProbability(env.PJump)(&cfg)
-	}
-	if env.Shards != 0 {
-		WithStoreShards(env.Shards)(&cfg)
 	}
 	if env.Prefetch != nil {
 		WithPrefetch(*env.Prefetch)(&cfg)

@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
+	"os"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -251,7 +253,7 @@ func TestResumeGuardsChainDefiningOptions(t *testing.T) {
 		})
 	}
 	// Operational options stay allowed.
-	if _, err := rewire.Resume(context.Background(), data, src, rewire.WithStoreShards(4)); err != nil {
+	if _, err := rewire.Resume(context.Background(), data, src, rewire.WithPrefetch(rewire.PrefetchOptions{})); err != nil {
 		t.Fatalf("operational option rejected: %v", err)
 	}
 }
@@ -350,26 +352,39 @@ func TestOpenBackendUnknownDriverError(t *testing.T) {
 	}
 }
 
-// hostileEnvelopes are checkpoint envelopes that once crashed or hung the
-// process inside Resume or the first run: each patches one field of a real
-// MTO checkpoint.
-var hostileEnvelopes = []struct {
+// envelopePatch patches one top-level key of a real MTO checkpoint.
+type envelopePatch struct {
 	name  string
 	key   string
 	value any
-}{
-	{"shards 1<<40", "shards", 1 << 40},
-	{"shards MaxInt64", "shards", int64(math.MaxInt64)},
-	{"shards negative", "shards", -4},
+}
+
+// hostileEnvelopes are checkpoint envelopes that once crashed or hung the
+// process inside Resume or the first run, or that Resume must refuse.
+var hostileEnvelopes = []envelopePatch{
 	{"prefetch queue 1<<40", "prefetch", map[string]any{"Queue": 1 << 40}},
 	{"prefetch workers 2e7", "prefetch", map[string]any{"Workers": 20_000_000}},
 	{"prefetch strategy 7", "prefetch", map[string]any{"Strategy": 7}},
 	{"prefetch topk 1<<40", "prefetch", map[string]any{"Strategy": 1, "TopK": 1 << 40}},
 	{"jump probability 5", "p_jump", 5.0},
-	{"inner re-pick cap 1<<40", "core", map[string]any{"MaxInner": 1 << 40, "LazyProb": 0}},
+	{"weight mode 7", "core", map[string]any{"Weights": 7}},
 	{"overlay edge out of range", "overlay", map[string]any{"removed": [][2]int{}, "added": [][2]int{{0, 1 << 20}}, "pivots": []int{}}},
 	{"overlay negative pivot", "overlay", map[string]any{"removed": [][2]int{}, "added": [][2]int{}, "pivots": []int{-1}}},
 	{"overlay self-loop", "overlay", map[string]any{"removed": [][2]int{{2, 2}}, "added": [][2]int{}, "pivots": []int{}}},
+}
+
+// retiredKeys are envelope keys that version 1 checkpoints carry but this
+// build ignores: the store shard count, and the Algorithm 1 settings that
+// are now constants. Values that once crashed or hung Resume must now leave
+// the chain untouched.
+var retiredKeys = []envelopePatch{
+	{"shards 1<<40", "shards", 1 << 40},
+	{"shards MaxInt64", "shards", int64(math.MaxInt64)},
+	{"shards negative", "shards", -4},
+	{"inner re-pick cap 1<<40", "core", map[string]any{"MaxInner": 1 << 40, "LazyProb": 0}},
+	{"overlay criterion", "core", map[string]any{"Criterion": 1}},
+	{"no floor, unbounded pivots", "core", map[string]any{"DegreeFloor": 0, "PivotOnce": false}},
+	{"replace coin 1, degree sample 1<<40", "core", map[string]any{"ReplaceProb": 1, "DegreeSample": 1 << 40}},
 }
 
 // simCheckpoint checkpoints a paused single-walker MTO session over a
@@ -390,12 +405,23 @@ func simCheckpoint(t testing.TB, g *rewire.Graph) []byte {
 	return data
 }
 
-// patchEnvelope returns data with one top-level key replaced.
+// patchEnvelope returns data with one top-level key replaced; an object
+// value is merged into the object already under key.
 func patchEnvelope(t testing.TB, data []byte, key string, value any) []byte {
 	t.Helper()
+	// UseNumber keeps the 64-bit RNG words exact through the round-trip.
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.UseNumber()
 	var env map[string]any
-	if err := json.Unmarshal(data, &env); err != nil {
+	if err := dec.Decode(&env); err != nil {
 		t.Fatal(err)
+	}
+	old, isObj := env[key].(map[string]any)
+	if patch, ok := value.(map[string]any); ok && isObj {
+		for k, v := range patch {
+			old[k] = v
+		}
+		value = old
 	}
 	env[key] = value
 	out, err := json.Marshal(env)
@@ -422,6 +448,36 @@ func TestResumeRejectsHostileEnvelopes(t *testing.T) {
 	}
 }
 
+// TestResumeIgnoresRetiredKeys: whatever a checkpoint carries under a
+// retired key, Resume succeeds and the session draws exactly the samples the
+// unpatched checkpoint draws.
+func TestResumeIgnoresRetiredKeys(t *testing.T) {
+	g := rewire.Barbell(6)
+	data := simCheckpoint(t, g)
+	draw := func(t *testing.T, data []byte) []rewire.Sample {
+		t.Helper()
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		s, err := rewire.Resume(ctx, data, rewire.WithSource(rewire.Simulate(g, rewire.Limits{})))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := s.Samples(ctx, 40)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	want := draw(t, data)
+	for _, tc := range retiredKeys {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := draw(t, patchEnvelope(t, data, tc.key, tc.value)); !slices.Equal(got, want) {
+				t.Fatalf("patched checkpoint drew %v, want %v", got, want)
+			}
+		})
+	}
+}
+
 // FuzzResume feeds arbitrary bytes to Resume over a small simulated
 // barbell: it must never panic or hang, and any session it returns must
 // draw 10 samples.
@@ -429,9 +485,14 @@ func FuzzResume(f *testing.F) {
 	g := rewire.Barbell(6)
 	data := simCheckpoint(f, g)
 	f.Add(data)
-	for _, tc := range hostileEnvelopes {
+	for _, tc := range slices.Concat(hostileEnvelopes, retiredKeys) {
 		f.Add(patchEnvelope(f, data, tc.key, tc.value))
 	}
+	fixture, err := os.ReadFile("testdata/checkpoint-v1-mto-fleet.json")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(fixture)
 	srw, err := rewire.NewSession(rewire.Simulate(g, rewire.Limits{}), rewire.WithAlgorithm(rewire.AlgRJ),
 		rewire.WithFleet(3), rewire.WithPrefetch(rewire.PrefetchOptions{Strategy: rewire.PrefetchFrontier}))
 	if err != nil {

@@ -7,6 +7,26 @@ import (
 	"rewire/internal/rng"
 )
 
+// CriterionBase selects which neighborhoods BuildOverlay evaluates the
+// removal criterion against. The paper's Theorems 3/5 are stated as static
+// properties of the original graph G, and Algorithm 1 tests edges with the
+// neighborhoods the queries return — i.e., original lists (EvalOriginal), the
+// only base the Sampler implements. Evaluated inductively against the
+// evolving overlay instead (EvalOverlay), each removal is individually
+// conductance-safe on the current graph, but the process reaches a much
+// denser fixpoint; the offline conductance property tests keep it as their
+// reference.
+type CriterionBase int
+
+const (
+	// EvalOriginal tests the criterion on original (queried) neighborhoods.
+	// Removals are guarded: both endpoints keep overlay degree >= 2 and at
+	// least one common overlay neighbor, so the overlay stays connected.
+	EvalOriginal CriterionBase = iota
+	// EvalOverlay tests the criterion on current overlay neighborhoods.
+	EvalOverlay
+)
+
 // BuildOptions controls offline overlay construction on a fully known
 // graph — the mode used for the paper's spectral measurements (running
 // example G* and G**, Fig 10) where the walk-discovered overlay is
@@ -19,10 +39,10 @@ type BuildOptions struct {
 	// ExtendedDegrees applies Theorem 5 with full degree knowledge (offline
 	// we know every degree "for free").
 	ExtendedDegrees bool
-	// Criterion selects the evaluation base, as in Config.Criterion:
-	// EvalOriginal (default) tests edges against the input graph with
-	// connectivity guards on the evolving overlay; EvalOverlay re-tests
-	// against the current overlay each sweep.
+	// Criterion selects the evaluation base: EvalOriginal (default, the
+	// Sampler's) tests edges against the input graph with connectivity
+	// guards on the evolving overlay; EvalOverlay re-tests against the
+	// current overlay each sweep.
 	Criterion CriterionBase
 	// MaxPasses bounds removal sweeps; a sweep that removes nothing stops
 	// early. Default 8.

@@ -18,7 +18,12 @@
 //
 // The Sampler (Algorithm 1) applies these while walking; BuildOverlay
 // applies them offline to a known graph for the paper's Fig 10 style
-// spectral measurements.
+// spectral measurements. Config holds only what callers vary: which
+// operations run, the Theorem 5 extension, the weight mode and prefetch
+// hints. Algorithm 1's own settings are constants: the criterion base
+// (original lists), the 1/2 move and replace coins, one replacement per
+// pivot, the inner re-pick cap, the degree floor and WeightSampled's sample
+// size.
 //
 // Two bounds let the criterion reject most edges without finishing its work,
 // and both are exact (they never change a verdict). Doubled, the left side of

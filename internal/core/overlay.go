@@ -66,32 +66,25 @@ type Overlay struct {
 	arena *store.Arena[graph.NodeID]
 	// usedPivots records nodes that already hosted a Theorem 4 replacement.
 	// It lives on the overlay — not the sampler — so the one-replacement-
-	// per-pivot bound (Config.PivotOnce) holds across a whole fleet sharing
-	// this overlay, keeping total rewiring O(|V|) regardless of k. Guarded
-	// by mu.
+	// per-pivot bound holds across a whole fleet sharing this overlay,
+	// keeping total rewiring O(|V|) regardless of k. Guarded by mu.
 	usedPivots map[graph.NodeID]struct{}
 }
 
-// NewOverlay wraps base with an empty delta (default shard count).
+// NewOverlay wraps base with an empty delta. Its sharded stores size
+// themselves to the machine (store.DefaultShards).
 func NewOverlay(base walk.Source) *Overlay {
-	return NewOverlayShards(base, 0)
-}
-
-// NewOverlayShards wraps base with an empty delta whose sharded stores use n
-// shards (rounded up to a power of two; n <= 0 selects store.DefaultShards,
-// n == 1 the legacy single-lock layout).
-func NewOverlayShards(base walk.Source, n int) *Overlay {
 	pf, _ := base.(walk.PrefetchSource)
 	failer, _ := base.(walk.Failing)
 	return &Overlay{
 		base:       base,
 		pf:         pf,
 		failer:     failer,
-		removed:    store.NewMap[graph.EdgeKey, struct{}](n),
-		added:      store.NewMap[graph.EdgeKey, struct{}](n),
+		removed:    store.NewMap[graph.EdgeKey, struct{}](0),
+		added:      store.NewMap[graph.EdgeKey, struct{}](0),
 		addedAdj:   make(map[graph.NodeID][]graph.NodeID),
 		removedAdj: make(map[graph.NodeID][]graph.NodeID),
-		lists:      store.NewMap[graph.NodeID, []graph.NodeID](n),
+		lists:      store.NewMap[graph.NodeID, []graph.NodeID](0),
 		arena:      store.NewArena[graph.NodeID](0),
 		usedPivots: make(map[graph.NodeID]struct{}),
 	}
@@ -99,9 +92,6 @@ func NewOverlayShards(base walk.Source, n int) *Overlay {
 
 // Base returns the wrapped source.
 func (o *Overlay) Base() walk.Source { return o.base }
-
-// StoreShards returns the overlay's shard count.
-func (o *Overlay) StoreShards() int { return o.lists.Shards() }
 
 // Neighbors returns v's overlay neighbor list (sorted; an immutable snapshot
 // owned by the overlay — do not modify its elements). Reading it may cost a
@@ -281,13 +271,13 @@ func (o *Overlay) materializeLocked(v graph.NodeID) []graph.NodeID {
 // exists and the removal respects the walk-safety guards re-validated
 // against the *current* overlay: both endpoints keep degree above their
 // minimum (minU/minV are lower bounds the post-removal degree must not go
-// below, i.e. removal requires current degree > min), and, when
-// requireCommon is set, the endpoints share at least one other overlay
-// neighbor so the overlay cannot disconnect. Snapshot-based guards alone
-// are not enough in a fleet: two walkers can both judge the same edge
-// removable against the same stale lists; the second commit must re-check.
-// Reports whether the edge was removed.
-func (o *Overlay) RemoveEdgeGuarded(u, v graph.NodeID, minU, minV int, requireCommon bool) bool {
+// below, i.e. removal requires current degree > min), and the endpoints
+// share at least one other overlay neighbor so the overlay cannot
+// disconnect. Snapshot-based guards alone are not enough in a fleet: two
+// walkers can both judge the same edge removable against the same stale
+// lists; the second commit must re-check. Reports whether the edge was
+// removed.
+func (o *Overlay) RemoveEdgeGuarded(u, v graph.NodeID, minU, minV int) bool {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	if o.added.Contains(graph.KeyOf(u, v)) {
@@ -301,10 +291,7 @@ func (o *Overlay) RemoveEdgeGuarded(u, v graph.NodeID, minU, minV int, requireCo
 		return false // already gone (another walker won the race)
 	}
 	vLst := o.materializeLocked(v)
-	if len(uLst) <= minU || len(vLst) <= minV {
-		return false
-	}
-	if requireCommon && !graph.IntersectsSorted(uLst, vLst) {
+	if len(uLst) <= minU || len(vLst) <= minV || !graph.IntersectsSorted(uLst, vLst) {
 		return false
 	}
 	o.removeEdgeLocked(u, v)
@@ -313,19 +300,16 @@ func (o *Overlay) RemoveEdgeGuarded(u, v graph.NodeID, minU, minV int, requireCo
 
 // ReplaceEdgeGuarded performs the Theorem 4 replacement remove (u, p) /
 // add (u, w) only if, under the lock, it is still valid on the current
-// overlay: (u, p) exists, (u, w) does not (a no-op replacement would just
-// delete an edge, which Theorem 4 does not license), the pivot p still has
-// exactly degree 3, and — when claimPivot is set — p has not hosted a
-// replacement before (the claim commits atomically with the rewiring, so a
-// fleet performs at most one replacement per pivot in total). Reports
-// whether the replacement happened.
-func (o *Overlay) ReplaceEdgeGuarded(u, p, w graph.NodeID, claimPivot bool) bool {
+// overlay: p has not hosted a replacement before, (u, p) exists, (u, w) does
+// not (a no-op replacement would just delete an edge, which Theorem 4 does
+// not license), and the pivot p still has exactly degree 3. The pivot claim
+// commits atomically with the rewiring, so a fleet performs at most one
+// replacement per pivot in total. Reports whether the replacement happened.
+func (o *Overlay) ReplaceEdgeGuarded(u, p, w graph.NodeID) bool {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	if claimPivot {
-		if _, used := o.usedPivots[p]; used {
-			return false
-		}
+	if _, used := o.usedPivots[p]; used {
+		return false
 	}
 	uLst := o.materializeLocked(u)
 	if !graph.ContainsSorted(uLst, p) || graph.ContainsSorted(uLst, w) || u == w {
@@ -337,9 +321,7 @@ func (o *Overlay) ReplaceEdgeGuarded(u, p, w graph.NodeID, claimPivot bool) bool
 	}
 	o.removeEdgeLocked(u, p)
 	o.addEdgeLocked(u, w)
-	if claimPivot {
-		o.usedPivots[p] = struct{}{}
-	}
+	o.usedPivots[p] = struct{}{}
 	return true
 }
 

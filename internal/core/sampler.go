@@ -19,34 +19,55 @@ const (
 	WeightExact
 	// WeightSampled estimates k*(v) from a random sample of v's incident
 	// edges — the paper's "draw simple random sample from u's neighbors in
-	// G*" suggestion. Sample size is Config.DegreeSample.
+	// G*" suggestion. Sample size is degreeSample.
 	WeightSampled
 )
 
-// CriterionBase selects which neighborhoods the removal criterion is
-// evaluated against. The paper's Theorems 3/5 are stated as static
-// properties of the original graph G, and Algorithm 1 tests edges with the
-// neighborhoods the queries return — i.e., original lists (EvalOriginal).
-// Evaluated inductively against the evolving overlay instead (EvalOverlay),
-// each removal is individually conductance-safe on the current graph, but
-// the process reaches a much denser fixpoint (on the barbell running
-// example: Φ* ≈ 0.022 versus ≈ 0.05–0.07 for EvalOriginal, the paper
-// reporting 0.053). The criterion ablation benchmarks in bench_test.go
-// quantify both; EvalOriginal is the default because it reproduces the
-// paper's magnitudes.
-type CriterionBase int
-
+// Algorithm 1's fixed settings. No caller varies them, so they are constants
+// rather than Config fields; a probe of other values edits them here.
 const (
-	// EvalOriginal tests the criterion on original (queried) neighborhoods.
-	// Removals are guarded: both endpoints keep overlay degree >= 2 and at
-	// least one common overlay neighbor, so the overlay stays connected.
-	EvalOriginal CriterionBase = iota
-	// EvalOverlay tests the criterion on current overlay neighborhoods.
-	EvalOverlay
+	// criterionBase is EvalOriginal because it reproduces the paper's
+	// magnitudes: on the barbell running example it reaches Φ* ≈ 0.05–0.07
+	// (the paper reports 0.053), where testing current overlay
+	// neighborhoods stalls at ≈ 0.022. It is also what keeps negative
+	// verdicts cacheable: the original lists never change, so neither does
+	// a verdict on them.
+	criterionBase = EvalOriginal
+	// moveProb is Algorithm 1's "rand(0,1) < 1/2" move probability per inner
+	// iteration; the complement re-picks a neighbor (possibly after more
+	// topology edits).
+	moveProb = 0.5
+	// replaceProb is Algorithm 1's "choose to replace" coin at a degree-3
+	// pivot, fair like the move coin.
+	replaceProb = 0.5
+	// maxInner caps inner re-pick iterations per Step as a safety valve,
+	// after which the step falls back to a plain SRW move. Removals re-pick
+	// without flipping the move coin, so the cap is what bounds a step's
+	// work; a removal-free step reaches it with probability 2^-64.
+	maxInner = 64
+	// degreeFloor keeps every node's overlay degree at or above
+	// ⌈degreeFloor · original degree⌉ (at least 2): iterated removal would
+	// otherwise drain dense pockets into bipartite trees whose SRW never
+	// mixes (Algorithm 1 verbatim only guards |N(u)| >= 1). 0.3 keeps the
+	// barbell overlay at the paper's reported G* density.
+	degreeFloor = 0.3
+	// degreeSample is WeightSampled's incident-edge sample size: the paper's
+	// §IV-A estimates k* from a small random sample of neighbors, and each
+	// sampled edge may cost a query, so 5 bounds the weight's cost per
+	// sample. The value is not tuned.
+	degreeSample = 5
 )
 
 // Config tunes the MTO-Sampler. The zero value is NOT valid; use
 // DefaultConfig and adjust.
+//
+// One replacement per pivot is not configurable either: heavy-tailed social
+// graphs are full of degree-3 users, and without the bound the walk rewires
+// forever, its stationary distribution never settles, and the Geweke
+// indicator (rightly) refuses to fire. One replacement per pivot keeps total
+// rewiring O(|V|), so the chain is asymptotically stationary. The used-pivot
+// set lives on the overlay, so the bound holds across every sampler sharing
+// it (a fleet), not per member.
 type Config struct {
 	// EnableRemoval switches Theorem 3/5 edge removal.
 	EnableRemoval bool
@@ -56,37 +77,8 @@ type Config struct {
 	// the source exposes it (osn.Client does); otherwise the test silently
 	// degenerates to Theorem 3.
 	UseExtended bool
-	// Criterion selects the evaluation base for the removal test.
-	Criterion CriterionBase
-	// LazyProb is Algorithm 1's "rand(0,1) < 1/2" move probability per
-	// inner iteration; the complement re-picks a neighbor (possibly after
-	// more topology edits).
-	LazyProb float64
-	// ReplaceProb is the probability of performing the replacement when a
-	// degree-3 pivot is encountered (Algorithm 1's "choose to replace").
-	ReplaceProb float64
-	// PivotOnce limits each pivot node to a single Theorem 4 replacement
-	// (default true). Heavy-tailed social graphs are full of degree-3
-	// users; without the bound the walk rewires forever, its stationary
-	// distribution never settles, and the Geweke indicator (rightly)
-	// refuses to fire. One replacement per pivot keeps total rewiring
-	// O(|V|) so the chain is asymptotically stationary. The used-pivot set
-	// lives on the overlay, so the bound holds across every sampler
-	// sharing it (a fleet), not per member.
-	PivotOnce bool
-	// MaxInner caps inner re-pick iterations per Step as a safety valve.
-	MaxInner int
-	// DegreeFloor keeps every node's overlay degree at or above
-	// ⌈DegreeFloor · original degree⌉ (at least 2): iterated removal would
-	// otherwise drain dense pockets into bipartite trees whose SRW never
-	// mixes. 0.3 keeps the barbell overlay at the paper's reported G*
-	// density; 0 disables the floor (Algorithm 1 verbatim, which only
-	// guards |N(u)| >= 1).
-	DegreeFloor float64
 	// Weights selects the importance-weight computation.
 	Weights WeightMode
-	// DegreeSample is the incident-edge sample size for WeightSampled.
-	DegreeSample int
 	// Prefetch issues non-blocking speculative fetch hints when the source
 	// supports them (an osn.Client with a running prefetch pool behind the
 	// overlay): on arrival the current node's overlay neighbors — the inner
@@ -100,20 +92,14 @@ type Config struct {
 	Prefetch bool
 }
 
-// DefaultConfig returns the paper's configuration: both operations on,
-// extension on, lazy and replacement probabilities 1/2.
+// DefaultConfig returns the paper's configuration: both operations on and
+// the Theorem 5 extension on.
 func DefaultConfig() Config {
 	return Config{
 		EnableRemoval:     true,
 		EnableReplacement: true,
 		UseExtended:       true,
-		LazyProb:          0.5,
-		ReplaceProb:       0.5,
-		PivotOnce:         true,
-		MaxInner:          64,
 		Weights:           WeightOverlayDegree,
-		DegreeSample:      5,
-		DegreeFloor:       0.3,
 	}
 }
 
@@ -154,21 +140,15 @@ type Sampler struct {
 	cur   graph.NodeID
 	rng   *rng.Rand
 	stats Stats
-	// verdicts caches negative Theorem 3 outcomes under EvalOriginal, where
-	// the criterion is static (positive outcomes remove the edge, so they
-	// never need caching). Unused when Theorem 5 can apply: its verdict
-	// improves as the degree cache grows.
+	// verdicts caches negative Theorem 3 outcomes, which stay valid because
+	// the criterion reads original lists (positive outcomes remove the edge,
+	// so they never need caching). Unused when Theorem 5 can apply: its
+	// verdict improves as the degree cache grows.
 	verdicts map[graph.EdgeKey]struct{}
 	// scratch is the reusable common-neighbor buffer behind removableEdge:
 	// the criterion only reads the intersection, so one buffer per sampler
 	// keeps the steady-state step allocation-free.
 	scratch []graph.NodeID
-}
-
-// neighborCache is the optional source capability the Theorem 5 path needs:
-// telling whether v is already in the local store. osn.Client provides it.
-type neighborCache interface {
-	Cached(v graph.NodeID) bool
 }
 
 // NewSampler starts an MTO walk at start over src, with a private overlay.
@@ -182,9 +162,6 @@ func NewSampler(src walk.Source, start graph.NodeID, cfg Config, r *rng.Rand) *S
 // replacements). The sampler itself is single-goroutine state — run each
 // sampler on its own goroutine and share only the overlay and its source.
 func NewSamplerOn(ov *Overlay, start graph.NodeID, cfg Config, r *rng.Rand) *Sampler {
-	if cfg.MaxInner <= 0 {
-		cfg.MaxInner = 64
-	}
 	src := ov.Base()
 	s := &Sampler{cfg: cfg, ov: ov, cur: start, rng: r}
 	if cfg.Prefetch {
@@ -193,39 +170,14 @@ func NewSamplerOn(ov *Overlay, start graph.NodeID, cfg Config, r *rng.Rand) *Sam
 		}
 	}
 	if cfg.UseExtended {
-		switch cfg.Criterion {
-		case EvalOverlay:
-			if _, ok := src.(neighborCache); ok {
-				s.cache = overlayDegreeCache{s.ov}
-			}
-		default:
-			// Original-graph evaluation wants original cached degrees; the
-			// OSN client provides them directly.
-			if dc, ok := src.(DegreeCache); ok {
-				s.cache = dc
-			}
-		}
+		// The criterion reads original lists, so Theorem 5 wants original
+		// cached degrees; the OSN client provides them directly.
+		s.cache, _ = src.(DegreeCache)
 	}
-	if cfg.Criterion == EvalOriginal && s.cache == nil {
+	if criterionBase == EvalOriginal && s.cache == nil {
 		s.verdicts = make(map[graph.EdgeKey]struct{})
 	}
 	return s
-}
-
-// overlayDegreeCache answers Theorem 5's degree questions with *overlay*
-// degrees, and only for nodes whose base neighborhood is already cached (so
-// no query is ever spent). This is strictly more faithful than raw base
-// degrees: the theorem's proof argues about the current graph.
-type overlayDegreeCache struct{ ov *Overlay }
-
-func (c overlayDegreeCache) CachedDegree(v graph.NodeID) (int, bool) {
-	if lst, ok := c.ov.cachedList(v); ok {
-		return len(lst), true
-	}
-	if nc, ok := c.ov.base.(neighborCache); ok && nc.Cached(v) {
-		return len(c.ov.Neighbors(v)), true // materializes from cache, no query
-	}
-	return 0, false
 }
 
 // Current returns the walk position.
@@ -264,11 +216,11 @@ func (s *Sampler) Stats() Stats { return s.stats }
 // overlay neighbor v of the current node; remove the edge if Theorem 3/5
 // fires (and re-pick); optionally replace it around a degree-3 pivot
 // (Theorem 4), redirecting the candidate; then move with probability
-// LazyProb, else re-pick. A MaxInner safety valve forces a plain SRW move if
-// the loop spins too long (e.g. ReplaceProb pathologies).
+// moveProb, else re-pick. After maxInner iterations the step forces a plain
+// SRW move.
 func (s *Sampler) Step() graph.NodeID {
 	defer func() { s.stats.Steps++ }()
-	for iter := 0; iter < s.cfg.MaxInner; iter++ {
+	for iter := 0; iter < maxInner; iter++ {
 		if s.ov.failed() {
 			return s.cur // query path failed: hold position for a resume
 		}
@@ -288,12 +240,11 @@ func (s *Sampler) Step() graph.NodeID {
 		if s.cfg.EnableRemoval && s.removableEdge(s.cur, v, nbrs, vn) {
 			// Theorem 3/5: (cur, v) is provably non-cross-cutting. The
 			// criterion was judged on snapshots; the guarded commit
-			// re-validates the walk-safety invariants (Algorithm 1's
-			// |N(u)| >= 1, the degree floor, overlay connectivity) against
-			// the *current* overlay under the lock, so a concurrent fleet
-			// member acting on the same stale lists cannot strand a node.
-			if s.ov.RemoveEdgeGuarded(s.cur, v, s.minKeep(s.cur), s.minKeep(v),
-				s.cfg.Criterion == EvalOriginal) {
+			// re-validates the walk-safety invariants (the degree floor,
+			// overlay connectivity) against the *current* overlay under the
+			// lock, so a concurrent fleet member acting on the same stale
+			// lists cannot strand a node.
+			if s.ov.RemoveEdgeGuarded(s.cur, v, s.minKeep(s.cur), s.minKeep(v)) {
 				s.stats.Removals++
 			}
 			continue
@@ -305,15 +256,17 @@ func (s *Sampler) Step() graph.NodeID {
 				// replacement redirects to becomes the walk's next demand.
 				s.pf.Prefetch(vn...)
 			}
-			if s.pivotAvailable(v) && s.rng.Bernoulli(s.cfg.ReplaceProb) {
+			// The used-pivot set is only pre-checked here; the authoritative
+			// claim happens atomically inside ReplaceEdgeGuarded.
+			if !s.ov.PivotUsed(v) && s.rng.Bernoulli(replaceProb) {
 				if w, ok := s.pickReplacement(nbrs, v, vn); ok &&
-					s.ov.ReplaceEdgeGuarded(s.cur, v, w, s.cfg.PivotOnce) {
+					s.ov.ReplaceEdgeGuarded(s.cur, v, w) {
 					s.stats.Replacements++
 					cand = w // Algorithm 1's "v ← v′"
 				}
 			}
 		}
-		if s.rng.Bernoulli(s.cfg.LazyProb) {
+		if s.rng.Bernoulli(moveProb) {
 			s.cur = cand
 			return s.cur
 		}
@@ -325,14 +278,12 @@ func (s *Sampler) Step() graph.NodeID {
 }
 
 // removableEdge applies the removal criterion to the edge (u, v), where
-// uOv and vOv are the endpoints' current overlay neighbor lists. Guards
-// (both overlay degrees >= 2; under EvalOriginal additionally >= 1 common
-// overlay neighbor) ensure a removal never strands a node or disconnects
-// the overlay.
+// uOv and vOv are the endpoints' current overlay neighbor lists. The
+// criterion reads the neighborhoods the queries returned; the guards read
+// the overlay: both endpoints stay above the degree floor and share at least
+// one common overlay neighbor, so a removal never strands a node or
+// disconnects the overlay.
 func (s *Sampler) removableEdge(u, v graph.NodeID, uOv, vOv []graph.NodeID) bool {
-	if len(uOv) <= 1 || len(vOv) <= 1 {
-		return false
-	}
 	// Theorems 3/5 certify edges of the *original* graph. Overlay additions
 	// came from Theorem 4 replacements precisely because they are likely
 	// cross-cutting; removing them again would silently undo the rewiring
@@ -340,37 +291,18 @@ func (s *Sampler) removableEdge(u, v graph.NodeID, uOv, vOv []graph.NodeID) bool
 	if s.ov.IsAdded(u, v) {
 		return false
 	}
-	// Each endpoint's base list is read at most once per examined edge: the
-	// degree floor and the EvalOriginal criterion share it. Both reads are
-	// cache hits, since the walk already paid for u and v.
-	var ub, vb []graph.NodeID
-	if s.cfg.DegreeFloor > 0 {
-		ub = s.ov.base.Neighbors(u)
-		if len(uOv) <= s.floorFor(len(ub)) {
-			return false
-		}
-		vb = s.ov.base.Neighbors(v)
-		if len(vOv) <= s.floorFor(len(vb)) {
-			return false
-		}
-	}
-	if s.cfg.Criterion == EvalOverlay {
-		if !degreesCanFire(len(uOv), len(vOv)) {
-			return false
-		}
-		s.scratch = graph.IntersectSortedInto(s.scratch, uOv, vOv)
-		return Removable(s.scratch, len(uOv), len(vOv), s.cache)
-	}
-	// EvalOriginal: static criterion on the neighborhoods the queries
-	// returned; connectivity guard on the overlay.
-	if !graph.IntersectsSorted(uOv, vOv) {
+	// Each endpoint's base list is read once per examined edge: the degree
+	// floor and the criterion share it. Both reads are cache hits, since the
+	// walk already paid for u and v.
+	ub := s.ov.base.Neighbors(u)
+	if len(uOv) <= floorFor(len(ub)) {
 		return false
 	}
-	if s.cfg.DegreeFloor <= 0 {
-		ub = s.ov.base.Neighbors(u)
-		vb = s.ov.base.Neighbors(v)
+	vb := s.ov.base.Neighbors(v)
+	if len(vOv) <= floorFor(len(vb)) {
+		return false
 	}
-	if !degreesCanFire(len(ub), len(vb)) {
+	if !graph.IntersectsSorted(uOv, vOv) || !degreesCanFire(len(ub), len(vb)) {
 		return false
 	}
 	k := graph.KeyOf(u, v)
@@ -387,31 +319,17 @@ func (s *Sampler) removableEdge(u, v graph.NodeID, uOv, vOv []graph.NodeID) bool
 	return fires
 }
 
-// pivotAvailable reports whether v may still host a replacement. The used
-// set lives on the (possibly shared) overlay, so under PivotOnce the bound
-// is one replacement per pivot for the whole fleet, not per member; this is
-// only a cheap pre-check — the authoritative claim happens atomically
-// inside ReplaceEdgeGuarded.
-func (s *Sampler) pivotAvailable(v graph.NodeID) bool {
-	return !s.cfg.PivotOnce || !s.ov.PivotUsed(v)
-}
-
-// minKeep returns the overlay degree a node must retain after a removal:
-// the configured degree floor when one is set, else Algorithm 1's bare
-// |N(u)| >= 1.
+// minKeep returns the overlay degree u must retain after a removal. Base
+// neighborhoods are cached for every node the walk touches, so this never
+// issues a query.
 func (s *Sampler) minKeep(u graph.NodeID) int {
-	if s.cfg.DegreeFloor > 0 {
-		// Base neighborhoods are cached for every node the walk touches, so
-		// this never issues a query.
-		return s.floorFor(len(s.ov.base.Neighbors(u)))
-	}
-	return 1
+	return floorFor(len(s.ov.base.Neighbors(u)))
 }
 
 // floorFor returns the minimum overlay degree a node of base degree k must
-// keep: max(2, ⌈DegreeFloor · k⌉).
-func (s *Sampler) floorFor(k int) int {
-	return max(2, int(s.cfg.DegreeFloor*float64(k)+0.999999))
+// keep: max(2, ⌈degreeFloor · k⌉).
+func floorFor(k int) int {
+	return max(2, int(degreeFloor*float64(k)+0.999999))
 }
 
 // pickReplacement chooses w for the Theorem 4 replacement of (cur, v)
@@ -438,7 +356,7 @@ func (s *Sampler) StationaryWeight(v graph.NodeID) float64 {
 	case WeightExact:
 		return float64(s.classifyIncident(v, -1))
 	case WeightSampled:
-		return float64(s.classifyIncident(v, s.cfg.DegreeSample))
+		return float64(s.classifyIncident(v, degreeSample))
 	default:
 		return float64(s.ov.Degree(v))
 	}
@@ -473,8 +391,7 @@ func (s *Sampler) classifyIncident(v graph.NodeID, sample int) int {
 		wn := s.ov.Neighbors(w)
 		s.stats.Examined++
 		if s.removableEdge(v, w, nbrs, wn) &&
-			s.ov.RemoveEdgeGuarded(v, w, s.minKeep(v), s.minKeep(w),
-				s.cfg.Criterion == EvalOriginal) {
+			s.ov.RemoveEdgeGuarded(v, w, s.minKeep(v), s.minKeep(w)) {
 			removed++
 			s.stats.Removals++
 		}

@@ -212,11 +212,6 @@ func (c *Client) fetchOne(ctx context.Context, v graph.NodeID) ([]graph.NodeID, 
 	return lists[0], nil
 }
 
-// Reshard rebuilds the local store with a new shard count. It is NOT safe to
-// call concurrently with queries — it exists so a Session can apply
-// WithStoreShards before its first run.
-func (c *Client) Reshard(n int) { c.state.Reshard(n) }
-
 // StoreShards returns the local store's shard count.
 func (c *Client) StoreShards() int { return c.state.Shards() }
 

@@ -9,6 +9,9 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -575,6 +578,84 @@ func TestDrainSaveLoadResume(t *testing.T) {
 			t.Fatalf("sample %d after restart: %+v, uninterrupted %+v", i, got[i], want[i])
 		}
 	}
+}
+
+// TestLoadStateSettlesJobs: a restored job is either resumable (paused with
+// its checkpoint) or terminal. A record left "running" comes back cancelled,
+// as SaveState writes it, so no follower waits on a job no runner can move;
+// a record in a state this server does not know is refused by file name; and
+// ids sort numerically even at the ends of the int range.
+func TestLoadStateSettlesJobs(t *testing.T) {
+	spec := JobSpec{Backend: "mem:social?nodes=100&edges=400&seed=1", Samples: 10}
+	writeJobs := func(t *testing.T, jobs ...jobRecord) string {
+		t.Helper()
+		dir := t.TempDir()
+		for _, jr := range jobs {
+			if err := writeFileAtomic(filepath.Join(dir, "job-"+jr.ID+".json"), jr); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return dir
+	}
+
+	s, ts := newTestServer(t, Options{})
+	dir := writeJobs(t,
+		jobRecord{ID: "j9223372036854775807", Spec: spec, State: StateDone},
+		jobRecord{ID: "j-2", Spec: spec, State: StateRunning})
+	if err := s.LoadState(dir); err != nil {
+		t.Fatal(err)
+	}
+	if st := jobStatus(t, ts.URL, "j-2"); st.State != StateCancelled {
+		t.Fatalf("restored running job is %q, want cancelled", st.State)
+	}
+	if _, end := readStream(t, ts.URL, "j-2", 0, nil); end.State != StateCancelled {
+		t.Fatalf("restored running job's stream ended %q, want cancelled", end.State)
+	}
+	if want := []string{"j-2", "j9223372036854775807"}; !slices.Equal(s.order, want) {
+		t.Fatalf("restored order %v, want %v", s.order, want)
+	}
+
+	bogus := writeJobs(t, jobRecord{ID: "j1", Spec: spec, State: "bogus"})
+	s2 := New(context.Background(), Options{})
+	defer s2.Close()
+	if err := s2.LoadState(bogus); err == nil || !strings.Contains(err.Error(), "job-j1.json") {
+		t.Fatalf("LoadState of an unknown state: err = %v, want one naming job-j1.json", err)
+	}
+}
+
+// FuzzLoadState writes arbitrary bytes as a job record and loads it: never a
+// panic, and every job LoadState restores is either paused with a checkpoint
+// or terminal — the only states something can move forward or replay.
+func FuzzLoadState(f *testing.F) {
+	for _, seed := range []string{
+		`{"id":"j1","spec":{"backend":"mem:social?nodes=100&edges=400&seed=1"},"state":"done","samples":[{"Walker":0,"Node":3,"Weight":2}]}`,
+		`{"id":"j1","state":"running"}`,
+		`{"id":"j1","state":"paused","checkpoint":{"rewire_checkpoint":1}}`,
+		`{"id":"j1","state":"paused"}`,
+		`{"id":"j1","state":"bogus"}`,
+		`{"id":"j1","state":"failed","error":"boom"}`,
+		`null`,
+		`{`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "job-j1.json"), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s := New(context.Background(), Options{})
+		defer s.Close()
+		if err := s.LoadState(dir); err != nil {
+			return
+		}
+		for _, id := range s.order {
+			j := s.jobs[id]
+			if !terminal(j.state) && (j.state != StatePaused || len(j.checkpoint) == 0) {
+				t.Fatalf("restored job %s is %q (checkpoint %d bytes)", id, j.state, len(j.checkpoint))
+			}
+		}
+	})
 }
 
 // TestCancelRunningJob: DELETE aborts a live run and the stream reports why.

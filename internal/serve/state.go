@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -144,9 +145,14 @@ func (s *Server) LoadState(dir string) error {
 		if jr.ID == "" || jr.State == "" {
 			return fmt.Errorf("serve: %s: record missing id or state", name)
 		}
-		if jr.State == StatePaused && len(jr.Checkpoint) == 0 {
-			// Unresumable without its checkpoint; keep the history honest.
+		switch {
+		case jr.State == StateRunning, jr.State == StatePaused && len(jr.Checkpoint) == 0:
+			// No runner survives a restart, and a paused job is unresumable
+			// without its checkpoint: demote both, as SaveState does a
+			// running job, so nothing waits on a job that cannot move.
 			jr.State = StateCancelled
+		case jr.State != StatePaused && !terminal(jr.State):
+			return fmt.Errorf("serve: %s: unknown job state %q", name, jr.State)
 		}
 		j := &job{
 			id:         jr.ID,
@@ -163,7 +169,7 @@ func (s *Server) LoadState(dir string) error {
 		}
 		jobs = append(jobs, j)
 	}
-	slices.SortFunc(jobs, func(a, b *job) int { return jobIDNum(a.id) - jobIDNum(b.id) })
+	slices.SortFunc(jobs, func(a, b *job) int { return cmp.Compare(jobIDNum(a.id), jobIDNum(b.id)) })
 
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -241,26 +241,3 @@ func (s LockedShard[K, V]) Put(k K, v V) { s.m[k] = v }
 
 // Delete removes k from the locked shard (write-locked callbacks only).
 func (s LockedShard[K, V]) Delete(k K) { delete(s.m, k) }
-
-// Reshard rebuilds the map with a new shard count (rounded up to a power of
-// two), carrying every entry over. It is NOT safe to call concurrently with
-// other operations — it exists so a session can apply WithStoreShards to an
-// idle, typically still-empty store before its first run.
-func (m *Map[K, V]) Reshard(n int) {
-	n = ceilPow2(n)
-	if n == len(m.shards) {
-		return
-	}
-	shards := make([]shard[K, V], n)
-	for i := range shards {
-		shards[i].m = make(map[K]V)
-	}
-	mask := uint64(n - 1)
-	for i := range m.shards {
-		for k, v := range m.shards[i].m {
-			shards[mix(uint64(k))&mask].m[k] = v
-		}
-	}
-	m.shards = shards
-	m.mask = mask
-}

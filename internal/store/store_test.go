@@ -128,30 +128,6 @@ func TestMapRLocked(t *testing.T) {
 	}
 }
 
-func TestMapReshard(t *testing.T) {
-	m := NewMap[uint64, int](1)
-	for i := uint64(0); i < 500; i++ {
-		m.Put(i, int(i))
-	}
-	m.Reshard(32)
-	if m.Shards() != 32 {
-		t.Fatalf("Shards after Reshard = %d", m.Shards())
-	}
-	if m.Len() != 500 {
-		t.Fatalf("Len after Reshard = %d", m.Len())
-	}
-	for i := uint64(0); i < 500; i++ {
-		if v, ok := m.Get(i); !ok || v != int(i) {
-			t.Fatalf("entry %d lost in Reshard: %d, %v", i, v, ok)
-		}
-	}
-	// Resharding to the same count is a no-op.
-	m.Reshard(32)
-	if m.Len() != 500 {
-		t.Fatal("same-count Reshard lost entries")
-	}
-}
-
 func TestMapConcurrentMixed(t *testing.T) {
 	m := NewMap[int32, int64](0) // default shards
 	var wg sync.WaitGroup

@@ -80,9 +80,6 @@ type Bound struct {
 	src    ContextSource
 	pf     PrefetchSource
 	cached CachedSource
-	nc     interface {
-		Cached(v graph.NodeID) bool
-	}
 
 	ctx atomic.Pointer[boundContext]
 	err atomic.Pointer[boundError]
@@ -103,9 +100,6 @@ func NewBound(src Source) *Bound {
 	b.ctx.Store(&boundContext{context.Background()})
 	b.pf, _ = src.(PrefetchSource)
 	b.cached, _ = src.(CachedSource)
-	b.nc, _ = src.(interface {
-		Cached(v graph.NodeID) bool
-	})
 	return b
 }
 
@@ -178,15 +172,6 @@ func (b *Bound) Known(v graph.NodeID) bool {
 		return false
 	}
 	return b.pf.Known(v)
-}
-
-// Cached reports whether v is demand-cached on the inner source (false when
-// it has no cache).
-func (b *Bound) Cached(v graph.NodeID) bool {
-	if b.nc == nil {
-		return false
-	}
-	return b.nc.Cached(v)
 }
 
 // CachedNeighbors forwards the inner source's free topology reads (miss when

@@ -105,7 +105,6 @@ type config struct {
 	pJump       float64
 	partitioned bool
 	prefetch    *PrefetchOptions
-	shards      int    // 0 = store default
 	src         Source // WithSource; the backend for Resume (and an alternative spelling for NewSession)
 	err         error  // first option-validation failure, surfaced by NewSession
 }
@@ -113,13 +112,12 @@ type config struct {
 // Option configures a Session at construction.
 type Option func(*config)
 
-// Upper bounds on what a session allocates up front: store shards, prefetch
-// goroutines, the hint queue, and the frontier ranking. No useful session
-// comes near them; they exist so that Resume, which routes a checkpoint's
-// fields through the same validators, cannot be talked into allocating
-// without limit.
+// Upper bounds on what a session allocates up front: prefetch goroutines,
+// the hint queue, and the frontier ranking. No useful session comes near
+// them; they exist so that Resume, which routes a checkpoint's fields
+// through the same validators, cannot be talked into allocating without
+// limit.
 const (
-	maxStoreShards     = 1 << 16
 	maxPrefetchWorkers = 4096
 	maxPrefetchQueue   = 1 << 20
 	maxPrefetchTopK    = 4096
@@ -240,31 +238,6 @@ func WithJumpProbability(p float64) Option {
 // drain the budget.
 func WithPartitionedBudget(on bool) Option {
 	return func(c *config) { c.partitioned = on }
-}
-
-// WithStoreShards sets the shard count of the session's storage engine —
-// the sharded maps behind the provider's query cache and the MTO overlay's
-// edit sets and materialized lists (internal/store). n must lie in
-// [1, 65536] and is rounded up to a power of two. The default adapts to the
-// machine: the next power of two >= 4x GOMAXPROCS, clamped to [8, 256], so
-// small runners stop paying for shards they cannot contend on and many-core
-// boxes get headroom without tuning. Set it explicitly for very large
-// fleets beyond the clamp, or 1 to force the legacy single-lock layout the
-// contention benchmarks compare against.
-// Sharding is invisible to results: trajectories and query bills for a fixed
-// seed are identical at any shard count.
-//
-// Applying the option re-buckets the backing Provider's store at NewSession
-// time, so construct the session before sharing that Provider with anything
-// that queries it concurrently.
-func WithStoreShards(n int) Option {
-	return func(c *config) {
-		if n < 1 || n > maxStoreShards {
-			c.fail(fmt.Errorf("rewire: store shards %d outside [1, %d]", n, maxStoreShards))
-			return
-		}
-		c.shards = n
-	}
 }
 
 // WithSource supplies the network backend as an option. It exists for

@@ -126,18 +126,13 @@ func newSession(src Source, cfg config) (*Session, error) {
 	var inner walk.Source = src
 	if s.provider != nil {
 		inner = s.provider.client
-		if cfg.shards > 0 {
-			// The client is still idle (sessions are constructed before any
-			// run), so re-bucketing its store is cheap and race-free.
-			s.provider.client.Reshard(cfg.shards)
-		}
 	}
 	s.bound = walk.NewBound(inner)
 
 	members := make([]walk.Walker, k)
 	switch cfg.alg {
 	case AlgMTO:
-		s.overlay = core.NewOverlayShards(s.bound, cfg.shards)
+		s.overlay = core.NewOverlay(s.bound)
 		for i, start := range starts {
 			members[i] = core.NewSamplerOn(s.overlay, start, cfg.core, r.Split())
 		}

@@ -3,9 +3,11 @@ package rewire_test
 import (
 	"context"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"rewire"
+	"rewire/internal/store"
 )
 
 // TestNeighborAliasingProviderCopies proves the satellite contract: slices a
@@ -85,9 +87,11 @@ func TestNeighborAliasingGraphViewAppendSafe(t *testing.T) {
 	}
 }
 
-// TestStoreShardsInvariance is the refactor's correctness bar: for a fixed
-// seed, trajectories and query bills are byte-identical at any shard count —
-// sharding is a contention optimization, never a behavior change.
+// TestStoreShardsInvariance is the storage engine's correctness bar: for a
+// fixed seed, trajectories and query bills are byte-identical at any shard
+// count — sharding is a contention optimization, never a behavior change.
+// Shard counts follow GOMAXPROCS (store.DefaultShards), so the test varies
+// it the way machines do: 1, 4 and 64 give 8, 16 and 256 shards.
 func TestStoreShardsInvariance(t *testing.T) {
 	ctx := context.Background()
 	// Two deterministic workload shapes: a partitioned SRW fleet (each
@@ -97,7 +101,7 @@ func TestStoreShardsInvariance(t *testing.T) {
 	// fleets are excluded on purpose: their guarded rewiring ops resolve
 	// races by arrival order, which no storage layout can make
 	// schedule-free.
-	run := func(shards int, mto bool) ([]rewire.Sample, int64) {
+	run := func(mto bool) ([]rewire.Sample, int64) {
 		g, err := rewire.SocialGraph(600, 2400, 11)
 		if err != nil {
 			t.Fatal(err)
@@ -112,9 +116,6 @@ func TestStoreShardsInvariance(t *testing.T) {
 				rewire.WithFleet(4),
 				rewire.WithPartitionedBudget(true),
 			)
-		}
-		if shards > 0 {
-			opts = append(opts, rewire.WithStoreShards(shards))
 		}
 		s, err := rewire.NewSession(p, opts...)
 		if err != nil {
@@ -143,32 +144,26 @@ func TestStoreShardsInvariance(t *testing.T) {
 		return canon, p.UniqueQueries()
 	}
 
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, mto := range []bool{false, true} {
-		refSamples, refQueries := run(1, mto) // legacy single-lock layout
-		// 0 exercises the adaptive GOMAXPROCS-sized default shard count,
-		// which must be as invisible to results as any explicit count.
-		for _, shards := range []int{0, 2, 64, 256} {
-			samples, queries := run(shards, mto)
+		var refSamples []rewire.Sample
+		var refQueries int64
+		for _, pc := range []struct{ procs, shards int }{{1, 8}, {4, 16}, {64, 256}} {
+			runtime.GOMAXPROCS(pc.procs)
+			if got := store.DefaultShards(); got != pc.shards {
+				t.Fatalf("GOMAXPROCS %d: DefaultShards = %d, want %d", pc.procs, got, pc.shards)
+			}
+			samples, queries := run(mto)
+			if refSamples == nil {
+				refSamples, refQueries = samples, queries
+				continue
+			}
 			if queries != refQueries {
-				t.Fatalf("mto=%v shards=%d: UniqueQueries = %d, want %d", mto, shards, queries, refQueries)
+				t.Fatalf("mto=%v shards=%d: UniqueQueries = %d, want %d", mto, pc.shards, queries, refQueries)
 			}
 			if !reflect.DeepEqual(samples, refSamples) {
-				t.Fatalf("mto=%v shards=%d: trajectories diverged from single-lock run", mto, shards)
+				t.Fatalf("mto=%v shards=%d: trajectories diverged from the 8-shard run", mto, pc.shards)
 			}
 		}
-	}
-}
-
-// TestWithStoreShardsValidation pins option validation.
-func TestWithStoreShardsValidation(t *testing.T) {
-	g, err := rewire.NewGraph(3, [][2]rewire.NodeID{{0, 1}, {1, 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := rewire.NewSession(rewire.GraphSource(g), rewire.WithStoreShards(0)); err == nil {
-		t.Fatal("WithStoreShards(0) accepted")
-	}
-	if _, err := rewire.NewSession(rewire.GraphSource(g), rewire.WithStoreShards(8)); err != nil {
-		t.Fatal(err)
 	}
 }
