@@ -20,13 +20,13 @@
 // applies them offline to a known graph for the paper's Fig 10 style
 // spectral measurements. Config holds only what callers vary: which
 // operations run, the Theorem 5 extension, the weight mode and prefetch
-// hints. Algorithm 1's own settings are constants: the criterion base
-// (original lists), the 1/2 move and replace coins, one replacement per
-// pivot, the inner re-pick cap, the degree floor and WeightSampled's sample
-// size.
+// hints. Algorithm 1's own settings are fixed: the sampler tests the criterion
+// on original lists, and constants set the 1/2 move and replace coins, one
+// replacement per pivot, the inner re-pick cap, the degree floor and
+// WeightSampled's sample size.
 //
-// Two bounds let the criterion reject most edges without finishing its work,
-// and both are exact (they never change a verdict). Doubled, the left side of
+// Three shortcuts let the criterion skip most of its work, and all are exact
+// (they never change a verdict). Two are bounds. Doubled, the left side of
 // Theorem 3 is 2⌈c/2⌉+2 and that of Theorem 5 is 2⌈r/2⌉+2+Σ(4-kw), where c
 // common neighbors split into r plain ones and c-r cached at degree 2 or 3:
 //
@@ -39,7 +39,20 @@
 //     scanned prefix never decreases and ends at the full value, and each
 //     unscanned neighbor adds at most 2 more. So the scan stops with true as
 //     soon as the prefix exceeds max(ku,kv), and with false as soon as the
-//     prefix plus 2 per unscanned neighbor cannot.
+//     prefix plus 2 per unscanned neighbor cannot. Theorem 3 alone counts
+//     the common neighbors the same way, 1 per neighbor, while merging the
+//     two lists, without building their intersection.
+//
+// The third is a version. The client counts the demand-cached users of
+// degree 2 or 3 (osn.Client.LowDegreeCount), the only ones Theorem 5 can
+// credit. Original lists never change and cached entries are never evicted,
+// so the count only grows, and while it is unchanged so is every Theorem 5
+// verdict:
+//
+//   - At count 0, Theorem 5 is Theorem 3, so the sampler runs the early-exit
+//     Theorem 3 merge and reads no cached degree at all.
+//   - The sampler memoizes each negative verdict with the count it was
+//     judged at, and reuses it only at that same count.
 package core
 
 import "rewire/internal/graph"
@@ -53,13 +66,44 @@ import "rewire/internal/graph"
 // no floating-point edge case. The caller must pass degrees and common
 // counts measured on the *current overlay* — evaluating against the original
 // graph while the overlay has diverged voids the theorem's guarantee.
-func RemovableTheorem3(common, ku, kv int) bool {
-	maxDeg := ku
-	if kv > maxDeg {
-		maxDeg = kv
-	}
+func RemovableTheorem3(common, ku, kv int) bool { return theorem3(common, max(ku, kv)) }
+
+// theorem3 is Theorem 3 against the larger endpoint degree maxDeg.
+func theorem3(common, maxDeg int) bool {
 	// 2*(⌈n/2⌉ + 1) > maxDeg  with ⌈n/2⌉ = (n+1)/2 in integer division.
 	return 2*((common+1)/2+1) > maxDeg
+}
+
+// removableTheorem3Sorted is Theorem 3 on the common neighbors of two
+// ascending neighbor lists, counted only as far as the verdict needs: the
+// count never decreases and each unmerged element of the shorter remainder
+// adds at most one, so the merge stops with true once the count so far
+// passes, and with false once the count plus that remainder cannot. It
+// materializes no intersection.
+func removableTheorem3Sorted(a, b []graph.NodeID, maxDeg int) bool {
+	if theorem3(0, maxDeg) {
+		return true
+	}
+	n, i, j := 0, 0, 0
+	for i < len(a) && j < len(b) {
+		if !theorem3(n+min(len(a)-i, len(b)-j), maxDeg) {
+			return false
+		}
+		switch {
+		case a[i] < b[j]:
+			i++
+		case a[i] > b[j]:
+			j++
+		default:
+			n++
+			if theorem3(n, maxDeg) {
+				return true
+			}
+			i++
+			j++
+		}
+	}
+	return false
 }
 
 // DegreeCache supplies degree knowledge already present in the sampler's

@@ -26,13 +26,6 @@ const (
 // Algorithm 1's fixed settings. No caller varies them, so they are constants
 // rather than Config fields; a probe of other values edits them here.
 const (
-	// criterionBase is EvalOriginal because it reproduces the paper's
-	// magnitudes: on the barbell running example it reaches Φ* ≈ 0.05–0.07
-	// (the paper reports 0.053), where testing current overlay
-	// neighborhoods stalls at ≈ 0.022. It is also what keeps negative
-	// verdicts cacheable: the original lists never change, so neither does
-	// a verdict on them.
-	criterionBase = EvalOriginal
 	// moveProb is Algorithm 1's "rand(0,1) < 1/2" move probability per inner
 	// iteration; the complement re-picks a neighbor (possibly after more
 	// topology edits).
@@ -74,8 +67,8 @@ type Config struct {
 	// EnableReplacement switches Theorem 4 degree-3 replacement.
 	EnableReplacement bool
 	// UseExtended applies Theorem 5 using free cached degree knowledge when
-	// the source exposes it (osn.Client does); otherwise the test silently
-	// degenerates to Theorem 3.
+	// the source exposes it as a walk.CachedSource (osn.Client and walk.Bound
+	// do); otherwise the test silently degenerates to Theorem 3.
 	UseExtended bool
 	// Weights selects the importance-weight computation.
 	Weights WeightMode
@@ -123,6 +116,9 @@ type Stats struct {
 	Examined     int64 // edges examined against the removal criterion
 	Removals     int64 // overlay edge removals
 	Replacements int64 // overlay edge replacements
+	// T5Only counts the removals Theorem 3 alone would not have licensed:
+	// the ones only the Theorem 5 extension's cached degrees made possible.
+	T5Only int64
 }
 
 // Sampler is the MTO-Sampler of Algorithm 1: a simple random walk over the
@@ -131,24 +127,32 @@ type Stats struct {
 // walk.Weighter, so it plugs into the same estimation pipeline as the
 // baselines.
 type Sampler struct {
-	cfg   Config
-	ov    *Overlay
-	cache DegreeCache // nil unless the source can answer degree questions for free
+	cfg Config
+	ov  *Overlay
+	// cache answers degree questions for free, and its LowDegreeCount
+	// versions what Theorem 5 can learn from it; nil without UseExtended or a
+	// caching source, which the criterion treats as a count of 0.
+	cache walk.CachedSource
 	// pf carries prefetch hints to the base client when Config.Prefetch is
 	// set and the base supports them; nil otherwise.
 	pf    walk.PrefetchSource
 	cur   graph.NodeID
 	rng   *rng.Rand
 	stats Stats
-	// verdicts caches negative Theorem 3 outcomes, which stay valid because
-	// the criterion reads original lists (positive outcomes remove the edge,
-	// so they never need caching). Unused when Theorem 5 can apply: its
-	// verdict improves as the degree cache grows.
-	verdicts map[graph.EdgeKey]struct{}
+	// verdicts memoizes negative criterion outcomes by edge, each with the
+	// cache's LowDegreeCount when it was judged (positive outcomes remove the
+	// edge, so they never need memoizing). The criterion reads original
+	// lists, which never change, and Theorem 5 reads cached degrees 2 and 3,
+	// whose set is unchanged while the count is: a verdict stored at the
+	// current count is the verdict a re-evaluation would reach.
+	verdicts map[graph.EdgeKey]int64
 	// scratch is the reusable common-neighbor buffer behind removableEdge:
 	// the criterion only reads the intersection, so one buffer per sampler
 	// keeps the steady-state step allocation-free.
 	scratch []graph.NodeID
+	// idx is classifyIncident's reusable index permutation, kept for the
+	// same reason.
+	idx []int
 }
 
 // NewSampler starts an MTO walk at start over src, with a private overlay.
@@ -163,7 +167,7 @@ func NewSampler(src walk.Source, start graph.NodeID, cfg Config, r *rng.Rand) *S
 // sampler on its own goroutine and share only the overlay and its source.
 func NewSamplerOn(ov *Overlay, start graph.NodeID, cfg Config, r *rng.Rand) *Sampler {
 	src := ov.Base()
-	s := &Sampler{cfg: cfg, ov: ov, cur: start, rng: r}
+	s := &Sampler{cfg: cfg, ov: ov, cur: start, rng: r, verdicts: make(map[graph.EdgeKey]int64)}
 	if cfg.Prefetch {
 		if _, ok := src.(walk.PrefetchSource); ok {
 			s.pf = ov
@@ -172,10 +176,7 @@ func NewSamplerOn(ov *Overlay, start graph.NodeID, cfg Config, r *rng.Rand) *Sam
 	if cfg.UseExtended {
 		// The criterion reads original lists, so Theorem 5 wants original
 		// cached degrees; the OSN client provides them directly.
-		s.cache, _ = src.(DegreeCache)
-	}
-	if criterionBase == EvalOriginal && s.cache == nil {
-		s.verdicts = make(map[graph.EdgeKey]struct{})
+		s.cache, _ = src.(walk.CachedSource)
 	}
 	return s
 }
@@ -237,17 +238,10 @@ func (s *Sampler) Step() graph.NodeID {
 		v := rng.Choice(s.rng, nbrs)
 		vn := s.ov.Neighbors(v) // the individual-user query for v
 		s.stats.Examined++
-		if s.cfg.EnableRemoval && s.removableEdge(s.cur, v, nbrs, vn) {
-			// Theorem 3/5: (cur, v) is provably non-cross-cutting. The
-			// criterion was judged on snapshots; the guarded commit
-			// re-validates the walk-safety invariants (the degree floor,
-			// overlay connectivity) against the *current* overlay under the
-			// lock, so a concurrent fleet member acting on the same stale
-			// lists cannot strand a node.
-			if s.ov.RemoveEdgeGuarded(s.cur, v, s.minKeep(s.cur), s.minKeep(v)) {
-				s.stats.Removals++
+		if s.cfg.EnableRemoval {
+			if fired, _ := s.tryRemove(s.cur, v, nbrs, vn); fired {
+				continue // Theorem 3/5: (cur, v) is provably non-cross-cutting
 			}
-			continue
 		}
 		cand := v
 		if s.cfg.EnableReplacement && ReplaceablePivot(len(vn)) {
@@ -277,46 +271,83 @@ func (s *Sampler) Step() graph.NodeID {
 	return s.cur
 }
 
+// tryRemove judges the edge (u, v) with removableEdge and, when it fires,
+// commits the removal. It reports whether the criterion fired and whether
+// the commit held; Step re-picks on either outcome. The criterion was judged on
+// snapshots; the guarded commit re-validates the walk-safety invariants (the
+// degree floor, overlay connectivity) against the *current* overlay under the
+// lock, so a concurrent fleet member acting on the same stale lists cannot
+// strand a node.
+func (s *Sampler) tryRemove(u, v graph.NodeID, uOv, vOv []graph.NodeID) (fires, removed bool) {
+	fires, t5Only := s.removableEdge(u, v, uOv, vOv)
+	if !fires || !s.ov.RemoveEdgeGuarded(u, v, s.minKeep(u), s.minKeep(v)) {
+		return fires, false
+	}
+	s.stats.Removals++
+	if t5Only {
+		s.stats.T5Only++
+	}
+	return true, true
+}
+
 // removableEdge applies the removal criterion to the edge (u, v), where
-// uOv and vOv are the endpoints' current overlay neighbor lists. The
-// criterion reads the neighborhoods the queries returned; the guards read
-// the overlay: both endpoints stay above the degree floor and share at least
-// one common overlay neighbor, so a removal never strands a node or
-// disconnects the overlay.
-func (s *Sampler) removableEdge(u, v graph.NodeID, uOv, vOv []graph.NodeID) bool {
+// uOv and vOv are the endpoints' current overlay neighbor lists, and reports
+// whether it fires and whether only Theorem 5 licensed it. The criterion
+// reads the neighborhoods the queries returned; the guards read the overlay:
+// both endpoints stay above the degree floor and share at least one common
+// overlay neighbor, so a removal never strands a node or disconnects the
+// overlay.
+func (s *Sampler) removableEdge(u, v graph.NodeID, uOv, vOv []graph.NodeID) (fires, t5Only bool) {
 	// Theorems 3/5 certify edges of the *original* graph. Overlay additions
 	// came from Theorem 4 replacements precisely because they are likely
 	// cross-cutting; removing them again would silently undo the rewiring
 	// (and, iterated with replacement, grind the overlay down to a tree).
 	if s.ov.IsAdded(u, v) {
-		return false
+		return false, false
 	}
-	// Each endpoint's base list is read once per examined edge: the degree
-	// floor and the criterion share it. Both reads are cache hits, since the
-	// walk already paid for u and v.
+	// The criterion reads the original (base) lists, as BuildOverlay's
+	// EvalOriginal does: that reproduces the paper's magnitudes (on the
+	// barbell running example Φ* ≈ 0.05–0.07, the paper reports 0.053, where
+	// testing current overlay neighborhoods stalls at ≈ 0.022), and lists
+	// that never change are what keep negative verdicts memoizable. Each
+	// endpoint's base list is read once per examined edge: the degree floor
+	// and the criterion share it. Both reads are cache hits, since the walk
+	// already paid for u and v.
 	ub := s.ov.base.Neighbors(u)
 	if len(uOv) <= floorFor(len(ub)) {
-		return false
+		return false, false
 	}
 	vb := s.ov.base.Neighbors(v)
 	if len(vOv) <= floorFor(len(vb)) {
-		return false
+		return false, false
 	}
 	if !graph.IntersectsSorted(uOv, vOv) || !degreesCanFire(len(ub), len(vb)) {
-		return false
+		return false, false
+	}
+	// The count is read once, after the endpoint lists and before any
+	// degree read, so the verdict below is at least as informed as count
+	// low: every one of those cached degree-2/3 users is visible.
+	var low int64
+	if s.cache != nil {
+		low = s.cache.LowDegreeCount()
 	}
 	k := graph.KeyOf(u, v)
-	if s.verdicts != nil {
-		if _, known := s.verdicts[k]; known {
-			return false // cached negative
-		}
+	if at, known := s.verdicts[k]; known && at == low {
+		return false, false // judged negative against the same knowledge
 	}
-	s.scratch = graph.IntersectSortedInto(s.scratch, ub, vb)
-	fires := Removable(s.scratch, len(ub), len(vb), s.cache)
-	if !fires && s.verdicts != nil {
-		s.verdicts[k] = struct{}{}
+	maxDeg := max(len(ub), len(vb))
+	if low == 0 {
+		// No cached user has degree 2 or 3, so Theorem 5 is Theorem 3.
+		fires = removableTheorem3Sorted(ub, vb, maxDeg)
+	} else {
+		s.scratch = graph.IntersectSortedInto(s.scratch, ub, vb)
+		fires = Removable(s.scratch, len(ub), len(vb), s.cache)
+		t5Only = fires && !theorem3(len(s.scratch), maxDeg)
 	}
-	return fires
+	if !fires {
+		s.verdicts[k] = low
+	}
+	return fires, t5Only
 }
 
 // minKeep returns the overlay degree u must retain after a removal. Base
@@ -373,7 +404,10 @@ func (s *Sampler) classifyIncident(v graph.NodeID, sample int) int {
 	if deg <= 1 || !s.cfg.EnableRemoval {
 		return deg
 	}
-	idx := make([]int, deg)
+	if cap(s.idx) < deg {
+		s.idx = make([]int, deg)
+	}
+	idx := s.idx[:deg]
 	for i := range idx {
 		idx[i] = i
 	}
@@ -390,10 +424,8 @@ func (s *Sampler) classifyIncident(v graph.NodeID, sample int) int {
 		w := nbrs[i]
 		wn := s.ov.Neighbors(w)
 		s.stats.Examined++
-		if s.removableEdge(v, w, nbrs, wn) &&
-			s.ov.RemoveEdgeGuarded(v, w, s.minKeep(v), s.minKeep(w)) {
+		if _, ok := s.tryRemove(v, w, nbrs, wn); ok {
 			removed++
-			s.stats.Removals++
 		}
 	}
 	if tested == deg {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"rewire/internal/graph"
 	"rewire/internal/store"
@@ -168,6 +169,12 @@ type Client struct {
 	state *store.Map[graph.NodeID, nodeState]
 	led   ledger
 
+	// lowDeg counts demand-visible cached lists of length 2 or 3, the only
+	// degrees Theorem 5 can use (see LowDegreeCount). Every write site adds
+	// after its Put and under the entry's shard lock, so a reader that loads
+	// c finds at least those c entries.
+	lowDeg atomic.Int64
+
 	// pool is the optional prefetch worker pool; nil means Prefetch is a
 	// no-op. Guarded by poolMu (not the shard locks: enqueueing must not
 	// contend with the cache). retired accumulates counters of stopped pools.
@@ -298,6 +305,7 @@ func (c *Client) NeighborsContext(ctx context.Context, v graph.NodeID) ([]graph.
 				c.led.mu.Unlock()
 				st.speculative = false
 				s.Put(v, st)
+				c.noteVisible(st.nbrs)
 			}
 			nbrs = st.nbrs
 			settled = true
@@ -411,6 +419,9 @@ func (c *Client) commit(v graph.NodeID, f *inflight) {
 		c.led.mu.Unlock()
 		if f.err == nil {
 			s.Put(v, nodeState{nbrs: f.nbrs, cached: true, speculative: f.demand == 0})
+			if f.demand > 0 {
+				c.noteVisible(f.nbrs)
+			}
 		} else {
 			s.Delete(v)
 		}
@@ -529,6 +540,21 @@ func (c *Client) CachedDegree(v graph.NodeID) (int, bool) {
 		return 0, false
 	}
 	return len(st.nbrs), true
+}
+
+// LowDegreeCount returns how many demand-cached users have degree 2 or 3:
+// the common neighbors Theorem 5 can credit. Lists never change and entries
+// are never evicted, so the count only grows, and an unchanged count means
+// an unchanged set of such users. Speculative entries count once a demand
+// query upgrades them.
+func (c *Client) LowDegreeCount() int64 { return c.lowDeg.Load() }
+
+// noteVisible counts a list that just became demand-visible toward
+// LowDegreeCount. Callers hold the list's shard lock and have already Put it.
+func (c *Client) noteVisible(nbrs []graph.NodeID) {
+	if n := len(nbrs); n == 2 || n == 3 {
+		c.lowDeg.Add(1)
+	}
 }
 
 // CachedNeighbors returns v's neighbor list (shared slice, do not modify) if

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"rewire/internal/graph"
+	"rewire/internal/store"
 )
 
 // Journal is the client's durability hook: when installed (SetJournal), every
@@ -49,7 +50,12 @@ func (c *Client) Journaled() bool { return c.journal != nil }
 // cached (the caller replays a journal, in which each id's last fetch record
 // is unique).
 func (c *Client) SeedCached(v graph.NodeID, nbrs []graph.NodeID, billed bool, tenant string) {
-	c.state.Put(v, nodeState{nbrs: nbrs, cached: true, speculative: !billed})
+	c.state.Locked(v, func(s store.LockedShard[graph.NodeID, nodeState]) {
+		s.Put(v, nodeState{nbrs: nbrs, cached: true, speculative: !billed})
+		if billed {
+			c.noteVisible(nbrs)
+		}
+	})
 	c.led.mu.Lock()
 	defer c.led.mu.Unlock()
 	if billed {

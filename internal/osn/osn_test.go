@@ -231,3 +231,75 @@ func TestAttributeDegreeCorrelation(t *testing.T) {
 		t.Logf("hub %d vs leaf mean %v: single draw, not enforced strictly", hub.DescLen, leafMean)
 	}
 }
+
+// TestLowDegreeCount walks users of degree 1–5 through every path that makes
+// a list demand-visible. Only degrees 2 and 3 count, and only once a demand
+// query can see them: a speculative fetch or an unbilled seed counts when a
+// demand query upgrades it.
+func TestLowDegreeCount(t *testing.T) {
+	// User k (1..5) has degree k; 0 and 6..9 only pad the degrees out.
+	g := graph.FromEdges(10, []graph.Edge{
+		{U: 0, V: 1}, {U: 0, V: 2}, {U: 0, V: 3}, {U: 0, V: 4}, {U: 0, V: 5},
+		{U: 2, V: 6}, {U: 3, V: 6}, {U: 3, V: 7}, {U: 4, V: 6}, {U: 4, V: 7}, {U: 4, V: 8},
+		{U: 5, V: 6}, {U: 5, V: 7}, {U: 5, V: 8}, {U: 5, V: 9},
+	})
+	ctx := context.Background()
+	demand := func(t *testing.T, c *Client, v graph.NodeID) {
+		t.Helper()
+		if _, err := c.NeighborsContext(ctx, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	seed := func(billed bool) func(*testing.T, *Client, graph.NodeID) {
+		return func(t *testing.T, c *Client, v graph.NodeID) { c.SeedCached(v, g.Neighbors(v), billed, "") }
+	}
+	for _, tc := range []struct {
+		name string
+		// add caches user v; upgrade, when set, then demands it.
+		add     func(*testing.T, *Client, graph.NodeID)
+		upgrade bool
+	}{
+		{"demanded commit", demand, false},
+		{"speculative commit", func(t *testing.T, c *Client, v graph.NodeID) {
+			if _, fetched, _ := c.fetchSpeculative(ctx, v); !fetched {
+				t.Fatalf("speculative fetch of %d did not fetch", v)
+			}
+		}, true},
+		{"seed billed", seed(true), false},
+		{"seed unbilled", seed(false), true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := NewClient(NewService(g, nil, Config{}))
+			want := int64(0)
+			for v := graph.NodeID(1); v <= 5; v++ {
+				if g.Degree(v) != int(v) {
+					t.Fatalf("user %d has degree %d", v, g.Degree(v))
+				}
+				tc.add(t, c, v)
+				low := v == 2 || v == 3
+				if low && !tc.upgrade {
+					want++
+				}
+				if got := c.LowDegreeCount(); got != want {
+					t.Fatalf("after caching degree %d: LowDegreeCount = %d, want %d", v, got, want)
+				}
+				if tc.upgrade {
+					demand(t, c, v)
+					if low {
+						want++
+					}
+					if got := c.LowDegreeCount(); got != want {
+						t.Fatalf("after upgrading degree %d: LowDegreeCount = %d, want %d", v, got, want)
+					}
+				}
+				demand(t, c, v) // a hit never counts twice
+				if got := c.LowDegreeCount(); got != want {
+					t.Fatalf("after a hit on degree %d: LowDegreeCount = %d, want %d", v, got, want)
+				}
+			}
+			if want != 2 {
+				t.Fatalf("ended at %d, want 2", want)
+			}
+		})
+	}
+}

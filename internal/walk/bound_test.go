@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"rewire/internal/graph"
+	"rewire/internal/osn"
 )
 
 // failingSource answers even ids and fails odd ones, each failure with a
@@ -133,5 +134,22 @@ func TestBoundBindClearsErrorAndSwitchesContext(t *testing.T) {
 	}
 	if b.Neighbors(3) != nil || b.Err() == nil {
 		t.Fatal("a failed read after rebinding did not latch")
+	}
+}
+
+// TestBoundForwardsLowDegreeCount: a Bound reports its inner client's count
+// of demand-cached degree-2/3 users, and 0 over a source without a cache.
+func TestBoundForwardsLowDegreeCount(t *testing.T) {
+	g := graph.FromEdges(4, []graph.Edge{{U: 0, V: 1}, {U: 0, V: 2}, {U: 0, V: 3}, {U: 1, V: 2}})
+	if got := NewBound(g).LowDegreeCount(); got != 0 {
+		t.Errorf("Bound over a graph: LowDegreeCount = %d, want 0", got)
+	}
+	c := osn.NewClient(osn.NewService(g, nil, osn.Config{}))
+	b := NewBound(c)
+	for _, v := range []graph.NodeID{0, 1, 3} { // degrees 3, 2, 1
+		b.Neighbors(v)
+	}
+	if got, want := b.LowDegreeCount(), c.LowDegreeCount(); got != 2 || got != want {
+		t.Errorf("Bound over a client: LowDegreeCount = %d, client says %d, want 2", got, want)
 	}
 }

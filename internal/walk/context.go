@@ -192,6 +192,15 @@ func (b *Bound) CachedDegree(v graph.NodeID) (int, bool) {
 	return b.cached.CachedDegree(v)
 }
 
+// LowDegreeCount forwards the inner source's count of demand-cached users of
+// degree 2 or 3 (0 when it has no cache).
+func (b *Bound) LowDegreeCount() int64 {
+	if b.cached == nil {
+		return 0
+	}
+	return b.cached.LowDegreeCount()
+}
+
 var (
 	_ Source        = (*Bound)(nil)
 	_ ContextSource = (*Bound)(nil)

@@ -29,6 +29,11 @@ type CachedSource interface {
 	CachedNeighbors(v graph.NodeID) ([]graph.NodeID, bool)
 	// CachedDegree returns v's degree if demand-cached, without a query.
 	CachedDegree(v graph.NodeID) (int, bool)
+	// LowDegreeCount returns how many demand-cached users have degree 2 or
+	// 3. It never decreases, and an unchanged count means an unchanged set
+	// of such users — what lets the removal criterion skip and memoize its
+	// Theorem 5 work exactly.
+	LowDegreeCount() int64
 }
 
 // Prefetcher decides which speculative queries to issue as a walk advances.
