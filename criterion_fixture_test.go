@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
-	"flag"
 	"fmt"
 	"hash/fnv"
 	"math"
@@ -21,9 +20,6 @@ import (
 // written before the criterion learned to skip work it can prove redundant,
 // so it holds every such shortcut to byte-identical walks.
 const criterionFixture = "testdata/criterion-fixture.transcript.json"
-
-var writeCriterionFixture = flag.Bool("write-criterion-fixture", false,
-	"regenerate "+criterionFixture+" from the current code")
 
 // criterionRun is one run's transcript: a hash over every sample's node and
 // weight, plus the run's bill, net rewiring and the sampler's counters.
@@ -126,15 +122,6 @@ func criterionRuns(t testing.TB) []criterionRun {
 // Theorem 5: turning the extension off must change its walk.
 func TestCriterionFixtureTranscript(t *testing.T) {
 	got := criterionRuns(t)
-	if *writeCriterionFixture {
-		data, err := json.MarshalIndent(got, "", " ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(criterionFixture, append(data, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
 	raw, err := os.ReadFile(criterionFixture)
 	if err != nil {
 		t.Fatal(err)

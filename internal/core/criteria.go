@@ -39,9 +39,7 @@
 //     scanned prefix never decreases and ends at the full value, and each
 //     unscanned neighbor adds at most 2 more. So the scan stops with true as
 //     soon as the prefix exceeds max(ku,kv), and with false as soon as the
-//     prefix plus 2 per unscanned neighbor cannot. Theorem 3 alone counts
-//     the common neighbors the same way, 1 per neighbor, while merging the
-//     two lists, without building their intersection.
+//     prefix plus 2 per unscanned neighbor cannot.
 //
 // The third is a version. The client counts the demand-cached users of
 // degree 2 or 3 (osn.Client.LowDegreeCount), the only ones Theorem 5 can
@@ -49,8 +47,8 @@
 // so the count only grows, and while it is unchanged so is every Theorem 5
 // verdict:
 //
-//   - At count 0, Theorem 5 is Theorem 3, so the sampler runs the early-exit
-//     Theorem 3 merge and reads no cached degree at all.
+//   - At count 0, Theorem 5 is Theorem 3, so the sampler skips the degree
+//     scan and reads no cached degree at all.
 //   - The sampler memoizes each negative verdict with the count it was
 //     judged at, and reuses it only at that same count.
 package core
@@ -66,44 +64,13 @@ import "rewire/internal/graph"
 // no floating-point edge case. The caller must pass degrees and common
 // counts measured on the *current overlay* — evaluating against the original
 // graph while the overlay has diverged voids the theorem's guarantee.
-func RemovableTheorem3(common, ku, kv int) bool { return theorem3(common, max(ku, kv)) }
-
-// theorem3 is Theorem 3 against the larger endpoint degree maxDeg.
-func theorem3(common, maxDeg int) bool {
+func RemovableTheorem3(common, ku, kv int) bool {
+	maxDeg := ku
+	if kv > maxDeg {
+		maxDeg = kv
+	}
 	// 2*(⌈n/2⌉ + 1) > maxDeg  with ⌈n/2⌉ = (n+1)/2 in integer division.
 	return 2*((common+1)/2+1) > maxDeg
-}
-
-// removableTheorem3Sorted is Theorem 3 on the common neighbors of two
-// ascending neighbor lists, counted only as far as the verdict needs: the
-// count never decreases and each unmerged element of the shorter remainder
-// adds at most one, so the merge stops with true once the count so far
-// passes, and with false once the count plus that remainder cannot. It
-// materializes no intersection.
-func removableTheorem3Sorted(a, b []graph.NodeID, maxDeg int) bool {
-	if theorem3(0, maxDeg) {
-		return true
-	}
-	n, i, j := 0, 0, 0
-	for i < len(a) && j < len(b) {
-		if !theorem3(n+min(len(a)-i, len(b)-j), maxDeg) {
-			return false
-		}
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			n++
-			if theorem3(n, maxDeg) {
-				return true
-			}
-			i++
-			j++
-		}
-	}
-	return false
 }
 
 // DegreeCache supplies degree knowledge already present in the sampler's

@@ -1,11 +1,9 @@
 package core
 
 import (
-	"slices"
 	"testing"
 
 	"rewire/internal/graph"
-	"rewire/internal/rng"
 )
 
 // seqCache is a DegreeCache over nodes 0..len-1: entry w is w's cached
@@ -41,9 +39,7 @@ func referenceLHS(common []graph.NodeID, cache DegreeCache) (t3, t5 int) {
 // with the full scan, and whenever the degree-only skip rejects an edge, the
 // full scan must not remove it for any common count the degrees allow.
 // Lists of up to 6 members meet every pair of endpoint degrees in 1..20;
-// the longer ones, to keep the run short, meet equal degrees 1..20. Then the
-// early-exit Theorem 3 merge must agree with the full intersection count for
-// every max degree 0..200, over random sorted lists.
+// the longer ones, to keep the run short, meet equal degrees 1..20.
 func TestPrunedCriterionMatchesFullScan(t *testing.T) {
 	const maxCommon, maxDeg, allPairsUpTo = 8, 20, 6
 	degrees := []int{-1, 1, 2, 3, 5}
@@ -93,29 +89,6 @@ func TestPrunedCriterionMatchesFullScan(t *testing.T) {
 	}
 	if want := 1 + 5 + 25 + 125 + 625 + 3125 + 15625 + 78125 + 390625; lists != want {
 		t.Fatalf("checked %d lists, want %d", lists, want)
-	}
-
-	r := rng.New(1)
-	sortedSample := func(universe int) []graph.NodeID {
-		perm := r.Perm(universe)[:r.Intn(universe+1)]
-		out := make([]graph.NodeID, len(perm))
-		for i, x := range perm {
-			out[i] = graph.NodeID(x)
-		}
-		slices.Sort(out)
-		return out
-	}
-	for range 500 {
-		// Small universes give heavy overlap, large ones sparse.
-		universe := 1 + r.Intn(150)
-		a, b := sortedSample(universe), sortedSample(universe)
-		c := graph.CountIntersectSorted(a, b)
-		for m := 0; m <= 200; m++ {
-			if got, want := removableTheorem3Sorted(a, b, m), RemovableTheorem3(c, m, 0); got != want {
-				t.Fatalf("early-exit Theorem 3 on lists of %d and %d with %d in common, max degree %d: %v, full count says %v",
-					len(a), len(b), c, m, got, want)
-			}
-		}
 	}
 }
 

@@ -335,15 +335,15 @@ func (s *Sampler) removableEdge(u, v graph.NodeID, uOv, vOv []graph.NodeID) (fir
 	if at, known := s.verdicts[k]; known && at == low {
 		return false, false // judged negative against the same knowledge
 	}
-	maxDeg := max(len(ub), len(vb))
-	if low == 0 {
-		// No cached user has degree 2 or 3, so Theorem 5 is Theorem 3.
-		fires = removableTheorem3Sorted(ub, vb, maxDeg)
-	} else {
-		s.scratch = graph.IntersectSortedInto(s.scratch, ub, vb)
-		fires = Removable(s.scratch, len(ub), len(vb), s.cache)
-		t5Only = fires && !theorem3(len(s.scratch), maxDeg)
+	// At count 0 no cached user has degree 2 or 3, so Theorem 5 is Theorem 3
+	// and the criterion reads no cached degree.
+	var dc DegreeCache
+	if low > 0 {
+		dc = s.cache
 	}
+	s.scratch = graph.IntersectSortedInto(s.scratch, ub, vb)
+	fires = Removable(s.scratch, len(ub), len(vb), dc)
+	t5Only = fires && !RemovableTheorem3(len(s.scratch), len(ub), len(vb))
 	if !fires {
 		s.verdicts[k] = low
 	}
