@@ -201,7 +201,7 @@ func run(which string, full bool, seed uint64, dataset, jsonOut string, pf prefe
 		exp.PrefetchScaling(target, cfg, seed).Render(out)
 	}
 	if all || which == "contention" {
-		section("Contention — sharded storage engine vs legacy single lock")
+		section("Contention — default lock stripes vs a single stripe (lock-free hits in both)")
 		cfg := exp.QuickContentionConfig()
 		if full {
 			cfg = exp.DefaultContentionConfig()
@@ -240,7 +240,7 @@ func run(which string, full bool, seed uint64, dataset, jsonOut string, pf prefe
 		// Standalone like bench: a CI guard, not a paper artifact. Run it
 		// under a fixed GOMEMLIMIT to turn a storage-layer memory regression
 		// into a loud failure.
-		section("Memory smoke — 1M-node CSR graph + sharded-cache fleet walk")
+		section("Memory smoke — 1M-node CSR graph + client-cache fleet walk")
 		res, err := exp.MemSmoke(exp.DefaultMemSmokeConfig(), seed)
 		if res != nil {
 			res.Render(out)

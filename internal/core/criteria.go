@@ -25,7 +25,7 @@
 // replacement per pivot, the inner re-pick cap, the degree floor and
 // WeightSampled's sample size.
 //
-// Three shortcuts let the criterion skip most of its work, and all are exact
+// Four shortcuts let the criterion skip most of its work, and all are exact
 // (they never change a verdict). Two are bounds. Doubled, the left side of
 // Theorem 3 is 2⌈c/2⌉+2 and that of Theorem 5 is 2⌈r/2⌉+2+Σ(4-kw), where c
 // common neighbors split into r plain ones and c-r cached at degree 2 or 3:
@@ -51,6 +51,14 @@
 //     scan and reads no cached degree at all.
 //   - The sampler memoizes each negative verdict with the count it was
 //     judged at, and reuses it only at that same count.
+//
+// The fourth is a degree gate that joins the first bound to the version. At
+// count 0 the verdict is Theorem 3's, which is nondecreasing in c, and c ≤
+// min(ku, kv); so when Theorem 3 fails at c = min(ku, kv), the sampler
+// rejects the edge from the two degrees alone. Only edges whose endpoint
+// degrees differ by at most 2 pass this gate. Both degree tests run before
+// any list merge, including the overlay's shared-neighbor guard: all the
+// tests are conjuncts, so their order cannot change a verdict.
 package core
 
 import "rewire/internal/graph"

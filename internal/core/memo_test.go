@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -91,24 +92,59 @@ func TestSamplerMemoFleetRace(t *testing.T) {
 }
 
 // TestStationaryWeightSampledAllocs pins WeightSampled's warm weight read to
-// zero allocations: the index permutation reuses a per-sampler buffer.
+// zero allocations: the index permutation reuses a per-sampler buffer. Warm
+// means nothing is left to learn: WeightExact passes over the visited nodes
+// repeat until one issues no query and commits no removal, so every edge a
+// sampled read can test is cached, and one it cannot reject from degrees has
+// a memoized negative verdict at the current low-degree count. The measured
+// loop must then issue no query and commit no removal, and the
+// runtime.MemStats delta over it must be exactly zero.
 func TestStationaryWeightSampledAllocs(t *testing.T) {
 	g := dataset.ByName("Slashdot B", false).Graph
+	client := osn.NewClient(osn.NewService(g, nil, osn.Config{}))
 	cfg := DefaultConfig()
 	cfg.Weights = WeightSampled
-	s := NewSampler(osn.NewClient(osn.NewService(g, nil, osn.Config{})), 0, cfg, rng.New(7))
+	s := NewSampler(client, 0, cfg, rng.New(7))
 	var visited []graph.NodeID
 	for range 2000 {
 		visited = append(visited, s.Step())
 	}
-	for _, v := range visited { // warm: classify once, so every list is cached
-		s.StationaryWeight(v)
+	for pass := 0; ; pass++ {
+		if pass == 20 {
+			t.Fatal("exact passes still querying or removing after 20 rounds")
+		}
+		q, removals := client.UniqueQueries(), s.Stats().Removals
+		for _, v := range visited {
+			s.classifyIncident(v, -1) // WeightExact's pass
+		}
+		if client.UniqueQueries() == q && s.Stats().Removals == removals {
+			break
+		}
 	}
-	i := 0
-	if allocs := testing.AllocsPerRun(len(visited), func() {
-		s.StationaryWeight(visited[i%len(visited)])
-		i++
-	}); allocs != 0 {
-		t.Errorf("warm StationaryWeight under WeightSampled: %v allocs per call, want 0", allocs)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	q, removals := client.UniqueQueries(), s.Stats().Removals
+	// Stray goroutines of earlier tests can only add to a delta, so the
+	// best of three loops counts.
+	var mallocs uint64
+	for attempt := range 3 {
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := range 2000 {
+			s.StationaryWeight(visited[i%len(visited)])
+		}
+		runtime.ReadMemStats(&after)
+		if m := after.Mallocs - before.Mallocs; attempt == 0 || m < mallocs {
+			mallocs = m
+		}
+	}
+	if got := client.UniqueQueries() - q; got != 0 {
+		t.Errorf("warm loops issued %d queries, want 0", got)
+	}
+	if got := s.Stats().Removals - removals; got != 0 {
+		t.Errorf("warm loops committed %d removals, want 0", got)
+	}
+	if mallocs != 0 {
+		t.Errorf("warm StationaryWeight under WeightSampled: %d allocs over 2000 calls, want 0", mallocs)
 	}
 }

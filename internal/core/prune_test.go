@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"rewire/internal/graph"
+	"rewire/internal/osn"
+	"rewire/internal/rng"
 )
 
 // seqCache is a DegreeCache over nodes 0..len-1: entry w is w's cached
@@ -109,6 +111,50 @@ func TestDegreeSkipIsExact(t *testing.T) {
 				t.Errorf("ku=%d kv=%d: degreesCanFire = %v, but the best case removes = %v",
 					ku, kv, degreesCanFire(ku, kv), canRemove)
 			}
+		}
+	}
+}
+
+// TestDegreeGateIsExact checks the count-0 degree gate: whenever Theorem 3
+// fails at min(ku, kv) common neighbors, the criterion without a degree cache
+// rejects every common count the degrees allow.
+func TestDegreeGateIsExact(t *testing.T) {
+	common := make([]graph.NodeID, 40)
+	for ku := 1; ku <= 40; ku++ {
+		for kv := 1; kv <= 40; kv++ {
+			if RemovableTheorem3(min(ku, kv), ku, kv) {
+				continue
+			}
+			for c := 0; c <= min(ku, kv); c++ {
+				if Removable(common[:c], ku, kv, nil) {
+					t.Errorf("ku=%d kv=%d: the gate rejects, but %d common neighbors remove", ku, kv, c)
+				}
+			}
+		}
+	}
+}
+
+// TestDegreeGateOnlyAtCountZero pins the gate to a low-degree count of 0.
+// Edge (0, 1) has degrees 4 and 7 and three common neighbors of degree 2:
+// Theorem 3 fails for any common count, so the gate rejects the edge while
+// none of them is cached, but once they are, Theorem 5 fires (2 + 3·2 > 7).
+func TestDegreeGateOnlyAtCountZero(t *testing.T) {
+	g := graph.FromEdges(8, []graph.Edge{
+		{U: 0, V: 1}, {U: 0, V: 2}, {U: 0, V: 3}, {U: 0, V: 4},
+		{U: 1, V: 2}, {U: 1, V: 3}, {U: 1, V: 4}, {U: 1, V: 5}, {U: 1, V: 6}, {U: 1, V: 7},
+	})
+	for _, cached := range []bool{false, true} {
+		client := osn.NewClient(osn.NewService(g, nil, osn.Config{}))
+		s := NewSampler(client, 0, RemovalOnlyConfig(), rng.New(1))
+		if cached {
+			for w := graph.NodeID(2); w <= 4; w++ {
+				client.Neighbors(w)
+			}
+		}
+		fires, t5Only := s.removableEdge(0, 1, s.ov.Neighbors(0), s.ov.Neighbors(1))
+		if fires != cached || t5Only != cached {
+			t.Errorf("common neighbors cached=%v (count %d): fires=%v t5Only=%v, want %v/%v",
+				cached, client.LowDegreeCount(), fires, t5Only, cached, cached)
 		}
 	}
 }

@@ -321,15 +321,22 @@ func (s *Sampler) removableEdge(u, v graph.NodeID, uOv, vOv []graph.NodeID) (fir
 	if len(vOv) <= floorFor(len(vb)) {
 		return false, false
 	}
-	if !graph.IntersectsSorted(uOv, vOv) || !degreesCanFire(len(ub), len(vb)) {
-		return false, false
-	}
 	// The count is read once, after the endpoint lists and before any
 	// degree read, so the verdict below is at least as informed as count
 	// low: every one of those cached degree-2/3 users is visible.
 	var low int64
 	if s.cache != nil {
 		low = s.cache.LowDegreeCount()
+	}
+	// Degree gates, before any list merge. At count 0 the verdict is
+	// Theorem 3's, which is nondecreasing in the common count and sees at
+	// most min(ku, kv) common neighbors, so failing at that bound is final.
+	ku, kv := len(ub), len(vb)
+	if !degreesCanFire(ku, kv) || (low == 0 && !RemovableTheorem3(min(ku, kv), ku, kv)) {
+		return false, false
+	}
+	if !graph.IntersectsSorted(uOv, vOv) {
+		return false, false
 	}
 	k := graph.KeyOf(u, v)
 	if at, known := s.verdicts[k]; known && at == low {
@@ -342,8 +349,8 @@ func (s *Sampler) removableEdge(u, v graph.NodeID, uOv, vOv []graph.NodeID) (fir
 		dc = s.cache
 	}
 	s.scratch = graph.IntersectSortedInto(s.scratch, ub, vb)
-	fires = Removable(s.scratch, len(ub), len(vb), dc)
-	t5Only = fires && !RemovableTheorem3(len(s.scratch), len(ub), len(vb))
+	fires = Removable(s.scratch, ku, kv, dc)
+	t5Only = fires && !RemovableTheorem3(len(s.scratch), ku, kv)
 	if !fires {
 		s.verdicts[k] = low
 	}

@@ -16,9 +16,10 @@ import (
 // ContentionConfig controls the storage-contention measurement: k SRW
 // walkers on k goroutines hammering one shared client over a ZERO-latency
 // service, so there is no round-trip to hide behind and every nanosecond of
-// wall-clock is walk arithmetic plus storage-engine locking. Comparing a
-// sharded client (internal/store) against the legacy single-lock layout
-// (shards=1) isolates exactly what the sharded engine buys.
+// wall-clock is walk arithmetic plus storage-engine locking. Cache hits are
+// lock-free at any stripe count, so comparing the client's default lock
+// stripes against a single stripe (shards=1) isolates what striping buys on
+// the miss, commit and upgrade transitions.
 //
 // Budgets are partitioned per walker (each member's trajectory depends only
 // on its own RNG stream), so the unique-query bill is a deterministic
@@ -28,7 +29,7 @@ type ContentionConfig struct {
 	Ks []int
 	// Samples is the total step budget per run, split evenly across walkers.
 	Samples int
-	// Shards is the sharded variant's shard count (0 = store default).
+	// Shards is the striped variant's lock-stripe count (0 = store default).
 	Shards int
 }
 
@@ -44,22 +45,22 @@ func QuickContentionConfig() ContentionConfig {
 	return ContentionConfig{Ks: []int{1, 4, 16, 64}, Samples: 400_000}
 }
 
-// ContentionRow is one (k, store layout) measurement.
+// ContentionRow is one (k, lock-stripe count) measurement.
 type ContentionRow struct {
 	K int
-	// Shards is the client store's shard count (1 = legacy single lock).
+	// Shards is the client's lock-stripe count (1 = a single lock).
 	Shards int
 	Wall   time.Duration
 	// Unique is the deterministic unique-query bill (identical across
-	// layouts for a fixed seed — sharding must never change behavior).
+	// stripe counts for a fixed seed — striping must never change behavior).
 	Unique int64
-	// Speedup is wall-clock relative to the legacy layout at the same k.
+	// Speedup is wall-clock relative to the single-stripe row at the same k.
 	Speedup float64
 }
 
 // RunContention measures one row: k SRW walkers with partitioned step
 // quotas, each on its own goroutine, over one shared zero-latency client
-// sharded `shards` ways. The walkers step directly — no sample channel, no
+// with `shards` lock stripes. The walkers step directly — no sample channel, no
 // fleet machinery — so the measurement is store pressure, not plumbing.
 func RunContention(ds Dataset, k, shards, samples int, seed uint64) ContentionRow {
 	svc := osn.NewService(ds.Graph, nil, osn.Config{})
@@ -99,9 +100,9 @@ type ContentionResult struct {
 	Rows       []ContentionRow
 }
 
-// ContentionScaling measures the legacy (single-lock) and sharded layouts
-// at every configured fleet size. Sharded rows carry Speedup relative to
-// the legacy row at the same k.
+// ContentionScaling measures the single-stripe and default-striped clients
+// at every configured fleet size. Striped rows carry Speedup relative to the
+// single-stripe row at the same k.
 func ContentionScaling(ds Dataset, cfg ContentionConfig, seed uint64) *ContentionResult {
 	res := &ContentionResult{Dataset: ds.Name, Cfg: cfg, GoMaxProcs: runtime.GOMAXPROCS(0)}
 	for _, k := range cfg.Ks {
@@ -120,12 +121,12 @@ func ContentionScaling(ds Dataset, cfg ContentionConfig, seed uint64) *Contentio
 func (r *ContentionResult) Render(w io.Writer) {
 	fmt.Fprintf(w, "dataset: %s, %d steps per run (partitioned), zero-latency source, GOMAXPROCS=%d\n",
 		r.Dataset, r.Cfg.Samples, r.GoMaxProcs)
-	fmt.Fprintf(w, "sharded-vs-legacy wall-clock gains grow with cores; on a single-core host the two layouts should tie\n\n")
-	t := &Table{Header: []string{"k", "store", "wall", "throughput", "speedup", "unique queries"}}
+	fmt.Fprintf(w, "cache hits are lock-free in both rows; striped-vs-single gains on misses grow with cores, and on a single-core host the two should tie\n\n")
+	t := &Table{Header: []string{"k", "lock stripes", "wall", "throughput", "speedup", "unique queries"}}
 	for _, row := range r.Rows {
-		layout := fmt.Sprintf("sharded/%d", row.Shards)
+		layout := fmt.Sprintf("striped/%d", row.Shards)
 		if row.Shards == 1 {
-			layout = "legacy/1"
+			layout = "single/1"
 		}
 		persec := "-"
 		if row.Wall > 0 {

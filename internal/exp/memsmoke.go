@@ -15,7 +15,7 @@ import (
 
 // MemSmokeConfig controls the memory-footprint smoke test: generate a
 // million-node heavy-tailed graph into CSR form, stand up a zero-latency
-// provider over it, run a k-walker fleet through the sharded client cache,
+// provider over it, run a k-walker fleet through the client cache,
 // and fail if the post-GC heap exceeds the budget. CI runs it under a fixed
 // GOMEMLIMIT, so a storage-layer memory regression either trips the explicit
 // LimitBytes check or thrashes GC hard enough to blow the job's time budget

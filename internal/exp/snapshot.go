@@ -25,7 +25,7 @@ type SnapshotColdRow struct {
 // RunSnapshotCold serializes ds to a snapshot file, then measures the cold
 // path a resumed crawl pays: open the file through the shipped snapshot:
 // driver and drive a single SRW walker through `samples` steps over the full
-// client stack (sharded cache, demand billing). The driver's backend goes
+// client stack (lock-free cache, demand billing). The driver's backend goes
 // into the client unconverted, so the gate measures the shipped fetch path
 // (row clone included), not a cheaper look-alike. The write is setup, not
 // measurement. The unique-query bill is a deterministic function of the

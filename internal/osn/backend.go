@@ -11,7 +11,7 @@ import (
 // context-first fetch of neighbor lists. It has the same method set as the
 // public rewire.Backend, so any SDK backend — middleware included — plugs
 // into NewClient unconverted. Everything the client layers on top — the
-// sharded neighbor-list cache, per-user singleflight, demand billing,
+// lock-free neighbor-list cache, per-user singleflight, demand billing,
 // budgets, the speculative prefetch pool — is backend-agnostic, so the same
 // machinery serves a simulated provider (Service), a live HTTP endpoint, a
 // read-only CSR snapshot, or anything a third party registers.

@@ -10,53 +10,63 @@ import (
 	"rewire/internal/store"
 )
 
-// inflight coordinates concurrent fetches for one user: the first goroutine
-// to miss (or the prefetch worker) performs the service round-trip, later
-// arrivals wait on done and share the result. Publishing nbrs/err before
-// close(done) gives waiters a happens-before edge, so no lock is needed to
-// read them.
-type inflight struct {
-	done chan struct{}
-	nbrs []graph.NodeID
-	err  error
+// Entry states. An entry is born inFlight by whoever claims the fetch (or
+// cached, when seeded), leaves inFlight once, at commit, and is upgraded at
+// most once more, from speculative to demanded, by its first demand.
+const (
+	inFlight uint32 = iota
+	speculative
+	demanded
+)
+
+// entry is everything the client knows about one user, in one 64-byte
+// object carved from the client's entry arena, published in the Table when
+// the fetch is claimed and kept for good once it commits. Every transition runs under the user's stripe lock, so "check the
+// cache, join an in-flight fetch, or claim the fetch" is one atomic step per
+// user (per-stripe singleflight). Readers of a cached list take no lock: they
+// load state and, when it says cached, read nbrs, which commit wrote before
+// storing the state.
+//
+// Speculative entries were fetched by the prefetch pool and not yet consumed
+// by any demand query: they are invisible to the cost ledger AND to the
+// free-knowledge accessors (Cached, CachedDegree, CachedNeighbors) until a
+// demand query upgrades them, so enabling prefetch changes neither walk
+// trajectories nor Theorem 5 verdicts nor UniqueQueries — it is purely a
+// latency optimization.
+type entry struct {
+	// nbrs is the user's list, written once before state leaves inFlight.
+	nbrs  []graph.NodeID
+	state atomic.Uint32
 	// demand counts the demand-path callers (NeighborsContext,
 	// QueryBatchContext, waiters that coalesced onto this fetch) currently
-	// needing the result. Guarded by the user's shard lock. A waiter whose
-	// context is cancelled before the fetch commits withdraws its demand; a
-	// fetch whose demand count is zero at commit time stays speculative and
-	// does not touch the unique-query ledger.
-	demand int
-	// tenant names the account the fetch's reservation — and, at commit, its
+	// needing the result. Guarded by the stripe lock. A waiter whose context
+	// is cancelled before the fetch commits withdraws its demand; a fetch
+	// whose demand count is zero at commit time stays speculative and does
+	// not touch the unique-query ledger.
+	demand int32
+	// done is made by the fetch's first waiter and closed when the fetch
+	// settles; a fetch nobody waits on never makes one. Guarded by the
+	// stripe lock: waiters take their copy under it, and commit clears it,
+	// so a cached entry keeps no channel.
+	done chan struct{}
+	// err is the fetch's failure, written before done is closed. Publishing
+	// nbrs and err before the close gives waiters a happens-before edge.
+	err error
+	// tenant is the account the fetch's reservation — and, at commit, its
 	// unique-query bill — belongs to: the FIRST demander's tenant (the one
-	// whose arrival turned a free fetch into a billable one). Later
-	// coalescers ride along unbilled, exactly as cache hits do. Guarded by
-	// the user's shard lock, like demand; rewritten if demand returns to
-	// zero and a new first demander claims the fetch.
-	tenant string
-}
-
-// nodeState is everything the client knows about one user, stored as a single
-// sharded-map entry so "check the cache, join an in-flight fetch, or claim
-// the fetch" is one atomic step under one shard lock — per-shard singleflight.
-// Exactly one of the two halves is live: flight != nil while a fetch is in
-// progress, cached once a neighbor list landed. Speculative entries were
-// fetched by the prefetch pool and not yet consumed by any demand query: they
-// are invisible to the cost ledger AND to the free-knowledge accessors
-// (Cached, CachedDegree, CachedNeighbors) until a demand query upgrades them,
-// so enabling prefetch changes neither walk trajectories nor Theorem 5
-// verdicts nor UniqueQueries — it is purely a latency optimization.
-type nodeState struct {
-	nbrs        []graph.NodeID
-	cached      bool
-	speculative bool
-	flight      *inflight
+	// whose arrival turned a free fetch into a billable one); nil until a
+	// demand arrives. Later coalescers ride along unbilled, exactly as cache
+	// hits do. Guarded by the stripe lock, like demand; rewritten if demand
+	// returns to zero and a new first demander claims the fetch. Its fields
+	// are guarded by the ledger mutex.
+	tenant *tenantLedger
 }
 
 // ledger is the client's global billing state. It is deliberately tiny — a
 // handful of int64 counters behind one mutex touched only on the cold paths
 // (misses, commits, speculative upgrades) — so that the hot path, a cache
-// hit, costs exactly one shard read-lock and never contends across shards.
-// Lock order: a user's shard lock first, then the ledger; never the reverse.
+// hit, takes no lock at all. Lock order: a user's stripe lock first, then
+// the ledger; never the reverse.
 type ledger struct {
 	mu     sync.Mutex
 	unique int64
@@ -83,8 +93,10 @@ type ledger struct {
 }
 
 // tenantLedger is one tenant's slice of the ledger: its billed and reserved
-// demand queries, and its optional private budget.
+// demand queries, and its optional private budget. Slices are never removed,
+// so a pointer to one stays valid for the client's lifetime.
 type tenantLedger struct {
+	name     string
 	unique   int64
 	reserved int64
 	// budget caps this tenant's unique demand queries when positive,
@@ -100,7 +112,7 @@ func (l *ledger) tenantLocked(name string) *tenantLedger {
 	}
 	t := l.tenants[name]
 	if t == nil {
-		t = &tenantLedger{}
+		t = &tenantLedger{name: name}
 		l.tenants[name] = t
 	}
 	return t
@@ -119,20 +131,21 @@ func (l *ledger) overBudgetLocked() bool {
 	return l.budget > 0 && l.unique+l.reserved >= l.budget
 }
 
-// reserve admits one demanded fetch billed to tenant: it reports false when
+// reserve admits one demanded fetch billed to tenant: it returns nil when
 // the client-wide or the tenant's budget is spent, and otherwise reserves one
 // unique query on both ledgers, which commit turns into a bill or a
-// withdrawal releases. Callers hold the user's shard lock.
-func (l *ledger) reserve(tenant string) bool {
+// withdrawal releases, and returns the tenant's slice. Callers hold the
+// user's stripe lock.
+func (l *ledger) reserve(tenant string) *tenantLedger {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	t := l.tenantLocked(tenant)
 	if l.overBudgetLocked() || l.overTenantBudgetLocked(t) {
-		return false
+		return nil
 	}
 	l.reserved++
 	t.reserved++
-	return true
+	return t
 }
 
 // Client is the third-party sampler's view of a network backend. It
@@ -148,16 +161,14 @@ func (l *ledger) reserve(tenant string) bool {
 // snapshot gets the exact same cache, singleflight, billing, budget, and
 // prefetch machinery.
 //
-// Client is safe for concurrent use, and its local store is sharded
-// (internal/store): per-user state lives in a power-of-two-sharded map with
-// one RWMutex per shard, so fleet walkers and prefetch workers touching
-// different users never contend — a cache hit is one shard read-lock, and a
-// cache miss is coalesced per user under its shard lock (per-shard
-// singleflight). The lock is NOT held across the service round-trip (misses
-// for different users overlap their latency, the fleet's whole wall-clock
-// win), yet concurrent misses for the same user still charge exactly one
-// unique query. Global billing counters live in a separate one-mutex ledger
-// touched only on cold paths.
+// Client is safe for concurrent use. Per-user state lives in a lock-free
+// radix table (internal/store), so a demanded cache hit is a single atomic
+// load and never contends with anything; a cache miss is coalesced per user
+// under a lock stripe chosen by id (per-stripe singleflight). The stripe is
+// NOT held across the service round-trip (misses for different users overlap
+// their latency, the fleet's whole wall-clock win), yet concurrent misses for
+// the same user still charge exactly one unique query. Global billing
+// counters live in a separate one-mutex ledger touched only on cold paths.
 //
 // A Client can additionally run an asynchronous prefetch pool (see
 // NewPrefetchingClient / StartPrefetch): Prefetch(ids...) enqueues
@@ -166,17 +177,22 @@ func (l *ledger) reserve(tenant string) bool {
 // consumes it at exactly one unique query — never zero, never two.
 type Client struct {
 	be    Backend
-	state *store.Map[graph.NodeID, nodeState]
+	state store.Table[entry]
+	// entries carves entries from slabs: entries live as long as the cache,
+	// and a slab is one object for the GC to mark instead of one per user.
+	entries *store.Arena[entry]
+	// locks serializes each user's transitions; see entry.
+	locks store.Stripes
 	led   ledger
 
 	// lowDeg counts demand-visible cached lists of length 2 or 3, the only
 	// degrees Theorem 5 can use (see LowDegreeCount). Every write site adds
-	// after its Put and under the entry's shard lock, so a reader that loads
-	// c finds at least those c entries.
+	// after storing the entry's demanded state and under its stripe lock, so
+	// a reader that loads c finds at least those c entries.
 	lowDeg atomic.Int64
 
 	// pool is the optional prefetch worker pool; nil means Prefetch is a
-	// no-op. Guarded by poolMu (not the shard locks: enqueueing must not
+	// no-op. Guarded by poolMu (not the stripe locks: enqueueing must not
 	// contend with the cache). retired accumulates counters of stopped pools.
 	poolMu  sync.RWMutex
 	pool    *prefetchPool
@@ -188,22 +204,27 @@ type Client struct {
 	journal Journal
 }
 
-// NewClient wraps a backend with an empty cache (adaptive default shard
+// NewClient wraps a backend with an empty cache (adaptive default stripe
 // count) and no prefetch pool.
 func NewClient(be Backend) *Client {
 	return NewClientShards(be, 0)
 }
 
-// NewClientShards wraps a backend with an empty cache sharded n ways (rounded
-// up to a power of two; n <= 0 selects the adaptive store.DefaultShards(),
-// n == 1 is the legacy single-lock layout the contention benchmarks compare
-// against).
+// NewClientShards wraps a backend with an empty cache whose transitions run
+// under n lock stripes (rounded up to a power of two; n <= 0 selects the
+// adaptive store.DefaultShards(), n == 1 serializes every miss, commit and
+// upgrade on one lock — the layout the contention benchmarks compare
+// against). Cache hits take no lock at any n.
 func NewClientShards(be Backend, n int) *Client {
-	return &Client{
-		be:    be,
-		state: store.NewMap[graph.NodeID, nodeState](n),
-	}
+	return &Client{be: be, entries: store.NewArena[entry](entrySlab), locks: store.NewStripes(n)}
 }
+
+// entrySlab is the entry arena's slab length: 8 KiB of entries, so a small
+// cache pins little and a large one is one GC object per 128 users.
+const entrySlab = 128
+
+// newEntry returns a zeroed entry carved from the client's arena.
+func (c *Client) newEntry() *entry { return &c.entries.Alloc(1)[:1][0] }
 
 // fetchOne performs the backend round-trip for a single user. The demand and
 // speculative paths both funnel through it, so the Backend contract — one
@@ -219,8 +240,8 @@ func (c *Client) fetchOne(ctx context.Context, v graph.NodeID) ([]graph.NodeID, 
 	return lists[0], nil
 }
 
-// StoreShards returns the local store's shard count.
-func (c *Client) StoreShards() int { return c.state.Shards() }
+// StoreShards returns the local store's lock-stripe count.
+func (c *Client) StoreShards() int { return c.locks.Len() }
 
 // SetBudget caps the number of unique (demand) queries at n; once the ledger
 // reaches n, the demand path returns ErrBudgetExhausted instead of billing
@@ -256,211 +277,222 @@ func (c *Client) SetBudget(n int64) {
 // exactly like singleflight; a waiter that sees a context error not its own
 // may simply retry.
 func (c *Client) NeighborsContext(ctx context.Context, v graph.NodeID) ([]graph.NodeID, error) {
-	// Hot path: a demanded cache hit costs one shard read-lock.
-	if st, ok := c.state.Get(v); ok && st.cached && !st.speculative {
-		return st.nbrs, nil
+	// Hot path: a demanded cache hit is one lock-free table load.
+	if nbrs, ok := c.CachedNeighbors(v); ok {
+		return nbrs, nil
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	// Tenant attribution is read from ctx BEFORE any lock: the billing
-	// branches below run under a shard lock and the ledger mutex.
-	tn := TenantFrom(ctx)
-	var (
-		nbrs    []graph.NodeID
-		retErr  error
-		settled bool // resolved under the shard lock; return immediately
-		f       *inflight
-		owner   bool // this call claimed the fetch and must drive it
-	)
-	c.state.Locked(v, func(s store.LockedShard[graph.NodeID, nodeState]) {
-		st, ok := s.Get(v)
-		switch {
-		case ok && st.cached:
-			if st.speculative {
-				// First demand touch of a prefetched list: bill it now,
-				// to the tenant whose demand consumed the speculation.
-				c.led.mu.Lock()
-				tl := c.led.tenantLocked(tn)
-				if c.led.overBudgetLocked() || c.led.overTenantBudgetLocked(tl) {
-					c.led.mu.Unlock()
-					retErr = ErrBudgetExhausted
-					settled = true
-					return
-				}
-				if c.journal != nil {
-					// Persist the promotion before billing it (same barrier
-					// as commit): an append failure fails the query and
-					// leaves the entry speculative for a later retry.
-					if jerr := c.journal.RecordUpgrade(v, tn); jerr != nil {
-						c.led.mu.Unlock()
-						retErr = fmt.Errorf("osn: journaling speculative upgrade: %w", jerr)
-						settled = true
-						return
-					}
-				}
-				c.led.unique++
-				tl.unique++
-				c.led.speculative--
-				c.led.mu.Unlock()
-				st.speculative = false
-				s.Put(v, st)
-				c.noteVisible(st.nbrs)
-			}
-			nbrs = st.nbrs
-			settled = true
-		case ok && st.flight != nil:
-			// Someone else — a sibling walker or the prefetch pool — is
-			// already fetching v: register demand so commit bills it, then
-			// wait for the shared round-trip. Budget is consulted (and a
-			// reservation taken, on the global ledger and on this tenant's)
-			// only when this is the fetch's FIRST demand; coalescing onto an
-			// already-demanded fetch costs nothing — for anyone.
-			f = st.flight
-			if f.demand == 0 {
-				if !c.led.reserve(tn) {
-					f = nil
-					retErr = ErrBudgetExhausted
-					settled = true
-					return
-				}
-				f.tenant = tn
-			}
-			f.demand++
-		default:
-			if !c.led.reserve(tn) {
-				retErr = ErrBudgetExhausted
-				settled = true
-				return
-			}
-			f = &inflight{done: make(chan struct{}), demand: 1, tenant: tn}
-			owner = true
-			s.Put(v, nodeState{flight: f})
-		}
-	})
-	if settled {
-		return nbrs, retErr
-	}
-	if owner {
-		f.nbrs, f.err = c.fetchOne(ctx, v)
-		c.commit(v, f)
-		if f.err != nil {
-			return nil, f.err
-		}
-		return f.nbrs, nil
+	// Tenant attribution is read from ctx BEFORE any lock: claim runs under
+	// the stripe lock and the ledger mutex.
+	e, done, owner, err := c.claim(v, TenantFrom(ctx))
+	switch {
+	case err != nil:
+		return nil, err
+	case owner:
+		nbrs, err := c.fetchOne(ctx, v)
+		c.commit(v, e, nbrs, err)
+		return e.nbrs, e.err
+	case done == nil:
+		return e.nbrs, nil
 	}
 	select {
-	case <-f.done:
-		if f.err != nil {
-			return nil, f.err
-		}
-		return f.nbrs, nil
+	case <-done:
+		return e.nbrs, e.err
 	case <-ctx.Done():
-		// Withdraw the demand unless the fetch already committed (commit
-		// removes the flight entry under the shard lock before closing done,
-		// so checking it decides the race consistently).
-		withdrawn := false
-		c.state.Locked(v, func(s store.LockedShard[graph.NodeID, nodeState]) {
-			if st, ok := s.Get(v); ok && st.flight == f {
-				f.demand--
-				if f.demand == 0 {
-					// Last demander gone: release the reservation — from the
-					// fetch's billing tenant, who may differ from this waiter
-					// (the first demander could have withdrawn earlier while
-					// others kept the fetch demanded).
-					c.led.mu.Lock()
-					c.led.reserved--
-					c.led.tenantLocked(f.tenant).reserved--
-					c.led.mu.Unlock()
-				}
-				withdrawn = true
-			}
-		})
-		if !withdrawn {
+		if !c.withdraw(v, e) {
 			// Commit won: the list (if any) is cached and billed on this
 			// walker's behalf — return it rather than the late cancellation.
-			<-f.done
-			if f.err == nil {
-				return f.nbrs, nil
+			<-done
+			if e.err == nil {
+				return e.nbrs, nil
 			}
 		}
 		return nil, ctx.Err()
 	}
 }
 
-// commit publishes a finished fetch: the list enters the cache (tagged
-// speculative when no demand caller still wants the fetch), the ledger is
-// billed for demanded fetches, and waiters are released. Failed fetches
-// cache nothing and bill nothing — the next demand retries.
-func (c *Client) commit(v graph.NodeID, f *inflight) {
-	c.state.Locked(v, func(s store.LockedShard[graph.NodeID, nodeState]) {
-		// Durability barrier: persist the fetch before any waiter can observe
-		// it or the ledger bills it. On append failure the fetch fails —
-		// nothing cached, nothing billed — and the next demand retries.
-		if jerr := c.journalFetch(v, f); jerr != nil {
-			f.err = jerr
+// claim settles a demand miss for v under its stripe lock, billing tenant tn:
+// it claims a fresh fetch (owner: the caller must drive it), joins one in
+// flight (returning the channel its commit closes), or finds the list cached
+// (done == nil), upgrading a speculative entry to demanded. Budget is consulted
+// (and a reservation taken, on the global ledger and on tn's) only when the
+// call makes a fetch billable: a fresh claim, or the first demand on an
+// in-flight fetch. Coalescing onto an already-demanded fetch costs nothing —
+// for anyone.
+func (c *Client) claim(v graph.NodeID, tn string) (e *entry, done chan struct{}, owner bool, err error) {
+	mu := c.locks.Of(v)
+	mu.Lock()
+	defer mu.Unlock()
+	e = c.state.Load(v)
+	if e == nil {
+		tl := c.led.reserve(tn)
+		if tl == nil {
+			return nil, nil, false, ErrBudgetExhausted
 		}
+		e = c.newEntry()
+		e.demand, e.tenant = 1, tl
+		c.state.Store(v, e)
+		return e, nil, true, nil
+	}
+	switch e.state.Load() {
+	case inFlight:
+		// Someone else — a sibling walker or the prefetch pool — is already
+		// fetching v: register demand so commit bills it, and wait.
+		if e.demand == 0 {
+			tl := c.led.reserve(tn)
+			if tl == nil {
+				return nil, nil, false, ErrBudgetExhausted
+			}
+			e.tenant = tl
+		}
+		e.demand++
+		return e, e.waitLocked(), false, nil
+	case speculative:
+		// First demand touch of a prefetched list: bill it now, to the
+		// tenant whose demand consumed the speculation.
 		c.led.mu.Lock()
-		if f.demand > 0 {
-			// The reservation resolves here — into a bill or a retry — on
-			// the global ledger and on the billing tenant's slice alike.
-			c.led.reserved--
-			c.led.tenantLocked(f.tenant).reserved--
+		tl := c.led.tenantLocked(tn)
+		if c.led.overBudgetLocked() || c.led.overTenantBudgetLocked(tl) {
+			c.led.mu.Unlock()
+			return nil, nil, false, ErrBudgetExhausted
 		}
-		if f.err == nil {
-			if f.demand > 0 {
-				c.led.unique++
-				c.led.tenantLocked(f.tenant).unique++
-			} else {
-				c.led.speculative++
+		if c.journal != nil {
+			// Persist the promotion before billing it (same barrier as
+			// commit): an append failure fails the query and leaves the
+			// entry speculative for a later retry.
+			if jerr := c.journal.RecordUpgrade(v, tn); jerr != nil {
+				c.led.mu.Unlock()
+				return nil, nil, false, fmt.Errorf("osn: journaling speculative upgrade: %w", jerr)
 			}
-			c.led.size++
 		}
+		c.led.unique++
+		tl.unique++
+		c.led.speculative--
 		c.led.mu.Unlock()
-		if f.err == nil {
-			s.Put(v, nodeState{nbrs: f.nbrs, cached: true, speculative: f.demand == 0})
-			if f.demand > 0 {
-				c.noteVisible(f.nbrs)
-			}
+		e.state.Store(demanded)
+		c.noteVisible(e.nbrs)
+	}
+	return e, nil, false, nil
+}
+
+// waitLocked returns the channel e's commit closes, making it on first use.
+// Callers hold e's stripe lock and e is in flight.
+func (e *entry) waitLocked() chan struct{} {
+	if e.done == nil {
+		e.done = make(chan struct{})
+	}
+	return e.done
+}
+
+// withdraw drops a cancelled waiter's demand on e and reports whether it
+// did; false means the fetch already settled. Commit stores a cached state
+// or removes the entry under the stripe lock, so checking both decides the
+// race consistently.
+func (c *Client) withdraw(v graph.NodeID, e *entry) bool {
+	mu := c.locks.Of(v)
+	mu.Lock()
+	defer mu.Unlock()
+	if c.state.Load(v) != e || e.state.Load() != inFlight {
+		return false
+	}
+	e.demand--
+	if e.demand == 0 {
+		// Last demander gone: release the reservation — from the fetch's
+		// billing tenant, who may differ from this waiter (the first
+		// demander could have withdrawn earlier while others kept the fetch
+		// demanded).
+		c.led.mu.Lock()
+		c.led.reserved--
+		e.tenant.reserved--
+		c.led.mu.Unlock()
+	}
+	return true
+}
+
+// commit publishes e's finished fetch of nbrs (or its failure err): the list
+// enters the cache (speculative when no demand caller still wants the
+// fetch), the ledger is billed for demanded fetches, and waiters are
+// released. Failed fetches cache nothing and bill nothing — the next demand
+// retries.
+func (c *Client) commit(v graph.NodeID, e *entry, nbrs []graph.NodeID, err error) {
+	mu := c.locks.Of(v)
+	mu.Lock()
+	if err == nil {
+		// Durability barrier: persist the fetch before any waiter can
+		// observe it or the ledger bills it. On append failure the fetch
+		// fails — nothing cached, nothing billed — and the next demand
+		// retries.
+		err = c.journalFetch(v, nbrs, e)
+	}
+	e.err = err
+	c.led.mu.Lock()
+	if e.demand > 0 {
+		// The reservation resolves here — into a bill or a retry — on the
+		// global ledger and on the billing tenant's slice alike.
+		c.led.reserved--
+		e.tenant.reserved--
+	}
+	if err == nil {
+		if e.demand > 0 {
+			c.led.unique++
+			e.tenant.unique++
 		} else {
-			s.Delete(v)
+			c.led.speculative++
 		}
-	})
-	close(f.done)
+		c.led.size++
+	}
+	c.led.mu.Unlock()
+	switch {
+	case err != nil:
+		c.state.Delete(v)
+	case e.demand > 0:
+		e.nbrs = nbrs
+		e.state.Store(demanded)
+		c.noteVisible(nbrs)
+	default:
+		e.nbrs = nbrs
+		e.state.Store(speculative)
+	}
+	done := e.done
+	e.done = nil
+	mu.Unlock()
+	if done != nil {
+		close(done)
+	}
 }
 
 // fetchSpeculative is the prefetch worker's fetch path: skip anything cached
 // or already in flight, otherwise perform the round-trip (bound to the
 // pool's context) without registering demand. It reports whether this call
 // performed a service round-trip; when someone else's fetch is in flight it
-// returns that fetch instead, so a depth-carrying job can await the result
-// and still expand the frontier behind it — the common case for next-hop
-// hints, which lose the race against the walker's own demand query almost
-// every time.
-func (c *Client) fetchSpeculative(ctx context.Context, v graph.NodeID) (nbrs []graph.NodeID, fetched bool, pending *inflight) {
-	var (
-		f      *inflight
-		cached bool
-	)
-	c.state.Locked(v, func(s store.LockedShard[graph.NodeID, nodeState]) {
-		st, ok := s.Get(v)
-		switch {
-		case ok && st.cached:
-			nbrs = st.nbrs
-			cached = true
-		case ok && st.flight != nil:
-			pending = st.flight
-		default:
-			f = &inflight{done: make(chan struct{})}
-			s.Put(v, nodeState{flight: f})
-		}
-	})
-	if cached || pending != nil {
-		return nbrs, false, pending
+// returns that fetch and the channel its commit closes instead, so a
+// depth-carrying job can await the result and still expand the frontier
+// behind it — the common case for next-hop hints, which lose the race
+// against the walker's own demand query almost every time.
+func (c *Client) fetchSpeculative(ctx context.Context, v graph.NodeID) (nbrs []graph.NodeID, fetched bool, pending *entry, done chan struct{}) {
+	mu := c.locks.Of(v)
+	mu.Lock()
+	e := c.state.Load(v)
+	owner := e == nil
+	switch {
+	case owner:
+		e = c.newEntry()
+		c.state.Store(v, e)
+	case e.state.Load() == inFlight:
+		done = e.waitLocked()
 	}
-	f.nbrs, f.err = c.fetchOne(ctx, v)
-	c.commit(v, f)
-	return f.nbrs, f.err == nil, nil
+	mu.Unlock()
+	switch {
+	case owner:
+		nbrs, err := c.fetchOne(ctx, v)
+		c.commit(v, e, nbrs, err)
+		return e.nbrs, e.err == nil, nil, nil
+	case done != nil:
+		return nil, false, e, done
+	}
+	return e.nbrs, false, nil, nil
 }
 
 // QueryBatchContext resolves all ids, blocking until every neighbor list is
@@ -477,8 +509,8 @@ func (c *Client) QueryBatchContext(ctx context.Context, ids []graph.NodeID) ([][
 	errs := make([]error, len(ids))
 	var wg sync.WaitGroup
 	for i, v := range ids {
-		if st, ok := c.state.Get(v); ok && st.cached && !st.speculative {
-			out[i] = st.nbrs
+		if nbrs, ok := c.CachedNeighbors(v); ok {
+			out[i] = nbrs
 			continue
 		}
 		wg.Add(1)
@@ -517,8 +549,8 @@ func (c *Client) Degree(v graph.NodeID) int {
 // must see the exact same world with and without prefetching, or enabling
 // the pool would silently change trajectories and query bills.
 func (c *Client) Cached(v graph.NodeID) bool {
-	st, ok := c.state.Get(v)
-	return ok && st.cached && !st.speculative
+	_, ok := c.CachedNeighbors(v)
+	return ok
 }
 
 // Known reports whether a fetch for v is already cached (demanded or
@@ -527,7 +559,7 @@ func (c *Client) Cached(v graph.NodeID) bool {
 // on genuinely cold nodes.
 func (c *Client) Known(v graph.NodeID) bool {
 	// Failed fetches delete their entry, so presence == cached or in flight.
-	return c.state.Contains(v)
+	return c.state.Load(v) != nil
 }
 
 // CachedDegree returns v's degree if — and only if — it is already known
@@ -535,11 +567,8 @@ func (c *Client) Known(v graph.NodeID) bool {
 // "historical information ... without paying any query cost" of the paper's
 // Theorem 5 extension. Speculative entries are excluded (see Cached).
 func (c *Client) CachedDegree(v graph.NodeID) (int, bool) {
-	st, ok := c.state.Get(v)
-	if !ok || !st.cached || st.speculative {
-		return 0, false
-	}
-	return len(st.nbrs), true
+	nbrs, ok := c.CachedNeighbors(v)
+	return len(nbrs), ok
 }
 
 // LowDegreeCount returns how many demand-cached users have degree 2 or 3:
@@ -550,7 +579,8 @@ func (c *Client) CachedDegree(v graph.NodeID) (int, bool) {
 func (c *Client) LowDegreeCount() int64 { return c.lowDeg.Load() }
 
 // noteVisible counts a list that just became demand-visible toward
-// LowDegreeCount. Callers hold the list's shard lock and have already Put it.
+// LowDegreeCount. Callers hold the list's stripe lock and have already
+// stored its demanded state.
 func (c *Client) noteVisible(nbrs []graph.NodeID) {
 	if n := len(nbrs); n == 2 || n == 3 {
 		c.lowDeg.Add(1)
@@ -559,13 +589,13 @@ func (c *Client) noteVisible(nbrs []graph.NodeID) {
 
 // CachedNeighbors returns v's neighbor list (shared slice, do not modify) if
 // already demand-cached. Prefetch strategies use it to read the walk
-// frontier without spending queries.
+// frontier without spending queries. It takes no lock: the entry's state is
+// stored after its list is written.
 func (c *Client) CachedNeighbors(v graph.NodeID) ([]graph.NodeID, bool) {
-	st, ok := c.state.Get(v)
-	if !ok || !st.cached || st.speculative {
-		return nil, false
+	if e := c.state.Load(v); e != nil && e.state.Load() == demanded {
+		return e.nbrs, true
 	}
-	return st.nbrs, true
+	return nil, false
 }
 
 // UniqueQueries returns the paper's query-cost metric: lists a sampler

@@ -2,7 +2,11 @@ package osn
 
 import (
 	"context"
+	"errors"
+	"fmt"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -167,5 +171,105 @@ func TestClientConcurrentCachedReads(t *testing.T) {
 	wg.Wait()
 	if client.UniqueQueries() > int64(g.NumNodes()) {
 		t.Errorf("unique queries %d exceed user count %d", client.UniqueQueries(), g.NumNodes())
+	}
+}
+
+// TestClientStripeRace mixes every stripe-lock transition on one client with
+// two stripes, so unrelated users collide on a lock: cache hits, coalesced
+// misses, prefetch upgrades, waiters cancelled mid-fetch and tenants running
+// into private budgets. Lock-free readers check that a list is never
+// visible before it is written. Once everything settles, the ledger must
+// balance: unique + speculative == CacheSize, the tenant bills sum to
+// UniqueQueries, no reservation dangles, and no tenant exceeds its budget.
+func TestClientStripeRace(t *testing.T) {
+	g := prefetchGraph(t)
+	svc := NewService(g, nil, Config{RealLatency: 20 * time.Microsecond})
+	c := NewClientShards(svc, 2)
+	c.StartPrefetch(PrefetchConfig{Workers: 4, Depth: 1, Queue: 256})
+	budgets := map[string]int64{"t0": 0, "t1": 10, "t2": 60, "t3": 0}
+	for name, b := range budgets {
+		c.SetTenantBudget(name, b)
+	}
+	n := g.NumNodes()
+	var exhausted atomic.Int64
+	var wg sync.WaitGroup
+	for w := range 8 {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			r := rng.New(uint64(w + 1))
+			ctx := WithTenant(context.Background(), fmt.Sprintf("t%d", w%4))
+			for i := range 400 {
+				v := graph.NodeID(r.Intn(n))
+				var err error
+				switch i % 5 {
+				case 0: // prefetch, then demand: upgrade or coalesce
+					c.Prefetch(v)
+					_, err = c.NeighborsContext(ctx, v)
+				case 1: // a waiter that may give up mid-fetch
+					cctx, cancel := context.WithTimeout(ctx, time.Duration(r.Intn(30))*time.Microsecond)
+					_, err = c.NeighborsContext(cctx, v)
+					cancel()
+				case 2: // a batch: coalesced misses across stripes
+					_, err = c.QueryBatchContext(ctx, []graph.NodeID{v, graph.NodeID(r.Intn(n))})
+				default: // hits once warm
+					_, err = c.NeighborsContext(ctx, graph.NodeID(r.Intn(n/4)))
+				}
+				switch {
+				case errors.Is(err, ErrBudgetExhausted):
+					exhausted.Add(1)
+				case errors.Is(err, context.DeadlineExceeded):
+					// Its own deadline, or that of the fetch it coalesced
+					// onto: waiters share the driving fetch's fate.
+				case err != nil:
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	readers.Add(1)
+	go func() {
+		defer readers.Done()
+		for v := graph.NodeID(0); ; v = (v + 1) % graph.NodeID(n) {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if nbrs, ok := c.CachedNeighbors(v); ok && !slices.Equal(nbrs, g.Neighbors(v)) {
+				t.Errorf("CachedNeighbors(%d) published a list before it was written", v)
+				return
+			}
+			if d, ok := c.CachedDegree(v); ok && d != g.Degree(v) {
+				t.Errorf("CachedDegree(%d) = %d, want %d", v, d, g.Degree(v))
+				return
+			}
+			c.Known(v)
+		}
+	}()
+	wg.Wait()
+	close(stop)
+	readers.Wait()
+	c.StopPrefetch() // in-flight speculative fetches commit before it returns
+
+	if got, want := c.UniqueQueries()+c.SpeculativeCount(), int64(c.CacheSize()); got != want {
+		t.Errorf("unique + speculative = %d, CacheSize = %d", got, want)
+	}
+	if got, want := billSum(c), c.UniqueQueries(); got != want {
+		t.Errorf("tenant bills sum to %d, UniqueQueries = %d", got, want)
+	}
+	for name, b := range c.TenantBills() {
+		if b.Reserved != 0 {
+			t.Errorf("tenant %q left a dangling reservation: %+v", name, b)
+		}
+		if b.Budget > 0 && b.Unique > b.Budget {
+			t.Errorf("tenant %q billed %d over its budget %d", name, b.Unique, b.Budget)
+		}
+	}
+	if exhausted.Load() == 0 {
+		t.Error("no demand ran into a budget; the tenant caps went untested")
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"rewire/internal/graph"
-	"rewire/internal/store"
 )
 
 // Journal is the client's durability hook: when installed (SetJournal), every
@@ -15,8 +14,8 @@ import (
 // persistence layer.
 //
 // Implementations must not call back into the Client: RecordFetch and
-// RecordUpgrade run under a shard lock and the repo's lock-ordering rules
-// (shard lock → ledger mutex, nothing else) apply.
+// RecordUpgrade run under a stripe lock and the repo's lock-ordering rules
+// (stripe lock → ledger mutex, nothing else) apply.
 type Journal interface {
 	// RecordFetch persists one committed fetch: billed reports whether the
 	// commit bills a unique query (demand path) or stays speculative, tenant
@@ -50,12 +49,20 @@ func (c *Client) Journaled() bool { return c.journal != nil }
 // cached (the caller replays a journal, in which each id's last fetch record
 // is unique).
 func (c *Client) SeedCached(v graph.NodeID, nbrs []graph.NodeID, billed bool, tenant string) {
-	c.state.Locked(v, func(s store.LockedShard[graph.NodeID, nodeState]) {
-		s.Put(v, nodeState{nbrs: nbrs, cached: true, speculative: !billed})
-		if billed {
-			c.noteVisible(nbrs)
-		}
-	})
+	mu := c.locks.Of(v)
+	mu.Lock()
+	e := c.newEntry()
+	e.nbrs = nbrs
+	if billed {
+		e.state.Store(demanded)
+	} else {
+		e.state.Store(speculative)
+	}
+	c.state.Store(v, e)
+	if billed {
+		c.noteVisible(nbrs)
+	}
+	mu.Unlock()
 	c.led.mu.Lock()
 	defer c.led.mu.Unlock()
 	if billed {
@@ -79,14 +86,18 @@ func (c *Client) SeedBill(tenant string, n int64) {
 }
 
 // journalFetch runs the persist-before-publish barrier for one finished
-// fetch. Called under v's shard lock, before the ledger is touched; an
-// append failure is returned so the commit fails the fetch — nothing is
+// fetch of nbrs. Called under v's stripe lock, before the ledger is touched;
+// an append failure is returned so the commit fails the fetch — nothing is
 // cached, nothing billed, and the next demand retries.
-func (c *Client) journalFetch(v graph.NodeID, f *inflight) error {
-	if c.journal == nil || f.err != nil {
+func (c *Client) journalFetch(v graph.NodeID, nbrs []graph.NodeID, e *entry) error {
+	if c.journal == nil {
 		return nil
 	}
-	if err := c.journal.RecordFetch(v, Response{User: v, Neighbors: f.nbrs}, f.demand > 0, f.tenant); err != nil {
+	tenant := ""
+	if e.tenant != nil {
+		tenant = e.tenant.name
+	}
+	if err := c.journal.RecordFetch(v, Response{User: v, Neighbors: nbrs}, e.demand > 0, tenant); err != nil {
 		return fmt.Errorf("osn: journaling fetch: %w", err)
 	}
 	return nil

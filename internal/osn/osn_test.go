@@ -261,7 +261,7 @@ func TestLowDegreeCount(t *testing.T) {
 	}{
 		{"demanded commit", demand, false},
 		{"speculative commit", func(t *testing.T, c *Client, v graph.NodeID) {
-			if _, fetched, _ := c.fetchSpeculative(ctx, v); !fetched {
+			if _, fetched, _, _ := c.fetchSpeculative(ctx, v); !fetched {
 				t.Fatalf("speculative fetch of %d did not fetch", v)
 			}
 		}, true},

@@ -234,7 +234,7 @@ func (p *prefetchPool) run(j prefetchJob) {
 		atomic.AddInt64(&p.skipped, 1)
 		return
 	}
-	nbrs, fetched, pending := p.c.fetchSpeculative(p.ctx, j.id)
+	nbrs, fetched, pending, done := p.c.fetchSpeculative(p.ctx, j.id)
 	if !fetched {
 		if p.cfg.Budget > 0 {
 			atomic.AddInt64(&p.reserved, -1) // no round-trip happened
@@ -252,7 +252,7 @@ func (p *prefetchPool) run(j prefetchJob) {
 		}
 		if pending != nil {
 			select {
-			case <-pending.done:
+			case <-done:
 			case <-p.quit:
 				return
 			case <-p.ctx.Done():
@@ -286,9 +286,8 @@ func (p *prefetchPool) run(j prefetchJob) {
 // speculative or demanded — pool-internal only: the pool may expand any
 // known neighborhood without upgrading the entry's billing state.
 func (c *Client) cachedNeighbors(v graph.NodeID) ([]graph.NodeID, bool) {
-	st, ok := c.state.Get(v)
-	if !ok || !st.cached {
-		return nil, false
+	if e := c.state.Load(v); e != nil && e.state.Load() != inFlight {
+		return e.nbrs, true
 	}
-	return st.nbrs, true
+	return nil, false
 }

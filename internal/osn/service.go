@@ -112,8 +112,12 @@ func (s *Service) Query(v graph.NodeID) (Response, error) {
 // was sent: the provider-side quota is spent, but no response is obtained, so
 // the Client bills nothing for it.
 func (s *Service) QueryContext(ctx context.Context, v graph.NodeID) (Response, error) {
-	if err := ctx.Err(); err != nil {
-		return Response{}, err
+	// A non-blocking receive polls cancellation without the mutex that
+	// cancelCtx.Err takes.
+	select {
+	case <-ctx.Done():
+		return Response{}, ctx.Err()
+	default:
 	}
 	if v < 0 || int(v) >= s.g.NumNodes() {
 		return Response{}, fmt.Errorf("%w: id %d", ErrNoSuchUser, v)

@@ -10,14 +10,17 @@
 //
 //   - Map is a power-of-two-sharded hash map with one RWMutex per shard.
 //     Operations on keys that hash to different shards never contend, and a
-//     writer stalls only 1/shards of the traffic. Compound read-modify-write
-//     sequences (the osn client's per-node singleflight with demand-counted
-//     billing) run under a single shard lock via Locked/RLocked, so the
-//     engine supports per-shard singleflight without a global mutex.
+//     writer stalls only 1/shards of the traffic. The rewiring overlay keeps
+//     its edge sets and list cache in Maps.
+//   - Table is a lock-free radix table over int32 ids, and Stripes the
+//     per-id lock set that goes with it: the osn client keeps one entry per
+//     user in a Table, so a cache hit is a single atomic load, and runs its
+//     per-user singleflight and billing transitions under the id's stripe.
 //   - Arena is a slab allocator for the short int32 neighbor lists the
-//     overlay materializes by the tens of thousands: one slab allocation
-//     amortizes hundreds of list allocations, and dropped lists release
-//     their slab to the GC once the last list carved from it dies.
+//     overlay materializes by the tens of thousands, and for the osn
+//     client's cache entries: one slab allocation amortizes hundreds of
+//     allocations, and dropped lists release their slab to the GC once the
+//     last list carved from it dies.
 //
 // Shard counts are powers of two so the shard index is a mask, not a modulo,
 // and keys are mixed through a 64-bit finalizer first — dense NodeIDs would
@@ -200,44 +203,3 @@ func (m *Map[K, V]) Keys() []K {
 	})
 	return out
 }
-
-// Locked runs f with k's shard write-locked, passing a view of the shard's
-// raw map. This is the compound-operation primitive: everything f does to the
-// view is atomic with respect to every other operation on keys of the same
-// shard — it is what lets the osn client keep "check cache, join in-flight
-// fetch, or claim the fetch" a single atomic step per node (per-shard
-// singleflight). f must not call other methods of the same Map (self
-// deadlock) and should stay short: it holds up 1/shards of the traffic.
-func (m *Map[K, V]) Locked(k K, f func(s LockedShard[K, V])) {
-	s := m.shardOf(k)
-	s.mu.Lock()
-	f(LockedShard[K, V]{m: s.m})
-	s.mu.Unlock()
-}
-
-// RLocked runs f with k's shard read-locked. f sees a consistent snapshot of
-// the shard but must only read.
-func (m *Map[K, V]) RLocked(k K, f func(s LockedShard[K, V])) {
-	s := m.shardOf(k)
-	s.mu.RLock()
-	f(LockedShard[K, V]{m: s.m})
-	s.mu.RUnlock()
-}
-
-// LockedShard is the raw view of one shard's map passed to Locked/RLocked
-// callbacks. It is only valid for the duration of the callback.
-type LockedShard[K Key, V any] struct {
-	m map[K]V
-}
-
-// Get returns the value stored under k in the locked shard.
-func (s LockedShard[K, V]) Get(k K) (V, bool) {
-	v, ok := s.m[k]
-	return v, ok
-}
-
-// Put stores v under k in the locked shard (write-locked callbacks only).
-func (s LockedShard[K, V]) Put(k K, v V) { s.m[k] = v }
-
-// Delete removes k from the locked shard (write-locked callbacks only).
-func (s LockedShard[K, V]) Delete(k K) { delete(s.m, k) }

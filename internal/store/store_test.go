@@ -90,44 +90,6 @@ func TestMapRangeAndKeys(t *testing.T) {
 	}
 }
 
-func TestMapLockedCompound(t *testing.T) {
-	m := NewMap[int32, int](16)
-	// A read-modify-write that must be atomic: increment-or-init.
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 1000; i++ {
-				k := int32(i % 10)
-				m.Locked(k, func(s LockedShard[int32, int]) {
-					v, _ := s.Get(k)
-					s.Put(k, v+1)
-				})
-			}
-		}()
-	}
-	wg.Wait()
-	total := 0
-	m.Range(func(_ int32, v int) bool { total += v; return true })
-	if total != 8*1000 {
-		t.Fatalf("lost updates: total = %d, want %d", total, 8*1000)
-	}
-}
-
-func TestMapRLocked(t *testing.T) {
-	m := NewMap[int32, int](4)
-	m.Put(7, 42)
-	saw := -1
-	m.RLocked(7, func(s LockedShard[int32, int]) {
-		v, _ := s.Get(7)
-		saw = v
-	})
-	if saw != 42 {
-		t.Fatalf("RLocked saw %d", saw)
-	}
-}
-
 func TestMapConcurrentMixed(t *testing.T) {
 	m := NewMap[int32, int64](0) // default shards
 	var wg sync.WaitGroup

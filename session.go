@@ -478,6 +478,9 @@ func (s *Session) Estimate(ctx context.Context, agg Aggregate, opt EstimateOptio
 		cost = s.provider.UniqueQueries
 	}
 	info := func(v NodeID) (int, Attrs) { return s.bound.Degree(v), Attrs{} }
+	// Stop runs once per step: poll ctx with a non-blocking receive on its
+	// Done channel, which, unlike cancelCtx.Err, takes no mutex.
+	done := ctx.Done()
 	res := estimate.RunSession(s.fleet.Members(), agg, info, cost, estimate.SessionConfig{
 		BurnIn:         monitor,
 		MaxBurnInSteps: opt.MaxBurnInSteps,
@@ -487,7 +490,12 @@ func (s *Session) Estimate(ctx context.Context, agg Aggregate, opt EstimateOptio
 		// (each would cost an append and a ledger read per sample).
 		RecordEvery: math.MaxInt,
 		Stop: func() bool {
-			return ctx.Err() != nil || s.bound.Err() != nil || s.pauseReq.Load()
+			select {
+			case <-done:
+				return true
+			default:
+				return s.bound.Err() != nil || s.pauseReq.Load()
+			}
 		},
 	})
 	out := Result{

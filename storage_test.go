@@ -96,10 +96,10 @@ func TestStoreShardsInvariance(t *testing.T) {
 	ctx := context.Background()
 	// Two deterministic workload shapes: a partitioned SRW fleet (each
 	// member's trajectory depends only on its own RNG stream — the shape the
-	// CI bench-gate relies on) exercising the sharded client cache, and a
-	// single-walker MTO run exercising the sharded overlay. Shared-overlay
-	// fleets are excluded on purpose: their guarded rewiring ops resolve
-	// races by arrival order, which no storage layout can make
+	// CI bench-gate relies on) exercising the client cache's lock stripes,
+	// and a single-walker MTO run exercising the sharded overlay.
+	// Shared-overlay fleets are excluded on purpose: their guarded rewiring
+	// ops resolve races by arrival order, which no storage layout can make
 	// schedule-free.
 	run := func(mto bool) ([]rewire.Sample, int64) {
 		g, err := rewire.SocialGraph(600, 2400, 11)

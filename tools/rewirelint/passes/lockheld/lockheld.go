@@ -1,5 +1,5 @@
 // Package lockheld encodes the repo's PR-1 locking discipline: no
-// sync.Mutex/RWMutex (nor a store.Map shard lock entered through a
+// sync.Mutex/RWMutex (nor a lock entered through a callback-style
 // Locked/RLocked compound op) may be held across an operation that can block
 // on the network or the scheduler. Blocking while holding a lock is exactly
 // how one slow provider round-trip serializes a whole walker fleet — the
@@ -17,7 +17,7 @@
 //   - sync.WaitGroup.Wait, sync.Cond.Wait, or time.Sleep.
 //
 // Taking another mutex while one is held is deliberately NOT flagged: the
-// client's documented shard-then-ledger lock order depends on it, and lock
+// client's documented stripe-then-ledger lock order depends on it, and lock
 // ordering is a different invariant from lock-across-latency.
 //
 // The analysis is a per-function, straight-line approximation: a lock whose
@@ -267,7 +267,7 @@ func (c *checker) lockOp(call *ast.CallExpr) (name, op string) {
 }
 
 // lockedCallback recognizes calls to methods named Locked/RLocked whose last
-// argument is a function literal — the store.Map compound-op shape — and
+// argument is a function literal — the callback compound-op shape — and
 // returns a display name for the shard lock they hold ("" otherwise).
 func lockedCallback(call *ast.CallExpr) string {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
