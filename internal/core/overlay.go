@@ -10,27 +10,25 @@ import (
 )
 
 // Overlay is the virtual rewired topology: the base graph (seen through a
-// walk.Source, typically the caching OSN client) plus an edge-delta set of
+// walk.Source, typically the caching OSN client) plus an edge delta of
 // removals and additions. It implements walk.Source itself, so any walker
 // can run "on the overlay" — which is exactly the paper's trick: the random
 // walk follows the modified topology while only the original network exists.
 //
 // The overlay never mutates the base; it is the third party's bookkeeping.
 //
-// Overlay is safe for concurrent use, and its storage is sharded
-// (internal/store): the edge-delta sets and the materialized-list cache live
-// in power-of-two-sharded maps, so fleet walkers reading different nodes'
-// overlay lists never touch the same lock. A single RWMutex (mu) still
-// serializes *mutations* against list materialization — edits are rare next
-// to reads, and cross-key atomicity (a removal touches both endpoints' lists
-// plus a delta set) is exactly what per-key shard locks cannot give — but
-// the hot path, re-reading an already-materialized list, is one shard
-// read-lock away and never blocks on mu. Materialized lists are carved from
-// a slab arena (one allocation amortizes hundreds of lists) and are
-// immutable snapshots with clipped capacity: invalidation replaces them
-// rather than editing them in place, so holding one across a concurrent
-// mutation is safe, and appending to one reallocates instead of corrupting
-// the arena.
+// Overlay is safe for concurrent use. The delta has one record: per node,
+// the partners of its removed and of its added edges, guarded by a single
+// RWMutex (mu). Mutators hold it exclusively — a removal touches both
+// endpoints' lists, which only a lock spanning both can make atomic — and
+// list materialization holds it shared. Materialized lists are cached in a
+// lock-free store.Table, so the hot path, re-reading an already-materialized
+// list, is one atomic load and never blocks on mu. Lists and their slice
+// headers are carved from slab arenas (one allocation amortizes thousands)
+// and are immutable snapshots with clipped capacity: invalidation replaces
+// them rather than editing them in place, so holding one across a
+// concurrent mutation is safe, and appending to one reallocates instead of
+// corrupting the arena.
 type Overlay struct {
 	base walk.Source
 	// pf is the base's prefetch capability (nil when the base cannot warm
@@ -45,25 +43,21 @@ type Overlay struct {
 
 	// mu serializes mutations (and Materialize snapshots) against list
 	// materialization: mutators hold it exclusively, materializing readers
-	// hold it shared. Lock order: mu first, then any shard lock of the
-	// sharded maps below; never the reverse.
-	mu      sync.RWMutex
-	removed *store.Map[graph.EdgeKey, struct{}]
-	added   *store.Map[graph.EdgeKey, struct{}]
-	// addedAdj lists added-edge partners per node for list materialization.
-	// Guarded by mu (only touched by mutators and materializing readers).
-	addedAdj map[graph.NodeID][]graph.NodeID
-	// removedAdj mirrors the removed set as per-node partner lists, also
-	// guarded by mu. It exists so materialization — which already holds mu
-	// and has the deltas frozen — filters a degree-d base list without d
-	// shard-lock acquisitions on the sharded removed set; the common case
-	// (no removals at v) is one empty map read.
-	removedAdj map[graph.NodeID][]graph.NodeID
+	// hold it shared.
+	mu sync.RWMutex
+	// removedAdj and addedAdj are the delta: each removed (added) edge is
+	// listed under both endpoints, as the other endpoint. Removals per node
+	// are few next to its degree, so a linear scan of a partner list is the
+	// membership test. Guarded by mu, as are the edge counts.
+	removedAdj, addedAdj map[graph.NodeID][]graph.NodeID
+	nRemoved, nAdded     int
 	// lists caches materialized overlay neighbor lists, invalidated on
 	// mutation of either endpoint. A hit never takes mu.
-	lists *store.Map[graph.NodeID, []graph.NodeID]
-	// arena backs the materialized lists' storage.
+	lists store.Table[[]graph.NodeID]
+	// arena backs the materialized lists' storage, heads their slice
+	// headers, so a materialization allocates nothing of its own.
 	arena *store.Arena[graph.NodeID]
+	heads *store.Arena[[]graph.NodeID]
 	// usedPivots records nodes that already hosted a Theorem 4 replacement.
 	// It lives on the overlay — not the sampler — so the one-replacement-
 	// per-pivot bound holds across a whole fleet sharing this overlay,
@@ -71,8 +65,13 @@ type Overlay struct {
 	usedPivots map[graph.NodeID]struct{}
 }
 
-// NewOverlay wraps base with an empty delta. Its sharded stores size
-// themselves to the machine (store.DefaultShards).
+// headSlab is the header arena's slab length: 96 KiB of slice headers. The
+// steady-state allocation gate measures windows of walk steps that
+// re-materialize the lists each rewiring invalidates, so a slab must outlast
+// those windows; a 256-header slab did not.
+const headSlab = 4096
+
+// NewOverlay wraps base with an empty delta.
 func NewOverlay(base walk.Source) *Overlay {
 	pf, _ := base.(walk.PrefetchSource)
 	failer, _ := base.(walk.Failing)
@@ -80,12 +79,10 @@ func NewOverlay(base walk.Source) *Overlay {
 		base:       base,
 		pf:         pf,
 		failer:     failer,
-		removed:    store.NewMap[graph.EdgeKey, struct{}](0),
-		added:      store.NewMap[graph.EdgeKey, struct{}](0),
-		addedAdj:   make(map[graph.NodeID][]graph.NodeID),
 		removedAdj: make(map[graph.NodeID][]graph.NodeID),
-		lists:      store.NewMap[graph.NodeID, []graph.NodeID](0),
+		addedAdj:   make(map[graph.NodeID][]graph.NodeID),
 		arena:      store.NewArena[graph.NodeID](0),
+		heads:      store.NewArena[[]graph.NodeID](headSlab),
 		usedPivots: make(map[graph.NodeID]struct{}),
 	}
 }
@@ -98,8 +95,8 @@ func (o *Overlay) Base() walk.Source { return o.base }
 // query on the underlying client for v's base list — the same query any walk
 // positioned at v must pay anyway.
 func (o *Overlay) Neighbors(v graph.NodeID) []graph.NodeID {
-	if lst, ok := o.lists.Get(v); ok {
-		return lst
+	if lst := o.lists.Load(v); lst != nil {
+		return *lst
 	}
 	// Warm the base cache BEFORE taking the overlay lock: on a fresh node
 	// the base read is the expensive part (a real provider round-trip
@@ -117,7 +114,7 @@ func (o *Overlay) Neighbors(v graph.NodeID) []graph.NodeID {
 	}
 	// Materialize under the shared lock: concurrent readers materialize
 	// different (or even the same) nodes in parallel; mutators are excluded,
-	// so the delta sets cannot change between the reads below and the cache
+	// so the delta cannot change between the reads below and the cache
 	// publish.
 	o.mu.RLock()
 	defer o.mu.RUnlock()
@@ -131,25 +128,12 @@ func (o *Overlay) failed() bool {
 	return o.failer != nil && o.failer.Err() != nil
 }
 
-// cachedList returns v's materialized overlay list if one exists, without
-// triggering materialization (and therefore without any base query).
-func (o *Overlay) cachedList(v graph.NodeID) ([]graph.NodeID, bool) {
-	return o.lists.Get(v)
-}
-
 // Degree returns v's overlay degree.
 func (o *Overlay) Degree(v graph.NodeID) int { return len(o.Neighbors(v)) }
 
-// HasEdge reports whether (u, v) exists in the overlay. It consults the
-// delta sets first and falls back to u's materialized list.
+// HasEdge reports whether (u, v) exists in the overlay, reading u's overlay
+// list.
 func (o *Overlay) HasEdge(u, v graph.NodeID) bool {
-	k := graph.KeyOf(u, v)
-	if o.removed.Contains(k) {
-		return false
-	}
-	if o.added.Contains(k) {
-		return true
-	}
 	return graph.ContainsSorted(o.Neighbors(u), v)
 }
 
@@ -162,25 +146,21 @@ func (o *Overlay) RemoveEdge(u, v graph.NodeID) {
 }
 
 func (o *Overlay) removeEdgeLocked(u, v graph.NodeID) {
-	k := graph.KeyOf(u, v)
-	if o.added.Contains(k) {
-		o.added.Delete(k)
-		o.addedAdj[u] = without(o.addedAdj[u], v)
-		o.addedAdj[v] = without(o.addedAdj[v], u)
+	if containsUnsorted(o.addedAdj[u], v) {
+		unlink(o.addedAdj, u, v)
+		o.nAdded--
 	} else if graph.ContainsSorted(o.base.Neighbors(u), v) {
-		if o.removed.Contains(k) {
-			return // already removed: a no-op, and appending to the
-			// removedAdj mirror twice would corrupt a later restore
+		if containsUnsorted(o.removedAdj[u], v) {
+			return // already removed: a no-op
 		}
-		o.removed.Put(k, struct{}{})
-		o.removedAdj[u] = append(o.removedAdj[u], v)
-		o.removedAdj[v] = append(o.removedAdj[v], u)
+		link(o.removedAdj, u, v)
+		o.nRemoved++
 	} else {
 		// Neither an addition nor a base edge: a true no-op. Guarding here
-		// keeps the removed set a subset of the base edge set even when a
-		// fleet member acts on a stale neighbor list (e.g. the added edge it
-		// saw was cancelled concurrently), so RemovedCount and Materialize
-		// stay exact.
+		// keeps the removals a subset of the base edge set even when a fleet
+		// member acts on a stale neighbor list (e.g. the added edge it saw
+		// was cancelled concurrently), so RemovedCount and Materialize stay
+		// exact.
 		return
 	}
 	o.lists.Delete(u)
@@ -190,7 +170,7 @@ func (o *Overlay) removeEdgeLocked(u, v graph.NodeID) {
 // AddEdge inserts (u, v) into the overlay: any removal mark is cleared, and
 // the edge is recorded as an addition only when the base graph does not
 // already carry it (so re-adding a base edge or restoring a removed one
-// leaves the delta sets clean). Self-loops are ignored.
+// leaves the delta clean). Self-loops are ignored.
 func (o *Overlay) AddEdge(u, v graph.NodeID) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -201,22 +181,31 @@ func (o *Overlay) addEdgeLocked(u, v graph.NodeID) {
 	if u == v {
 		return
 	}
-	k := graph.KeyOf(u, v)
-	if o.removed.Contains(k) {
-		o.removed.Delete(k)
-		o.removedAdj[u] = without(o.removedAdj[u], v)
-		o.removedAdj[v] = without(o.removedAdj[v], u)
+	if containsUnsorted(o.removedAdj[u], v) {
+		unlink(o.removedAdj, u, v)
+		o.nRemoved--
 	}
 	o.lists.Delete(u)
 	o.lists.Delete(v)
 	if graph.ContainsSorted(o.base.Neighbors(u), v) {
 		return // present in the base; clearing the removal mark restored it
 	}
-	if !o.added.Contains(k) {
-		o.added.Put(k, struct{}{})
-		o.addedAdj[u] = append(o.addedAdj[u], v)
-		o.addedAdj[v] = append(o.addedAdj[v], u)
+	if !containsUnsorted(o.addedAdj[u], v) {
+		link(o.addedAdj, u, v)
+		o.nAdded++
 	}
+}
+
+// link records the edge (u, v) in adj under both endpoints.
+func link(adj map[graph.NodeID][]graph.NodeID, u, v graph.NodeID) {
+	adj[u] = append(adj[u], v)
+	adj[v] = append(adj[v], u)
+}
+
+// unlink drops the edge (u, v) from adj under both endpoints.
+func unlink(adj map[graph.NodeID][]graph.NodeID, u, v graph.NodeID) {
+	adj[u] = without(adj[u], v)
+	adj[v] = without(adj[v], u)
 }
 
 // ReplaceEdge performs the Theorem 4 operation: remove (u, p), add (u, w),
@@ -230,13 +219,13 @@ func (o *Overlay) ReplaceEdge(u, p, w graph.NodeID) {
 
 // materializeLocked returns v's current overlay list, building it with mu
 // held (shared by the read path, exclusive inside guarded mutations —
-// either way the delta sets are frozen). Callers must only reach here for
+// either way the delta is frozen). Callers must only reach here for
 // nodes whose base neighborhood is already cached by the client (the sampler
 // guarantees that: it queries a node before judging its edges), so the base
 // read never blocks on a provider round-trip while the lock is held.
 func (o *Overlay) materializeLocked(v graph.NodeID) []graph.NodeID {
-	if lst, ok := o.lists.Get(v); ok {
-		return lst
+	if lst := o.lists.Load(v); lst != nil {
+		return *lst
 	}
 	base := o.base.Neighbors(v)
 	extra := o.addedAdj[v]
@@ -263,7 +252,9 @@ func (o *Overlay) materializeLocked(v graph.NodeID) []graph.NodeID {
 		// guarded commits) but do not cache it past the failure.
 		return lst
 	}
-	o.lists.Put(v, lst)
+	head := &o.heads.Alloc(1)[:1][0]
+	*head = lst
+	o.lists.Store(v, head)
 	return lst
 }
 
@@ -280,7 +271,7 @@ func (o *Overlay) materializeLocked(v graph.NodeID) []graph.NodeID {
 func (o *Overlay) RemoveEdgeGuarded(u, v graph.NodeID, minU, minV int) bool {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	if o.added.Contains(graph.KeyOf(u, v)) {
+	if containsUnsorted(o.addedAdj[u], v) {
 		// (u, v) is (now) a Theorem 4 addition — those are likely
 		// cross-cutting and must never be removed by the criterion, even if
 		// the caller judged a same-keyed base edge on a stale snapshot.
@@ -334,19 +325,24 @@ func (o *Overlay) PivotUsed(p graph.NodeID) bool {
 }
 
 // RemovedCount returns the number of net edge removals.
-func (o *Overlay) RemovedCount() int { return o.removed.Len() }
+func (o *Overlay) RemovedCount() int {
+	o.mu.RLock()
+	defer o.mu.RUnlock()
+	return o.nRemoved
+}
 
 // AddedCount returns the number of net edge additions.
-func (o *Overlay) AddedCount() int { return o.added.Len() }
+func (o *Overlay) AddedCount() int {
+	o.mu.RLock()
+	defer o.mu.RUnlock()
+	return o.nAdded
+}
 
 // Removed reports whether (u,v) was explicitly removed.
 func (o *Overlay) Removed(u, v graph.NodeID) bool {
-	return o.removed.Contains(graph.KeyOf(u, v))
-}
-
-// IsAdded reports whether (u,v) is an overlay addition (not a base edge).
-func (o *Overlay) IsAdded(u, v graph.NodeID) bool {
-	return o.added.Contains(graph.KeyOf(u, v))
+	o.mu.RLock()
+	defer o.mu.RUnlock()
+	return containsUnsorted(o.removedAdj[u], v)
 }
 
 // Delta captures the overlay's complete rewiring state — removed edges,
@@ -358,61 +354,75 @@ func (o *Overlay) IsAdded(u, v graph.NodeID) bool {
 func (o *Overlay) Delta() (removed, added []graph.EdgeKey, pivots []graph.NodeID) {
 	o.mu.RLock()
 	defer o.mu.RUnlock()
-	removed = o.removed.Keys()
-	added = o.added.Keys()
+	removed = edgeKeys(o.removedAdj, o.nRemoved)
+	added = edgeKeys(o.addedAdj, o.nAdded)
 	pivots = make([]graph.NodeID, 0, len(o.usedPivots))
 	for p := range o.usedPivots {
 		pivots = append(pivots, p)
 	}
-	slices.Sort(removed)
-	slices.Sort(added)
 	slices.Sort(pivots)
 	return removed, added, pivots
 }
 
 // RestoreDelta installs a delta captured with Delta into a fresh overlay —
-// the resume half of session checkpointing. It writes the sets and their
-// adjacency mirrors directly, so restoration issues no base queries (the
-// public mutators consult base neighborhoods, which over a cold provider
-// would spend budget). Call it only on an empty overlay, before any walker
-// runs; the materialized-list cache is dropped so lists rebuild lazily.
+// the resume half of session checkpointing. It writes the partner lists
+// directly, so restoration issues no base queries (the public mutators
+// consult base neighborhoods, which over a cold provider would spend
+// budget). Call it only on an empty overlay, before any walker runs; the
+// materialized-list cache is dropped so lists rebuild lazily. Repeated keys
+// count once.
 func (o *Overlay) RestoreDelta(removed, added []graph.EdgeKey, pivots []graph.NodeID) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	for _, k := range removed {
-		if o.removed.Contains(k) {
-			continue
-		}
-		u, v := k.Nodes()
-		o.removed.Put(k, struct{}{})
-		o.removedAdj[u] = append(o.removedAdj[u], v)
-		o.removedAdj[v] = append(o.removedAdj[v], u)
-		o.lists.Delete(u)
-		o.lists.Delete(v)
-	}
-	for _, k := range added {
-		if o.added.Contains(k) {
-			continue
-		}
-		u, v := k.Nodes()
-		o.added.Put(k, struct{}{})
-		o.addedAdj[u] = append(o.addedAdj[u], v)
-		o.addedAdj[v] = append(o.addedAdj[v], u)
-		o.lists.Delete(u)
-		o.lists.Delete(v)
-	}
+	o.nRemoved += o.restoreLocked(o.removedAdj, removed)
+	o.nAdded += o.restoreLocked(o.addedAdj, added)
 	for _, p := range pivots {
 		o.usedPivots[p] = struct{}{}
 	}
 }
 
-// RemovedEdges returns the keys of all removed edges (order unspecified).
+// restoreLocked links every distinct key of keys into adj and returns how
+// many it linked.
+func (o *Overlay) restoreLocked(adj map[graph.NodeID][]graph.NodeID, keys []graph.EdgeKey) int {
+	keys = slices.Compact(slices.Sorted(slices.Values(keys)))
+	for _, k := range keys {
+		u, v := k.Nodes()
+		link(adj, u, v)
+		o.lists.Delete(u)
+		o.lists.Delete(v)
+	}
+	return len(keys)
+}
+
+// RemovedEdges returns the keys of all removed edges, sorted.
 // Useful for reconstructing overlay degrees against a local copy of the
 // base graph without touching the query budget.
-func (o *Overlay) RemovedEdges() []graph.EdgeKey { return o.removed.Keys() }
+func (o *Overlay) RemovedEdges() []graph.EdgeKey {
+	o.mu.RLock()
+	defer o.mu.RUnlock()
+	return edgeKeys(o.removedAdj, o.nRemoved)
+}
 
-// AddedEdges returns the keys of all added edges (order unspecified).
-func (o *Overlay) AddedEdges() []graph.EdgeKey { return o.added.Keys() }
+// AddedEdges returns the keys of all added edges, sorted.
+func (o *Overlay) AddedEdges() []graph.EdgeKey {
+	o.mu.RLock()
+	defer o.mu.RUnlock()
+	return edgeKeys(o.addedAdj, o.nAdded)
+}
+
+// edgeKeys returns the n edges adj lists, each once, sorted.
+func edgeKeys(adj map[graph.NodeID][]graph.NodeID, n int) []graph.EdgeKey {
+	out := make([]graph.EdgeKey, 0, n)
+	for u, vs := range adj {
+		for _, v := range vs {
+			if u < v {
+				out = append(out, graph.KeyOf(u, v))
+			}
+		}
+	}
+	slices.Sort(out)
+	return out
+}
 
 // Materialize builds the full overlay as a concrete graph over n nodes.
 // It reads every node's base neighborhood, so call it only when the base is
@@ -432,9 +442,8 @@ func (o *Overlay) Materialize(n int) *graph.Graph {
 			}
 		}
 	}
-	for _, k := range o.added.Keys() {
-		u, v := k.Nodes()
-		b.AddEdge(u, v)
+	for _, k := range edgeKeys(o.addedAdj, o.nAdded) {
+		b.AddEdge(k.Nodes())
 	}
 	return b.Build()
 }
@@ -479,11 +488,5 @@ func (o *Overlay) Known(v graph.NodeID) bool {
 	if o.pf != nil {
 		return o.pf.Known(v)
 	}
-	_, ok := o.cachedList(v)
-	return ok
-}
-
-// CommonOverlayNeighbors intersects the overlay neighbor lists of u and v.
-func (o *Overlay) CommonOverlayNeighbors(u, v graph.NodeID) []graph.NodeID {
-	return graph.IntersectSorted(o.Neighbors(u), o.Neighbors(v))
+	return o.lists.Load(v) != nil
 }

@@ -298,23 +298,22 @@ func (s *Sampler) tryRemove(u, v graph.NodeID, uOv, vOv []graph.NodeID) (fires, 
 // overlay neighbor, so a removal never strands a node or disconnects the
 // overlay.
 func (s *Sampler) removableEdge(u, v graph.NodeID, uOv, vOv []graph.NodeID) (fires, t5Only bool) {
-	// Theorems 3/5 certify edges of the *original* graph. Overlay additions
-	// came from Theorem 4 replacements precisely because they are likely
-	// cross-cutting; removing them again would silently undo the rewiring
-	// (and, iterated with replacement, grind the overlay down to a tree).
-	if s.ov.IsAdded(u, v) {
-		return false, false
-	}
 	// The criterion reads the original (base) lists, as BuildOverlay's
 	// EvalOriginal does: that reproduces the paper's magnitudes (on the
 	// barbell running example Φ* ≈ 0.05–0.07, the paper reports 0.053, where
 	// testing current overlay neighborhoods stalls at ≈ 0.022), and lists
 	// that never change are what keep negative verdicts memoizable. Each
-	// endpoint's base list is read once per examined edge: the degree floor
-	// and the criterion share it. Both reads are cache hits, since the walk
-	// already paid for u and v.
+	// endpoint's base list is read once per examined edge: the base-edge
+	// test, the degree floor and the criterion share it. Both reads are cache
+	// hits, since the walk already paid for u and v.
 	ub := s.ov.base.Neighbors(u)
-	if len(uOv) <= floorFor(len(ub)) {
+	// Theorems 3/5 certify edges of the *original* graph. Overlay additions
+	// came from Theorem 4 replacements precisely because they are likely
+	// cross-cutting; removing them again would silently undo the rewiring
+	// (and, iterated with replacement, grind the overlay down to a tree).
+	// v is on u's overlay list and the overlay records an addition only
+	// where the base lacks the edge, so "not in ub" is exactly "added".
+	if !graph.ContainsSorted(ub, v) || len(uOv) <= floorFor(len(ub)) {
 		return false, false
 	}
 	vb := s.ov.base.Neighbors(v)

@@ -472,3 +472,40 @@ func TestWriteFileAtomic(t *testing.T) {
 		t.Fatalf("temp files left behind: %v", entries)
 	}
 }
+
+// TestManifestNamesStayInsideDir: recovery opens the files the manifest
+// names and the next compaction removes them, so a manifest naming a
+// generation's files by any path but their own — here one outside the cache
+// directory — must be refused at open, and the outside file left alone.
+func TestManifestNamesStayInsideDir(t *testing.T) {
+	root := t.TempDir()
+	dir := filepath.Join(root, "cache")
+	c, client := openAttached(t, dir, Options{CompactSegments: -1}, &mapBackend{n: 10})
+	if _, err := client.NeighborsContext(context.Background(), 1); err != nil {
+		t.Fatalf("query: %v", err)
+	}
+	if err := c.Compact(); err != nil {
+		t.Fatalf("Compact: %v", err)
+	}
+	c.Close()
+
+	outside := filepath.Join(root, snapName(1))
+	if err := os.Rename(filepath.Join(dir, snapName(1)), outside); err != nil {
+		t.Fatal(err)
+	}
+	man, ok, err := loadManifest(dir)
+	if err != nil || !ok || man.Gen != 1 {
+		t.Fatalf("loadManifest = %+v, %v, %v", man, ok, err)
+	}
+	man.Snapshot = filepath.Join("..", snapName(1))
+	if err := saveManifest(dir, man); err != nil {
+		t.Fatal(err)
+	}
+	if c2, err := Open(dir, Options{CompactSegments: -1}); err == nil {
+		c2.Close()
+		t.Fatalf("Open accepted a manifest naming snapshot %q", man.Snapshot)
+	}
+	if _, err := os.Stat(outside); err != nil {
+		t.Errorf("file outside the cache directory: %v", err)
+	}
+}

@@ -2,9 +2,14 @@ package durable
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/json"
+	"hash/crc32"
+	"path/filepath"
 	"testing"
 
 	"rewire/internal/graph"
+	"rewire/internal/osn"
 )
 
 // FuzzWALReplay drives segment recovery with arbitrary bytes — torn writes,
@@ -95,6 +100,76 @@ func FuzzWALReplay(f *testing.F) {
 				a.Attrs != b.Attrs || len(a.Neighbors) != len(b.Neighbors) {
 				t.Fatalf("round trip record %d: %+v != %+v", i, a, b)
 			}
+		}
+	})
+}
+
+// FuzzManifest feeds arbitrary MANIFEST.json bytes to the manifest decoder.
+// Recovery opens every file an accepted manifest names and compaction later
+// deletes the snapshot and meta files, so beyond never panicking, every name
+// an accepted manifest yields must sit directly inside the cache directory.
+func FuzzManifest(f *testing.F) {
+	for _, m := range []manifest{
+		{Version: manifestVersion, Segments: []uint64{1}, NextSeq: 2},
+		{Version: manifestVersion, Gen: 3, Snapshot: snapName(3), Meta: metaName(3), Segments: []uint64{7, 8}, NextSeq: 9},
+		{Version: manifestVersion, Gen: 1, Snapshot: "../" + snapName(1), Meta: metaName(1), Segments: []uint64{2}, NextSeq: 3},
+	} {
+		data, err := json.Marshal(m)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Add([]byte(`{"version":1,"gen":1,"snapshot":"/etc/passwd","meta":"meta-000001.bin","segments":[1],"next_seq":2}`))
+	f.Add([]byte(`{}`))
+
+	const dir = "cache"
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := decodeManifest(data)
+		if err != nil {
+			return
+		}
+		names := []string{m.Snapshot, m.Meta}
+		if m.Gen == 0 {
+			names = nil
+		}
+		for _, seq := range m.Segments {
+			names = append(names, segmentName(seq))
+		}
+		for _, name := range names {
+			if filepath.Dir(filepath.Join(dir, name)) != dir {
+				t.Fatalf("accepted manifest names %q, outside %s/", name, dir)
+			}
+		}
+	})
+}
+
+// FuzzMeta feeds decodeMeta arbitrary bodies with a valid CRC appended, so
+// the fuzzer explores the decoder rather than the checksum. Beyond never
+// panicking, the encoding is canonical: any state decodeMeta accepts must
+// re-encode through encodeMeta to the very bytes it came from.
+func FuzzMeta(f *testing.F) {
+	m := newMetaState()
+	empty := encodeMeta(m)
+	f.Add(empty[:len(empty)-4])
+	m.apply(Record{Type: recFetch, User: 3, Billed: true, Tenant: "a", Attrs: osn.UserAttrs{Age: 1, DescLen: 200, Posts: 9}})
+	m.apply(Record{Type: recFetch, User: 5})
+	m.apply(Record{Type: recUpgrade, User: 5, Tenant: "b"})
+	m.apply(Record{Type: recFetch, User: 9, Billed: true, Tenant: "c"})
+	m.apply(Record{Type: recTombstone, User: 9})
+	m.apply(Record{Type: recBudget, Budget: -100})
+	m.apply(Record{Type: recTenantBudget, Tenant: "d", Budget: 40})
+	enc := encodeMeta(m)
+	f.Add(enc[:len(enc)-4])
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		data := binary.LittleEndian.AppendUint32(bytes.Clone(body), crc32.ChecksumIEEE(body))
+		got, err := decodeMeta(data)
+		if err != nil {
+			return
+		}
+		if again := encodeMeta(got); !bytes.Equal(again, data) {
+			t.Fatalf("accepted meta re-encodes differently:\n in  %x\n out %x", data, again)
 		}
 	})
 }

@@ -17,8 +17,9 @@ import (
 type manifest struct {
 	Version int    `json:"version"`
 	Gen     uint64 `json:"gen"`
-	// Snapshot and Meta name the compacted state of generation Gen; both are
-	// empty while Gen == 0 (nothing compacted yet).
+	// Snapshot and Meta name the compacted state of generation Gen, always
+	// snapName(Gen) and metaName(Gen); both are empty while Gen == 0
+	// (nothing compacted yet).
 	Snapshot string `json:"snapshot,omitempty"`
 	Meta     string `json:"meta,omitempty"`
 	// Segments lists live WAL segment sequence numbers in append order; the
@@ -48,25 +49,38 @@ func loadManifest(dir string) (m manifest, ok bool, err error) {
 	if err != nil {
 		return m, false, fmt.Errorf("durable: reading manifest: %w", err)
 	}
+	m, err = decodeManifest(data)
+	return m, err == nil, err
+}
+
+// decodeManifest parses and validates a manifest's bytes.
+func decodeManifest(data []byte) (m manifest, err error) {
 	if err := json.Unmarshal(data, &m); err != nil {
-		return m, false, fmt.Errorf("durable: decoding manifest: %w", err)
+		return m, fmt.Errorf("durable: decoding manifest: %w", err)
 	}
 	if m.Version != manifestVersion {
-		return m, false, fmt.Errorf("durable: unsupported manifest version %d", m.Version)
+		return m, fmt.Errorf("durable: unsupported manifest version %d", m.Version)
 	}
 	if len(m.Segments) == 0 {
-		return m, false, fmt.Errorf("durable: manifest lists no segments")
+		return m, fmt.Errorf("durable: manifest lists no segments")
 	}
 	if !slices.IsSorted(m.Segments) || len(slices.Compact(slices.Clone(m.Segments))) != len(m.Segments) {
-		return m, false, fmt.Errorf("durable: manifest segments not strictly increasing: %v", m.Segments)
+		return m, fmt.Errorf("durable: manifest segments not strictly increasing: %v", m.Segments)
 	}
 	if last := m.Segments[len(m.Segments)-1]; m.NextSeq <= last {
-		return m, false, fmt.Errorf("durable: manifest next_seq %d not above active segment %d", m.NextSeq, last)
+		return m, fmt.Errorf("durable: manifest next_seq %d not above active segment %d", m.NextSeq, last)
 	}
-	if (m.Gen == 0) != (m.Snapshot == "") || (m.Gen == 0) != (m.Meta == "") {
-		return m, false, fmt.Errorf("durable: manifest generation %d inconsistent with snapshot %q / meta %q", m.Gen, m.Snapshot, m.Meta)
+	// Recovery opens the named files and compaction later deletes them, so
+	// only the names the writer produces are accepted: any other name could
+	// reach outside the cache directory.
+	var snap, meta string
+	if m.Gen > 0 {
+		snap, meta = snapName(m.Gen), metaName(m.Gen)
 	}
-	return m, true, nil
+	if m.Snapshot != snap || m.Meta != meta {
+		return m, fmt.Errorf("durable: manifest generation %d names snapshot %q / meta %q, want %q / %q", m.Gen, m.Snapshot, m.Meta, snap, meta)
+	}
+	return m, nil
 }
 
 // saveManifest commits m as dir's manifest via the fsync'd atomic-rename

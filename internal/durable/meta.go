@@ -88,7 +88,10 @@ func (m *metaState) sortedIDs() []graph.NodeID {
 // Meta file format: "RWIRMET1" magic, then a versioned body, then an IEEE
 // CRC-32 of everything before it. The body interns tenant names in a sorted
 // string table and stores entries sorted by id, so identical states encode
-// to identical bytes (byte-stable across map iteration order).
+// to identical bytes (byte-stable across map iteration order). The encoding
+// is canonical: decodeMeta accepts only what encodeMeta writes — sorted,
+// duplicate-free sections, every interned tenant in use, no zero unique
+// counts — so an accepted file re-encodes to itself.
 const (
 	metaMagic   = "RWIRMET1"
 	metaVersion = 1
@@ -99,8 +102,10 @@ func encodeMeta(m *metaState) []byte {
 	for _, e := range m.entries {
 		tenantSet[e.tenant] = struct{}{}
 	}
-	for t := range m.unique {
-		tenantSet[t] = struct{}{}
+	for t, n := range m.unique {
+		if n != 0 {
+			tenantSet[t] = struct{}{}
+		}
 	}
 	for t := range m.tenantBudget {
 		tenantSet[t] = struct{}{}
@@ -182,10 +187,18 @@ func decodeMeta(data []byte) (*metaState, error) {
 	if r.err == nil && nTenants > len(body) {
 		r.fail("tenant count %d overruns body", nTenants)
 	}
-	tenants := make([]string, 0, max(nTenants, 0))
-	for i := 0; i < nTenants && r.err == nil; i++ {
-		tenants = append(tenants, r.str())
+	if r.err != nil {
+		return nil, r.err // before sizing the table by a hostile count
 	}
+	tenants := make([]string, 0, nTenants)
+	for i := 0; i < nTenants && r.err == nil; i++ {
+		t := r.str()
+		if r.err == nil && i > 0 && t <= tenants[i-1] {
+			r.fail("tenant table not strictly sorted at %d", i)
+		}
+		tenants = append(tenants, t)
+	}
+	used := make([]bool, len(tenants))
 	tenant := func(i uint64) string {
 		if r.err == nil && i >= uint64(len(tenants)) {
 			r.fail("tenant index %d outside table of %d", i, len(tenants))
@@ -193,20 +206,30 @@ func decodeMeta(data []byte) (*metaState, error) {
 		if r.err != nil {
 			return ""
 		}
+		used[i] = true
 		return tenants[i]
 	}
-	for i, n := 0, r.smallInt(); i < n && r.err == nil; i++ {
-		t := tenant(r.uvarint())
-		m.unique[t] = r.varint()
+	// tenantSection reads a tenant-keyed section, whose tenant indices must
+	// strictly increase.
+	tenantSection := func(into map[string]int64, zeroOK bool) {
+		prev := -1
+		for i, n := 0, r.smallInt(); i < n && r.err == nil; i++ {
+			ti := r.uvarint()
+			t, v := tenant(ti), r.varint()
+			if r.err == nil && (int(ti) <= prev || (v == 0 && !zeroOK)) {
+				r.fail("tenant section out of order or zero at %d", i)
+			}
+			prev = int(ti)
+			into[t] = v
+		}
 	}
-	for i, n := 0, r.smallInt(); i < n && r.err == nil; i++ {
-		t := tenant(r.uvarint())
-		m.tenantBudget[t] = r.varint()
-	}
+	tenantSection(m.unique, false)
+	tenantSection(m.tenantBudget, true)
 	nEntries := r.smallInt()
 	if r.err == nil && nEntries > len(body) {
 		r.fail("entry count %d overruns body", nEntries)
 	}
+	prevID := graph.NodeID(-1)
 	for i := 0; i < nEntries && r.err == nil; i++ {
 		id := r.nodeID()
 		flags := r.byte()
@@ -214,9 +237,16 @@ func decodeMeta(data []byte) (*metaState, error) {
 		e.attrs.Age = r.smallInt()
 		e.attrs.DescLen = r.smallInt()
 		e.attrs.Posts = r.smallInt()
+		if r.err == nil && (id <= prevID || flags > 1) {
+			r.fail("entry %d out of order or with flags %#x", id, flags)
+		}
+		prevID = id
 		if r.err == nil {
 			m.entries[id] = e
 		}
+	}
+	if r.err == nil && slices.Contains(used, false) {
+		r.fail("tenant table holds an unused name")
 	}
 	if r.err != nil {
 		return nil, r.err

@@ -116,8 +116,10 @@ func appendLenString(dst []byte, s string) []byte {
 }
 
 // payloadReader decodes a record payload with sticky-error bounds checking:
-// any short read, overlong varint, or out-of-range value poisons the reader
-// and every subsequent read returns zero values.
+// any short read, overlong or non-minimal varint, or out-of-range value
+// poisons the reader and every subsequent read returns zero values. The
+// encoders write minimal varints only, so a value decodes from exactly one
+// byte string.
 type payloadReader struct {
 	b   []byte
 	off int
@@ -148,7 +150,7 @@ func (r *payloadReader) uvarint() uint64 {
 		return 0
 	}
 	v, n := binary.Uvarint(r.b[r.off:])
-	if n <= 0 {
+	if n <= 0 || !r.minimal(n) {
 		r.fail("bad uvarint at offset %d", r.off)
 		return 0
 	}
@@ -156,12 +158,18 @@ func (r *payloadReader) uvarint() uint64 {
 	return v
 }
 
+// minimal reports whether the n-byte varint at off is minimally encoded: a
+// longer encoding of the same value ends in a zero byte.
+func (r *payloadReader) minimal(n int) bool {
+	return n == 1 || r.b[r.off+n-1] != 0
+}
+
 func (r *payloadReader) varint() int64 {
 	if r.err != nil {
 		return 0
 	}
 	v, n := binary.Varint(r.b[r.off:])
-	if n <= 0 {
+	if n <= 0 || !r.minimal(n) {
 		r.fail("bad varint at offset %d", r.off)
 		return 0
 	}

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"runtime"
+	"slices"
 
 	"rewire/internal/core"
 	"rewire/internal/graph"
@@ -36,11 +37,23 @@ const steadyWarmups = 20_000
 // allocMeasureRuns is the sample size for the per-step allocation average.
 const allocMeasureRuns = 2_000
 
+// allocWindows is how many windows of allocMeasureRuns non-mutating MTO steps
+// the gate measures; it keeps the best.
+const allocWindows = 3
+
 // SteadyStateAllocs measures AllocRow on ds at the given seed. The service
 // is zero-latency: only the in-process hot path is exercised.
 func SteadyStateAllocs(ds Dataset, seed uint64) AllocRow {
-	var row AllocRow
+	srw, mto := steadyWalkers(ds, seed)
+	return AllocRow{
+		SRW: minAllocsPerOp(3, allocMeasureRuns, func() { srw.Step() }),
+		MTO: slices.Min(samplerAllocWindows(mto, allocWindows, allocMeasureRuns)),
+	}
+}
 
+// steadyWalkers returns an SRW and an MTO walker on ds, each over its own
+// fully warm client and past steadyWarmups steps.
+func steadyWalkers(ds Dataset, seed uint64) (*walk.Simple, *core.Sampler) {
 	warmClient := func() *osn.Client {
 		svc := osn.NewService(ds.Graph, nil, osn.Config{})
 		client := osn.NewClient(svc)
@@ -51,44 +64,60 @@ func SteadyStateAllocs(ds Dataset, seed uint64) AllocRow {
 	}
 
 	srw := walk.NewSimple(warmClient(), 0, rng.New(seed))
-	for i := 0; i < steadyWarmups; i++ {
-		srw.Step()
-	}
-	row.SRW = minAllocsPerOp(3, allocMeasureRuns, func() { srw.Step() })
-
 	mto := core.NewSampler(warmClient(), 0, core.DefaultConfig(), rng.New(seed+1))
 	for i := 0; i < steadyWarmups; i++ {
+		srw.Step()
 		mto.Step()
 	}
-	row.MTO = samplerSteadyAllocs(mto, allocMeasureRuns)
-	return row
+	return srw, mto
 }
 
-// samplerSteadyAllocs measures allocations per non-mutating Sampler step: a
-// step that commits a removal or replacement is excluded (the overlay's list
-// surgery allocates by design and happens a bounded number of times per
-// graph), every other step must be free. Per-step ReadMemStats bracketing is
-// slow — runs are small — but exact.
-func samplerSteadyAllocs(s *core.Sampler, runs int) float64 {
+// samplerAllocWindows measures allocations per non-mutating Sampler step
+// over n consecutive windows of runs counted steps each. A step that commits
+// a removal or replacement is excluded (the overlay's list surgery allocates
+// by design and happens a bounded number of times per graph); every other
+// step must be free. Per-step ReadMemStats bracketing is slow — runs are
+// small — but exact.
+//
+// MemStats counts every goroutine's mallocs, so a window opens only after
+// quiesce, and the gate keeps the best window: a background goroutine's
+// allocation taints one window, while the walk's own allocations — an
+// arena slab refill included — are a property of the trajectory, which the
+// race-free test pins by requiring every window to read 0.
+func samplerAllocWindows(s *core.Sampler, n, runs int) []float64 {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	s.Step()
-	runtime.GC()
+	out := make([]float64, n)
 	var before, after runtime.MemStats
-	var mallocs uint64
-	counted := 0
-	for guard := 0; counted < runs && guard < 100*runs; guard++ {
-		st := s.Stats()
-		runtime.ReadMemStats(&before)
-		s.Step()
-		runtime.ReadMemStats(&after)
-		now := s.Stats()
-		if now.Removals != st.Removals || now.Replacements != st.Replacements {
-			continue // rewiring committed: list surgery is allowed to allocate
+	for w := range out {
+		quiesce()
+		var mallocs uint64
+		counted := 0
+		for guard := 0; counted < runs && guard < 100*runs; guard++ {
+			st := s.Stats()
+			runtime.ReadMemStats(&before)
+			s.Step()
+			runtime.ReadMemStats(&after)
+			now := s.Stats()
+			if now.Removals != st.Removals || now.Replacements != st.Replacements {
+				continue // rewiring committed: list surgery is allowed to allocate
+			}
+			mallocs += after.Mallocs - before.Mallocs
+			counted++
 		}
-		mallocs += after.Mallocs - before.Mallocs
-		counted++
+		out[w] = float64(mallocs) / float64(counted)
 	}
-	return float64(mallocs) / float64(counted)
+	return out
+}
+
+// quiesce collects garbage, then yields the (single) P a few times so the
+// goroutines a GC cycle wakes — the unique package's map cleanup among them
+// — run and allocate before a measured window opens rather than inside it.
+func quiesce() {
+	runtime.GC()
+	for range 8 {
+		runtime.Gosched()
+	}
 }
 
 // minAllocsPerOp takes the best of n allocsPerOp attempts — the bestOf
@@ -112,7 +141,7 @@ func allocsPerOp(runs int, f func()) float64 {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	f()
 	var before, after runtime.MemStats
-	runtime.GC()
+	quiesce()
 	runtime.ReadMemStats(&before)
 	for i := 0; i < runs; i++ {
 		f()

@@ -32,7 +32,7 @@ func (e Edge) Canon() Edge {
 }
 
 // EdgeKey packs a canonical edge into a single comparable 64-bit key, used by
-// the overlay's delta sets.
+// the overlay's delta snapshots and the sampler's verdict memo.
 type EdgeKey uint64
 
 // Key returns the canonical packed key of e.

@@ -7,44 +7,6 @@ import (
 	"testing"
 )
 
-func TestMapBasics(t *testing.T) {
-	m := NewMap[int32, string](8)
-	if m.Shards() != 8 {
-		t.Fatalf("shards = %d, want 8", m.Shards())
-	}
-	if _, ok := m.Get(1); ok {
-		t.Fatal("empty map reported a hit")
-	}
-	m.Put(1, "a")
-	m.Put(2, "b")
-	m.Put(1, "c") // overwrite
-	if v, ok := m.Get(1); !ok || v != "c" {
-		t.Fatalf("Get(1) = %q, %v", v, ok)
-	}
-	if m.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", m.Len())
-	}
-	m.Delete(1)
-	if m.Contains(1) {
-		t.Fatal("deleted key still present")
-	}
-	if m.Len() != 1 {
-		t.Fatalf("Len after delete = %d, want 1", m.Len())
-	}
-}
-
-func TestMapShardRounding(t *testing.T) {
-	cases := []struct{ in, want int }{
-		{-1, DefaultShards()}, {0, DefaultShards()}, {1, 1}, {2, 2}, {3, 4},
-		{5, 8}, {64, 64}, {65, 128},
-	}
-	for _, c := range cases {
-		if got := NewMap[uint64, int](c.in).Shards(); got != c.want {
-			t.Errorf("NewMap(%d).Shards() = %d, want %d", c.in, got, c.want)
-		}
-	}
-}
-
 func TestDefaultShardsAdaptive(t *testing.T) {
 	n := DefaultShards()
 	if n < MinDefaultShards || n > MaxDefaultShards {
@@ -57,66 +19,6 @@ func TestDefaultShardsAdaptive(t *testing.T) {
 	if want := ceilPow2(4 * procs); n != want && want >= MinDefaultShards && want <= MaxDefaultShards {
 		t.Fatalf("DefaultShards() = %d, want %d for GOMAXPROCS=%d", n, want, procs)
 	}
-}
-
-func TestMapRangeAndKeys(t *testing.T) {
-	m := NewMap[uint64, int](4)
-	want := map[uint64]int{}
-	for i := uint64(0); i < 100; i++ {
-		m.Put(i, int(i)*3)
-		want[i] = int(i) * 3
-	}
-	got := map[uint64]int{}
-	m.Range(func(k uint64, v int) bool {
-		got[k] = v
-		return true
-	})
-	if len(got) != len(want) {
-		t.Fatalf("Range visited %d entries, want %d", len(got), len(want))
-	}
-	for k, v := range want {
-		if got[k] != v {
-			t.Fatalf("Range saw %d=%d, want %d", k, got[k], v)
-		}
-	}
-	if len(m.Keys()) != 100 {
-		t.Fatalf("Keys len = %d", len(m.Keys()))
-	}
-	// Early stop.
-	n := 0
-	m.Range(func(uint64, int) bool { n++; return false })
-	if n != 1 {
-		t.Fatalf("Range with false continued: %d visits", n)
-	}
-}
-
-func TestMapConcurrentMixed(t *testing.T) {
-	m := NewMap[int32, int64](0) // default shards
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 2000; i++ {
-				k := int32((g*7 + i) % 257)
-				switch i % 4 {
-				case 0:
-					m.Put(k, int64(i))
-				case 1:
-					m.Get(k)
-				case 2:
-					m.Contains(k)
-				case 3:
-					if i%16 == 3 {
-						m.Delete(k)
-					} else {
-						m.Len()
-					}
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
 }
 
 func TestArenaCarving(t *testing.T) {

@@ -83,7 +83,8 @@ func loadOrAlloc[P any](p *atomic.Pointer[P]) *P {
 	return p.Load()
 }
 
-// stripe pads one mutex to its own cache line, as shard does for Map.
+// stripe pads one mutex to its own cache line, so lock traffic on one stripe
+// does not false-share with its neighbors.
 type stripe struct {
 	sync.Mutex
 	_ [64 - 8]byte
@@ -91,7 +92,7 @@ type stripe struct {
 
 // Stripes is a power-of-two set of mutexes chosen by key: the lock side of a
 // Table, serializing compound operations per key without a global mutex.
-// Keys are mixed like Map's, so the stripe index is a mask.
+// Keys are mixed first, so dense ids spread and the stripe index is a mask.
 type Stripes struct {
 	s    []stripe
 	mask uint64

@@ -97,7 +97,8 @@ func TestStoreShardsInvariance(t *testing.T) {
 	// Two deterministic workload shapes: a partitioned SRW fleet (each
 	// member's trajectory depends only on its own RNG stream — the shape the
 	// CI bench-gate relies on) exercising the client cache's lock stripes,
-	// and a single-walker MTO run exercising the sharded overlay.
+	// and a single-walker MTO run, whose overlay reads and rewires through
+	// the same client.
 	// Shared-overlay fleets are excluded on purpose: their guarded rewiring
 	// ops resolve races by arrival order, which no storage layout can make
 	// schedule-free.

@@ -79,7 +79,8 @@ func (c *Client) branchWhileHeld(cold bool) {
 	c.mu.Unlock()
 }
 
-// Map mimics store.Map: Locked runs its callback under a shard lock.
+// Map stands for any sharded store with a compound op: Locked runs its
+// callback under the key's shard lock, which the pass treats as held.
 type Map struct{}
 
 // Locked runs fn while holding the key's shard lock.
