@@ -107,7 +107,7 @@ func ExampleSession_Estimate() {
 	fmt.Printf("estimate %.2f (truth %.2f) from %d samples, converged: %v\n",
 		res.Estimate, g.AverageDegree(), res.Samples, res.Converged)
 	// Output:
-	// estimate 10.09 (truth 10.09) from 2000 samples, converged: true
+	// estimate 10.08 (truth 10.09) from 2000 samples, converged: true
 }
 
 // ExampleSession_Rewired shows the on-the-fly rewiring doing its job: the
@@ -132,5 +132,5 @@ func ExampleSession_Rewired() {
 	fmt.Printf("%d removals, %d additions; conductance %.4f -> %.4f\n",
 		removed, added, phi, phiStar)
 	// Output:
-	// 81 removals, 0 additions; conductance 0.0179 -> 0.0667
+	// 80 removals, 0 additions; conductance 0.0179 -> 0.0667
 }

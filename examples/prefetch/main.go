@@ -5,7 +5,7 @@
 // trajectories and pay the byte-identical unique-query bill; the only thing
 // speculation buys is wall-clock, because by the time the walk demands a
 // node, its round-trip has usually already happened. The same contrast is
-// then shown for an MTO session (inner-loop and Theorem 4 pivot hints) —
+// then shown for an MTO session (pick and Theorem 4 pivot hints) —
 // all of it on the public rewire SDK.
 //
 //	go run ./examples/prefetch
@@ -77,7 +77,7 @@ func main() {
 		log.Fatalf("prefetch changed the SRW query bill: %d vs %d", cold.UniqueQueries(), warm.UniqueQueries())
 	}
 
-	// --- MTO session: inner-loop + pivot-candidate hints ------------------
+	// --- MTO session: pick + pivot-candidate hints -------------------------
 	mtoCold, mtoColdP := run(g, rewire.AlgMTO, 1, 1500, false)
 	fmt.Printf("MTO session (1 walker, 1500 samples, Theorem 4 pivot hints):\n")
 	fmt.Printf("  no prefetch     wall %-8v unique %d\n",
@@ -85,6 +85,6 @@ func main() {
 	mtoWarm, mtoWarmP := run(g, rewire.AlgMTO, 1, 1500, true)
 	fmt.Printf("  pivot prefetch  wall %-8v unique %d\n",
 		mtoWarm.Round(time.Millisecond), mtoWarmP.UniqueQueries())
-	fmt.Printf("  speedup %.1fx — the inner-loop re-picks and replacement targets coalesce onto in-flight speculation\n",
+	fmt.Printf("  speedup %.1fx — the picks and replacement targets coalesce onto in-flight speculation\n",
 		float64(mtoCold)/float64(mtoWarm))
 }

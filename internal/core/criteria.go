@@ -21,9 +21,9 @@
 // spectral measurements. Config holds only what callers vary: which
 // operations run, the Theorem 5 extension, the weight mode and prefetch
 // hints. Algorithm 1's own settings are fixed: the sampler tests the criterion
-// on original lists, and constants set the 1/2 move and replace coins, one
-// replacement per pivot, the inner re-pick cap, the degree floor and
-// WeightSampled's sample size.
+// on original lists and has no move coin (see Sampler.Step), and constants set
+// the 1/2 replace coin, one replacement per pivot, the inner re-pick cap, the
+// degree floor and WeightSampled's sample size.
 //
 // Four shortcuts let the criterion skip most of its work, and all are exact
 // (they never change a verdict). Two are bounds. Doubled, the left side of

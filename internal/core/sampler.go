@@ -26,17 +26,13 @@ const (
 // Algorithm 1's fixed settings. No caller varies them, so they are constants
 // rather than Config fields; a probe of other values edits them here.
 const (
-	// moveProb is Algorithm 1's "rand(0,1) < 1/2" move probability per inner
-	// iteration; the complement re-picks a neighbor (possibly after more
-	// topology edits).
-	moveProb = 0.5
 	// replaceProb is Algorithm 1's "choose to replace" coin at a degree-3
-	// pivot, fair like the move coin.
+	// pivot: a fair coin.
 	replaceProb = 0.5
 	// maxInner caps inner re-pick iterations per Step as a safety valve,
-	// after which the step falls back to a plain SRW move. Removals re-pick
-	// without flipping the move coin, so the cap is what bounds a step's
-	// work; a removal-free step reaches it with probability 2^-64.
+	// after which the step falls back to a plain SRW move. Only picks the
+	// criterion fires on re-pick, so the cap bounds a run of removals; a step
+	// ends at its first pick the criterion does not fire on.
 	maxInner = 64
 	// degreeFloor keeps every node's overlay degree at or above
 	// ⌈degreeFloor · original degree⌉ (at least 2): iterated removal would
@@ -74,14 +70,14 @@ type Config struct {
 	Weights WeightMode
 	// Prefetch issues non-blocking speculative fetch hints when the source
 	// supports them (an osn.Client with a running prefetch pool behind the
-	// overlay): on arrival the current node's overlay neighbors — the inner
-	// loop's re-pick candidate set — and on meeting a degree-3 pivot the
-	// pivot's neighbor list, i.e. the Theorem 4 replacement targets, so
-	// stepping onto a redirected edge finds its round-trip already in
-	// flight. Speculative responses stay invisible to the cost ledger and to
-	// the Theorem 5 degree cache until a demand query consumes them, so
-	// enabling this changes neither trajectories nor UniqueQueries — only
-	// wall-clock.
+	// overlay): on arrival the current node's overlay neighbors — the pick
+	// candidates, re-picked only after a removal — and on meeting a degree-3
+	// pivot the pivot's neighbor list, i.e. the Theorem 4 replacement
+	// targets, so stepping onto a redirected edge finds its round-trip
+	// already in flight. Speculative responses stay invisible to the cost
+	// ledger and to the Theorem 5 degree cache until a demand query consumes
+	// them, so enabling this changes neither trajectories nor UniqueQueries —
+	// only wall-clock.
 	Prefetch bool
 }
 
@@ -216,9 +212,11 @@ func (s *Sampler) Stats() Stats { return s.stats }
 // Step runs one outer iteration of Algorithm 1: repeatedly pick a uniform
 // overlay neighbor v of the current node; remove the edge if Theorem 3/5
 // fires (and re-pick); optionally replace it around a degree-3 pivot
-// (Theorem 4), redirecting the candidate; then move with probability
-// moveProb, else re-pick. After maxInner iterations the step forces a plain
-// SRW move.
+// (Theorem 4), redirecting the candidate; then move. After maxInner
+// iterations the step forces a plain SRW move. Algorithm 1 also flips a 1/2
+// move coin per surviving pick and re-picks on tails, throwing a paid query
+// away; the coin is independent of the pick, so for a fixed overlay the move
+// is uniform over the surviving edges without it.
 func (s *Sampler) Step() graph.NodeID {
 	defer func() { s.stats.Steps++ }()
 	for iter := 0; iter < maxInner; iter++ {
@@ -230,9 +228,10 @@ func (s *Sampler) Step() graph.NodeID {
 			return s.cur // isolated: absorbing, same as SRW
 		}
 		if iter == 0 && s.pf != nil {
-			// Every inner iteration demands one of these neighborhoods; get
-			// their round-trips in flight before the picks start, so re-picks
-			// coalesce onto speculation instead of paying latency serially.
+			// Every pick demands one of these neighborhoods; get their
+			// round-trips in flight before the picks start, so the re-picks
+			// that follow removals coalesce onto speculation instead of paying
+			// latency serially.
 			s.pf.Prefetch(nbrs...)
 		}
 		v := rng.Choice(s.rng, nbrs)
@@ -260,10 +259,8 @@ func (s *Sampler) Step() graph.NodeID {
 				}
 			}
 		}
-		if s.rng.Bernoulli(moveProb) {
-			s.cur = cand
-			return s.cur
-		}
+		s.cur = cand
+		return s.cur
 	}
 	if nbrs := s.ov.Neighbors(s.cur); len(nbrs) > 0 {
 		s.cur = rng.Choice(s.rng, nbrs)

@@ -92,26 +92,136 @@ func TestSamplerNeverStrandsNodes(t *testing.T) {
 
 func TestSamplerStationaryMatchesOverlayDegrees(t *testing.T) {
 	// After the topology stabilizes, the MTO walk is an SRW on the overlay,
-	// so visits should be proportional to overlay degree.
-	g := gen.Barbell(8)
-	cfg := RemovalOnlyConfig() // replacements keep mutating forever; focus on RM
-	s := NewSampler(g, 0, cfg, rng.New(5))
-	WalkToCoverage(s, g.NumNodes(), 50000)
-	// Burn a while so remaining removals happen.
-	for i := 0; i < 50000; i++ {
+	// so visits should be proportional to overlay degree. The social graph
+	// runs the paper's full configuration: each pivot hosts one replacement
+	// at most, so its overlay settles too.
+	social, err := gen.Social(gen.SocialConfig{Nodes: 120, TargetEdges: 480}, rng.New(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name          string
+		g             *graph.Graph
+		cfg           Config
+		burn, observe int
+	}{
+		{"barbell/removal-only", gen.Barbell(8), RemovalOnlyConfig(), 50000, 400000},
+		{"social/default", social, DefaultConfig(), 100000, 600000},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := tc.g
+			s := NewSampler(g, 0, tc.cfg, rng.New(5))
+			WalkToCoverage(s, g.NumNodes(), 50000)
+			// Burn a while so remaining rewiring happens.
+			for i := 0; i < tc.burn; i++ {
+				s.Step()
+			}
+			before := s.Stats()
+			h := stats.NewCountHistogram(g.NumNodes())
+			for i := 0; i < tc.observe; i++ {
+				h.Observe(int(s.Step()))
+			}
+			if after := s.Stats(); after.Removals != before.Removals || after.Replacements != before.Replacements {
+				t.Fatalf("overlay still rewiring after burn-in: %+v -> %+v", before, after)
+			}
+			ov := s.Overlay().Materialize(g.NumNodes())
+			want := make([]float64, g.NumNodes())
+			for u := range want {
+				want[u] = float64(ov.Degree(graph.NodeID(u)))
+			}
+			if tv, err := stats.TotalVariation(h.Distribution(), want); err != nil || tv > 0.03 {
+				t.Errorf("TV distance from overlay-degree distribution = %v", tv)
+			}
+		})
+	}
+}
+
+// TestSamplerFirstStepUniformOverSurvivingEdges pins the move distribution of
+// one step. Hub 0 forms a clique with a1..a4, and b1..b4 each join 0, every
+// a and 20 leaves of their own. Every edge (0, a) shares all of 0's other
+// neighbors and fires Theorem 3; every edge (0, b) has a 25-degree endpoint
+// and survives; 0's degree floor admits all four removals. So from a fresh
+// overlay the first step must land on a b, uniformly.
+func TestSamplerFirstStepUniformOverSurvivingEdges(t *testing.T) {
+	const hub, na, nb, leaves = 0, 4, 4, 20
+	a := func(i int) graph.NodeID { return graph.NodeID(1 + i) }
+	b := func(i int) graph.NodeID { return graph.NodeID(1 + na + i) }
+	var edges []graph.Edge
+	for i := 0; i < na; i++ {
+		edges = append(edges, graph.Edge{U: hub, V: a(i)})
+		for j := i + 1; j < na; j++ {
+			edges = append(edges, graph.Edge{U: a(i), V: a(j)})
+		}
+	}
+	next := graph.NodeID(1 + na + nb)
+	for i := 0; i < nb; i++ {
+		edges = append(edges, graph.Edge{U: hub, V: b(i)})
+		for j := 0; j < na; j++ {
+			edges = append(edges, graph.Edge{U: a(j), V: b(i)})
+		}
+		for l := 0; l < leaves; l++ {
+			edges = append(edges, graph.Edge{U: b(i), V: next})
+			next++
+		}
+	}
+	g := graph.FromEdges(int(next), edges)
+
+	const trials = 8000
+	counts := make([]float64, nb)
+	var removals int64
+	for seed := uint64(1); seed <= trials; seed++ {
+		s := NewSampler(g, hub, RemovalOnlyConfig(), rng.New(seed))
+		v := s.Step()
+		if v < b(0) || v > b(nb-1) {
+			t.Fatalf("seed %d: first step landed on %d, whose edge fires", seed, v)
+		}
+		counts[v-b(0)]++
+		removals += s.Stats().Removals
+	}
+	if removals == 0 {
+		t.Fatal("no removal fired: the hub has no firing edges")
+	}
+	// χ² against uniform, 3 degrees of freedom: 16.27 is the 0.999 quantile.
+	chi2 := 0.0
+	for _, c := range counts {
+		d := c - trials/nb
+		chi2 += d * d / (trials / nb)
+	}
+	if chi2 > 16.27 {
+		t.Errorf("first-step landings %v are not uniform over the surviving edges (χ² = %.2f)", counts, chi2)
+	}
+}
+
+// TestSamplerQueriesOnlyMovesAndRemovals: a step re-picks only after the
+// criterion fires, so without removal every step examines exactly one edge,
+// and on a cold client a single removal-only walker pays one query for the
+// start, one per step it moves on and one per removal. The graph has average
+// degree 20 and the walk is short, so most picks are new users and a
+// discarded pick would show in the bill.
+func TestSamplerQueriesOnlyMovesAndRemovals(t *testing.T) {
+	g, err := gen.Social(gen.SocialConfig{Nodes: 8000, TargetEdges: 80000}, rng.New(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewSampler(g, 0, ReplacementOnlyConfig(), rng.New(3))
+	for i := 0; i < 2000; i++ {
 		s.Step()
 	}
-	ov := s.Overlay().Materialize(g.NumNodes())
-	h := stats.NewCountHistogram(g.NumNodes())
-	for i := 0; i < 400000; i++ {
-		h.Observe(int(s.Step()))
+	if st := s.Stats(); st.Examined != st.Steps {
+		t.Errorf("without removal: examined %d edges in %d steps, want one per step", st.Examined, st.Steps)
 	}
-	want := make([]float64, g.NumNodes())
-	for u := range want {
-		want[u] = float64(ov.Degree(graph.NodeID(u)))
+
+	client := osn.NewClient(osn.NewService(g, nil, osn.Config{}))
+	s = NewSampler(client, 0, RemovalOnlyConfig(), rng.New(3))
+	for i := 0; i < 200; i++ {
+		s.Step()
 	}
-	if tv, err := stats.TotalVariation(h.Distribution(), want); err != nil || tv > 0.03 {
-		t.Errorf("TV distance from overlay-degree distribution = %v", tv)
+	st := s.Stats()
+	if st.Removals == 0 {
+		t.Fatal("no removals: the bound below would not cover re-picks")
+	}
+	if q := client.UniqueQueries(); q > st.Steps+st.Removals+1 {
+		t.Errorf("unique queries %d exceed steps %d + removals %d + 1", q, st.Steps, st.Removals)
 	}
 }
 

@@ -658,6 +658,111 @@ func FuzzLoadState(f *testing.F) {
 	})
 }
 
+// fuzzBackend is the only backend URL the submit fuzzer lets a job open: a
+// 60-node in-memory graph, so no input reaches the network or builds a large
+// graph.
+const fuzzBackend = "mem:social?nodes=60&edges=240&seed=1"
+
+// postBody sends body to the handler without a socket and returns the status
+// and response body.
+func postBody(s *Server, path string, body []byte) (int, []byte) {
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+	return rec.Code, rec.Body.Bytes()
+}
+
+// FuzzSubmitJob POSTs arbitrary bodies to /v1/jobs, so decodeBody and the
+// spec validator both run: never a panic, a body that does not decode or a
+// spec that does not validate is a 400 that creates no job, and a 202 names
+// the job it created. Specs naming another backend, or more than 4 walkers,
+// are skipped; a job that starts is cancelled at once.
+func FuzzSubmitJob(f *testing.F) {
+	for _, seed := range []string{
+		`{"backend":"` + fuzzBackend + `","samples":5}`,
+		`{"backend":"` + fuzzBackend + `","algorithm":"SRW","fleet":2,"seed":3}`,
+		`{"backend":"` + fuzzBackend + `","starts":[1,2],"removal":false,"weight_mode":"sampled"}`,
+		`{"backend":"` + fuzzBackend + `","algorithm":"RJ","jump_prob":0.2,"budget":10,"tenant":"t"}`,
+		`{"backend":"` + fuzzBackend + `","samples":-1}`,
+		`{"backend":"` + fuzzBackend + `","algorithm":"BFS"}`,
+		`{"backend":"` + fuzzBackend + `","weight_mode":"bogus"}`,
+		`{"samples":5}`,
+		`null`,
+		`{`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var spec JobSpec
+		decodeErr := json.NewDecoder(bytes.NewReader(body)).Decode(&spec)
+		if decodeErr == nil && ((spec.Backend != "" && spec.Backend != fuzzBackend) ||
+			spec.Fleet > 4 || len(spec.Starts) > 4) {
+			return
+		}
+		invalid := decodeErr != nil || spec.normalize() != nil
+		s := New(context.Background(), Options{})
+		defer s.Close()
+		code, resp := postBody(s, "/v1/jobs", body)
+		switch code {
+		case http.StatusAccepted:
+			if invalid {
+				t.Fatalf("invalid spec accepted: %s", resp)
+			}
+			var out struct{ ID string }
+			if err := json.Unmarshal(resp, &out); err != nil || s.jobs[out.ID] == nil {
+				t.Fatalf("202 without a job: %s", resp)
+			}
+			_ = s.Cancel(out.ID)
+		case http.StatusBadRequest, http.StatusRequestEntityTooLarge:
+			if len(s.order) != 0 {
+				t.Fatalf("rejected spec (%d: %s) created jobs %v", code, resp, s.order)
+			}
+		default:
+			t.Fatalf("status %d: %s", code, resp)
+		}
+	})
+}
+
+// FuzzBudget POSTs arbitrary bodies to /v1/tenants/{name}/budget: never a
+// panic, a 400 for a body that does not decode or names no backend, and
+// otherwise a 200 that records exactly the requested cap. Setting a cap opens
+// no backend, so any URL in the body is safe.
+func FuzzBudget(f *testing.F) {
+	for _, seed := range []string{
+		`{"backend":"` + fuzzBackend + `","budget":100}`,
+		`{"backend":"` + fuzzBackend + `","budget":-1}`,
+		`{"backend":"http://example.invalid/x","budget":0}`,
+		`{"budget":5}`,
+		`{"backend":7}`,
+		`null`,
+		`{`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var req struct {
+			Backend string `json:"backend"`
+			Budget  int64  `json:"budget"`
+		}
+		decodeErr := json.NewDecoder(bytes.NewReader(body)).Decode(&req)
+		s := New(context.Background(), Options{})
+		defer s.Close()
+		code, resp := postBody(s, "/v1/tenants/t1/budget", body)
+		switch {
+		case code == http.StatusRequestEntityTooLarge:
+		case decodeErr != nil || req.Backend == "":
+			if code != http.StatusBadRequest || len(s.budgets) != 0 {
+				t.Fatalf("bad request answered %d (%s), caps %v", code, resp, s.budgets)
+			}
+		case code != http.StatusOK:
+			t.Fatalf("status %d: %s", code, resp)
+		default:
+			if got, ok := s.budgets["t1"][req.Backend]; !ok || got != req.Budget {
+				t.Fatalf("cap for %q is %d (set %v), want %d", req.Backend, got, ok, req.Budget)
+			}
+		}
+	})
+}
+
 // TestCancelRunningJob: DELETE aborts a live run and the stream reports why.
 func TestCancelRunningJob(t *testing.T) {
 	const simURL = "sim:social?nodes=1000&edges=4000&seed=9&real=400us"
