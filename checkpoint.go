@@ -8,7 +8,6 @@ import (
 
 	"rewire/internal/core"
 	"rewire/internal/graph"
-	"rewire/internal/walk"
 )
 
 // checkpointVersion is the envelope version this build reads and writes.
@@ -131,11 +130,7 @@ func (s *Session) Checkpoint(ctx context.Context) ([]byte, error) {
 	members := s.fleet.Members()
 	walkers := make([]walkerEnvelope, len(members))
 	for i, m := range members {
-		sc, ok := m.(walk.StateCarrier)
-		if !ok {
-			return nil, fmt.Errorf("rewire: walker %d (%T) cannot export chain state", i, m)
-		}
-		walkers[i] = walkerEnvelope{Pos: m.Current(), Rand: sc.RandState()}
+		walkers[i] = walkerEnvelope{Pos: m.Current(), Rand: m.RandState()}
 	}
 	env := checkpointEnvelope{
 		Version:     checkpointVersion,
@@ -171,8 +166,9 @@ func (s *Session) Checkpoint(ctx context.Context) ([]byte, error) {
 // WithSeed) are rejected; operational options — WithSource, WithPrefetch,
 // budget and weight tuning — apply normally.
 //
-// Bytes from an incompatible envelope version fail with
-// ErrCheckpointVersion. Version 1 envelopes that carry the retired "shards"
+// An envelope whose overlay disagrees with its algorithm — an MTO chain
+// without one, any other chain with one — is rejected. Bytes from an
+// incompatible envelope version fail with ErrCheckpointVersion. Version 1 envelopes that carry the retired "shards"
 // key, or Algorithm 1 settings under "core", still resume: the reader
 // ignores those keys, since the sampler fixes those settings.
 func Resume(ctx context.Context, data []byte, opts ...Option) (*Session, error) {
@@ -193,6 +189,11 @@ func Resume(ctx context.Context, data []byte, opts ...Option) (*Session, error) 
 	alg, err := algFromName(env.Alg)
 	if err != nil {
 		return nil, err
+	}
+	// Every MTO checkpoint writes its overlay and no other chain has one: an
+	// envelope that disagrees would resume a different chain without error.
+	if (alg == AlgMTO) != (env.Overlay != nil) {
+		return nil, fmt.Errorf("rewire: checkpoint overlay does not match algorithm %s", alg)
 	}
 
 	cfg := defaults()
@@ -247,14 +248,10 @@ func Resume(ctx context.Context, data []byte, opts ...Option) (*Session, error) 
 		return nil, err
 	}
 	for i, m := range s.fleet.Members() {
-		sc, ok := m.(walk.StateCarrier)
-		if !ok {
-			return nil, fmt.Errorf("rewire: walker %d (%T) cannot restore chain state", i, m)
-		}
-		sc.SetCurrent(env.Walkers[i].Pos)
-		sc.SetRandState(env.Walkers[i].Rand)
+		m.SetCurrent(env.Walkers[i].Pos)
+		m.SetRandState(env.Walkers[i].Rand)
 	}
-	if env.Overlay != nil && s.overlay != nil {
+	if env.Overlay != nil {
 		s.overlay.RestoreDelta(edgeKeys(env.Overlay.Removed), edgeKeys(env.Overlay.Added), env.Overlay.Pivots)
 	}
 	return s, nil

@@ -5,8 +5,6 @@ import (
 	"encoding/json"
 	"os"
 	"testing"
-
-	"rewire/internal/walk"
 )
 
 // The v1 fixture is a checkpoint of a two-walker MTO fleet over a simulated
@@ -41,7 +39,7 @@ func resumeTranscript(t testing.TB, data []byte, g *Graph, n int) fixtureTranscr
 	for i := range out.Samples {
 		w := i % len(members)
 		v := members[w].Step()
-		out.Samples[i] = Sample{Walker: w, Node: v, Weight: members[w].(walk.Weighter).StationaryWeight(v)}
+		out.Samples[i] = Sample{Walker: w, Node: v, Weight: members[w].StationaryWeight(v)}
 	}
 	if err := s.bound.Err(); err != nil {
 		t.Fatal(err)

@@ -49,14 +49,29 @@ func runInterrupted(t *testing.T, s *rewire.Session, total, pauseAfter int) []re
 // every algorithm, pausing mid-run, checkpointing, and resuming in a fresh
 // session yields exactly the trajectory — node for node, weight for weight —
 // that the uninterrupted run produces. Single-walker sessions, because a
-// racing fleet's merged arrival order is nondeterministic by design.
+// racing fleet's merged arrival order is nondeterministic by design. The
+// frontier rows pause, checkpoint and resume through the prefetch wrapper,
+// which must hand the wrapped walker's chain state through untouched.
 func TestCheckpointResumeByteIdentical(t *testing.T) {
-	algs := []rewire.Algorithm{rewire.AlgMTO, rewire.AlgSRW, rewire.AlgMHRW, rewire.AlgRJ}
+	frontier := rewire.WithPrefetch(rewire.PrefetchOptions{Strategy: rewire.PrefetchFrontier})
+	cases := []struct {
+		name string
+		alg  rewire.Algorithm
+		opts []rewire.Option
+	}{
+		{"MTO", rewire.AlgMTO, nil},
+		{"SRW", rewire.AlgSRW, nil},
+		{"MHRW", rewire.AlgMHRW, nil},
+		{"RJ", rewire.AlgRJ, nil},
+		{"MTO+frontier", rewire.AlgMTO, []rewire.Option{frontier}},
+		{"SRW+frontier", rewire.AlgSRW, []rewire.Option{frontier}},
+	}
 	const total, pauseAfter = 400, 150
-	for _, alg := range algs {
-		t.Run(alg.String(), func(t *testing.T) {
+	for _, tc := range cases {
+		alg := tc.alg
+		t.Run(tc.name, func(t *testing.T) {
 			g := rewire.Barbell(12)
-			opts := []rewire.Option{rewire.WithAlgorithm(alg), rewire.WithSeed(7)}
+			opts := append([]rewire.Option{rewire.WithAlgorithm(alg), rewire.WithSeed(7)}, tc.opts...)
 
 			ref, err := rewire.NewSession(rewire.GraphSource(g), opts...)
 			if err != nil {
@@ -371,6 +386,8 @@ var hostileEnvelopes = []envelopePatch{
 	{"overlay edge out of range", "overlay", map[string]any{"removed": [][2]int{}, "added": [][2]int{{0, 1 << 20}}, "pivots": []int{}}},
 	{"overlay negative pivot", "overlay", map[string]any{"removed": [][2]int{}, "added": [][2]int{}, "pivots": []int{-1}}},
 	{"overlay self-loop", "overlay", map[string]any{"removed": [][2]int{{2, 2}}, "added": [][2]int{}, "pivots": []int{}}},
+	{"MTO without overlay", "overlay", nil},
+	{"SRW with overlay", "alg", "SRW"},
 }
 
 // retiredKeys are envelope keys that version 1 checkpoints carry but this

@@ -2,7 +2,6 @@ package rewire
 
 import (
 	"context"
-	"fmt"
 	"net/url"
 	"os"
 	"os/exec"
@@ -213,8 +212,15 @@ func TestSessionKillAndRecover(t *testing.T) {
 		// guarantees the recovered ledger is a strict prefix of the
 		// reference's demand set. Early (first segment), mid (rotation at
 		// 1 KiB segments), and late (compaction churn at CompactSegments=2).
-		for _, crashAfter := range []int64{5, refUnique / 3, refUnique - 10} {
-			t.Run(fmt.Sprintf("%s/after=%d", chain, crashAfter), func(t *testing.T) {
+		// Subtests are named by position, not by crash point, so a change
+		// to a chain's bill leaves their names alone.
+		crashes := []struct {
+			name  string
+			after int64
+		}{{"early", 5}, {"third", refUnique / 3}, {"late", refUnique - 10}}
+		for _, crash := range crashes {
+			crashAfter := crash.after
+			t.Run(chain+"/"+crash.name, func(t *testing.T) {
 				dir := t.TempDir()
 				cmd := exec.Command(exe, "-test.run=TestSessionCrashChild$")
 				cmd.Env = append(os.Environ(),

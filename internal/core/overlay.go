@@ -105,7 +105,7 @@ func (o *Overlay) Neighbors(v graph.NodeID) []graph.NodeID {
 	// lists are immutable per node, so the early fetch is safe; the
 	// materialization below re-reads it as a cache hit.
 	o.base.Neighbors(v)
-	if o.failed() {
+	if o.Err() != nil {
 		// The warm-up read was aborted (cancellation, deadline, budget):
 		// return nil like an absorbing read, WITHOUT materializing — caching
 		// a truncated list here would corrupt every later run over this
@@ -121,11 +121,14 @@ func (o *Overlay) Neighbors(v graph.NodeID) []graph.NodeID {
 	return o.materializeLocked(v)
 }
 
-// failed reports whether the base source is currently in a failed state
-// (only ever true for failure-reporting bases, i.e. a walk.Bound whose run
-// was cancelled or ran out of budget).
-func (o *Overlay) failed() bool {
-	return o.failer != nil && o.failer.Err() != nil
+// Err reports the base source's sticky failure (only ever non-nil for
+// failure-reporting bases, i.e. a walk.Bound whose run was cancelled or ran
+// out of budget).
+func (o *Overlay) Err() error {
+	if o.failer == nil {
+		return nil
+	}
+	return o.failer.Err()
 }
 
 // Degree returns v's overlay degree.
@@ -246,7 +249,7 @@ func (o *Overlay) materializeLocked(v graph.NodeID) []graph.NodeID {
 	// Clip the snapshot's capacity: a caller that appends to it reallocates
 	// instead of scribbling over the arena cells reserved for this list.
 	lst = lst[:len(lst):len(lst)]
-	if o.failed() {
+	if o.Err() != nil {
 		// The base read may have been truncated by a cancelled run: hand the
 		// caller a best-effort list (errors fail toward no mutation in the
 		// guarded commits) but do not cache it past the failure.

@@ -119,8 +119,8 @@ type Stats struct {
 
 // Sampler is the MTO-Sampler of Algorithm 1: a simple random walk over the
 // overlay that removes provably non-cross-cutting edges and performs
-// conductance-safe replacements as it goes. It implements walk.Walker and
-// walk.Weighter, so it plugs into the same estimation pipeline as the
+// conductance-safe replacements as it goes. It implements walk.Walker, so it
+// plugs into the same fleets, estimation pipeline and checkpoints as the
 // baselines.
 type Sampler struct {
 	cfg Config
@@ -195,16 +195,10 @@ func (s *Sampler) SetRandState(st [4]uint64) { s.rng.SetState(st) }
 // Overlay exposes the evolving rewired topology.
 func (s *Sampler) Overlay() *Overlay { return s.ov }
 
-// Err reports the base source's sticky failure (cancellation, deadline,
-// budget exhaustion) when the overlay's base tracks one — the walk.Failing
-// capability a fleet uses to retire the sampler instead of spinning on
-// absorbing nil reads.
-func (s *Sampler) Err() error {
-	if f, ok := s.ov.base.(walk.Failing); ok {
-		return f.Err()
-	}
-	return nil
-}
+// Err reports the overlay base's sticky failure (cancellation, deadline,
+// budget exhaustion), which a fleet uses to retire the sampler instead of
+// spinning on absorbing nil reads.
+func (s *Sampler) Err() error { return s.ov.Err() }
 
 // Stats returns rewiring counters.
 func (s *Sampler) Stats() Stats { return s.stats }
@@ -220,7 +214,7 @@ func (s *Sampler) Stats() Stats { return s.stats }
 func (s *Sampler) Step() graph.NodeID {
 	defer func() { s.stats.Steps++ }()
 	for iter := 0; iter < maxInner; iter++ {
-		if s.ov.failed() {
+		if s.ov.Err() != nil {
 			return s.cur // query path failed: hold position for a resume
 		}
 		nbrs := s.ov.Neighbors(s.cur)
@@ -463,8 +457,6 @@ func WalkToCoverage(s *Sampler, n, maxSteps int) (visited int, ok bool) {
 // Interface conformance checks.
 var (
 	_ walk.Walker         = (*Sampler)(nil)
-	_ walk.Weighter       = (*Sampler)(nil)
-	_ walk.StateCarrier   = (*Sampler)(nil)
 	_ walk.Source         = (*Overlay)(nil)
 	_ walk.PrefetchSource = (*Overlay)(nil)
 )

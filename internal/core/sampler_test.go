@@ -370,6 +370,5 @@ func TestSamplerIsolatedStart(t *testing.T) {
 
 func TestSamplerInterfaceCompliance(t *testing.T) {
 	var _ walk.Walker = (*Sampler)(nil)
-	var _ walk.Weighter = (*Sampler)(nil)
 	var _ walk.Source = (*Overlay)(nil)
 }

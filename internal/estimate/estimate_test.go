@@ -209,10 +209,10 @@ func TestRunSessionWithoutCostMeter(t *testing.T) {
 	}
 }
 
-func TestRunSessionUniformWalkerNoWeighter(t *testing.T) {
+func TestRunSessionUniformWalker(t *testing.T) {
 	g := gen.Lollipop(5, 3)
-	// The anonymous struct hides MHRW's Weighter: samples weigh 1.
-	mh := struct{ walk.Walker }{walk.NewMetropolisHastings(g, 0, rng.New(9))}
+	// MHRW targets the uniform distribution: every sample weighs 1.
+	mh := walk.NewMetropolisHastings(g, 0, rng.New(9))
 	info := func(v graph.NodeID) (int, Attrs) { return g.Degree(v), Attrs{} }
 	res := RunSession([]walk.Walker{mh}, AvgDegree(), info, nil, SessionConfig{Samples: 120000})
 	truth := GroundTruthDegree(g)
@@ -241,8 +241,10 @@ func TestRunSessionBurnInCap(t *testing.T) {
 // member is a scripted walker that stays on its own node id and weighs
 // every sample weight. It counts its steps and records every node its
 // weight was read at; failAt > 0 makes the weight read of its failAt-th
-// step fail (latching err, as a Bound does when a query fails).
+// step fail (latching err, as a Bound does when a query fails). The
+// embedded Walker is nil: the session never touches chain state.
 type member struct {
+	walk.Walker
 	id      graph.NodeID
 	weight  float64
 	steps   int

@@ -79,12 +79,10 @@ type SessionResult struct {
 //
 // The walkers step round-robin, one step each in turn, starting at member 0
 // on every call, so every member contributes evenly and no schedule state
-// outlives the call. A sample's weight comes from the member that drew it:
-// its walk.Weighter, or 1 for a member that is not one (valid only for
-// uniform-stationary walkers like MHRW/RJ). A member whose query path fails
-// (walk.Failing) during its step, or while the sample's info and weight are
-// read, ends the session, and that sample is dropped. walkers must not be
-// empty.
+// outlives the call. A sample's weight is the StationaryWeight of the member
+// that drew it. A member whose query path fails (a non-nil Err) during its
+// step, or while the sample's info and weight are read, ends the session,
+// and that sample is dropped. walkers must not be empty.
 func RunSession(walkers []walk.Walker, agg Aggregate, info InfoFunc, cost CostFunc, cfg SessionConfig) SessionResult {
 	if len(walkers) == 0 {
 		panic("estimate: RunSession needs at least one walker")
@@ -113,7 +111,7 @@ func RunSession(walkers []walk.Walker, agg Aggregate, info InfoFunc, cost CostFu
 				break
 			}
 			v := step()
-			if stopped() || failed(last) {
+			if stopped() || last.Err() != nil {
 				// The step's query path failed: v is stale and its degree
 				// would read as garbage — keep it out of the convergence
 				// trace (mirrors the sampling phase's post-step guard).
@@ -139,7 +137,7 @@ func RunSession(walkers []walk.Walker, agg Aggregate, info InfoFunc, cost CostFu
 		for s := 0; s < cfg.Thinning; s++ {
 			v = step()
 		}
-		if stopped() || failed(last) {
+		if stopped() || last.Err() != nil {
 			// The step's query path failed mid-walk (cancellation, budget):
 			// v is a stale position whose info read would observe garbage
 			// (e.g. degree 0) — drop it rather than poison the partial
@@ -148,11 +146,8 @@ func RunSession(walkers []walk.Walker, agg Aggregate, info InfoFunc, cost CostFu
 		}
 		deg, attrs := info(v)
 		f := agg.Value(v, deg, attrs)
-		omega := 1.0
-		if w, ok := last.(walk.Weighter); ok {
-			omega = w.StationaryWeight(v)
-		}
-		if failed(last) {
+		omega := last.StationaryWeight(v)
+		if last.Err() != nil {
 			// The info or weight read queried the source (an uncached
 			// degree, MTO's exact or sampled weight) and that query failed:
 			// f and omega describe no real sample.
@@ -175,10 +170,4 @@ func RunSession(walkers []walk.Walker, agg Aggregate, info InfoFunc, cost CostFu
 		res.Trajectory.Record(res.FinalCost, res.Estimate)
 	}
 	return res
-}
-
-// failed reports whether w's query path has latched an error.
-func failed(w walk.Walker) bool {
-	f, ok := w.(walk.Failing)
-	return ok && f.Err() != nil
 }

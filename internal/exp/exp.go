@@ -31,7 +31,7 @@ func PaperAlgorithms() []string { return []string{AlgSRW, AlgMTO, AlgMHRW, AlgRJ
 
 // NewWalker builds the named sampler over src. numUsers is the provider-
 // published ID-space size (needed by RJ; the paper uses jump probability
-// 0.5). Every returned walker is also its own walk.Weighter.
+// 0.5). Every returned walker weighs its own samples (StationaryWeight).
 func NewWalker(name string, src walk.Source, numUsers int, start graph.NodeID, r *rng.Rand) (walk.Walker, error) {
 	switch name {
 	case AlgSRW:

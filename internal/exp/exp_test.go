@@ -8,7 +8,6 @@ import (
 
 	"rewire/internal/gen"
 	"rewire/internal/rng"
-	"rewire/internal/walk"
 )
 
 func TestNewWalkerAllAlgorithms(t *testing.T) {
@@ -17,9 +16,6 @@ func TestNewWalkerAllAlgorithms(t *testing.T) {
 		w, err := NewWalker(alg, g, g.NumNodes(), 0, rng.New(1))
 		if err != nil {
 			t.Fatalf("%s: %v", alg, err)
-		}
-		if _, ok := w.(walk.Weighter); !ok {
-			t.Fatalf("%s: walker is not a Weighter", alg)
 		}
 		for i := 0; i < 50; i++ {
 			v := w.Step()

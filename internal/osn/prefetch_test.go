@@ -2,6 +2,7 @@ package osn
 
 import (
 	"context"
+	"errors"
 	"slices"
 	"sync"
 	"testing"
@@ -207,20 +208,50 @@ func TestPrefetchDemandRace(t *testing.T) {
 	}
 }
 
+// barrierBackend wraps a Service so that every Fetch blocks until want
+// distinct users have been requested: only a batch whose misses are all in
+// flight at once can release it. A Fetch still waiting at the deadline
+// fails, so a serialized batch is a test failure, not a hang.
+type barrierBackend struct {
+	svc      *Service
+	want     int
+	deadline time.Time
+	mu       sync.Mutex
+	seen     map[graph.NodeID]bool
+	released chan struct{}
+	once     sync.Once
+}
+
+func (b *barrierBackend) Fetch(ctx context.Context, ids []graph.NodeID) ([][]graph.NodeID, error) {
+	b.mu.Lock()
+	for _, v := range ids {
+		b.seen[v] = true
+	}
+	if len(b.seen) >= b.want {
+		b.once.Do(func() { close(b.released) })
+	}
+	b.mu.Unlock()
+	select {
+	case <-b.released:
+		return b.svc.Fetch(ctx, ids)
+	case <-time.After(time.Until(b.deadline)):
+		return nil, errors.New("barrier: batch misses did not overlap")
+	}
+}
+
 // TestQueryBatchOverlapsAndBillsOnce checks the batch path: order preserved,
 // cold misses overlapped, each id billed once even across repeat batches.
 func TestQueryBatchOverlapsAndBillsOnce(t *testing.T) {
 	g := prefetchGraph(t)
-	const latency = 2 * time.Millisecond
-	svc := NewService(g, nil, Config{RealLatency: latency})
-	client := NewClient(svc)
-
 	ids := []graph.NodeID{5, 9, 5, 23, 42, 9}
-	t0 := time.Now()
+	// Each of the 4 distinct misses waits for the other 3 to arrive.
+	be := &barrierBackend{svc: NewService(g, nil, Config{}), want: 4, deadline: time.Now().Add(5 * time.Second),
+		seen: make(map[graph.NodeID]bool), released: make(chan struct{})}
+	client := NewClient(be)
+
 	lists, err := client.QueryBatchContext(context.Background(), ids)
-	wall := time.Since(t0)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("batch: %v (misses must overlap)", err)
 	}
 	for i, v := range ids {
 		if !slices.Equal(lists[i], g.Neighbors(v)) {
@@ -229,10 +260,6 @@ func TestQueryBatchOverlapsAndBillsOnce(t *testing.T) {
 	}
 	if got, want := client.UniqueQueries(), int64(4); got != want {
 		t.Errorf("UniqueQueries = %d, want %d", got, want)
-	}
-	// 4 cold misses overlapped should cost far less than 4 serial trips.
-	if wall >= 4*latency {
-		t.Errorf("batch wall-clock %v, want < %v (misses must overlap)", wall, 4*latency)
 	}
 	// A second batch over the same ids is free.
 	if _, err := client.QueryBatchContext(context.Background(), ids); err != nil {

@@ -39,10 +39,10 @@ func (p plainContextSource) NeighborsContext(ctx context.Context, v graph.NodeID
 	return p.Source.Neighbors(v), nil
 }
 
-// Failing is the optional walker/source capability the fleet uses to detect
-// that a member's query path has failed (cancellation, deadline, budget
-// exhaustion): a non-nil Err means further stepping is pointless. Bound
-// implements it for sources; samplers delegate to their source.
+// Failing is the optional Source capability of reporting that the query
+// path has failed (cancellation, deadline, budget exhaustion): a non-nil Err
+// means reads are returning truncated lists. Bound implements it; walkers
+// surface it through Walker.Err.
 type Failing interface {
 	Err() error
 }
@@ -64,7 +64,7 @@ func sourceErr(src Source) error {
 //
 // On a failed read, Neighbors returns nil — walkers treat that as an
 // absorbing position and stay put, which is safe — and the fleet notices the
-// latched error (via Failing) and retires the walker without emitting the
+// latched error (via Walker.Err) and retires the walker without emitting the
 // poisoned sample.
 //
 // Bound forwards the optional capabilities of its inner source (prefetch

@@ -17,8 +17,7 @@ type Sample struct {
 	Walker int
 	// Node is the walk position after the step.
 	Node graph.NodeID
-	// Weight is the member's stationary weight at Node (1 for members that
-	// do not implement Weighter, i.e. uniform-target walkers).
+	// Weight is the member's stationary weight at Node.
 	Weight float64
 }
 
@@ -74,11 +73,11 @@ func NewFleetSimple(src Source, starts []graph.NodeID, r *rng.Rand) *Fleet {
 // ARE the fleet's live state.)
 func (f *Fleet) Members() []Walker { return slices.Clone(f.members) }
 
-// Stream launches one goroutine per member and returns a channel carrying
-// their merged samples, plus a stop function. The members race for a shared
-// budget of total samples; the channel is closed once the budget is drained
-// and every goroutine has exited. Arrival order is nondeterministic — that
-// is the point — but each member's own subsequence is a faithful walk
+// StreamContext launches one goroutine per member and returns a channel
+// carrying their merged samples, plus a stop function. The members race for
+// a shared budget of total samples; the channel is closed once the budget is
+// drained and every goroutine has exited. Arrival order is nondeterministic —
+// that is the point — but each member's own subsequence is a faithful walk
 // trajectory.
 //
 // A caller that stops consuming before the channel closes MUST call stop
@@ -86,18 +85,14 @@ func (f *Fleet) Members() []Walker { return slices.Clone(f.members) }
 // goroutines would block forever on their next send. After stop, drain any
 // buffered samples by ranging until the channel closes, or just drop the
 // channel; the goroutines exit either way.
-func (f *Fleet) Stream(total int) (samples <-chan Sample, stop func()) {
-	//rewirelint:allow ctxflow context-less convenience shim; ctx-aware callers use StreamContext
-	return f.StreamContext(context.Background(), total)
-}
-
-// StreamContext is Stream bound to a context: when ctx is cancelled or its
-// deadline expires, every member goroutine retires promptly — mid-claim,
-// mid-send, and (when the shared source is context-aware, e.g. a Bound over
-// an osn.Client) mid-round-trip — and the channel closes after the last one
-// exits. A member whose walker reports a sticky failure (the Failing
-// capability: cancellation surfaced by the source, budget exhaustion) during
-// its step or its weight read retires without emitting the poisoned sample.
+//
+// When ctx is cancelled or its deadline expires, every member goroutine
+// retires promptly — mid-claim, mid-send, and (when the shared source is
+// context-aware, e.g. a Bound over an osn.Client) mid-round-trip — and the
+// channel closes after the last one exits. A member whose walker reports a
+// sticky failure (Walker.Err: cancellation surfaced by the source, budget
+// exhaustion) during its step or its weight read retires without emitting
+// the poisoned sample.
 func (f *Fleet) StreamContext(ctx context.Context, total int) (samples <-chan Sample, stop func()) {
 	var claimed int64
 	return f.launch(ctx, func(int) bool {
@@ -105,22 +100,16 @@ func (f *Fleet) StreamContext(ctx context.Context, total int) (samples <-chan Sa
 	})
 }
 
-// StreamPartitioned is Stream with the budget split up front instead of
-// raced for: member i draws exactly total/k samples (the first total%k
-// members draw one more). Each member's trajectory then depends only on its
-// own RNG stream, not on goroutine scheduling, so a partitioned run is
-// reproducible sample-for-sample — which is what the prefetch benchmarks
+// StreamPartitionedContext is StreamContext with the budget split up front
+// instead of raced for: member i draws exactly total/k samples (the first
+// total%k members draw one more). Each member's trajectory then depends only
+// on its own RNG stream, not on goroutine scheduling, so a partitioned run
+// is reproducible sample-for-sample — which is what the prefetch benchmarks
 // lean on to demonstrate identical unique-query counts with and without
-// speculation. The racing Stream stays the default: it finishes as soon as
-// the fastest members have drained the budget, while partitioning waits for
-// the slowest member's fixed quota.
-func (f *Fleet) StreamPartitioned(total int) (samples <-chan Sample, stop func()) {
-	//rewirelint:allow ctxflow context-less convenience shim; ctx-aware callers use StreamPartitionedContext
-	return f.StreamPartitionedContext(context.Background(), total)
-}
-
-// StreamPartitionedContext is StreamPartitioned bound to a context, with the
-// same cancellation semantics as StreamContext.
+// speculation. The racing StreamContext stays the default: it finishes as
+// soon as the fastest members have drained the budget, while partitioning
+// waits for the slowest member's fixed quota. Cancellation works as in
+// StreamContext.
 func (f *Fleet) StreamPartitionedContext(ctx context.Context, total int) (samples <-chan Sample, stop func()) {
 	quotas := make([]int64, len(f.members))
 	share := int64(total) / int64(len(f.members))
@@ -161,8 +150,6 @@ func (f *Fleet) launch(ctx context.Context, claim func(id int) bool) (samples <-
 		wg.Add(1)
 		go func(id int, w Walker) {
 			defer wg.Done()
-			weighter, _ := w.(Weighter)
-			failing, _ := w.(Failing)
 			for !f.quiesced.Load() && claim(id) {
 				select {
 				case <-quit:
@@ -172,20 +159,17 @@ func (f *Fleet) launch(ctx context.Context, claim func(id int) bool) (samples <-
 				default:
 				}
 				v := w.Step()
-				if failing != nil && failing.Err() != nil {
+				if w.Err() != nil {
 					// The step's query path failed (cancelled round-trip,
 					// exhausted budget): v is a stale position, not a sample.
 					return
 				}
-				s := Sample{Walker: id, Node: v, Weight: 1}
-				if weighter != nil {
-					s.Weight = weighter.StationaryWeight(v)
-					if failing != nil && failing.Err() != nil {
-						// The weight read queried the source (an uncached
-						// degree, MTO's exact or sampled weight) and that
-						// query failed: s.Weight is not a weight.
-						return
-					}
+				s := Sample{Walker: id, Node: v, Weight: w.StationaryWeight(v)}
+				if w.Err() != nil {
+					// The weight read queried the source (an uncached
+					// degree, MTO's exact or sampled weight) and that query
+					// failed: s.Weight is not a weight.
+					return
 				}
 				select {
 				case out <- s:
@@ -204,15 +188,17 @@ func (f *Fleet) launch(ctx context.Context, claim func(id int) bool) (samples <-
 	return out, stop
 }
 
-// Samples drains Stream(total) into a slice, in arrival order.
+// Samples drains StreamContext(total) into a slice, in arrival order.
 func (f *Fleet) Samples(total int) []Sample {
-	stream, stop := f.Stream(total)
+	//rewirelint:allow ctxflow context-less convenience for in-process experiments; ctx-aware callers use StreamContext
+	stream, stop := f.StreamContext(context.Background(), total)
 	return drain(stream, stop, total)
 }
 
-// SamplesPartitioned drains StreamPartitioned(total) into a slice.
+// SamplesPartitioned drains StreamPartitionedContext(total) into a slice.
 func (f *Fleet) SamplesPartitioned(total int) []Sample {
-	stream, stop := f.StreamPartitioned(total)
+	//rewirelint:allow ctxflow context-less convenience for in-process experiments; ctx-aware callers use StreamPartitionedContext
+	stream, stop := f.StreamPartitionedContext(context.Background(), total)
 	return drain(stream, stop, total)
 }
 

@@ -1,6 +1,7 @@
 package walk
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -61,7 +62,7 @@ func TestFleetStationaryStillDegreeProportional(t *testing.T) {
 	starts := []graph.NodeID{0, 3, 7, 9}
 	f := NewFleetSimple(g, starts, rng.New(2))
 	h := stats.NewCountHistogram(g.NumNodes())
-	stream, stop := f.Stream(400000)
+	stream, stop := f.StreamContext(context.Background(), 400000)
 	defer stop()
 	for s := range stream {
 		h.Observe(int(s.Node))
@@ -81,7 +82,7 @@ func TestFleetStreamStopEarly(t *testing.T) {
 	// A budget that would take forever to drain: stop() must shut the
 	// stream down anyway (the range below terminates only if every walker
 	// goroutine exits and the channel closes).
-	stream, stop := f.Stream(1 << 30)
+	stream, stop := f.StreamContext(context.Background(), 1<<30)
 	got := 0
 	for range stream {
 		got++
@@ -106,8 +107,12 @@ func TestFleetPanicsOnEmpty(t *testing.T) {
 
 // weightFailer steps onto node 3, and its weight read fails the way an
 // exact- or sampled-weight read does when its neighbor query is cancelled
-// or over budget: it latches a sticky error and returns garbage.
-type weightFailer struct{ err error }
+// or over budget: it latches a sticky error and returns garbage. The
+// embedded Walker is nil: the fleet never touches chain state.
+type weightFailer struct {
+	Walker
+	err error
+}
 
 func (w *weightFailer) Current() graph.NodeID { return 3 }
 func (w *weightFailer) Step() graph.NodeID    { return 3 }

@@ -109,7 +109,7 @@ func (w *weighed) StationaryWeight(v graph.NodeID) float64 {
 	return weight
 }
 
-func TestParallelWeighterDelegation(t *testing.T) {
+func TestParallelWeightDelegation(t *testing.T) {
 	g := gen.Star(6)
 	r := rng.New(4)
 	members := []*weighed{

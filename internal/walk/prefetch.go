@@ -195,70 +195,25 @@ func (p *Frontier) scan(v graph.NodeID) {
 }
 
 // Prefetched wraps a Walker so that every Step issues prefetch hints through
-// a strategy. The wrapper forwards StationaryWeight to the inner walker when
-// it is a Weighter (weight 1 otherwise, matching Fleet's default), so
-// wrapping never changes estimation.
+// a strategy. It overrides only Step: weights, failures and chain state are
+// the embedded walker's, so wrapping never changes estimation or
+// checkpointing.
 type Prefetched struct {
-	inner    Walker
+	Walker
 	strategy Prefetcher
 }
 
 // WithPrefetch wraps w with strategy p.
 func WithPrefetch(w Walker, p Prefetcher) *Prefetched {
-	return &Prefetched{inner: w, strategy: p}
+	return &Prefetched{Walker: w, strategy: p}
 }
-
-// Current returns the inner walker's position.
-func (w *Prefetched) Current() graph.NodeID { return w.inner.Current() }
 
 // Step advances the inner walker, then lets the strategy hint.
 func (w *Prefetched) Step() graph.NodeID {
-	from := w.inner.Current()
-	to := w.inner.Step()
+	from := w.Current()
+	to := w.Walker.Step()
 	w.strategy.Landed(from, to)
 	return to
-}
-
-// StationaryWeight delegates to the inner walker when it is a Weighter.
-func (w *Prefetched) StationaryWeight(v graph.NodeID) float64 {
-	if ww, ok := w.inner.(Weighter); ok {
-		return ww.StationaryWeight(v)
-	}
-	return 1
-}
-
-// Err delegates to the inner walker when it reports failures.
-func (w *Prefetched) Err() error {
-	if f, ok := w.inner.(Failing); ok {
-		return f.Err()
-	}
-	return nil
-}
-
-// Inner returns the wrapped walker — the one carrying the chain state.
-func (w *Prefetched) Inner() Walker { return w.inner }
-
-// SetCurrent forwards to the inner walker's StateCarrier capability (a no-op
-// when the inner walker does not carry restorable state).
-func (w *Prefetched) SetCurrent(v graph.NodeID) {
-	if sc, ok := w.inner.(StateCarrier); ok {
-		sc.SetCurrent(v)
-	}
-}
-
-// RandState forwards to the inner walker's StateCarrier capability.
-func (w *Prefetched) RandState() [4]uint64 {
-	if sc, ok := w.inner.(StateCarrier); ok {
-		return sc.RandState()
-	}
-	return [4]uint64{}
-}
-
-// SetRandState forwards to the inner walker's StateCarrier capability.
-func (w *Prefetched) SetRandState(s [4]uint64) {
-	if sc, ok := w.inner.(StateCarrier); ok {
-		sc.SetRandState(s)
-	}
 }
 
 // Prefetched returns a new Fleet whose members issue prefetch hints through
@@ -275,7 +230,6 @@ func (f *Fleet) Prefetched(mk func() Prefetcher) *Fleet {
 
 var (
 	_ Walker     = (*Prefetched)(nil)
-	_ Weighter   = (*Prefetched)(nil)
 	_ Prefetcher = NoPrefetch{}
 	_ Prefetcher = (*NextHop)(nil)
 	_ Prefetcher = (*Frontier)(nil)

@@ -127,9 +127,8 @@ func TestPrefetchBudgetInvariant(t *testing.T) {
 	}
 }
 
-// TestPrefetchedWrapperDelegatesWeight checks the wrapper preserves the
-// Weighter contract: SRW weighs by degree through the wrapper, and a
-// non-Weighter inner walker weighs 1.
+// TestPrefetchedWrapperDelegatesWeight checks the wrapper keeps the inner
+// walker's weight: SRW weighs by degree through the wrapper.
 func TestPrefetchedWrapperDelegatesWeight(t *testing.T) {
 	g := prefetchTestGraph(t)
 	w := NewSimple(g, 0, rng.New(1))

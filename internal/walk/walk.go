@@ -2,7 +2,9 @@
 // Simple Random Walk (SRW, the baseline, Definition 1), Metropolis–Hastings
 // Random Walk (MHRW, uniform target), and Random Jump (RJ, MHRW with uniform
 // restarts). The MTO-Sampler itself lives in internal/core and plugs into
-// the same Walker interface.
+// the same Walker interface, which carries everything a fleet, an estimator
+// or a checkpoint needs from a walker: its step, its stationary weight, its
+// sticky failure and its restorable chain state.
 //
 // Walkers see the network only through a Source — either a *graph.Graph
 // (free local access, for ground-truth computations) or an *osn.Client
@@ -23,57 +25,69 @@ type Source interface {
 	Degree(v graph.NodeID) int
 }
 
-// Walker advances a Markov chain over nodes.
+// Walker advances a Markov chain over nodes. It is the one contract every
+// sampler meets — SRW, MHRW, RJ, the MTO-Sampler, and the Prefetched wrapper
+// — so fleets, estimation sessions and checkpoints read weights, failures
+// and chain state without probing for optional capabilities.
 type Walker interface {
 	// Current returns the node the walk is at.
 	Current() graph.NodeID
 	// Step advances one transition and returns the new current node.
 	Step() graph.NodeID
-}
-
-// Weighter exposes a quantity proportional to the walker's stationary
-// probability at v, used by importance-sampling estimators to unbias
-// aggregates. (SRW: degree; MHRW/RJ: constant; MTO: overlay degree.)
-type Weighter interface {
-	// StationaryWeight returns a value proportional to π(v). It may issue
-	// queries when the walker needs topology it has not seen.
+	// StationaryWeight returns a value proportional to the stationary
+	// probability π(v), which importance-sampling estimators use to unbias
+	// aggregates (SRW: degree; MHRW/RJ: constant; MTO: overlay degree). It
+	// may issue queries when the walker needs topology it has not seen.
 	StationaryWeight(v graph.NodeID) float64
-}
-
-// StateCarrier is the optional Walker capability of exposing its complete
-// per-member chain state — position plus RNG stream — for checkpointing.
-// A walker restored with SetCurrent + SetRandState continues the exact
-// sample sequence the original would have produced, which is what makes a
-// paused-then-resumed session trajectory byte-identical to an uninterrupted
-// one. All walkers in this repository implement it; wrappers (Prefetched)
-// forward it to the walker they wrap.
-type StateCarrier interface {
-	Walker
+	// Err reports the sticky failure of the walker's query path
+	// (cancellation, deadline, budget exhaustion); non-nil means the last
+	// step or weight read observed garbage and further stepping is
+	// pointless.
+	Err() error
 	// SetCurrent repositions the walker. Call it only between runs.
 	SetCurrent(v graph.NodeID)
-	// RandState captures the walker's RNG stream state.
+	// RandState captures the walker's RNG stream state. Position plus
+	// stream is the complete per-member chain state: a walker restored with
+	// SetCurrent and SetRandState continues the exact sample sequence the
+	// original would have produced.
 	RandState() [4]uint64
 	// SetRandState restores a stream captured with RandState.
 	SetRandState(s [4]uint64)
 }
 
-// Simple is the paper's baseline SRW: from u, move to a uniformly random
-// neighbor. Its stationary distribution is π(v) = deg(v)/2|E| on the
-// component of the start node. A node with no neighbors is absorbing (the
-// walk stays put), which cannot happen on connected inputs.
-type Simple struct {
+// chain is the state every baseline walker carries — source, position and
+// RNG stream — and the Walker methods that only read or restore it.
+type chain struct {
 	src Source
 	cur graph.NodeID
 	rng *rng.Rand
 }
 
+// Current returns the walk position.
+func (c *chain) Current() graph.NodeID { return c.cur }
+
+// Err reports the source's sticky failure, if the source tracks one.
+func (c *chain) Err() error { return sourceErr(c.src) }
+
+// SetCurrent repositions the walk (between runs only).
+func (c *chain) SetCurrent(v graph.NodeID) { c.cur = v }
+
+// RandState captures the walker's RNG stream.
+func (c *chain) RandState() [4]uint64 { return c.rng.State() }
+
+// SetRandState restores a stream captured with RandState.
+func (c *chain) SetRandState(s [4]uint64) { c.rng.SetState(s) }
+
+// Simple is the paper's baseline SRW: from u, move to a uniformly random
+// neighbor. Its stationary distribution is π(v) = deg(v)/2|E| on the
+// component of the start node. A node with no neighbors is absorbing (the
+// walk stays put), which cannot happen on connected inputs.
+type Simple struct{ chain }
+
 // NewSimple starts an SRW at start.
 func NewSimple(src Source, start graph.NodeID, r *rng.Rand) *Simple {
-	return &Simple{src: src, cur: start, rng: r}
+	return &Simple{chain{src: src, cur: start, rng: r}}
 }
-
-// Current returns the walk position.
-func (w *Simple) Current() graph.NodeID { return w.cur }
 
 // Step moves to a uniform random neighbor.
 func (w *Simple) Step() graph.NodeID {
@@ -89,36 +103,17 @@ func (w *Simple) StationaryWeight(v graph.NodeID) float64 {
 	return float64(w.src.Degree(v))
 }
 
-// Err reports the source's sticky failure, if the source tracks one.
-func (w *Simple) Err() error { return sourceErr(w.src) }
-
-// SetCurrent repositions the walk (between runs only).
-func (w *Simple) SetCurrent(v graph.NodeID) { w.cur = v }
-
-// RandState captures the walker's RNG stream.
-func (w *Simple) RandState() [4]uint64 { return w.rng.State() }
-
-// SetRandState restores a stream captured with RandState.
-func (w *Simple) SetRandState(s [4]uint64) { w.rng.SetState(s) }
-
 // MetropolisHastings is the MHRW sampler with a uniform target
 // distribution: propose a uniform neighbor v of u, accept with probability
 // min(1, deg(u)/deg(v)), else stay. Every proposal costs a query for v's
 // degree — the reason the paper (citing [10], [14]) finds MHRW 1.5–8×
 // slower than SRW in practice.
-type MetropolisHastings struct {
-	src Source
-	cur graph.NodeID
-	rng *rng.Rand
-}
+type MetropolisHastings struct{ chain }
 
 // NewMetropolisHastings starts an MHRW at start.
 func NewMetropolisHastings(src Source, start graph.NodeID, r *rng.Rand) *MetropolisHastings {
-	return &MetropolisHastings{src: src, cur: start, rng: r}
+	return &MetropolisHastings{chain{src: src, cur: start, rng: r}}
 }
-
-// Current returns the walk position.
-func (w *MetropolisHastings) Current() graph.NodeID { return w.cur }
 
 // Step performs one propose/accept round.
 func (w *MetropolisHastings) Step() graph.NodeID {
@@ -145,77 +140,45 @@ func (w *MetropolisHastings) Step() graph.NodeID {
 // StationaryWeight is constant: MHRW targets the uniform distribution.
 func (w *MetropolisHastings) StationaryWeight(graph.NodeID) float64 { return 1 }
 
-// Err reports the source's sticky failure, if the source tracks one.
-func (w *MetropolisHastings) Err() error { return sourceErr(w.src) }
-
-// SetCurrent repositions the walk (between runs only).
-func (w *MetropolisHastings) SetCurrent(v graph.NodeID) { w.cur = v }
-
-// RandState captures the walker's RNG stream.
-func (w *MetropolisHastings) RandState() [4]uint64 { return w.rng.State() }
-
-// SetRandState restores a stream captured with RandState.
-func (w *MetropolisHastings) SetRandState(s [4]uint64) { w.rng.SetState(s) }
-
 // RandomJump wraps MHRW with uniform restarts: with probability PJump the
 // walk teleports to a uniformly random user ID (requiring the global ID
 // space, which the paper notes is not available on every network), otherwise
 // it performs an MHRW step. Uniform is stationary for both components, so
-// the chain still targets the uniform distribution. The paper's experiments
-// use PJump = 0.5.
+// the chain still targets the uniform distribution (the embedded MHRW's
+// constant weight). The paper's experiments use PJump = 0.5. One RNG stream
+// covers both the jump coin and the proposal draws.
 type RandomJump struct {
-	mh       *MetropolisHastings
+	MetropolisHastings
 	numUsers int
 	pJump    float64
-	rng      *rng.Rand
 }
 
 // NewRandomJump starts an RJ walker at start over an ID space of numUsers.
 func NewRandomJump(src Source, start graph.NodeID, numUsers int, pJump float64, r *rng.Rand) *RandomJump {
 	return &RandomJump{
-		mh:       NewMetropolisHastings(src, start, r),
-		numUsers: numUsers,
-		pJump:    pJump,
-		rng:      r,
+		MetropolisHastings: MetropolisHastings{chain{src: src, cur: start, rng: r}},
+		numUsers:           numUsers,
+		pJump:              pJump,
 	}
 }
-
-// Current returns the walk position.
-func (w *RandomJump) Current() graph.NodeID { return w.mh.cur }
 
 // Step jumps or performs an MHRW step.
 func (w *RandomJump) Step() graph.NodeID {
 	if w.rng.Bernoulli(w.pJump) {
-		w.mh.cur = graph.NodeID(w.rng.Intn(w.numUsers))
+		w.cur = graph.NodeID(w.rng.Intn(w.numUsers))
 		// Touch the landing node so the jump is charged like any other
 		// individual-user query.
-		w.mh.src.Neighbors(w.mh.cur)
-		return w.mh.cur
+		w.src.Neighbors(w.cur)
+		return w.cur
 	}
-	return w.mh.Step()
+	return w.MetropolisHastings.Step()
 }
-
-// StationaryWeight is constant: RJ targets the uniform distribution.
-func (w *RandomJump) StationaryWeight(graph.NodeID) float64 { return 1 }
-
-// Err reports the source's sticky failure, if the source tracks one.
-func (w *RandomJump) Err() error { return w.mh.Err() }
-
-// SetCurrent repositions the walk (between runs only).
-func (w *RandomJump) SetCurrent(v graph.NodeID) { w.mh.cur = v }
-
-// RandState captures the walker's RNG stream (shared with the embedded MHRW
-// chain, so one state covers both the jump coin and the proposal draws).
-func (w *RandomJump) RandState() [4]uint64 { return w.rng.State() }
-
-// SetRandState restores a stream captured with RandState.
-func (w *RandomJump) SetRandState(s [4]uint64) { w.rng.SetState(s) }
 
 // Interface conformance checks.
 var (
-	_ StateCarrier = (*Simple)(nil)
-	_ StateCarrier = (*MetropolisHastings)(nil)
-	_ StateCarrier = (*RandomJump)(nil)
+	_ Walker = (*Simple)(nil)
+	_ Walker = (*MetropolisHastings)(nil)
+	_ Walker = (*RandomJump)(nil)
 )
 
 // Run advances w by n steps and returns the visited nodes (one entry per
