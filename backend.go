@@ -21,6 +21,10 @@ import (
 // every backend: a simulated service, a live HTTP endpoint, a read-only CSR
 // snapshot, or anything a third party registers via Register.
 //
+// Backend and its capabilities are defined once, by the client stack this
+// package wraps, and aliased here, so any Backend — middleware included —
+// plugs into the client unconverted.
+//
 // Contract:
 //
 //   - Fetch returns exactly one neighbor list per requested id, in input
@@ -37,14 +41,13 @@ import (
 //     round-trip and returns the context's error.
 //   - Returned slices pass ownership to the caller: the backend must not
 //     retain or mutate them (they are cached forever client-side).
-//   - Fetch must be safe for concurrent use.
+//   - Fetch must be safe for concurrent use: the client overlaps misses for
+//     different users, and the prefetch pool fetches alongside.
 //
 // Optional capabilities — UserCounter, RateLimited, io.Closer — are
 // discovered by interface probing that follows Unwrap chains, so middleware
 // wrappers (WithRetry, WithRateLimit, WithMetrics) never hide them.
-type Backend interface {
-	Fetch(ctx context.Context, ids []NodeID) ([][]NodeID, error)
-}
+type Backend = osn.Backend
 
 // IDErrors is the per-id result of a Fetch whose round-trip succeeded: Errs
 // holds one entry per requested id, nil where that id's list is valid. The
@@ -57,31 +60,22 @@ type IDErrors = osn.IDErrors
 // advertising purposes, and the one Random Jump needs for its ID space.
 // Sessions over a backend without it cannot spread starts and must pin them
 // with WithStarts.
-type UserCounter interface {
-	NumUsers() int
-}
+type UserCounter = osn.UserCounter
 
 // RateLimitInfo is provider-published quota feedback, typically mirrored
-// from X-RateLimit-* response headers.
-type RateLimitInfo struct {
-	// Limit and Remaining are the window quota and what is left of it.
-	Limit, Remaining int
-	// Reset is when the window replenishes (zero when unknown).
-	Reset time.Time
-}
+// from X-RateLimit-* response headers: the window quota Limit, what is left
+// of it (Remaining), and when the window replenishes (Reset, zero when
+// unknown).
+type RateLimitInfo = osn.RateLimitInfo
 
 // RateLimited is the optional Backend capability of reporting the provider's
 // live quota state. ok is false until feedback has been observed.
-type RateLimited interface {
-	RateLimit() (RateLimitInfo, bool)
-}
+type RateLimited = osn.RateLimited
 
 // BackendUnwrapper is implemented by middleware that wraps another Backend.
 // Capability probing (and Provider.Close) follows the chain, sql-driver
 // style, so composition never hides an inner backend's abilities.
-type BackendUnwrapper interface {
-	Unwrap() Backend
-}
+type BackendUnwrapper = osn.Unwrapper
 
 // BackendAs resolves capability T anywhere on b's Unwrap chain, outermost
 // first — the probing Open and BackendSource do internally. Use it to reach a
@@ -89,15 +83,10 @@ type BackendUnwrapper interface {
 // BatchStatser, a driver-specific statistics interface) without caring how
 // the middleware is stacked.
 func BackendAs[T any](b Backend) (T, bool) {
-	for b != nil {
+	for b := range osn.Chain(b) {
 		if t, ok := b.(T); ok {
 			return t, true
 		}
-		u, ok := b.(BackendUnwrapper)
-		if !ok {
-			break
-		}
-		b = u.Unwrap()
 	}
 	var zero T
 	return zero, false
@@ -107,17 +96,12 @@ func BackendAs[T any](b Backend) (T, bool) {
 // first error.
 func closeBackend(b Backend) error {
 	var first error
-	for b != nil {
+	for b := range osn.Chain(b) {
 		if c, ok := b.(io.Closer); ok {
 			if err := c.Close(); err != nil && first == nil {
 				first = err
 			}
 		}
-		u, ok := b.(BackendUnwrapper)
-		if !ok {
-			break
-		}
-		b = u.Unwrap()
 	}
 	return first
 }

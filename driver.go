@@ -272,6 +272,11 @@ func parseLimits(u *url.URL) (Limits, error) {
 			*f.dst = d
 		}
 	}
+	if lim.QueriesPerWindow > 0 && lim.Window <= 0 {
+		// A quota without a window would never bind: the simulator opens a
+		// fresh window for every query.
+		return lim, fmt.Errorf("rewire: sim: qpw=%d needs a positive window", lim.QueriesPerWindow)
+	}
 	return lim, nil
 }
 
@@ -289,21 +294,12 @@ func openSim(ctx context.Context, u *url.URL) (Backend, error) {
 	}
 	// The simulator is a Backend itself; a Provider over it finds the
 	// simulation telemetry with BackendAs[*osn.Service].
-	return osn.NewService(g, nil, osn.Config(lim)), nil
+	return osn.NewService(g, nil, lim), nil
 }
 
 // httpDriverParams are the query keys the http driver consumes; everything
 // else stays on the base URL and reaches the provider.
 var httpDriverParams = []string{"timeout", "retries", "backoff", "max_backoff", "batch", "batchwait"}
-
-// httpBackend adds the public RateLimited capability over the HTTP driver's
-// own feedback type.
-type httpBackend struct{ *httpsrc.Backend }
-
-func (h httpBackend) RateLimit() (RateLimitInfo, bool) {
-	st, ok := h.Backend.RateLimit()
-	return RateLimitInfo{Limit: st.Limit, Remaining: st.Remaining, Reset: st.Reset}, ok
-}
 
 func openHTTP(ctx context.Context, u *url.URL) (Backend, error) {
 	q := u.Query()
@@ -361,7 +357,7 @@ func openHTTP(ctx context.Context, u *url.URL) (Backend, error) {
 	}); err != nil {
 		return nil, fmt.Errorf("rewire: http: probing %s: %w", opt.BaseURL, err)
 	}
-	be := WithRetry(httpBackend{hb}, ro)
+	be := WithRetry(hb, ro)
 	if batchWait > 0 {
 		// batchwait opts into demand coalescing at the driver level: distinct
 		// walkers' misses share POST round-trips without any SDK-side wiring.

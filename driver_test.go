@@ -84,15 +84,40 @@ func TestOpenBadSpecs(t *testing.T) {
 		"mem:unknowngen",
 		"mem:barbell?n=1",
 		"mem:social?nodes=x",
-		"mem:preset",             // missing name
-		"sim:barbell?limits=ebz", // unknown preset
-		"sim:barbell?window=ns5", // bad duration
-		"snapshot:",              // empty path
+		"mem:preset",                                 // missing name
+		"sim:barbell?limits=ebz",                     // unknown preset
+		"sim:barbell?window=ns5",                     // bad duration
+		"sim:barbell?n=10&qpw=2",                     // quota without a window
+		"sim:barbell?n=10&limits=facebook&window=0s", // preset quota, window zeroed
+		"snapshot:",                                  // empty path
 		"snapshot:/definitely/not/a/file.csr",
 	} {
 		if _, err := rewire.Open(ctx, u); err == nil {
 			t.Errorf("Open(%q) succeeded, want error", u)
 		}
+	}
+}
+
+// TestLimitsAndRateLimitInfoFields names every exported field of Limits and
+// RateLimitInfo: both alias the client stack's definitions, which the API
+// snapshot prints as one line each, so a field renamed there fails this
+// package's build instead.
+func TestLimitsAndRateLimitInfoFields(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		got, want rewire.Limits
+	}{
+		{"facebook", rewire.FacebookLimits(), rewire.Limits{QueriesPerWindow: 600, Window: 600 * time.Second, PerQueryLatency: 50 * time.Millisecond, RealLatency: 0}},
+		{"twitter", rewire.TwitterLimits(), rewire.Limits{QueriesPerWindow: 350, Window: time.Hour, PerQueryLatency: 50 * time.Millisecond, RealLatency: 0}},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s limits = %+v, want %+v", c.name, c.got, c.want)
+		}
+	}
+	// A simulated provider publishes no live quota feedback.
+	rl, ok := rewire.Simulate(rewire.Barbell(3), rewire.FacebookLimits()).RateLimit()
+	if ok || rl != (rewire.RateLimitInfo{Limit: 0, Remaining: 0, Reset: time.Time{}}) {
+		t.Errorf("simulated RateLimit = %+v, %v; want zero, false", rl, ok)
 	}
 }
 
@@ -311,15 +336,22 @@ func TestOpenSimMatchesSimulate(t *testing.T) {
 // TestOpenHTTPBatchwaitParam pins the driver-level coalescing opt-in: a
 // batchwait URL parameter wraps the HTTP backend in WithBatching (probeable
 // as BatchStatser through the capability chain) and a malformed or negative
-// value fails Open.
+// value fails Open. With or without the coalescer, the provider's
+// X-RateLimit feedback reaches Provider.RateLimit through the chain.
 func TestOpenHTTPBatchwaitParam(t *testing.T) {
 	ctx := context.Background()
 	g, err := rewire.SocialGraph(60, 240, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(httpsrc.Handler(g, httpsrc.ServerOptions{}))
+	srv := httptest.NewServer(httpsrc.Handler(g, httpsrc.ServerOptions{QueriesPerWindow: 1000, Window: time.Minute}))
 	defer srv.Close()
+	checkRateLimit := func(name string, be rewire.Backend) {
+		t.Helper()
+		if rl, ok := rewire.BackendSource(be).RateLimit(); !ok || rl.Limit != 1000 {
+			t.Errorf("%s stack: RateLimit = %+v, %v; want Limit 1000", name, rl, ok)
+		}
+	}
 
 	be, err := rewire.OpenBackend(ctx, srv.URL+"?timeout=5s&batch=8&batchwait=1ms")
 	if err != nil {
@@ -340,6 +372,7 @@ func TestOpenHTTPBatchwaitParam(t *testing.T) {
 	if st := bs.BatchStats(); st.Batches == 0 || st.IDs < 3 {
 		t.Fatalf("stats = %+v after a fetch through the coalescer", st)
 	}
+	checkRateLimit("batchwait", be)
 
 	// Without the parameter the backend stays bare.
 	plain, err := rewire.OpenBackend(ctx, srv.URL+"?timeout=5s")
@@ -349,6 +382,10 @@ func TestOpenHTTPBatchwaitParam(t *testing.T) {
 	if _, ok := rewire.BackendAs[rewire.BatchStatser](plain); ok {
 		t.Fatal("coalescing middleware attached without batchwait")
 	}
+	if _, err := plain.Fetch(ctx, []rewire.NodeID{0}); err != nil {
+		t.Fatal(err)
+	}
+	checkRateLimit("plain", plain)
 
 	for _, bad := range []string{"?batchwait=nope", "?batchwait=-2ms"} {
 		if _, err := rewire.OpenBackend(ctx, srv.URL+bad); err == nil {

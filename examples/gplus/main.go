@@ -49,7 +49,7 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			return len(nbrs), estimate.Attrs(attrs.Of(v))
+			return len(nbrs), attrs.Of(v)
 		}
 		res := estimate.RunSession([]walk.Walker{walker}, estimate.AvgDescLen(), info,
 			client.UniqueQueries, estimate.SessionConfig{

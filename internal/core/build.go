@@ -44,10 +44,11 @@ type BuildOptions struct {
 	// guards on the evolving overlay; EvalOverlay re-tests against the
 	// current overlay each sweep.
 	Criterion CriterionBase
-	// MaxPasses bounds removal sweeps; a sweep that removes nothing stops
-	// early. Default 8.
-	MaxPasses int
 }
+
+// maxBuildPasses bounds removal sweeps; a sweep that removes nothing stops
+// early.
+const maxBuildPasses = 8
 
 // BuildStats reports what the builder did.
 type BuildStats struct {
@@ -155,15 +156,12 @@ func (c originalDegreeCache) CachedDegree(v graph.NodeID) (int, bool) {
 // from a fully known graph. Removal sweeps visit edges in seeded random
 // order and re-test against the *current* overlay (the criterion must track
 // the evolving topology — on the original barbell it would fire for every
-// clique edge); sweeps repeat until a fixpoint or MaxPasses. Replacement
+// clique edge); sweeps repeat until a fixpoint or maxBuildPasses. Replacement
 // then makes one Theorem 4 move per degree-3 pivot where possible.
 //
 // The result is order-dependent (so is the paper's walk); pass a seeded rng
 // for reproducibility.
 func BuildOverlay(g *graph.Graph, opt BuildOptions, r *rng.Rand) (*graph.Graph, BuildStats) {
-	if opt.MaxPasses <= 0 {
-		opt.MaxPasses = 8
-	}
 	m := newMutable(g)
 	var stats BuildStats
 	var cache DegreeCache
@@ -174,7 +172,7 @@ func BuildOverlay(g *graph.Graph, opt BuildOptions, r *rng.Rand) (*graph.Graph, 
 	if opt.Removal {
 		edges := g.Edges()
 		order := r.Perm(len(edges))
-		for pass := 0; pass < opt.MaxPasses; pass++ {
+		for pass := 0; pass < maxBuildPasses; pass++ {
 			stats.Passes++
 			removedThisPass := 0
 			for _, i := range order {

@@ -12,6 +12,7 @@ import (
 	"errors"
 
 	"rewire/internal/graph"
+	"rewire/internal/osn"
 )
 
 // ImportanceSampler accumulates weighted samples. For the uniform target the
@@ -59,13 +60,8 @@ type Aggregate struct {
 	Value func(v graph.NodeID, deg int, attrs Attrs) float64
 }
 
-// Attrs mirrors osn.UserAttrs without importing it (estimate is also used
-// with plain graphs). Convert at the call site.
-type Attrs struct {
-	Age     int
-	DescLen int
-	Posts   int
-}
+// Attrs is the published content of a sampled user, as a query returns it.
+type Attrs = osn.UserAttrs
 
 // AvgDegree is the paper's default aggregate for topological datasets.
 func AvgDegree() Aggregate {
@@ -80,14 +76,6 @@ func AvgDescLen() Aggregate {
 	return Aggregate{
 		Name:  "average self-description length",
 		Value: func(_ graph.NodeID, _ int, a Attrs) float64 { return float64(a.DescLen) },
-	}
-}
-
-// AvgAge averages the age attribute.
-func AvgAge() Aggregate {
-	return Aggregate{
-		Name:  "average age",
-		Value: func(_ graph.NodeID, _ int, a Attrs) float64 { return float64(a.Age) },
 	}
 }
 

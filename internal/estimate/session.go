@@ -11,6 +11,10 @@ import (
 // stands on.
 type InfoFunc func(v graph.NodeID) (deg int, attrs Attrs)
 
+// burnInCheckEvery is how many burn-in steps pass between convergence
+// checks.
+const burnInCheckEvery = 25
+
 // CostFunc returns the query budget spent so far (e.g. Client.UniqueQueries).
 type CostFunc func() int64
 
@@ -19,9 +23,6 @@ type SessionConfig struct {
 	// BurnIn is the convergence monitor deciding when sampling may start
 	// (the paper uses Geweke on the degree trace). nil skips burn-in.
 	BurnIn diag.Monitor
-	// BurnInCheckEvery is how many steps pass between convergence checks
-	// (default 25).
-	BurnInCheckEvery int
 	// MaxBurnInSteps caps the burn-in phase (default 100000).
 	MaxBurnInSteps int
 	// Samples is the number of post-burn-in samples to draw.
@@ -40,9 +41,6 @@ type SessionConfig struct {
 }
 
 func (c SessionConfig) withDefaults() SessionConfig {
-	if c.BurnInCheckEvery <= 0 {
-		c.BurnInCheckEvery = 25
-	}
 	if c.MaxBurnInSteps <= 0 {
 		c.MaxBurnInSteps = 100000
 	}
@@ -120,7 +118,7 @@ func RunSession(walkers []walk.Walker, agg Aggregate, info InfoFunc, cost CostFu
 			res.BurnInSteps++
 			deg, _ := info(v)
 			cfg.BurnIn.Observe(float64(deg))
-			if res.BurnInSteps%cfg.BurnInCheckEvery == 0 && cfg.BurnIn.Converged() {
+			if res.BurnInSteps%burnInCheckEvery == 0 && cfg.BurnIn.Converged() {
 				res.BurnInConverged = true
 				break
 			}

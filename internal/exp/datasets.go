@@ -14,9 +14,6 @@ type Dataset = dataset.Dataset
 // drivers and benches agree on the exact topologies.
 const DatasetSeed = dataset.Seed
 
-// LocalDatasets returns the paper's Table I datasets at full scale.
-func LocalDatasets() []Dataset { return dataset.Local() }
-
 // SmallDatasets returns 1/10-scale counterparts for tests and quick benches.
 func SmallDatasets() []Dataset { return dataset.Small() }
 

@@ -107,10 +107,9 @@ func pad(s string, w int) string {
 	return s + strings.Repeat(" ", w-len(s))
 }
 
-// f1, f2, f3, f4 format floats at fixed precision for table cells.
+// f1, f2, f4 format floats at fixed precision for table cells.
 func f1(x float64) string { return fmt.Sprintf("%.1f", x) }
 func f2(x float64) string { return fmt.Sprintf("%.2f", x) }
-func f3(x float64) string { return fmt.Sprintf("%.3f", x) }
 func f4(x float64) string { return fmt.Sprintf("%.4f", x) }
 
 // itoa formats ints for table cells.

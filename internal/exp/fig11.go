@@ -122,7 +122,7 @@ func Fig11(full bool, cfg Fig11Config, seed uint64) (Fig11Result, error) {
 				// The walk has already paid q(v) for every sampled v, so the
 				// attributes come from the table the service serves.
 				info := func(v graph.NodeID) (int, estimate.Attrs) {
-					return client.Degree(v), estimate.Attrs(attrs.Of(v))
+					return client.Degree(v), attrs.Of(v)
 				}
 				sr := estimate.RunSession([]walk.Walker{walker}, agg, info, client.UniqueQueries,
 					estimate.SessionConfig{

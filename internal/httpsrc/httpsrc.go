@@ -159,24 +159,16 @@ func transportFailure(ctx context.Context, err error) error {
 	return &transportError{err}
 }
 
-// RateLimitState is the latest provider-published quota feedback.
-type RateLimitState struct {
-	// Limit and Remaining mirror X-RateLimit-Limit / X-RateLimit-Remaining.
-	Limit, Remaining int
-	// Reset is when the window replenishes (X-RateLimit-Reset, unix seconds).
-	Reset time.Time
-}
-
-// Backend fetches neighbor lists from an HTTP provider. Its Fetch has the
-// shape of the SDK's driver contract, and it is safe for concurrent use — the walker fleet and
-// the prefetch pool share one Backend, and the underlying http.Client pools
-// connections across them.
+// Backend fetches neighbor lists from an HTTP provider. It implements
+// osn.Backend with the UserCounter and RateLimited capabilities, and it is
+// safe for concurrent use — the walker fleet and the prefetch pool share one
+// Backend, and the underlying http.Client pools connections across them.
 type Backend struct {
 	base *url.URL
 	opt  Options
 
 	mu    sync.Mutex
-	rl    RateLimitState
+	rl    osn.RateLimitInfo
 	rlSet bool
 	users int // cached /meta answer; 0 = not yet known
 
@@ -603,7 +595,7 @@ func (b *Backend) NumUsers() int {
 
 // RateLimit returns the latest provider-published quota feedback; ok is
 // false until a response has carried X-RateLimit headers.
-func (b *Backend) RateLimit() (RateLimitState, bool) {
+func (b *Backend) RateLimit() (osn.RateLimitInfo, bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.rl, b.rlSet
@@ -681,7 +673,7 @@ func (b *Backend) noteRateHeaders(h http.Header) {
 	if rem == "" {
 		return
 	}
-	var rl RateLimitState
+	var rl osn.RateLimitInfo
 	rl.Remaining, _ = strconv.Atoi(rem)
 	rl.Limit, _ = strconv.Atoi(h.Get("X-RateLimit-Limit"))
 	if sec, err := strconv.ParseInt(h.Get("X-RateLimit-Reset"), 10, 64); err == nil && sec > 0 {
@@ -708,3 +700,11 @@ func parseRetryAfter(s string) time.Duration {
 	}
 	return 0
 }
+
+// The http driver wraps a Backend in middleware with no adapter in between,
+// so it implements the contract and both capabilities itself.
+var (
+	_ osn.Backend     = (*Backend)(nil)
+	_ osn.UserCounter = (*Backend)(nil)
+	_ osn.RateLimited = (*Backend)(nil)
+)

@@ -3,53 +3,69 @@ package osn
 import (
 	"context"
 	"fmt"
+	"iter"
+	"time"
 
 	"rewire/internal/graph"
 )
 
+// This file is the one home of the fetch-path contract: the Backend the
+// Client wraps, its optional capabilities (UserCounter, RateLimited), the
+// Unwrap chain middleware forms, and the per-id result IDErrors. The public
+// rewire package re-exports each as an alias and documents the contract
+// there.
+
 // Backend is the driver contract the Client wraps: one batch-capable,
-// context-first fetch of neighbor lists. It has the same method set as the
-// public rewire.Backend, so any SDK backend — middleware included — plugs
-// into NewClient unconverted. Everything the client layers on top — the
-// lock-free neighbor-list cache, per-user singleflight, demand billing,
-// budgets, the speculative prefetch pool — is backend-agnostic, so the same
-// machinery serves a simulated provider (Service), a live HTTP endpoint, a
-// read-only CSR snapshot, or anything a third party registers.
-//
-// Contract:
-//
-//   - Fetch returns exactly one neighbor list per requested id, in input
-//     order, or a non-nil error. An empty list is a valid answer for an
-//     isolated user. The client issues single-id fetches and rejects any
-//     other list count, so a misbehaving backend fails the query instead of
-//     caching a wrong answer.
-//   - The one partial result is an *IDErrors: the round-trip succeeded but
-//     some ids failed on their own, and lists[i] is valid wherever Errs[i] is
-//     nil. The client treats it like any other error for its single id;
-//     rewire.WithBatching, which merges single-id fetches into multi-id
-//     round-trips, hands each entry to its own demander.
-//   - An id outside the backend's user space fails with an error matching
-//     ErrNoSuchUser (errors.Is).
-//   - Fetch honors ctx: cancellation or deadline expiry aborts the in-flight
-//     round-trip and returns the context's error.
-//   - Returned lists are owned by the caller; the backend must not retain or
-//     mutate them after returning (the client caches them forever).
-//   - Fetch must be safe for concurrent use: the client overlaps misses for
-//     different users, and the prefetch pool fetches speculatively alongside.
-//
-// Attributes are not part of the contract: the walk, the rewiring criteria
-// and the stationary weights read only neighbor lists. Service.Query still
-// answers the paper's full q(v), attributes included.
+// context-first fetch of neighbor lists (the full contract is on
+// rewire.Backend). The client issues single-id fetches and rejects any other
+// list count, so a misbehaving backend fails the query instead of caching a
+// wrong answer; a per-id *IDErrors fails that id alone. Everything the client
+// layers on top — cache, singleflight, demand billing, budgets, prefetch — is
+// backend-agnostic.
 type Backend interface {
 	Fetch(ctx context.Context, ids []graph.NodeID) ([][]graph.NodeID, error)
 }
 
-// UserCounter is the optional backend capability of publishing the total user
-// count (the figure Random Jump needs for its ID space; the paper notes real
-// providers publish it for advertising purposes). Backends without it report
-// 0 through Client.NumUsers, and sessions over them must pin explicit starts.
+// UserCounter is the optional Backend capability of publishing the total
+// user count. Backends without it anywhere on their Unwrap chain report 0
+// through Client.NumUsers.
 type UserCounter interface {
 	NumUsers() int
+}
+
+// RateLimitInfo is provider-published quota feedback, typically mirrored
+// from X-RateLimit-* response headers.
+type RateLimitInfo struct {
+	// Limit and Remaining are the window quota and what is left of it.
+	Limit, Remaining int
+	// Reset is when the window replenishes (zero when unknown).
+	Reset time.Time
+}
+
+// RateLimited is the optional Backend capability of reporting the provider's
+// live quota state. ok is false until feedback has been observed.
+type RateLimited interface {
+	RateLimit() (RateLimitInfo, bool)
+}
+
+// Unwrapper is implemented by middleware that wraps another Backend, so
+// capability probes can follow the chain to the backends inside.
+type Unwrapper interface {
+	Unwrap() Backend
+}
+
+// Chain yields b and then every backend on its Unwrap chain, outermost
+// first.
+func Chain(b Backend) iter.Seq[Backend] {
+	return func(yield func(Backend) bool) {
+		for cur := b; cur != nil && yield(cur); {
+			u, ok := cur.(Unwrapper)
+			if !ok {
+				return
+			}
+			cur = u.Unwrap()
+		}
+	}
 }
 
 // IDErrors is the error a neighbor-list fetch returns when the round-trip
@@ -85,10 +101,13 @@ func (e *IDErrors) Unwrap() []error {
 	return errs
 }
 
-// backendUsers resolves the optional UserCounter capability (0 when absent).
+// backendUsers resolves the UserCounter capability anywhere on be's Unwrap
+// chain (0 when absent).
 func backendUsers(be Backend) int {
-	if uc, ok := be.(UserCounter); ok {
-		return uc.NumUsers()
+	for b := range Chain(be) {
+		if uc, ok := b.(UserCounter); ok {
+			return uc.NumUsers()
+		}
 	}
 	return 0
 }

@@ -3,6 +3,7 @@ package osn
 import (
 	"context"
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -169,6 +170,45 @@ func TestNumUsers(t *testing.T) {
 	}
 	if NewClient(svc).NumUsers() != g.NumNodes() {
 		t.Error("client NumUsers mismatch")
+	}
+}
+
+// wrapped is a middleware stand-in: a Backend over inner that hides every
+// capability but Unwrap.
+type wrapped struct{ inner Backend }
+
+func (w wrapped) Fetch(ctx context.Context, ids []graph.NodeID) ([][]graph.NodeID, error) {
+	return w.inner.Fetch(ctx, ids)
+}
+func (w wrapped) Unwrap() Backend { return w.inner }
+
+// TestChain: Chain yields the outermost backend first and the innermost
+// last, stops when the caller breaks, and can be ranged over again; the
+// client finds a UserCounter anywhere on it.
+func TestChain(t *testing.T) {
+	svc, g := newTestService(Config{})
+	mid := wrapped{svc}
+	outer := wrapped{mid}
+	for range 2 {
+		var got []Backend
+		for b := range Chain(outer) {
+			got = append(got, b)
+		}
+		if len(got) != 3 || got[0] != Backend(outer) || got[1] != Backend(mid) || got[2] != Backend(svc) {
+			t.Fatalf("Chain = %v, want outer, mid, service", got)
+		}
+	}
+	for b := range Chain(outer) {
+		if b != Backend(outer) {
+			t.Fatal("Chain yielded past a break")
+		}
+		break
+	}
+	if n := NewClient(outer).NumUsers(); n != g.NumNodes() {
+		t.Errorf("NumUsers through two wrappers = %d, want %d", n, g.NumNodes())
+	}
+	if n := len(slices.Collect(Chain(nil))); n != 0 {
+		t.Errorf("Chain(nil) yielded %d backends", n)
 	}
 }
 

@@ -41,7 +41,8 @@ type Response struct {
 type Config struct {
 	// QueriesPerWindow caps queries per Window; 0 disables rate limiting.
 	QueriesPerWindow int
-	// Window is the rate-limit window length (e.g. 600s).
+	// Window is the rate-limit window length (e.g. 600s). It must be
+	// positive when QueriesPerWindow is.
 	Window time.Duration
 	// PerQueryLatency is the simulated round-trip time of one web request.
 	// It advances only the simulated clock; the caller never blocks.

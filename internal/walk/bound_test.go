@@ -141,8 +141,8 @@ func TestBoundBindClearsErrorAndSwitchesContext(t *testing.T) {
 // of demand-cached degree-2/3 users, and 0 over a source without a cache.
 func TestBoundForwardsLowDegreeCount(t *testing.T) {
 	g := graph.FromEdges(4, []graph.Edge{{U: 0, V: 1}, {U: 0, V: 2}, {U: 0, V: 3}, {U: 1, V: 2}})
-	if got := NewBound(g).LowDegreeCount(); got != 0 {
-		t.Errorf("Bound over a graph: LowDegreeCount = %d, want 0", got)
+	if got := NewBound(newFailingSource()).LowDegreeCount(); got != 0 {
+		t.Errorf("Bound over a cacheless source: LowDegreeCount = %d, want 0", got)
 	}
 	c := osn.NewClient(osn.NewService(g, nil, osn.Config{}))
 	b := NewBound(c)

@@ -9,34 +9,14 @@ import (
 
 // ContextSource is a Source whose round-trips can be bound to a context, so
 // cancellation and deadlines abort in-flight provider queries instead of
-// blocking out their latency. osn.Client implements it; plain graphs are
-// adapted by AsContextSource.
+// blocking out their latency. osn.Client and every rewire.Source implement
+// it.
 type ContextSource interface {
 	Source
 	// NeighborsContext returns v's neighbor list (shared slice, do not
 	// modify), honoring ctx for any round-trip the read requires. Unlike
 	// Neighbors, failures are returned, not swallowed.
 	NeighborsContext(ctx context.Context, v graph.NodeID) ([]graph.NodeID, error)
-}
-
-// AsContextSource adapts any Source to a ContextSource. Sources that already
-// implement the interface are returned unchanged; others get a trivial
-// adapter whose NeighborsContext checks ctx before the (local, non-blocking)
-// read — right for in-memory graphs, whose reads never wait on a provider.
-func AsContextSource(src Source) ContextSource {
-	if cs, ok := src.(ContextSource); ok {
-		return cs
-	}
-	return plainContextSource{src}
-}
-
-type plainContextSource struct{ Source }
-
-func (p plainContextSource) NeighborsContext(ctx context.Context, v graph.NodeID) ([]graph.NodeID, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return p.Source.Neighbors(v), nil
 }
 
 // Failing is the optional Source capability of reporting that the query
@@ -92,10 +72,9 @@ type (
 	boundError   struct{ err error }
 )
 
-// NewBound wraps src (adapted via AsContextSource) bound to the background
-// context.
-func NewBound(src Source) *Bound {
-	b := &Bound{src: AsContextSource(src)}
+// NewBound wraps src bound to the background context.
+func NewBound(src ContextSource) *Bound {
+	b := &Bound{src: src}
 	//rewirelint:allow ctxflow Background is the documented initial state; Bind installs the caller's ctx
 	b.ctx.Store(&boundContext{context.Background()})
 	b.pf, _ = src.(PrefetchSource)

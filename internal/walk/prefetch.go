@@ -47,13 +47,6 @@ type Prefetcher interface {
 	Landed(from, to graph.NodeID)
 }
 
-// NoPrefetch is the null strategy: never hint anything. It is the explicit
-// baseline row in the prefetch-scaling experiment.
-type NoPrefetch struct{}
-
-// Landed does nothing.
-func (NoPrefetch) Landed(from, to graph.NodeID) {}
-
 // NextHop is depth-1 lookahead: hint the node the walk just landed on, whose
 // neighbor list the very next Step must demand. On its own this overlaps
 // only the time between steps; combined with a recursive pool depth
@@ -230,7 +223,6 @@ func (f *Fleet) Prefetched(mk func() Prefetcher) *Fleet {
 
 var (
 	_ Walker     = (*Prefetched)(nil)
-	_ Prefetcher = NoPrefetch{}
 	_ Prefetcher = (*NextHop)(nil)
 	_ Prefetcher = (*Frontier)(nil)
 )

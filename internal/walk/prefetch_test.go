@@ -127,13 +127,18 @@ func TestPrefetchBudgetInvariant(t *testing.T) {
 	}
 }
 
+// noHints is a strategy that never hints anything.
+type noHints struct{}
+
+func (noHints) Landed(from, to graph.NodeID) {}
+
 // TestPrefetchedWrapperDelegatesWeight checks the wrapper keeps the inner
 // walker's weight: SRW weighs by degree through the wrapper.
 func TestPrefetchedWrapperDelegatesWeight(t *testing.T) {
 	g := prefetchTestGraph(t)
 	w := NewSimple(g, 0, rng.New(1))
 	v := w.Step()
-	wrapped := WithPrefetch(w, NoPrefetch{})
+	wrapped := WithPrefetch(w, noHints{})
 	if got, want := wrapped.StationaryWeight(v), float64(g.Degree(v)); got != want {
 		t.Errorf("wrapped SRW StationaryWeight(%d) = %v, want %v", v, got, want)
 	}

@@ -123,7 +123,7 @@ func newSession(src Source, cfg config) (*Session, error) {
 	// Bind walkers to the provider's client (not the Provider wrapper) so
 	// the capability probes — prefetch hints, free cached-degree reads for
 	// Theorem 5 — find the real implementations.
-	var inner walk.Source = src
+	var inner walk.ContextSource = src
 	if s.provider != nil {
 		inner = s.provider.client
 	}

@@ -80,28 +80,19 @@ func (s graphSource) NeighborsContext(ctx context.Context, v NodeID) ([]NodeID, 
 }
 
 // Limits configures a simulated provider's restrictions, mirroring the
-// published quotas of real social networks.
-type Limits struct {
-	// QueriesPerWindow caps queries per Window; 0 disables rate limiting.
-	QueriesPerWindow int
-	// Window is the rate-limit window length (e.g. 600s).
-	Window time.Duration
-	// PerQueryLatency is the simulated round-trip time of one web request.
-	// It advances only the simulated clock; the caller never blocks.
-	PerQueryLatency time.Duration
-	// RealLatency, when positive, makes every query actually block the
-	// calling goroutine for that long — what a concurrent walker fleet
-	// overlaps and a sequential crawler pays in full. Cancelling the
-	// query's context interrupts the wait.
-	RealLatency time.Duration
-}
+// published quotas of real social networks: QueriesPerWindow queries per
+// Window (0 disables rate limiting; Window must be positive when
+// QueriesPerWindow is), a simulated PerQueryLatency that advances only the
+// simulated clock, and a RealLatency that actually blocks the querying
+// goroutine, interruptibly, for that long.
+type Limits = osn.Config
 
 // FacebookLimits mirrors the paper's cited Facebook quota: 600 open-graph
 // queries per 600 seconds.
-func FacebookLimits() Limits { return Limits(osn.FacebookLimits()) }
+func FacebookLimits() Limits { return osn.FacebookLimits() }
 
 // TwitterLimits mirrors the paper's cited Twitter quota: 350 requests/hour.
-func TwitterLimits() Limits { return Limits(osn.TwitterLimits()) }
+func TwitterLimits() Limits { return osn.TwitterLimits() }
 
 // PrefetchStats counts a provider's speculative-fetch activity.
 type PrefetchStats = osn.PrefetchStats
@@ -131,7 +122,7 @@ type Provider struct {
 // "sim:...?limits=facebook") builds. Fixed-seed trajectories and
 // unique-query bills are pinned by the CI bench gate.
 func Simulate(g *Graph, limits Limits) *Provider {
-	return BackendSource(osn.NewService(g, nil, osn.Config(limits)))
+	return BackendSource(osn.NewService(g, nil, limits))
 }
 
 // BackendSource wraps any Backend in a Provider, attaching the full client
@@ -140,7 +131,7 @@ func Simulate(g *Graph, limits Limits) *Provider {
 // (UserCounter, RateLimited, io.Closer) are discovered through the
 // backend's Unwrap chain, so middleware composition never hides them.
 func BackendSource(b Backend) *Provider {
-	p := &Provider{client: osn.NewClient(clientBackend(b)), backend: b}
+	p := &Provider{client: osn.NewClient(b), backend: b}
 	// A simulated backend, bare or wrapped, reports its simulation telemetry.
 	p.svc, _ = BackendAs[*osn.Service](b)
 	if cb, ok := BackendAs[*cacheBackend](b); ok {
@@ -155,22 +146,6 @@ func BackendSource(b Backend) *Provider {
 		p.durable = cb.cache
 	}
 	return p
-}
-
-// clientBackend hands b to the client, which probes only the outermost
-// backend for UserCounter: when b lacks the capability but an inner backend
-// on its Unwrap chain has it, the pair is passed instead.
-func clientBackend(b Backend) osn.Backend {
-	if _, ok := b.(UserCounter); ok {
-		return b
-	}
-	if uc, ok := BackendAs[UserCounter](b); ok {
-		return struct {
-			Backend
-			UserCounter
-		}{b, uc}
-	}
-	return b
 }
 
 // Backend returns the backend this provider wraps. Probe it for
