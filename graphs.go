@@ -67,7 +67,9 @@ func SocialGraph(nodes, edges int, seed uint64) (*Graph, error) {
 // PresetGraph returns one of the paper's Table I stand-in datasets by name:
 // "Epinions", "Slashdot A", "Slashdot B", or "Google Plus". full selects
 // paper scale; false selects the fast reduced-scale variants the tests use.
-// Generation is deterministic and cached process-wide.
+// Generation is deterministic and cached process-wide. The first call for
+// any Table I preset builds all three of them at the requested scale;
+// "Google Plus" is built on its own.
 func PresetGraph(name string, full bool) (*Graph, error) {
 	if name == "Google Plus" {
 		return dataset.GooglePlus(full), nil

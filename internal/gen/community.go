@@ -3,7 +3,6 @@ package gen
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"rewire/internal/graph"
 	"rewire/internal/rng"
@@ -96,34 +95,30 @@ func PowerLawDegrees(n, m int, gamma float64, kmin, kmax int, r *rng.Rand) []int
 		// Pareto quantile with minimum 1: (1-u)^(-1/(gamma-1)).
 		base[i] = math.Pow(1-u, -1/(gamma-1))
 	}
-	degsFor := func(alpha float64) ([]int, int) {
-		ks := make([]int, n)
-		sum := 0
-		for i, w := range base {
-			k := int(math.Round(alpha * w))
-			if k < kmin {
-				k = kmin
-			}
-			if k > kmax {
-				k = kmax
-			}
-			ks[i] = k
-			sum += k
-		}
-		return ks, sum
+	// degreeAt scales weight w by alpha and clamps it to [kmin, kmax].
+	degreeAt := func(alpha, w float64) int {
+		return min(max(int(math.Round(alpha*w)), kmin), kmax)
 	}
 	target := 2 * m
 	lo, hi := 1e-3, float64(kmax)
 	for iter := 0; iter < 80; iter++ {
 		mid := (lo + hi) / 2
-		_, sum := degsFor(mid)
+		sum := 0
+		for _, w := range base {
+			sum += degreeAt(mid, w)
+		}
 		if sum < target {
 			lo = mid
 		} else {
 			hi = mid
 		}
 	}
-	ks, sum := degsFor(hi)
+	ks := make([]int, n)
+	sum := 0
+	for i, w := range base {
+		ks[i] = degreeAt(hi, w)
+		sum += ks[i]
+	}
 	// Nudge random nodes to close the residual gap (clamping makes an exact
 	// hit by scaling alone impossible in general).
 	for sum != target {
@@ -147,8 +142,12 @@ func PowerLawDegrees(n, m int, gamma float64, kmin, kmax int, r *rng.Rand) []int
 //     ≈ Slack*degree+2, so low-degree nodes land in pockets they can almost
 //     fill (near-cliques) while hubs overflow into the global stage;
 //  3. wire ⌈(1-Mixing)·k⌉ of each node's stubs inside its community and the
-//     rest across communities, both by randomized stub matching with
-//     duplicate rejection;
+//     rest across communities, both by randomized stub matching that
+//     rejects self-loops and duplicates. Membership is fixed before wiring
+//     starts, so a pair inside one community is checked against one bit of
+//     that community's triangular bitset (small enough to stay in cache
+//     while the community is wired), and only pairs across communities go
+//     to a hash set;
 //  4. connect leftover components to the giant with one edge each.
 //
 // The result has NumNodes() == cfg.Nodes and an edge count within a few
@@ -165,9 +164,9 @@ func Social(cfg SocialConfig, r *rng.Rand) (*graph.Graph, error) {
 	n := cfg.Nodes
 	degs := PowerLawDegrees(n, cfg.TargetEdges, cfg.Gamma, cfg.MinDegree, cfg.MaxDegree, r)
 
-	// Chunk degree-sorted nodes into communities.
-	order := r.Perm(n) // random tie-break before the stable degree sort
-	sort.SliceStable(order, func(a, b int) bool { return degs[order[a]] < degs[order[b]] })
+	// Chunk degree-sorted nodes into communities. The random permutation
+	// breaks ties; a counting sort by degree keeps it stable.
+	order := sortByDegree(r.Perm(n), degs)
 	var communities [][]graph.NodeID
 	for i := 0; i < n; {
 		want := int(math.Round(cfg.Slack*float64(degs[order[i]]))) + 2
@@ -185,20 +184,7 @@ func Social(cfg SocialConfig, r *rng.Rand) (*graph.Graph, error) {
 		i += want
 	}
 
-	b := graph.NewBuilder(n)
-	seen := make(map[graph.EdgeKey]struct{}, cfg.TargetEdges)
-	addEdge := func(u, v graph.NodeID) bool {
-		if u == v {
-			return false
-		}
-		k := graph.KeyOf(u, v)
-		if _, ok := seen[k]; ok {
-			return false
-		}
-		seen[k] = struct{}{}
-		b.AddEdge(u, v)
-		return true
-	}
+	w := newWiring(n, communities, cfg.TargetEdges)
 
 	// Intra-community wiring: randomized stub matching, then a greedy
 	// completion pass (random matching alone cannot realize near-cliques —
@@ -206,15 +192,15 @@ func Social(cfg SocialConfig, r *rng.Rand) (*graph.Graph, error) {
 	// degree, by construction order) GatewayFraction of members are the
 	// community's gateways: only they reserve stubs for inter-community
 	// edges; everyone else aims all connections inside the pocket.
-	used := make([]int, n)
+	var targets []int // by position in the community
+	var stubs []graph.NodeID
 	for _, mem := range communities {
 		s := len(mem)
 		gateways := int(math.Round(cfg.GatewayFraction * float64(s)))
 		if gateways < 1 {
 			gateways = 1
 		}
-		targets := make(map[graph.NodeID]int, s)
-		var stubs []graph.NodeID
+		targets, stubs = targets[:0], stubs[:0]
 		for idx, u := range mem {
 			t := degs[u]
 			if idx >= s-gateways {
@@ -223,28 +209,25 @@ func Social(cfg SocialConfig, r *rng.Rand) (*graph.Graph, error) {
 			if t > s-1 {
 				t = s - 1
 			}
-			targets[u] = t
+			targets = append(targets, t)
 			for j := 0; j < t; j++ {
 				stubs = append(stubs, u)
 			}
 		}
-		matched := matchStubs(stubs, addEdge, r, 4)
-		for _, u := range matched {
-			used[u]++
-		}
+		w.matchStubs(stubs, r, 4)
 		// Greedy completion of whatever the random matching left unfilled.
 		for i, u := range mem {
-			if used[u] >= targets[u] {
+			if w.used[u] >= targets[i] {
 				continue
 			}
-			for j := i + 1; j < s && used[u] < targets[u]; j++ {
+			for j := i + 1; j < s && w.used[u] < targets[i]; j++ {
 				v := mem[j]
-				if used[v] >= targets[v] {
+				if w.used[v] >= targets[j] {
 					continue
 				}
-				if addEdge(u, v) {
-					used[u]++
-					used[v]++
+				if w.addEdge(u, v) {
+					w.used[u]++
+					w.used[v]++
 				}
 			}
 		}
@@ -253,24 +236,15 @@ func Social(cfg SocialConfig, r *rng.Rand) (*graph.Graph, error) {
 	// Inter-community wiring from the residual stubs, region by region:
 	// each community belongs to one super-cluster and its gateways wire
 	// within it; a thin bridge budget crosses regions.
-	region := make([]int, n)
-	for ci, mem := range communities {
-		rg := ci % cfg.SuperClusters
-		for _, u := range mem {
-			region[u] = rg
-		}
-	}
 	pools := make([][]graph.NodeID, cfg.SuperClusters)
 	for u := 0; u < n; u++ {
-		for j := used[u]; j < degs[u]; j++ {
-			pools[region[u]] = append(pools[region[u]], graph.NodeID(u))
+		rg := int(w.comm[u]) % cfg.SuperClusters
+		for j := w.used[u]; j < degs[u]; j++ {
+			pools[rg] = append(pools[rg], graph.NodeID(u))
 		}
 	}
 	for rg := range pools {
-		matched := matchStubs(pools[rg], addEdge, r, 6)
-		for _, u := range matched {
-			used[u]++
-		}
+		w.matchStubs(pools[rg], r, 6)
 	}
 	if cfg.SuperClusters > 1 {
 		bridges := int(math.Round(cfg.BridgeFraction * float64(cfg.TargetEdges)))
@@ -283,7 +257,7 @@ func Social(cfg SocialConfig, r *rng.Rand) (*graph.Graph, error) {
 			if ra == rb || len(pools[ra]) == 0 || len(pools[rb]) == 0 {
 				continue
 			}
-			if addEdge(rng.Choice(r, pools[ra]), rng.Choice(r, pools[rb])) {
+			if w.addEdge(rng.Choice(r, pools[ra]), rng.Choice(r, pools[rb])) {
 				added++
 			}
 		}
@@ -292,33 +266,131 @@ func Social(cfg SocialConfig, r *rng.Rand) (*graph.Graph, error) {
 	// Top up to the exact edge target with degree-weighted random pairs
 	// inside random regions (bounded attempts; an unlucky draw sequence
 	// leaves the count a hair short rather than looping forever).
-	if deficit := cfg.TargetEdges - len(seen); deficit > 0 {
-		for attempts := 60 * deficit; attempts > 0 && len(seen) < cfg.TargetEdges; attempts-- {
+	if deficit := cfg.TargetEdges - w.edges; deficit > 0 {
+		for attempts := 60 * deficit; attempts > 0 && w.edges < cfg.TargetEdges; attempts-- {
 			pool := pools[r.Intn(cfg.SuperClusters)]
 			if len(pool) < 2 {
 				continue
 			}
-			addEdge(rng.Choice(r, pool), rng.Choice(r, pool))
+			w.addEdge(rng.Choice(r, pool), rng.Choice(r, pool))
 		}
 	}
 
-	return Connect(b.Build(), r), nil
+	return Connect(w.b.Build(), r), nil
 }
 
-// matchStubs pairs stubs randomly, calling addEdge for each pair; pairs that
-// fail (self-loop or duplicate) are retried in up to `rounds` extra passes.
-// It returns the stubs that were successfully matched (one entry per matched
-// endpoint).
-func matchStubs(stubs []graph.NodeID, addEdge func(u, v graph.NodeID) bool, r *rng.Rand, rounds int) []graph.NodeID {
-	var matched []graph.NodeID
+// sortByDegree stably sorts the node ids in order by degs with a counting
+// sort and returns the sorted copy.
+func sortByDegree(order, degs []int) []int {
+	maxDeg := 0
+	for _, k := range degs {
+		maxDeg = max(maxDeg, k)
+	}
+	start := make([]int, maxDeg+2)
+	for _, k := range degs {
+		start[k+1]++
+	}
+	for k := 1; k < len(start); k++ {
+		start[k] += start[k-1]
+	}
+	sorted := make([]int, len(order))
+	for _, u := range order {
+		sorted[start[degs[u]]] = u
+		start[degs[u]]++
+	}
+	return sorted
+}
+
+// wiring is Social's edge sink: it rejects self-loops and duplicates,
+// forwards every new edge to the builder, and counts each node's wired
+// stubs. Membership is fixed up front, so a pair inside one community is a
+// bit in that community's triangular bitset (bit j(j-1)/2+i for positions
+// i < j) and only a pair across communities needs the hash set.
+type wiring struct {
+	b     *graph.Builder
+	comm  []int32 // community of each node
+	pos   []int32 // position of each node within its community
+	base  []int   // first bit of each community's triangle in bits
+	bits  []uint64
+	cross map[graph.EdgeKey]struct{}
+	edges int            // edges added so far
+	used  []int          // wired stubs per node
+	spare []graph.NodeID // matchStubs' buffer of unmatched stubs
+}
+
+// newWiring sizes a wiring for about targetEdges edges, of which the
+// presets carry roughly a fifth across communities.
+func newWiring(n int, communities [][]graph.NodeID, targetEdges int) *wiring {
+	w := &wiring{
+		b:     graph.NewBuilder(n),
+		comm:  make([]int32, n),
+		pos:   make([]int32, n),
+		base:  make([]int, len(communities)),
+		cross: make(map[graph.EdgeKey]struct{}, targetEdges/4),
+		used:  make([]int, n),
+	}
+	w.b.Grow(targetEdges)
+	bits := 0
+	for c, mem := range communities {
+		w.base[c] = bits
+		bits += len(mem) * (len(mem) - 1) / 2
+		for i, u := range mem {
+			w.comm[u], w.pos[u] = int32(c), int32(i)
+		}
+	}
+	w.bits = make([]uint64, (bits+63)/64)
+	return w
+}
+
+// addEdge adds (u, v) unless it is a self-loop or already present, and
+// reports whether it did.
+func (w *wiring) addEdge(u, v graph.NodeID) bool {
+	if u == v {
+		return false
+	}
+	if c := w.comm[u]; c == w.comm[v] {
+		i, j := int(w.pos[u]), int(w.pos[v])
+		if i > j {
+			i, j = j, i
+		}
+		bit := w.base[c] + j*(j-1)/2 + i
+		word, mask := bit>>6, uint64(1)<<(bit&63)
+		if w.bits[word]&mask != 0 {
+			return false
+		}
+		w.bits[word] |= mask
+	} else {
+		k := graph.KeyOf(u, v)
+		if _, ok := w.cross[k]; ok {
+			return false
+		}
+		w.cross[k] = struct{}{}
+	}
+	w.edges++
+	w.b.AddEdge(u, v)
+	return true
+}
+
+// matchStubs pairs stubs randomly, adding an edge for each pair and counting
+// both endpoints in used; pairs that fail (self-loop or duplicate) are
+// retried in up to `rounds` extra passes. stubs is shuffled in place.
+func (w *wiring) matchStubs(stubs []graph.NodeID, r *rng.Rand, rounds int) {
 	pending := stubs
 	for pass := 0; pass <= rounds && len(pending) >= 2; pass++ {
-		r.Shuffle(len(pending), func(i, j int) { pending[i], pending[j] = pending[j], pending[i] })
-		var leftover []graph.NodeID
+		// Fisher–Yates, drawing the same sequence as rng.Shuffle.
+		for i := len(pending) - 1; i > 0; i-- {
+			j := r.Intn(i + 1)
+			pending[i], pending[j] = pending[j], pending[i]
+		}
+		// The failures of the first pass go to the spare buffer; later
+		// passes filter that buffer in place (a write never passes the pair
+		// just read).
+		leftover := w.spare[:0]
 		for i := 0; i+1 < len(pending); i += 2 {
 			u, v := pending[i], pending[i+1]
-			if addEdge(u, v) {
-				matched = append(matched, u, v)
+			if w.addEdge(u, v) {
+				w.used[u]++
+				w.used[v]++
 			} else {
 				leftover = append(leftover, u, v)
 			}
@@ -326,10 +398,10 @@ func matchStubs(stubs []graph.NodeID, addEdge func(u, v graph.NodeID) bool, r *r
 		if len(pending)%2 == 1 {
 			leftover = append(leftover, pending[len(pending)-1])
 		}
+		w.spare = leftover
 		if len(leftover) == len(pending) {
 			break // no progress; give up
 		}
 		pending = leftover
 	}
-	return matched
 }

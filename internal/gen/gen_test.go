@@ -259,6 +259,18 @@ func TestSocialDeterministicBySeed(t *testing.T) {
 	}
 }
 
+// BenchmarkSocial times one Social build at durable-crawl's degree regime
+// (mean degree 40) at 1/10 of its size.
+func BenchmarkSocial(b *testing.B) {
+	cfg := SocialConfig{Nodes: 20000, TargetEdges: 400000}
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := Social(cfg, rng.New(7)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func TestLatentSpace(t *testing.T) {
 	cfg := PaperLatentConfig(80)
 	g, pts, err := LatentSpace(cfg, rng.New(12))

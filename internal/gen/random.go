@@ -158,15 +158,12 @@ func Connect(g *graph.Graph, r *rng.Rand) *graph.Graph {
 			giant = c
 		}
 	}
-	b := graph.NewBuilder(g.NumNodes())
-	for _, e := range g.Edges() {
-		b.AddEdge(e.U, e.V)
-	}
+	extra := make([]graph.Edge, 0, count-1)
 	for c := range members {
 		if c == giant {
 			continue
 		}
-		b.AddEdge(rng.Choice(r, members[c]), rng.Choice(r, members[giant]))
+		extra = append(extra, graph.Edge{U: rng.Choice(r, members[c]), V: rng.Choice(r, members[giant])})
 	}
-	return b.Build()
+	return g.WithEdges(extra)
 }

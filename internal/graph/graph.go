@@ -83,18 +83,24 @@ func NewFromAdjacency(adj [][]NodeID) *Graph {
 	return finishCSR(offsets, neigh)
 }
 
-// finishCSR sorts each row, removes duplicates and self-loops compacting the
-// flat array in place, and returns the finished graph. offsets and neigh are
-// taken over (and shrunk) by the call.
+// finishCSR sorts each row and hands the result to compactCSR.
 func finishCSR(offsets []uint32, neigh []NodeID) *Graph {
+	for u := 0; u+1 < len(offsets); u++ {
+		slices.Sort(neigh[offsets[u]:offsets[u+1]])
+	}
+	return compactCSR(offsets, neigh)
+}
+
+// compactCSR removes duplicates and self-loops from sorted rows, compacting
+// the flat array in place, and returns the finished graph. offsets and neigh
+// are taken over (and shrunk) by the call.
+func compactCSR(offsets []uint32, neigh []NodeID) *Graph {
 	n := len(offsets) - 1
 	w := uint32(0)
 	for u := 0; u < n; u++ {
 		lo, hi := offsets[u], offsets[u+1]
 		offsets[u] = w // rows only shrink, so w never overtakes lo
-		row := neigh[lo:hi]
-		slices.Sort(row)
-		for i, v := range row {
+		for i, v := range neigh[lo:hi] {
 			if v == NodeID(u) {
 				continue // self-loop
 			}
@@ -158,6 +164,39 @@ func (g *Graph) Edges() []Edge {
 		}
 	}
 	return out
+}
+
+// WithEdges returns a new graph holding g's edges plus extra; duplicates
+// and self-loops in extra are dropped and g is unchanged. It copies g's rows
+// once and sorts only the rows that gain a neighbor, so adding a few edges
+// to a large graph costs far less than rebuilding it.
+func (g *Graph) WithEdges(extra []Edge) *Graph {
+	n := g.NumNodes()
+	added := make([]uint32, n)
+	for _, e := range extra {
+		added[e.U]++
+		added[e.V]++
+	}
+	offsets := make([]uint32, n+1)
+	for u := 0; u < n; u++ {
+		offsets[u+1] = offsets[u] + uint32(g.Degree(NodeID(u))) + added[u]
+	}
+	neigh := make([]NodeID, offsets[n])
+	for u := 0; u < n; u++ {
+		copy(neigh[offsets[u]:], g.Neighbors(NodeID(u)))
+	}
+	// Extras fill each row from its end, where the copy left room.
+	for _, e := range extra {
+		added[e.U]--
+		neigh[offsets[e.U+1]-1-added[e.U]] = e.V
+		added[e.V]--
+		neigh[offsets[e.V+1]-1-added[e.V]] = e.U
+	}
+	for _, e := range extra {
+		slices.Sort(neigh[offsets[e.U]:offsets[e.U+1]])
+		slices.Sort(neigh[offsets[e.V]:offsets[e.V+1]])
+	}
+	return compactCSR(offsets, neigh)
 }
 
 // CommonNeighbors returns the sorted intersection of the neighbor lists of u

@@ -47,6 +47,47 @@ func TestBuilderDedupAndSelfLoops(t *testing.T) {
 	}
 }
 
+// TestBuilderMatchesSortedRows checks Build's two-pass counting sort against
+// the comparison-sort path of NewFromAdjacency on a random multigraph with
+// duplicates and self-loops, with the pair list grown by append (Build copies
+// the rows off its slack) and pre-sized by Grow (Build keeps its array).
+func TestBuilderMatchesSortedRows(t *testing.T) {
+	for _, grow := range []bool{false, true} {
+		r := rng.New(5)
+		const n, m = 50, 400
+		b := NewBuilder(n)
+		if grow {
+			b.Grow(m)
+		}
+		adj := make([][]NodeID, n)
+		for i := 0; i < m; i++ {
+			u, v := NodeID(r.Intn(n)), NodeID(r.Intn(n))
+			b.AddEdge(u, v)
+			adj[u] = append(adj[u], v)
+			adj[v] = append(adj[v], u)
+		}
+		got, want := b.Build(), NewFromAdjacency(adj)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("grow=%v: Build differs from sorted adjacency: %d vs %d edges", grow, got.NumEdges(), want.NumEdges())
+		}
+	}
+}
+
+func TestWithEdges(t *testing.T) {
+	g := testGraph()
+	extra := []Edge{{3, 0}, {0, 1}, {0, 3}, {1, 1}} // new, present, repeated, self-loop
+	got := g.WithEdges(extra)
+	if want := FromEdges(4, append(g.Edges(), extra...)); !reflect.DeepEqual(got, want) {
+		t.Fatalf("WithEdges = %v, want %v", got.Edges(), want.Edges())
+	}
+	if got.NumEdges() != 5 {
+		t.Errorf("NumEdges = %d, want 5", got.NumEdges())
+	}
+	if g.NumEdges() != 4 || g.HasEdge(0, 3) {
+		t.Error("WithEdges modified its receiver")
+	}
+}
+
 func TestBuilderPanicsOutOfRange(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -345,3 +345,18 @@ func TestSerializedServerAdmitsOneAtATime(t *testing.T) {
 		t.Fatalf("4 parallel requests finished in %v — serialization not enforced", el)
 	}
 }
+
+// A quota without a positive window would restart the window on every
+// request and answer them all, so Handler refuses it.
+func TestHandlerPanicsOnQuotaWithoutWindow(t *testing.T) {
+	for _, w := range []time.Duration{0, -time.Second} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Window %v: Handler accepted QueriesPerWindow 1", w)
+				}
+			}()
+			Handler(testGraph(), ServerOptions{QueriesPerWindow: 1, Window: w})
+		}()
+	}
+}

@@ -20,7 +20,8 @@ type ServerOptions struct {
 	// limiting). One request counts once regardless of how many ids it
 	// carries — mirroring providers that meter calls, not entities.
 	QueriesPerWindow int
-	// Window is the rate-limit window length.
+	// Window is the rate-limit window length. It must be positive when
+	// QueriesPerWindow is; Handler panics otherwise.
 	Window time.Duration
 	// Latency, when positive, sleeps that long before answering — a knob for
 	// exercising timeout and cancellation paths.
@@ -56,8 +57,12 @@ type server struct {
 // Handler returns an http.Handler serving the protocol over g: the reference
 // implementation of the provider side, used by the driver tests and the
 // conformance suite, and a ready-made way to put any local graph behind a
-// real socket.
+// real socket. It panics on a quota without a positive window, which would
+// otherwise restart the window on every request and never limit anything.
 func Handler(g *graph.Graph, opt ServerOptions) http.Handler {
+	if opt.QueriesPerWindow > 0 && opt.Window <= 0 {
+		panic(fmt.Sprintf("httpsrc: QueriesPerWindow %d needs a positive Window, got %v", opt.QueriesPerWindow, opt.Window))
+	}
 	s := &server{g: g, opt: opt}
 	if opt.Serialize {
 		s.serial = make(chan struct{}, 1)

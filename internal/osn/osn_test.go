@@ -91,6 +91,21 @@ func TestWindowResetsNaturally(t *testing.T) {
 	}
 }
 
+// A quota without a positive window would open a fresh window for every
+// query and never limit anything, so NewService refuses it.
+func TestNewServicePanicsOnQuotaWithoutWindow(t *testing.T) {
+	for _, w := range []time.Duration{0, -time.Second} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Window %v: NewService accepted QueriesPerWindow 2", w)
+				}
+			}()
+			newTestService(Config{QueriesPerWindow: 2, Window: w})
+		}()
+	}
+}
+
 func TestPresetLimits(t *testing.T) {
 	fb := FacebookLimits()
 	if fb.QueriesPerWindow != 600 || fb.Window != 600*time.Second {

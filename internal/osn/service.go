@@ -42,7 +42,7 @@ type Config struct {
 	// QueriesPerWindow caps queries per Window; 0 disables rate limiting.
 	QueriesPerWindow int
 	// Window is the rate-limit window length (e.g. 600s). It must be
-	// positive when QueriesPerWindow is.
+	// positive when QueriesPerWindow is; NewService panics otherwise.
 	Window time.Duration
 	// PerQueryLatency is the simulated round-trip time of one web request.
 	// It advances only the simulated clock; the caller never blocks.
@@ -90,8 +90,13 @@ type Service struct {
 }
 
 // NewService creates a service over g with optional attributes (may be nil
-// for purely topological datasets, like the paper's local snapshots).
+// for purely topological datasets, like the paper's local snapshots). It
+// panics on a quota without a positive window, which would otherwise open a
+// fresh window for every query and never limit anything.
 func NewService(g *graph.Graph, attrs *Attributes, cfg Config) *Service {
+	if cfg.QueriesPerWindow > 0 && cfg.Window <= 0 {
+		panic(fmt.Sprintf("osn: QueriesPerWindow %d needs a positive Window, got %v", cfg.QueriesPerWindow, cfg.Window))
+	}
 	return &Service{g: g, attrs: attrs, cfg: cfg}
 }
 

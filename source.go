@@ -82,9 +82,9 @@ func (s graphSource) NeighborsContext(ctx context.Context, v NodeID) ([]NodeID, 
 // Limits configures a simulated provider's restrictions, mirroring the
 // published quotas of real social networks: QueriesPerWindow queries per
 // Window (0 disables rate limiting; Window must be positive when
-// QueriesPerWindow is), a simulated PerQueryLatency that advances only the
-// simulated clock, and a RealLatency that actually blocks the querying
-// goroutine, interruptibly, for that long.
+// QueriesPerWindow is, and Simulate panics otherwise), a simulated
+// PerQueryLatency that advances only the simulated clock, and a RealLatency
+// that actually blocks the querying goroutine, interruptibly, for that long.
 type Limits = osn.Config
 
 // FacebookLimits mirrors the paper's cited Facebook quota: 600 open-graph
