@@ -5,9 +5,13 @@
 package rewire_test
 
 import (
+	"context"
+	"errors"
+	"math"
 	"testing"
 	"time"
 
+	"rewire"
 	"rewire/internal/core"
 	"rewire/internal/diag"
 	"rewire/internal/estimate"
@@ -110,6 +114,39 @@ func BenchmarkTheorem6Bound(b *testing.B) {
 		}
 		if res.GainBound < 1.04 || res.GainBound > 1.06 {
 			b.Fatalf("gain bound %v", res.GainBound)
+		}
+	}
+}
+
+// BenchmarkPaperEstimateOp is one op of the end-to-end paper-estimate
+// workload: an MTO and an SRW session with the same fixed seed, each
+// estimating the average degree of full Slashdot B under Geweke burn-in
+// until a budget of Q=5000 unique queries runs out, on a fresh client over a
+// zero-latency simulated provider. B/op is what the two sessions allocate
+// for that seed; it varies between runs only where SpreadStarts misses its
+// pooled buffer.
+func BenchmarkPaperEstimateOp(b *testing.B) {
+	ctx := context.Background()
+	be, err := rewire.OpenBackend(ctx, "sim:preset?name=Slashdot%20B&full=true")
+	if err != nil {
+		b.Fatal(err)
+	}
+	const budget = 5000
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, alg := range []rewire.Algorithm{rewire.AlgMTO, rewire.AlgSRW} {
+			prov := rewire.BackendSource(be)
+			prov.SetBudget(budget)
+			sess, err := rewire.NewSession(prov, rewire.WithAlgorithm(alg), rewire.WithSeed(1))
+			if err != nil {
+				b.Fatal(err)
+			}
+			_, err = sess.Estimate(ctx, rewire.AvgDegree(), rewire.EstimateOptions{
+				Samples: math.MaxInt32, BurnIn: true, MaxBurnInSteps: budget / 2})
+			if !errors.Is(err, rewire.ErrBudgetExhausted) || prov.UniqueQueries() != budget {
+				b.Fatalf("%v: ended with %v after %d queries, want the budget of %d exhausted", alg, err, prov.UniqueQueries(), budget)
+			}
 		}
 	}
 }

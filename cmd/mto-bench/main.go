@@ -154,13 +154,9 @@ func run(which string, full bool, seed uint64, dataset, jsonOut string, pf prefe
 		if full {
 			cfg = exp.DefaultFleetConfig()
 		}
-		target := exp.Datasets(full)[0]
-		if dataset != "" {
-			d := exp.DatasetByName(dataset, full)
-			if d == nil {
-				return fmt.Errorf("unknown dataset %q", dataset)
-			}
-			target = *d
+		target, err := pickDataset(dataset, full)
+		if err != nil {
+			return err
 		}
 		exp.FleetScaling(target, cfg, seed).Render(out)
 	}
@@ -190,13 +186,9 @@ func run(which string, full bool, seed uint64, dataset, jsonOut string, pf prefe
 		default:
 			return fmt.Errorf("unknown -prefetch strategy %q", pf.strategy)
 		}
-		target := exp.Datasets(full)[0]
-		if dataset != "" {
-			d := exp.DatasetByName(dataset, full)
-			if d == nil {
-				return fmt.Errorf("unknown dataset %q", dataset)
-			}
-			target = *d
+		target, err := pickDataset(dataset, full)
+		if err != nil {
+			return err
 		}
 		exp.PrefetchScaling(target, cfg, seed).Render(out)
 	}
@@ -206,13 +198,9 @@ func run(which string, full bool, seed uint64, dataset, jsonOut string, pf prefe
 		if full {
 			cfg = exp.DefaultContentionConfig()
 		}
-		target := exp.Datasets(full)[0]
-		if dataset != "" {
-			d := exp.DatasetByName(dataset, full)
-			if d == nil {
-				return fmt.Errorf("unknown dataset %q", dataset)
-			}
-			target = *d
+		target, err := pickDataset(dataset, full)
+		if err != nil {
+			return err
 		}
 		exp.ContentionScaling(target, cfg, seed).Render(out)
 	}
@@ -222,13 +210,9 @@ func run(which string, full bool, seed uint64, dataset, jsonOut string, pf prefe
 		if full {
 			cfg = exp.DefaultBatchingConfig()
 		}
-		target := exp.Datasets(full)[0]
-		if dataset != "" {
-			d := exp.DatasetByName(dataset, full)
-			if d == nil {
-				return fmt.Errorf("unknown dataset %q", dataset)
-			}
-			target = *d
+		target, err := pickDataset(dataset, full)
+		if err != nil {
+			return err
 		}
 		res, err := exp.BatchingScaling(context.Background(), target, cfg, seed)
 		if err != nil {
@@ -253,7 +237,7 @@ func run(which string, full bool, seed uint64, dataset, jsonOut string, pf prefe
 		// Standalone: the snapshot backend's cold path in isolation (the
 		// bench suite's SnapshotOpenCold row runs the same workload).
 		section("Snapshot cold open — CSR snapshot open + 10k-step walk")
-		ds := exp.Datasets(full)[0]
+		ds, _ := pickDataset("", full)
 		row, err := exp.RunSnapshotCold(context.Background(), ds, 10_000, seed)
 		if err != nil {
 			return err
@@ -266,7 +250,7 @@ func run(which string, full bool, seed uint64, dataset, jsonOut string, pf prefe
 		// (the bench suite's DurableColdCrawl/DurableWarmCrawl rows run the
 		// same workload).
 		section("Durable warm start — cold crawl vs reopened-cache crawl")
-		ds := exp.Datasets(full)[0]
+		ds, _ := pickDataset("", full)
 		row, err := exp.RunWarmStart(ds, 10_000, seed)
 		if err != nil {
 			return err
@@ -325,4 +309,17 @@ func diameterSamples(full bool) int {
 		return 200
 	}
 	return 60
+}
+
+// pickDataset returns the named preset, Epinions when name is empty,
+// building only that one.
+func pickDataset(name string, full bool) (exp.Dataset, error) {
+	if name == "" {
+		name = "Epinions"
+	}
+	d := exp.DatasetByName(name, full)
+	if d == nil {
+		return exp.Dataset{}, fmt.Errorf("unknown dataset %q", name)
+	}
+	return *d, nil
 }

@@ -98,6 +98,26 @@ func TestOpenBadSpecs(t *testing.T) {
 	}
 }
 
+// TestOpenSocialInfeasibleDegreeTarget pins that a sim:social URL whose
+// degree target the generator cannot meet fails to open at once instead of
+// pinning a CPU: 50,000 edges over 50,000 nodes is mean degree 2, below the
+// generator's minimum of 3.
+func TestOpenSocialInfeasibleDegreeTarget(t *testing.T) {
+	done := make(chan error, 1)
+	go func() {
+		_, err := rewire.OpenBackend(context.Background(), "sim:social?nodes=50000&edges=50000")
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Error("OpenBackend succeeded, want an error")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("OpenBackend still running after 5 s")
+	}
+}
+
 // TestLimitsAndRateLimitInfoFields names every exported field of Limits and
 // RateLimitInfo: both alias the client stack's definitions, which the API
 // snapshot prints as one line each, so a field renamed there fails this

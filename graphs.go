@@ -59,7 +59,8 @@ func Barbell(k int) *Graph { return gen.Barbell(k) }
 
 // SocialGraph generates a synthetic social network with roughly the given
 // node and edge counts: community-structured, heavy-tailed, connected — the
-// generator behind the preset datasets.
+// generator behind the preset datasets. A mean degree 2*edges/nodes below
+// the generator's minimum degree of 3 is an error.
 func SocialGraph(nodes, edges int, seed uint64) (*Graph, error) {
 	return gen.Social(gen.SocialConfig{Nodes: nodes, TargetEdges: edges}, rng.New(seed))
 }
@@ -67,13 +68,9 @@ func SocialGraph(nodes, edges int, seed uint64) (*Graph, error) {
 // PresetGraph returns one of the paper's Table I stand-in datasets by name:
 // "Epinions", "Slashdot A", "Slashdot B", or "Google Plus". full selects
 // paper scale; false selects the fast reduced-scale variants the tests use.
-// Generation is deterministic and cached process-wide. The first call for
-// any Table I preset builds all three of them at the requested scale;
-// "Google Plus" is built on its own.
+// Generation is deterministic and cached process-wide; a call builds only
+// the preset it names, on first use.
 func PresetGraph(name string, full bool) (*Graph, error) {
-	if name == "Google Plus" {
-		return dataset.GooglePlus(full), nil
-	}
 	ds := dataset.ByName(name, full)
 	if ds == nil {
 		return nil, fmt.Errorf("rewire: unknown preset dataset %q", name)

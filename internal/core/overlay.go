@@ -28,7 +28,11 @@ import (
 // and are immutable snapshots with clipped capacity: invalidation replaces
 // them rather than editing them in place, so holding one across a
 // concurrent mutation is safe, and appending to one reallocates instead of
-// corrupting the arena.
+// corrupting the arena. A node with no delta has no list of its own: its
+// overlay list aliases the base list (capacity clipped the same way), so
+// only rewired nodes' lists take arena space. A base list may be a
+// zero-copy view into a durable snapshot; the view lives exactly as long as
+// the client's own cache entry for it, so aliasing it adds no lifetime.
 type Overlay struct {
 	base walk.Source
 	// pf is the base's prefetch capability (nil when the base cannot warm
@@ -54,8 +58,9 @@ type Overlay struct {
 	// lists caches materialized overlay neighbor lists, invalidated on
 	// mutation of either endpoint. A hit never takes mu.
 	lists store.Table[[]graph.NodeID]
-	// arena backs the materialized lists' storage, heads their slice
-	// headers, so a materialization allocates nothing of its own.
+	// arena backs the storage of lists that differ from the base, heads
+	// every cached list's slice header, so a materialization allocates
+	// nothing of its own.
 	arena *store.Arena[graph.NodeID]
 	heads *store.Arena[[]graph.NodeID]
 	// usedPivots records nodes that already hosted a Theorem 4 replacement.
@@ -231,24 +236,24 @@ func (o *Overlay) materializeLocked(v graph.NodeID) []graph.NodeID {
 		return *lst
 	}
 	base := o.base.Neighbors(v)
-	extra := o.addedAdj[v]
-	lst := o.arena.Alloc(len(base) + len(extra))
-	if gone := o.removedAdj[v]; len(gone) == 0 {
-		lst = append(lst, base...)
-	} else {
+	gone, extra := o.removedAdj[v], o.addedAdj[v]
+	// Clip the snapshot's capacity: a caller that appends to it reallocates
+	// instead of scribbling over the base's next row or the arena cells
+	// reserved for this list.
+	lst := base[:len(base):len(base)]
+	if len(gone) > 0 || len(extra) > 0 {
+		lst = o.arena.Alloc(len(base) + len(extra))
 		for _, w := range base {
 			if !containsUnsorted(gone, w) {
 				lst = append(lst, w)
 			}
 		}
+		if len(extra) > 0 {
+			lst = append(lst, extra...)
+			slices.Sort(lst)
+		}
+		lst = lst[:len(lst):len(lst)]
 	}
-	if len(extra) > 0 {
-		lst = append(lst, extra...)
-		slices.Sort(lst)
-	}
-	// Clip the snapshot's capacity: a caller that appends to it reallocates
-	// instead of scribbling over the arena cells reserved for this list.
-	lst = lst[:len(lst):len(lst)]
 	if o.Err() != nil {
 		// The base read may have been truncated by a cancelled run: hand the
 		// caller a best-effort list (errors fail toward no mutation in the

@@ -2,11 +2,13 @@ package core
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"rewire/internal/gen"
 	"rewire/internal/graph"
 	"rewire/internal/rng"
+	"rewire/internal/walk"
 )
 
 func TestOverlayPassThrough(t *testing.T) {
@@ -203,3 +205,52 @@ func TestOverlayRemoveNonexistentIsNoop(t *testing.T) {
 		t.Error("add after spurious remove failed")
 	}
 }
+
+// TestOverlayAliasesUnchangedBase pins that a node with no delta reads its
+// base row itself, not an arena copy, with capacity clipped so an append
+// cannot write into the next row. It runs over a *graph.Graph (CSR rows) and
+// over a source whose rows keep the rest of their backing array as capacity.
+func TestOverlayAliasesUnchangedBase(t *testing.T) {
+	g := gen.Complete(5)
+	for name, base := range map[string]walk.Source{"graph": g, "unclipped": newUnclipped(g)} {
+		ov := NewOverlay(base)
+		ov.RemoveEdge(0, 1)
+		for u := graph.NodeID(2); u < 4; u++ {
+			row, lst := base.Neighbors(u), ov.Neighbors(u)
+			if &lst[0] != &row[0] {
+				t.Fatalf("%s: node %d: overlay list is a copy, want the base row", name, u)
+			}
+			if cap(lst) != len(lst) {
+				t.Fatalf("%s: node %d: overlay list capacity %d, want clipped to %d", name, u, cap(lst), len(lst))
+			}
+			next := slices.Clone(base.Neighbors(u + 1))
+			_ = append(lst, 99)
+			if !slices.Equal(base.Neighbors(u+1), next) {
+				t.Fatalf("%s: append to node %d's overlay list wrote into node %d's base row", name, u, u+1)
+			}
+		}
+		// A node with a delta gets its own list; the base row stays intact.
+		if lst, row := ov.Neighbors(0), base.Neighbors(0); &lst[0] == &row[0] || len(row) != 4 {
+			t.Fatalf("%s: rewired node 0: list %v aliases or changed base row %v", name, lst, row)
+		}
+	}
+}
+
+// unclipped serves a graph's rows as subslices of one flat array without
+// clipping their capacity.
+type unclipped struct {
+	flat []graph.NodeID
+	off  []int
+}
+
+func newUnclipped(g *graph.Graph) *unclipped {
+	u := &unclipped{off: []int{0}}
+	for v := graph.NodeID(0); int(v) < g.NumNodes(); v++ {
+		u.flat = append(u.flat, g.Neighbors(v)...)
+		u.off = append(u.off, len(u.flat))
+	}
+	return u
+}
+
+func (u *unclipped) Neighbors(v graph.NodeID) []graph.NodeID { return u.flat[u.off[v]:u.off[v+1]] }
+func (u *unclipped) Degree(v graph.NodeID) int               { return u.off[v+1] - u.off[v] }

@@ -6,6 +6,7 @@ package dataset
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"rewire/internal/gen"
 	"rewire/internal/graph"
@@ -22,78 +23,61 @@ type Dataset struct {
 // benches agree on the exact topologies.
 const Seed = 20130408 // ICDE 2013 conference date
 
-var (
-	localOnce  sync.Once
-	localCache map[string]*graph.Graph
-	smallOnce  sync.Once
-	smallCache map[string]*graph.Graph
-)
+// tableI lists the paper's Table I datasets in its order.
+var tableI = []string{"Epinions", "Slashdot A", "Slashdot B"}
 
-// Local returns the paper's Table I datasets (full scale: Epinions,
-// Slashdot A, Slashdot B). Generation happens once per process and is then
-// shared — the graphs are immutable.
-func Local() []Dataset {
-	localOnce.Do(func() {
-		localCache = map[string]*graph.Graph{
-			"Epinions":   gen.EpinionsLike(Seed),
-			"Slashdot A": gen.SlashdotALike(Seed),
-			"Slashdot B": gen.SlashdotBLike(Seed),
-		}
-	})
-	return []Dataset{
-		{"Epinions", localCache["Epinions"]},
-		{"Slashdot A", localCache["Slashdot A"]},
-		{"Slashdot B", localCache["Slashdot B"]},
-	}
+// key names one preset at one scale.
+type key struct {
+	name string
+	full bool
 }
 
-// Small returns 1/10-scale counterparts for tests and quick benches.
-func Small() []Dataset {
-	smallOnce.Do(func() {
-		smallCache = map[string]*graph.Graph{
-			"Epinions":   gen.EpinionsLikeSmall(Seed),
-			"Slashdot A": gen.SlashdotLikeSmall(Seed),
-			"Slashdot B": gen.SlashdotLikeSmall(Seed + 1),
-		}
+// builds counts generator runs, so tests can check that a request builds
+// only the preset it names.
+var builds atomic.Int64
+
+// lazy defers build(seed) to the first request and shares its result: the
+// graphs are immutable.
+func lazy(build func(seed uint64) *graph.Graph, seed uint64) func() *graph.Graph {
+	return sync.OnceValue(func() *graph.Graph {
+		builds.Add(1)
+		return build(seed)
 	})
-	return []Dataset{
-		{"Epinions", smallCache["Epinions"]},
-		{"Slashdot A", smallCache["Slashdot A"]},
-		{"Slashdot B", smallCache["Slashdot B"]},
-	}
 }
 
-// All selects full or small scale.
+// presets holds every stand-in, Table I and Google Plus, at both scales. Each
+// entry is generated once per process, on its first request.
+var presets = map[key]func() *graph.Graph{
+	{"Epinions", true}:     lazy(gen.EpinionsLike, Seed),
+	{"Slashdot A", true}:   lazy(gen.SlashdotALike, Seed),
+	{"Slashdot B", true}:   lazy(gen.SlashdotBLike, Seed),
+	{"Google Plus", true}:  lazy(gen.GooglePlusLike, Seed),
+	{"Epinions", false}:    lazy(gen.EpinionsLikeSmall, Seed),
+	{"Slashdot A", false}:  lazy(gen.SlashdotLikeSmall, Seed),
+	{"Slashdot B", false}:  lazy(gen.SlashdotLikeSmall, Seed+1),
+	{"Google Plus", false}: lazy(gen.GooglePlusLikeSmall, Seed),
+}
+
+// Small returns the Table I datasets at 1/10 scale, for tests and quick
+// benches.
+func Small() []Dataset { return All(false) }
+
+// All returns the paper's Table I datasets (Epinions, Slashdot A, Slashdot
+// B) at full or small scale, building any not yet built.
 func All(full bool) []Dataset {
-	if full {
-		return Local()
+	out := make([]Dataset, len(tableI))
+	for i, name := range tableI {
+		out[i] = *ByName(name, full)
 	}
-	return Small()
+	return out
 }
 
-// ByName finds one dataset, nil when missing.
+// ByName returns one preset — a Table I name or "Google Plus" — building
+// only that one on first use; nil when the name is unknown.
 func ByName(name string, full bool) *Dataset {
-	for _, d := range All(full) {
-		if d.Name == name {
-			return &d
-		}
+	build, ok := presets[key{name, full}]
+	if !ok {
+		return nil
 	}
-	return nil
-}
-
-var (
-	gplusOnce       sync.Once
-	gplusCache      *graph.Graph
-	gplusSmallOnce  sync.Once
-	gplusSmallCache *graph.Graph
-)
-
-// GooglePlus returns the Google Plus stand-in at the requested scale.
-func GooglePlus(full bool) *graph.Graph {
-	if full {
-		gplusOnce.Do(func() { gplusCache = gen.GooglePlusLike(Seed) })
-		return gplusCache
-	}
-	gplusSmallOnce.Do(func() { gplusSmallCache = gen.GooglePlusLikeSmall(Seed) })
-	return gplusSmallCache
+	return &Dataset{Name: name, Graph: build()}
 }

@@ -1,9 +1,6 @@
 package exp
 
-import (
-	"rewire/internal/dataset"
-	"rewire/internal/graph"
-)
+import "rewire/internal/dataset"
 
 // Dataset pairs a named graph with its generator; the presets themselves
 // live in internal/dataset so the public SDK can share them without
@@ -20,8 +17,6 @@ func SmallDatasets() []Dataset { return dataset.Small() }
 // Datasets selects full or small scale.
 func Datasets(full bool) []Dataset { return dataset.All(full) }
 
-// DatasetByName finds one dataset, nil when missing.
+// DatasetByName finds one preset (a Table I name or "Google Plus"),
+// building only that one; nil when missing.
 func DatasetByName(name string, full bool) *Dataset { return dataset.ByName(name, full) }
-
-// GooglePlusGraph returns the Google Plus stand-in at the requested scale.
-func GooglePlusGraph(full bool) *graph.Graph { return dataset.GooglePlus(full) }

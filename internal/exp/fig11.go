@@ -89,7 +89,7 @@ type Fig11Result struct {
 
 // Fig11 runs the Google Plus experiment at the requested scale.
 func Fig11(full bool, cfg Fig11Config, seed uint64) (Fig11Result, error) {
-	g := GooglePlusGraph(full)
+	g := DatasetByName("Google Plus", full).Graph
 	master := rng.New(seed)
 	attrs := osn.SynthesizeAttributes(g, master.Split())
 	res := Fig11Result{

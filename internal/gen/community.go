@@ -78,16 +78,16 @@ func (c SocialConfig) withDefaults() SocialConfig {
 // PowerLawDegrees draws a degree sequence with tail exponent gamma whose sum
 // is 2*m (so it is realizable as m edges): continuous Pareto quantiles are
 // scaled by a factor found with binary search, clamped to [kmin, kmax], and
-// the sum parity is fixed up on a random node.
+// the sum parity is fixed up on a random node. kmin is raised to at least 1
+// and kmax to at least kmin. It panics unless n*kmin <= 2*m <= n*kmax: no
+// sequence in range has that sum, and nudging toward it would never end.
 func PowerLawDegrees(n, m int, gamma float64, kmin, kmax int, r *rng.Rand) []int {
 	if n <= 0 {
 		return nil
 	}
-	if kmin < 1 {
-		kmin = 1
-	}
-	if kmax < kmin {
-		kmax = kmin
+	kmin, kmax, ok := degreeRange(n, m, kmin, kmax)
+	if !ok {
+		panic(fmt.Sprintf("gen: PowerLawDegrees: no %d degrees in [%d, %d] sum to %d", n, kmin, kmax, 2*m))
 	}
 	base := make([]float64, n)
 	for i := range base {
@@ -135,6 +135,15 @@ func PowerLawDegrees(n, m int, gamma float64, kmin, kmax int, r *rng.Rand) []int
 	return ks
 }
 
+// degreeRange clamps a degree range as PowerLawDegrees does, kmin to at
+// least 1 and kmax to at least kmin, and reports whether n degrees in it
+// can sum to 2*m.
+func degreeRange(n, m, kmin, kmax int) (int, int, bool) {
+	kmin = max(kmin, 1)
+	kmax = max(kmax, kmin)
+	return kmin, kmax, n*kmin <= 2*m && 2*m <= n*kmax
+}
+
 // Social generates a graph from cfg. The construction:
 //
 //  1. draw a power-law degree sequence summing to 2*TargetEdges;
@@ -152,6 +161,8 @@ func PowerLawDegrees(n, m int, gamma float64, kmin, kmax int, r *rng.Rand) []int
 //
 // The result has NumNodes() == cfg.Nodes and an edge count within a few
 // percent of cfg.TargetEdges (exact counts are reported by the harness).
+// A target whose mean degree 2*TargetEdges/Nodes falls outside
+// [MinDegree, MaxDegree] is an error.
 func Social(cfg SocialConfig, r *rng.Rand) (*graph.Graph, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Nodes < cfg.MinCommunity {
@@ -160,6 +171,10 @@ func Social(cfg SocialConfig, r *rng.Rand) (*graph.Graph, error) {
 	maxEdges := cfg.Nodes * (cfg.Nodes - 1) / 2
 	if cfg.TargetEdges < cfg.Nodes || cfg.TargetEdges > maxEdges {
 		return nil, fmt.Errorf("gen: TargetEdges %d out of range [%d, %d]", cfg.TargetEdges, cfg.Nodes, maxEdges)
+	}
+	if kmin, kmax, ok := degreeRange(cfg.Nodes, cfg.TargetEdges, cfg.MinDegree, cfg.MaxDegree); !ok {
+		return nil, fmt.Errorf("gen: TargetEdges %d needs a mean degree of %.3g, outside the degree range [%d, %d]",
+			cfg.TargetEdges, 2*float64(cfg.TargetEdges)/float64(cfg.Nodes), kmin, kmax)
 	}
 	n := cfg.Nodes
 	degs := PowerLawDegrees(n, cfg.TargetEdges, cfg.Gamma, cfg.MinDegree, cfg.MaxDegree, r)

@@ -3,6 +3,7 @@ package gen
 import (
 	"math"
 	"testing"
+	"time"
 
 	"rewire/internal/graph"
 	"rewire/internal/rng"
@@ -386,4 +387,35 @@ func TestLocalClustering(t *testing.T) {
 	if got := s.AverageClustering(100, rng.New(1)); got != 0 {
 		t.Errorf("star average clustering = %v, want 0", got)
 	}
+}
+
+// TestSocialInfeasibleDegreeTarget pins that a degree target outside
+// [MinDegree, MaxDegree] is an error, returned at once: the degree
+// sequence's nudge loop used to spin on it forever. The deadline makes a
+// hang fail instead of stalling the suite.
+func TestSocialInfeasibleDegreeTarget(t *testing.T) {
+	for _, cfg := range []SocialConfig{
+		{Nodes: 50000, TargetEdges: 50000},               // mean degree 2 < MinDegree 3
+		{Nodes: 1000, TargetEdges: 10000, MaxDegree: 10}, // mean degree 20 > MaxDegree
+	} {
+		done := make(chan error, 1)
+		go func() {
+			_, err := Social(cfg, rng.New(1))
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err == nil {
+				t.Errorf("Social(%+v) succeeded, want an error", cfg)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("Social(%+v) still running after 5 s", cfg)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("PowerLawDegrees with an unreachable sum did not panic")
+		}
+	}()
+	PowerLawDegrees(100, 100, 2.3, 3, 10, rng.New(1))
 }

@@ -7,7 +7,10 @@
 // period, and passes the statistical batteries relevant for simulation work.
 package rng
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // Rand is a deterministic pseudo-random generator. The zero value is not
 // valid; construct one with New.
@@ -93,24 +96,11 @@ func (r *Rand) Intn(n int) int {
 	// Lemire's nearly-divisionless bounded generation.
 	for {
 		x := r.Uint64()
-		hi, lo := mul64(x, un)
+		hi, lo := bits.Mul64(x, un)
 		if lo >= un || lo >= (-un)%un {
 			return int(hi)
 		}
 	}
-}
-
-// mul64 returns the 128-bit product of x and y as (hi, lo).
-func mul64(x, y uint64) (hi, lo uint64) {
-	const mask32 = 1<<32 - 1
-	x0, x1 := x&mask32, x>>32
-	y0, y1 := y&mask32, y>>32
-	w0 := x0 * y0
-	t := x1*y0 + w0>>32
-	w1 := t&mask32 + x0*y1
-	hi = x1*y1 + t>>32 + w1>>32
-	lo = x * y
-	return
 }
 
 // Float64 returns a uniform float64 in [0, 1) with 53 random bits.

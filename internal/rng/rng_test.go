@@ -2,6 +2,7 @@ package rng
 
 import (
 	"math"
+	"math/bits"
 	"testing"
 	"testing/quick"
 )
@@ -323,5 +324,61 @@ func BenchmarkIntn(b *testing.B) {
 	r := New(1)
 	for i := 0; i < b.N; i++ {
 		_ = r.Intn(1000003)
+	}
+}
+
+// limbMul64 is the 32-bit-limb product Intn used before it switched to
+// bits.Mul64; it pins that the switch left every bounded draw unchanged.
+func limbMul64(x, y uint64) (hi, lo uint64) {
+	const mask32 = 1<<32 - 1
+	x0, x1 := x&mask32, x>>32
+	y0, y1 := y&mask32, y>>32
+	w0 := x0 * y0
+	t := x1*y0 + w0>>32
+	w1 := t&mask32 + x0*y1
+	hi = x1*y1 + t>>32 + w1>>32
+	lo = x * y
+	return
+}
+
+func TestMul64MatchesLimbProduct(t *testing.T) {
+	edges := []uint64{0, 1, 2, 3, 1<<32 - 1, 1 << 32, 1<<32 + 1, 1<<63 - 1, 1 << 63, math.MaxUint64 - 1, math.MaxUint64}
+	check := func(x, y uint64) {
+		hi, lo := bits.Mul64(x, y)
+		wantHi, wantLo := limbMul64(x, y)
+		if hi != wantHi || lo != wantLo {
+			t.Fatalf("Mul64(%#x, %#x) = (%#x, %#x), limb product (%#x, %#x)", x, y, hi, lo, wantHi, wantLo)
+		}
+	}
+	for _, x := range edges {
+		for _, y := range edges {
+			check(x, y)
+		}
+	}
+	r := New(11)
+	for i := 0; i < 1_000_000; i++ {
+		check(r.Uint64(), r.Uint64())
+	}
+	// Intn draws on bits.Mul64 exactly as a limb-product Intn would.
+	a, b := New(12), New(12)
+	for i := 0; i < 100_000; i++ {
+		n := 3 + i%70999
+		if n&(n-1) == 0 {
+			continue // powers of two take Intn's mask path, no product
+		}
+		if got, want := a.Intn(n), limbIntn(b, n); got != want {
+			t.Fatalf("draw %d: Intn(%d) = %d, limb-product Intn %d", i, n, got, want)
+		}
+	}
+}
+
+// limbIntn is Intn's non-power-of-two path over limbMul64.
+func limbIntn(r *Rand, n int) int {
+	un := uint64(n)
+	for {
+		hi, lo := limbMul64(r.Uint64(), un)
+		if lo >= un || lo >= (-un)%un {
+			return int(hi)
+		}
 	}
 }
