@@ -13,11 +13,10 @@ import (
 
 	"rewire"
 	"rewire/internal/core"
+	"rewire/internal/dataset"
 	"rewire/internal/diag"
-	"rewire/internal/estimate"
 	"rewire/internal/exp"
 	"rewire/internal/gen"
-	"rewire/internal/graph"
 	"rewire/internal/osn"
 	"rewire/internal/rng"
 	"rewire/internal/spectral"
@@ -47,15 +46,15 @@ func BenchmarkRunningExampleBarbell(b *testing.B) {
 	}
 }
 
-func benchFig7(b *testing.B, dataset string) {
-	ds := exp.DatasetByName(dataset, false)
+func benchFig7(b *testing.B, name string) {
+	ds := dataset.ByName(name, false)
 	if ds == nil {
 		b.Fatal("missing dataset")
 	}
 	cfg := exp.QuickFig7Config()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := exp.Fig7(*ds, cfg, uint64(i+1)); err != nil {
+		if _, err := exp.Fig7(context.Background(), *ds, cfg, uint64(i+1)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -66,22 +65,22 @@ func BenchmarkFig7SlashdotA(b *testing.B) { benchFig7(b, "Slashdot A") }
 func BenchmarkFig7SlashdotB(b *testing.B) { benchFig7(b, "Slashdot B") }
 
 func BenchmarkFig8KLDivergence(b *testing.B) {
-	ds := exp.SmallDatasets()[:1]
+	ds := dataset.Small()[:1]
 	cfg := exp.QuickFig8Config()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := exp.Fig8(ds, cfg, uint64(i+1)); err != nil {
+		if _, err := exp.Fig8(context.Background(), ds, cfg, uint64(i+1)); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkFig9GewekeSweep(b *testing.B) {
-	ds := exp.DatasetByName("Slashdot B", false)
+	ds := dataset.ByName("Slashdot B", false)
 	cfg := exp.QuickFig9Config()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := exp.Fig9(*ds, cfg, uint64(i+1)); err != nil {
+		if _, err := exp.Fig9(context.Background(), *ds, cfg, uint64(i+1)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -90,7 +89,7 @@ func BenchmarkFig9GewekeSweep(b *testing.B) {
 func BenchmarkFig10LatentMixing(b *testing.B) {
 	cfg := exp.QuickFig10Config()
 	for i := 0; i < b.N; i++ {
-		if _, err := exp.Fig10(cfg, uint64(i+1)); err != nil {
+		if _, err := exp.Fig10(context.Background(), cfg, uint64(i+1)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -99,7 +98,7 @@ func BenchmarkFig10LatentMixing(b *testing.B) {
 func BenchmarkFig11GooglePlus(b *testing.B) {
 	cfg := exp.QuickFig11Config()
 	for i := 0; i < b.N; i++ {
-		if _, err := exp.Fig11(false, cfg, uint64(i+1)); err != nil {
+		if _, err := exp.Fig11(context.Background(), false, cfg, uint64(i+1)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -155,48 +154,46 @@ func BenchmarkPaperEstimateOp(b *testing.B) {
 
 // benchSamplerVariant measures unique-query cost per sample for one MTO
 // configuration on the small Epinions stand-in.
-func benchSamplerVariant(b *testing.B, cfg core.Config) {
-	g := exp.SmallDatasets()[0].Graph
+func benchSamplerVariant(b *testing.B, opts ...rewire.Option) {
+	g := dataset.Small()[0].Graph
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		svc := osn.NewService(g, nil, osn.Config{})
-		client := osn.NewClient(svc)
-		s := core.NewSampler(client, 0, cfg, rng.New(uint64(i+1)))
-		info := func(v graph.NodeID) (int, estimate.Attrs) { return client.Degree(v), estimate.Attrs{} }
-		res := estimate.RunSession([]walk.Walker{s}, estimate.AvgDegree(), info, client.UniqueQueries,
-			estimate.SessionConfig{BurnIn: diag.NewGeweke(0.3, 200), MaxBurnInSteps: 4000, Samples: 2000})
-		b.ReportMetric(float64(res.FinalCost), "queries/run")
+		sess, err := rewire.NewSession(rewire.Simulate(g, rewire.Limits{}),
+			append(opts, rewire.WithStarts(0), rewire.WithSeed(uint64(i+1)))...)
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, err := sess.Estimate(context.Background(), rewire.AvgDegree(), rewire.EstimateOptions{
+			Samples: 2000, BurnIn: true, GewekeThreshold: 0.3, MaxBurnInSteps: 4000})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportMetric(float64(res.UniqueQueries), "queries/run")
 	}
 }
 
 func BenchmarkAblationCriterionOriginal(b *testing.B) {
-	benchSamplerVariant(b, core.DefaultConfig())
+	benchSamplerVariant(b)
 }
 
 func BenchmarkAblationNoExtension(b *testing.B) {
-	cfg := core.DefaultConfig()
-	cfg.UseExtended = false
-	benchSamplerVariant(b, cfg)
+	benchSamplerVariant(b, rewire.WithExtendedCriterion(false))
 }
 
 func BenchmarkAblationRemovalOnly(b *testing.B) {
-	benchSamplerVariant(b, core.RemovalOnlyConfig())
+	benchSamplerVariant(b, rewire.WithReplacement(false))
 }
 
 func BenchmarkAblationReplacementOnly(b *testing.B) {
-	benchSamplerVariant(b, core.ReplacementOnlyConfig())
+	benchSamplerVariant(b, rewire.WithRemoval(false))
 }
 
 func BenchmarkAblationWeightExact(b *testing.B) {
-	cfg := core.DefaultConfig()
-	cfg.Weights = core.WeightExact
-	benchSamplerVariant(b, cfg)
+	benchSamplerVariant(b, rewire.WithWeightMode(rewire.WeightExact))
 }
 
 func BenchmarkAblationWeightSampled(b *testing.B) {
-	cfg := core.DefaultConfig()
-	cfg.Weights = core.WeightSampled
-	benchSamplerVariant(b, cfg)
+	benchSamplerVariant(b, rewire.WithWeightMode(rewire.WeightSampled))
 }
 
 // --- Fleet scaling -----------------------------------------------------------
@@ -210,7 +207,7 @@ func BenchmarkAblationWeightSampled(b *testing.B) {
 // against FleetSequentialK16 measures the wall-clock win of overlapping
 // in-flight queries (and, on multicore hardware, the sampling CPU too).
 func benchFleetSamples(b *testing.B, k int, concurrent bool) {
-	g := exp.SmallDatasets()[0].Graph
+	g := dataset.Small()[0].Graph
 	const samples = 20000
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -250,7 +247,7 @@ func BenchmarkFleetSequentialK16(b *testing.B) { benchFleetSamples(b, 16, false)
 // speculation at equal query cost (≥2x for the pipelined strategies; see
 // bench/baseline.json where CI gates exactly that).
 func benchFleetPrefetch(b *testing.B, strategy string) {
-	ds := exp.SmallDatasets()[0]
+	ds := dataset.Small()[0]
 	cfg := exp.QuickPrefetchExpConfig()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -266,7 +263,7 @@ func BenchmarkFleetPrefetchFrontier(b *testing.B) { benchFleetPrefetch(b, exp.Pr
 // benchMTOPrefetch is the single-walker MTO counterpart: pivot-candidate
 // prefetch against the identical plain run.
 func benchMTOPrefetch(b *testing.B, prefetch bool) {
-	ds := exp.SmallDatasets()[0]
+	ds := dataset.Small()[0]
 	cfg := exp.QuickPrefetchExpConfig()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -288,7 +285,7 @@ func BenchmarkMTOPivotPrefetchOn(b *testing.B)  { benchMTOPrefetch(b, true) }
 // core they tie — which is why CI gates it through the conservative floor in
 // bench/baseline.json rather than through these smoke benchmarks.
 func benchContention(b *testing.B, k, shards int) {
-	ds := exp.SmallDatasets()[0]
+	ds := dataset.Small()[0]
 	cfg := exp.QuickContentionConfig()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -309,7 +306,7 @@ func BenchmarkContentionShardedK64(b *testing.B) { benchContention(b, 64, 0) }
 // --- Micro-benchmarks of the hot paths --------------------------------------
 
 func BenchmarkRemovalCriterion(b *testing.B) {
-	g := exp.SmallDatasets()[0].Graph
+	g := dataset.Small()[0].Graph
 	edges := g.Edges()
 	b.ResetTimer()
 	fired := 0
@@ -323,7 +320,7 @@ func BenchmarkRemovalCriterion(b *testing.B) {
 }
 
 func BenchmarkMTOStep(b *testing.B) {
-	g := exp.SmallDatasets()[0].Graph
+	g := dataset.Small()[0].Graph
 	s := core.NewSampler(g, 0, core.DefaultConfig(), rng.New(1))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -332,13 +329,10 @@ func BenchmarkMTOStep(b *testing.B) {
 }
 
 func BenchmarkSRWStepViaClient(b *testing.B) {
-	g := exp.SmallDatasets()[0].Graph
+	g := dataset.Small()[0].Graph
 	svc := osn.NewService(g, nil, osn.Config{})
 	client := osn.NewClient(svc)
-	w, err := exp.NewWalker(exp.AlgSRW, client, g.NumNodes(), 0, rng.New(1))
-	if err != nil {
-		b.Fatal(err)
-	}
+	w := walk.NewSimple(client, 0, rng.New(1))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		w.Step()
@@ -346,7 +340,7 @@ func BenchmarkSRWStepViaClient(b *testing.B) {
 }
 
 func BenchmarkBuildOverlayEpinionsSmall(b *testing.B) {
-	g := exp.SmallDatasets()[0].Graph
+	g := dataset.Small()[0].Graph
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		core.BuildOverlay(g, core.BuildOptions{Removal: true, Replacement: true}, rng.New(uint64(i+1)))
@@ -372,7 +366,7 @@ func BenchmarkExactConductance22(b *testing.B) {
 }
 
 func BenchmarkLambda2PowerIteration(b *testing.B) {
-	g := exp.SmallDatasets()[0].Graph
+	g := dataset.Small()[0].Graph
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := spectral.Lambda2(g, 500, 1e-8); err != nil {

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"math"
 	"os"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -159,7 +160,8 @@ func TestCheckpointResumeThenEstimateEqual(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if r1 != r2 {
+			// DeepEqual covers every scalar field and the whole trajectory.
+			if !reflect.DeepEqual(r1, r2) {
 				t.Errorf("next Estimate: original %+v, resumed %+v", r1, r2)
 			}
 		})

@@ -17,6 +17,7 @@ import (
 	"os"
 
 	"rewire/internal/benchcmp"
+	"rewire/internal/dataset"
 	"rewire/internal/exp"
 )
 
@@ -48,7 +49,7 @@ func main() {
 	}
 }
 
-func run(which string, full bool, seed uint64, dataset, jsonOut string, pf prefetchFlags) error {
+func run(which string, full bool, seed uint64, dsName, jsonOut string, pf prefetchFlags) error {
 	if jsonOut != "" && which != "bench" {
 		return fmt.Errorf("-json requires -exp bench")
 	}
@@ -57,6 +58,7 @@ func run(which string, full bool, seed uint64, dataset, jsonOut string, pf prefe
 		fmt.Fprintf(out, "\n=== %s ===\n\n", title)
 	}
 	all := which == "all"
+	ctx := context.Background()
 
 	if all || which == "table1" {
 		section("Table I — datasets")
@@ -87,12 +89,12 @@ func run(which string, full bool, seed uint64, dataset, jsonOut string, pf prefe
 		if full {
 			cfg = exp.DefaultFig7Config()
 		}
-		for _, ds := range exp.Datasets(full) {
-			if dataset != "" && ds.Name != dataset {
+		for _, ds := range dataset.All(full) {
+			if dsName != "" && ds.Name != dsName {
 				continue
 			}
 			section(fmt.Sprintf("Fig 7 — bias vs query cost (%s)", ds.Name))
-			res, err := exp.Fig7(ds, cfg, seed)
+			res, err := exp.Fig7(ctx, ds, cfg, seed)
 			if err != nil {
 				return err
 			}
@@ -105,7 +107,7 @@ func run(which string, full bool, seed uint64, dataset, jsonOut string, pf prefe
 		if full {
 			cfg = exp.DefaultFig8Config()
 		}
-		res, err := exp.Fig8(exp.Datasets(full), cfg, seed)
+		res, err := exp.Fig8(ctx, dataset.All(full), cfg, seed)
 		if err != nil {
 			return err
 		}
@@ -117,8 +119,8 @@ func run(which string, full bool, seed uint64, dataset, jsonOut string, pf prefe
 		if full {
 			cfg = exp.DefaultFig9Config()
 		}
-		ds := exp.DatasetByName("Slashdot B", full)
-		res, err := exp.Fig9(*ds, cfg, seed)
+		ds := dataset.ByName("Slashdot B", full)
+		res, err := exp.Fig9(ctx, *ds, cfg, seed)
 		if err != nil {
 			return err
 		}
@@ -130,7 +132,7 @@ func run(which string, full bool, seed uint64, dataset, jsonOut string, pf prefe
 		if full {
 			cfg = exp.DefaultFig10Config()
 		}
-		res, err := exp.Fig10(cfg, seed)
+		res, err := exp.Fig10(ctx, cfg, seed)
 		if err != nil {
 			return err
 		}
@@ -142,7 +144,7 @@ func run(which string, full bool, seed uint64, dataset, jsonOut string, pf prefe
 		if full {
 			cfg = exp.DefaultFig11Config()
 		}
-		res, err := exp.Fig11(full, cfg, seed)
+		res, err := exp.Fig11(ctx, full, cfg, seed)
 		if err != nil {
 			return err
 		}
@@ -154,7 +156,7 @@ func run(which string, full bool, seed uint64, dataset, jsonOut string, pf prefe
 		if full {
 			cfg = exp.DefaultFleetConfig()
 		}
-		target, err := pickDataset(dataset, full)
+		target, err := pickDataset(dsName, full)
 		if err != nil {
 			return err
 		}
@@ -186,7 +188,7 @@ func run(which string, full bool, seed uint64, dataset, jsonOut string, pf prefe
 		default:
 			return fmt.Errorf("unknown -prefetch strategy %q", pf.strategy)
 		}
-		target, err := pickDataset(dataset, full)
+		target, err := pickDataset(dsName, full)
 		if err != nil {
 			return err
 		}
@@ -198,7 +200,7 @@ func run(which string, full bool, seed uint64, dataset, jsonOut string, pf prefe
 		if full {
 			cfg = exp.DefaultContentionConfig()
 		}
-		target, err := pickDataset(dataset, full)
+		target, err := pickDataset(dsName, full)
 		if err != nil {
 			return err
 		}
@@ -210,11 +212,11 @@ func run(which string, full bool, seed uint64, dataset, jsonOut string, pf prefe
 		if full {
 			cfg = exp.DefaultBatchingConfig()
 		}
-		target, err := pickDataset(dataset, full)
+		target, err := pickDataset(dsName, full)
 		if err != nil {
 			return err
 		}
-		res, err := exp.BatchingScaling(context.Background(), target, cfg, seed)
+		res, err := exp.BatchingScaling(ctx, target, cfg, seed)
 		if err != nil {
 			return err
 		}
@@ -238,7 +240,7 @@ func run(which string, full bool, seed uint64, dataset, jsonOut string, pf prefe
 		// bench suite's SnapshotOpenCold row runs the same workload).
 		section("Snapshot cold open — CSR snapshot open + 10k-step walk")
 		ds, _ := pickDataset("", full)
-		row, err := exp.RunSnapshotCold(context.Background(), ds, 10_000, seed)
+		row, err := exp.RunSnapshotCold(ctx, ds, 10_000, seed)
 		if err != nil {
 			return err
 		}
@@ -261,7 +263,7 @@ func run(which string, full bool, seed uint64, dataset, jsonOut string, pf prefe
 	}
 	if which == "bench" {
 		section("Bench suite — deterministic CI gate workloads")
-		suite, err := exp.BenchSuite(context.Background(), seed)
+		suite, err := exp.BenchSuite(ctx, seed)
 		if err != nil {
 			return err
 		}
@@ -313,13 +315,13 @@ func diameterSamples(full bool) int {
 
 // pickDataset returns the named preset, Epinions when name is empty,
 // building only that one.
-func pickDataset(name string, full bool) (exp.Dataset, error) {
+func pickDataset(name string, full bool) (dataset.Dataset, error) {
 	if name == "" {
 		name = "Epinions"
 	}
-	d := exp.DatasetByName(name, full)
+	d := dataset.ByName(name, full)
 	if d == nil {
-		return exp.Dataset{}, fmt.Errorf("unknown dataset %q", name)
+		return dataset.Dataset{}, fmt.Errorf("unknown dataset %q", name)
 	}
 	return *d, nil
 }

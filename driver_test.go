@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"net/url"
 	"slices"
@@ -306,6 +307,31 @@ func TestCounterlessBackendNeedsStarts(t *testing.T) {
 	}
 	if len(samples) != 20 {
 		t.Fatalf("drew %d samples, want 20", len(samples))
+	}
+}
+
+// TestProviderUserCountOutOfRange: node ids are int32, so a published user
+// count outside [0, MaxInt32] ends Open (over /meta) and NewSession (over
+// any other user counter) in an error, where it used to panic in
+// SpreadStarts.
+func TestProviderUserCountOutOfRange(t *testing.T) {
+	ctx := context.Background()
+	for _, n := range []int64{-5, 1 << 62} {
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+			fmt.Fprintf(w, `{"num_users":%d}`, n)
+		}))
+		_, err := rewire.Open(ctx, ts.URL+"?retries=1")
+		ts.Close()
+		var pe *httpsrc.ProtocolError
+		if !errors.As(err, &pe) {
+			t.Fatalf("Open over num_users %d: %v, want a *httpsrc.ProtocolError", n, err)
+		}
+
+		fb := newFakeBackend()
+		fb.users = int(n)
+		if _, err := rewire.NewSession(rewire.BackendSource(fb), rewire.WithAlgorithm(rewire.AlgSRW)); err == nil {
+			t.Fatalf("NewSession over a backend publishing %d users succeeded", n)
+		}
 	}
 }
 

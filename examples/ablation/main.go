@@ -7,70 +7,24 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
+	"os"
 
-	"rewire/internal/core"
-	"rewire/internal/gen"
-	"rewire/internal/latent"
-	"rewire/internal/rng"
-	"rewire/internal/spectral"
+	"rewire/internal/exp"
 )
 
 func main() {
-	gain := latent.PaperGainBound()
-	fmt.Printf("Theorem 6 conductance-gain bound: %.4f (paper eq. 13: 1.052)\n\n", gain)
-	fmt.Printf("%6s %8s %10s %10s %10s %10s %10s\n",
-		"nodes", "giant", "original", "theory", "MTO_RM", "MTO_RP", "MTO_Both")
-
-	master := rng.New(2013)
-	for _, n := range []int{50, 60, 70, 80} {
-		const trials = 5
-		var giant, orig, rm, rp, both float64
-		valid := 0
-		for trial := 0; trial < trials; trial++ {
-			r := master.Split()
-			g0, _, err := gen.LatentSpace(gen.PaperLatentConfig(n), r)
-			if err != nil {
-				log.Fatal(err)
-			}
-			g, _ := g0.LargestComponent()
-			if g.NumNodes() < 4 || g.NumEdges() < 4 {
-				continue
-			}
-			t0, err := spectral.GraphMixingTime(g)
-			if err != nil {
-				continue
-			}
-			mix := func(cfg core.Config) float64 {
-				s := core.NewSampler(g, 0, cfg, r.Split())
-				core.WalkToCoverage(s, g.NumNodes(), 100000)
-				t, err := spectral.GraphMixingTime(s.Overlay().Materialize(g.NumNodes()))
-				if err != nil {
-					return 0
-				}
-				return t
-			}
-			mRM := mix(core.RemovalOnlyConfig())
-			mRP := mix(core.ReplacementOnlyConfig())
-			mBoth := mix(core.DefaultConfig())
-			if mRM == 0 || mRP == 0 || mBoth == 0 {
-				continue
-			}
-			giant += float64(g.NumNodes())
-			orig += t0
-			rm += mRM
-			rp += mRP
-			both += mBoth
-			valid++
-		}
-		if valid == 0 {
-			continue
-		}
-		f := float64(valid)
-		fmt.Printf("%6d %8.1f %10.2f %10.2f %10.2f %10.2f %10.2f\n",
-			n, giant/f, orig/f, orig/f/(gain*gain), rm/f, rp/f, both/f)
+	res, err := exp.Fig10(context.Background(), exp.Fig10Config{
+		Sizes:         []int{50, 60, 70, 80},
+		Trials:        5,
+		CoverageSteps: 100000,
+	}, 2013)
+	if err != nil {
+		log.Fatal(err)
 	}
+	res.Render(os.Stdout)
 	fmt.Println("\n(mixing time = 1/log(1/SLEM); theory = original shrunk by the")
 	fmt.Println(" Theorem 6 bound squared, since mixing scales as 1/Φ² by eq. 6)")
 }

@@ -7,21 +7,17 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
-	"rewire/internal/diag"
-	"rewire/internal/estimate"
-	"rewire/internal/exp"
+	"rewire"
 	"rewire/internal/gen"
-	"rewire/internal/graph"
-	"rewire/internal/osn"
 	"rewire/internal/rng"
-	"rewire/internal/stats"
-	"rewire/internal/walk"
 )
 
 func main() {
+	ctx := context.Background()
 	// Build the trust network the way the paper prepares Epinions: start
 	// from the directed graph, keep only reciprocal edges.
 	mutual := gen.EpinionsLikeSmall(11)
@@ -30,29 +26,22 @@ func main() {
 	fmt.Printf("directed trust graph: %d arcs; reciprocal: %d nodes, %d edges\n",
 		directed.NumArcs(), g.NumNodes(), g.NumEdges())
 
-	truth := estimate.GroundTruthDegree(g)
+	truth := g.AverageDegree()
 	fmt.Printf("ground-truth average degree: %.4f\n\n", truth)
 	fmt.Printf("%-7s %12s %10s %10s %9s\n", "sampler", "estimate", "rel err", "queries", "burn-in")
 
-	for _, alg := range exp.PaperAlgorithms() {
-		svc := osn.NewService(g, nil, osn.Config{})
-		client := osn.NewClient(svc)
-		r := rng.New(99)
-		start := graph.NodeID(r.Intn(g.NumNodes()))
-		walker, err := exp.NewWalker(alg, client, client.NumUsers(), start, r)
+	for _, alg := range []rewire.Algorithm{rewire.AlgSRW, rewire.AlgMTO, rewire.AlgMHRW, rewire.AlgRJ} {
+		sess, err := rewire.NewSession(rewire.Simulate(g, rewire.Limits{}),
+			rewire.WithAlgorithm(alg), rewire.WithSeed(99))
 		if err != nil {
 			log.Fatal(err)
 		}
-		info := func(v graph.NodeID) (int, estimate.Attrs) {
-			return client.Degree(v), estimate.Attrs{}
+		res, err := sess.Estimate(ctx, rewire.AvgDegree(), rewire.EstimateOptions{Samples: 3000, BurnIn: true})
+		if err != nil {
+			log.Fatal(err)
 		}
-		res := estimate.RunSession([]walk.Walker{walker}, estimate.AvgDegree(), info,
-			client.UniqueQueries, estimate.SessionConfig{
-				BurnIn:  diag.NewGeweke(diag.DefaultThreshold, 200),
-				Samples: 3000,
-			})
 		fmt.Printf("%-7s %12.4f %10.4f %10d %9d\n",
-			alg, res.Estimate, stats.RelativeError(res.Estimate, truth),
-			res.FinalCost, res.BurnInSteps)
+			alg, res.Estimate, rewire.RelativeError(res.Estimate, truth),
+			res.UniqueQueries, res.BurnInSteps)
 	}
 }

@@ -12,15 +12,10 @@ import (
 	"fmt"
 	"log"
 
-	"rewire/internal/core"
-	"rewire/internal/diag"
-	"rewire/internal/estimate"
+	"rewire"
 	"rewire/internal/gen"
-	"rewire/internal/graph"
 	"rewire/internal/osn"
 	"rewire/internal/rng"
-	"rewire/internal/stats"
-	"rewire/internal/walk"
 )
 
 func main() {
@@ -31,37 +26,30 @@ func main() {
 	fmt.Printf("google-plus stand-in: %d users, %d connections\n", g.NumNodes(), g.NumEdges())
 	fmt.Printf("true average self-description length: %.2f chars\n\n", truth)
 
-	for _, alg := range []string{"SRW", "MTO"} {
-		svc := osn.NewService(g, attrs, osn.FacebookLimits())
-		client := osn.NewClient(svc)
-		r := rng.New(23)
-		start := graph.NodeID(r.Intn(g.NumNodes()))
-		var walker walk.Walker
-		if alg == "SRW" {
-			walker = walk.NewSimple(client, start, r)
-		} else {
-			walker = core.NewSampler(client, start, core.DefaultConfig(), r)
+	// The walk has already paid q(v) for every sampled v, so the aggregate
+	// reads v's description length from the table the provider serves.
+	descLen := rewire.Aggregate{
+		Name: "average self-description length",
+		Value: func(v rewire.NodeID, _ int, _ rewire.Attrs) float64 {
+			return float64(attrs.Of(v).DescLen)
+		},
+	}
+	for _, alg := range []rewire.Algorithm{rewire.AlgSRW, rewire.AlgMTO} {
+		prov := rewire.Simulate(g, rewire.FacebookLimits())
+		sess, err := rewire.NewSession(prov, rewire.WithAlgorithm(alg), rewire.WithSeed(23))
+		if err != nil {
+			log.Fatal(err)
 		}
-		// The walk has already paid q(v) for every sampled v, so the
-		// attributes come from the table the service serves.
-		info := func(v graph.NodeID) (int, estimate.Attrs) {
-			nbrs, err := client.NeighborsContext(ctx, v)
-			if err != nil {
-				log.Fatal(err)
-			}
-			return len(nbrs), attrs.Of(v)
+		res, err := sess.Estimate(ctx, descLen, rewire.EstimateOptions{Samples: 3000, BurnIn: true})
+		if err != nil {
+			log.Fatal(err)
 		}
-		res := estimate.RunSession([]walk.Walker{walker}, estimate.AvgDescLen(), info,
-			client.UniqueQueries, estimate.SessionConfig{
-				BurnIn:  diag.NewGeweke(diag.DefaultThreshold, 200),
-				Samples: 3000,
-			})
-		fmt.Printf("%s:\n", alg)
+		fmt.Printf("%v:\n", alg)
 		fmt.Printf("  estimate:        %.2f chars (rel err %.4f)\n",
-			res.Estimate, stats.RelativeError(res.Estimate, truth))
-		fmt.Printf("  unique queries:  %d (cache held %d users)\n", res.FinalCost, client.CacheSize())
-		fmt.Printf("  burn-in:         %d steps (Geweke converged: %v)\n", res.BurnInSteps, res.BurnInConverged)
+			res.Estimate, rewire.RelativeError(res.Estimate, truth))
+		fmt.Printf("  unique queries:  %d (cache held %d users)\n", res.UniqueQueries, prov.CacheSize())
+		fmt.Printf("  burn-in:         %d steps (Geweke converged: %v)\n", res.BurnInSteps, res.Converged)
 		fmt.Printf("  simulated time:  %s under the 600/600s quota (%d window waits)\n\n",
-			svc.SimulatedElapsed().Round(1e9), svc.RateLimitWaits())
+			prov.SimulatedElapsed().Round(1e9), prov.RateLimitWaits())
 	}
 }

@@ -31,13 +31,14 @@ func checkOverlayConsistent(t *testing.T, g *graph.Graph, ov *Overlay) {
 		t.Errorf("materialized edges = %d, want %d (= %d base - %d removed + %d added)",
 			mat.NumEdges(), want, g.NumEdges(), ov.RemovedCount(), ov.AddedCount())
 	}
-	for _, k := range ov.RemovedEdges() {
+	removed, added, _ := ov.Delta()
+	for _, k := range removed {
 		u, v := k.Nodes()
 		if !graph.ContainsSorted(g.Neighbors(u), v) {
 			t.Errorf("removed set contains non-base pair (%d,%d)", u, v)
 		}
 	}
-	for _, k := range ov.AddedEdges() {
+	for _, k := range added {
 		u, v := k.Nodes()
 		if graph.ContainsSorted(g.Neighbors(u), v) {
 			t.Errorf("added set contains base edge (%d,%d)", u, v)

@@ -402,22 +402,6 @@ func (o *Overlay) restoreLocked(adj map[graph.NodeID][]graph.NodeID, keys []grap
 	return len(keys)
 }
 
-// RemovedEdges returns the keys of all removed edges, sorted.
-// Useful for reconstructing overlay degrees against a local copy of the
-// base graph without touching the query budget.
-func (o *Overlay) RemovedEdges() []graph.EdgeKey {
-	o.mu.RLock()
-	defer o.mu.RUnlock()
-	return edgeKeys(o.removedAdj, o.nRemoved)
-}
-
-// AddedEdges returns the keys of all added edges, sorted.
-func (o *Overlay) AddedEdges() []graph.EdgeKey {
-	o.mu.RLock()
-	defer o.mu.RUnlock()
-	return edgeKeys(o.addedAdj, o.nAdded)
-}
-
 // edgeKeys returns the n edges adj lists, each once, sorted.
 func edgeKeys(adj map[graph.NodeID][]graph.NodeID, n int) []graph.EdgeKey {
 	out := make([]graph.EdgeKey, 0, n)

@@ -145,7 +145,7 @@ func TestDegreeGateOnlyAtCountZero(t *testing.T) {
 	})
 	for _, cached := range []bool{false, true} {
 		client := osn.NewClient(osn.NewService(g, nil, osn.Config{}))
-		s := NewSampler(client, 0, RemovalOnlyConfig(), rng.New(1))
+		s := NewSampler(client, 0, removalOnlyConfig(), rng.New(1))
 		if cached {
 			for w := graph.NodeID(2); w <= 4; w++ {
 				client.Neighbors(w)

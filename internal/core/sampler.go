@@ -92,20 +92,6 @@ func DefaultConfig() Config {
 	}
 }
 
-// RemovalOnlyConfig disables replacement (the paper's MTO_RM ablation).
-func RemovalOnlyConfig() Config {
-	c := DefaultConfig()
-	c.EnableReplacement = false
-	return c
-}
-
-// ReplacementOnlyConfig disables removal (the paper's MTO_RP ablation).
-func ReplacementOnlyConfig() Config {
-	c := DefaultConfig()
-	c.EnableRemoval = false
-	return c
-}
-
 // Stats counts the rewiring work a sampler has performed.
 type Stats struct {
 	Steps        int64 // completed Step calls
@@ -434,24 +420,6 @@ func (s *Sampler) classifyIncident(v graph.NodeID, sample int) int {
 		est = 1
 	}
 	return est
-}
-
-// WalkToCoverage advances the sampler until every node of an n-node graph
-// has been visited at least once (the paper's §V-A.3 procedure for
-// extracting the full overlay topology) or maxSteps elapse. It returns the
-// number of distinct nodes visited and whether full coverage was reached.
-func WalkToCoverage(s *Sampler, n, maxSteps int) (visited int, ok bool) {
-	seen := make([]bool, n)
-	seen[s.Current()] = true
-	visited = 1
-	for step := 0; step < maxSteps && visited < n; step++ {
-		v := s.Step()
-		if !seen[v] {
-			seen[v] = true
-			visited++
-		}
-	}
-	return visited, visited == n
 }
 
 // Interface conformance checks.

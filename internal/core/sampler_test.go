@@ -23,8 +23,8 @@ func TestSamplerImprovesBarbellConductance(t *testing.T) {
 	improvedRM, improvedBoth := 0, 0
 	const trials = 5
 	for seed := uint64(1); seed <= trials; seed++ {
-		s := NewSampler(g, 0, RemovalOnlyConfig(), rng.New(seed))
-		if _, ok := WalkToCoverage(s, g.NumNodes(), 100000); !ok {
+		s := NewSampler(g, 0, removalOnlyConfig(), rng.New(seed))
+		if _, ok := walkToCoverage(s, g.NumNodes(), 100000); !ok {
 			t.Fatalf("seed %d: no coverage", seed)
 		}
 		ovRM := s.Overlay().Materialize(g.NumNodes())
@@ -40,7 +40,7 @@ func TestSamplerImprovesBarbellConductance(t *testing.T) {
 		}
 
 		s2 := NewSampler(g, 0, DefaultConfig(), rng.New(seed))
-		if _, ok := WalkToCoverage(s2, g.NumNodes(), 100000); !ok {
+		if _, ok := walkToCoverage(s2, g.NumNodes(), 100000); !ok {
 			t.Fatalf("seed %d: no coverage (both)", seed)
 		}
 		ovBoth := s2.Overlay().Materialize(g.NumNodes())
@@ -65,8 +65,8 @@ func TestSamplerImprovesBarbellConductance(t *testing.T) {
 
 func TestSamplerRemovesAggressivelyUnderEvalOriginal(t *testing.T) {
 	g := gen.Barbell(11)
-	s := NewSampler(g, 0, RemovalOnlyConfig(), rng.New(3))
-	WalkToCoverage(s, g.NumNodes(), 100000)
+	s := NewSampler(g, 0, removalOnlyConfig(), rng.New(3))
+	walkToCoverage(s, g.NumNodes(), 100000)
 	// On the barbell the aggressive mode thins each clique hard.
 	if orig := s.Stats().Removals; orig < 50 {
 		t.Errorf("EvalOriginal removed only %d edges", orig)
@@ -105,13 +105,13 @@ func TestSamplerStationaryMatchesOverlayDegrees(t *testing.T) {
 		cfg           Config
 		burn, observe int
 	}{
-		{"barbell/removal-only", gen.Barbell(8), RemovalOnlyConfig(), 50000, 400000},
+		{"barbell/removal-only", gen.Barbell(8), removalOnlyConfig(), 50000, 400000},
 		{"social/default", social, DefaultConfig(), 100000, 600000},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			g := tc.g
 			s := NewSampler(g, 0, tc.cfg, rng.New(5))
-			WalkToCoverage(s, g.NumNodes(), 50000)
+			walkToCoverage(s, g.NumNodes(), 50000)
 			// Burn a while so remaining rewiring happens.
 			for i := 0; i < tc.burn; i++ {
 				s.Step()
@@ -170,7 +170,7 @@ func TestSamplerFirstStepUniformOverSurvivingEdges(t *testing.T) {
 	counts := make([]float64, nb)
 	var removals int64
 	for seed := uint64(1); seed <= trials; seed++ {
-		s := NewSampler(g, hub, RemovalOnlyConfig(), rng.New(seed))
+		s := NewSampler(g, hub, removalOnlyConfig(), rng.New(seed))
 		v := s.Step()
 		if v < b(0) || v > b(nb-1) {
 			t.Fatalf("seed %d: first step landed on %d, whose edge fires", seed, v)
@@ -203,7 +203,7 @@ func TestSamplerQueriesOnlyMovesAndRemovals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewSampler(g, 0, ReplacementOnlyConfig(), rng.New(3))
+	s := NewSampler(g, 0, replacementOnlyConfig(), rng.New(3))
 	for i := 0; i < 2000; i++ {
 		s.Step()
 	}
@@ -212,7 +212,7 @@ func TestSamplerQueriesOnlyMovesAndRemovals(t *testing.T) {
 	}
 
 	client := osn.NewClient(osn.NewService(g, nil, osn.Config{}))
-	s = NewSampler(client, 0, RemovalOnlyConfig(), rng.New(3))
+	s = NewSampler(client, 0, removalOnlyConfig(), rng.New(3))
 	for i := 0; i < 200; i++ {
 		s.Step()
 	}
@@ -254,7 +254,7 @@ func TestSamplerTheorem5UsesClientCache(t *testing.T) {
 	run := func(useExt bool) (int64, bool) {
 		svc := osn.NewService(g, nil, osn.Config{})
 		client := osn.NewClient(svc)
-		cfg := RemovalOnlyConfig()
+		cfg := removalOnlyConfig()
 		cfg.UseExtended = useExt
 		s := NewSampler(client, 2, cfg, rng.New(11))
 		for i := 0; i < 3000; i++ {
@@ -312,10 +312,10 @@ func TestReplacementSkipsExistingEdges(t *testing.T) {
 func TestWeightModes(t *testing.T) {
 	g := gen.Barbell(8)
 	for _, mode := range []WeightMode{WeightOverlayDegree, WeightExact, WeightSampled} {
-		cfg := RemovalOnlyConfig()
+		cfg := removalOnlyConfig()
 		cfg.Weights = mode
 		s := NewSampler(g, 0, cfg, rng.New(19))
-		WalkToCoverage(s, g.NumNodes(), 50000)
+		walkToCoverage(s, g.NumNodes(), 50000)
 		for v := graph.NodeID(0); int(v) < g.NumNodes(); v++ {
 			w := s.StationaryWeight(v)
 			if w < 1 {
@@ -330,10 +330,10 @@ func TestWeightModes(t *testing.T) {
 
 func TestWeightExactMatchesMaterializedDegree(t *testing.T) {
 	g := gen.Barbell(8)
-	cfg := RemovalOnlyConfig()
+	cfg := removalOnlyConfig()
 	cfg.Weights = WeightExact
 	s := NewSampler(g, 0, cfg, rng.New(23))
-	WalkToCoverage(s, g.NumNodes(), 50000)
+	walkToCoverage(s, g.NumNodes(), 50000)
 	// Exact classification removes whatever is removable right now, so a
 	// second call must agree with the materialized overlay.
 	for v := graph.NodeID(0); int(v) < g.NumNodes(); v++ {
@@ -350,12 +350,12 @@ func TestWeightExactMatchesMaterializedDegree(t *testing.T) {
 func TestWalkToCoverage(t *testing.T) {
 	g := gen.Cycle(30)
 	s := NewSampler(g, 0, DefaultConfig(), rng.New(29))
-	visited, ok := WalkToCoverage(s, g.NumNodes(), 100000)
+	visited, ok := walkToCoverage(s, g.NumNodes(), 100000)
 	if !ok || visited != 30 {
 		t.Errorf("coverage = %d/%v", visited, ok)
 	}
 	s2 := NewSampler(g, 0, DefaultConfig(), rng.New(29))
-	if _, ok := WalkToCoverage(s2, g.NumNodes(), 3); ok {
+	if _, ok := walkToCoverage(s2, g.NumNodes(), 3); ok {
 		t.Error("3 steps cannot cover a 30-cycle")
 	}
 }
@@ -371,4 +371,36 @@ func TestSamplerIsolatedStart(t *testing.T) {
 func TestSamplerInterfaceCompliance(t *testing.T) {
 	var _ walk.Walker = (*Sampler)(nil)
 	var _ walk.Source = (*Overlay)(nil)
+}
+
+// walkToCoverage advances the sampler until every node of an n-node graph
+// has been visited at least once (the paper's §V-A.3 procedure for
+// extracting the full overlay topology) or maxSteps elapse. It returns the
+// number of distinct nodes visited and whether full coverage was reached.
+func walkToCoverage(s *Sampler, n, maxSteps int) (visited int, ok bool) {
+	seen := make([]bool, n)
+	seen[s.Current()] = true
+	visited = 1
+	for step := 0; step < maxSteps && visited < n; step++ {
+		v := s.Step()
+		if !seen[v] {
+			seen[v] = true
+			visited++
+		}
+	}
+	return visited, visited == n
+}
+
+// removalOnlyConfig disables replacement (the paper's MTO_RM ablation).
+func removalOnlyConfig() Config {
+	c := DefaultConfig()
+	c.EnableReplacement = false
+	return c
+}
+
+// replacementOnlyConfig disables removal (the paper's MTO_RP ablation).
+func replacementOnlyConfig() Config {
+	c := DefaultConfig()
+	c.EnableRemoval = false
+	return c
 }

@@ -71,14 +71,6 @@ func AvgDegree() Aggregate {
 	}
 }
 
-// AvgDescLen is the Fig 11(c) aggregate: average self-description length.
-func AvgDescLen() Aggregate {
-	return Aggregate{
-		Name:  "average self-description length",
-		Value: func(_ graph.NodeID, _ int, a Attrs) float64 { return float64(a.DescLen) },
-	}
-}
-
 // CountPredicate builds a selection-condition aggregate: the *fraction* of
 // users satisfying pred (multiply by the published user count for COUNT).
 func CountPredicate(name string, pred func(v graph.NodeID, deg int, attrs Attrs) bool) Aggregate {

@@ -82,7 +82,8 @@ func TestGroundTruth(t *testing.T) {
 		t.Errorf("avg degree = %v, want 1.5", got)
 	}
 	attrs := func(v graph.NodeID) Attrs { return Attrs{DescLen: int(v) * 10} }
-	if got := GroundTruth(g, AvgDescLen(), attrs); got != 15 {
+	descLen := Aggregate{Value: func(_ graph.NodeID, _ int, a Attrs) float64 { return float64(a.DescLen) }}
+	if got := GroundTruth(g, descLen, attrs); got != 15 {
 		t.Errorf("avg desc len = %v, want 15", got)
 	}
 	frac := GroundTruth(g, CountPredicate("deg2", func(_ graph.NodeID, deg int, _ Attrs) bool {
@@ -94,11 +95,11 @@ func TestGroundTruth(t *testing.T) {
 }
 
 func TestTrajectoryCostToReach(t *testing.T) {
-	tr := &Trajectory{}
+	var tr Trajectory
 	truth := 10.0
 	// Errors: 0.5, 0.3, 0.15, 0.05, 0.02 at costs 10..50.
 	for i, est := range []float64{15, 13, 11.5, 10.5, 10.2} {
-		tr.Record(int64(10*(i+1)), est)
+		tr = append(tr, TrajectoryPoint{int64(10 * (i + 1)), est})
 	}
 	c, ok := tr.CostToReach(truth, 0.2)
 	if !ok || c != 30 {
@@ -122,11 +123,12 @@ func TestTrajectoryCostToReach(t *testing.T) {
 func TestTrajectoryCostToReachNonMonotone(t *testing.T) {
 	// An estimate that dips below then bounces above the threshold: the
 	// cost must reflect the *last* exceedance.
-	tr := &Trajectory{}
-	tr.Record(10, 12) // err .2
-	tr.Record(20, 10) // err 0
-	tr.Record(30, 13) // err .3 again
-	tr.Record(40, 10.1)
+	tr := Trajectory{
+		{10, 12}, // err .2
+		{20, 10}, // err 0
+		{30, 13}, // err .3 again
+		{40, 10.1},
+	}
 	c, ok := tr.CostToReach(10, 0.15)
 	if !ok || c != 40 {
 		t.Errorf("CostToReach = %d,%v want 40,true", c, ok)
@@ -134,17 +136,10 @@ func TestTrajectoryCostToReachNonMonotone(t *testing.T) {
 }
 
 func TestMeanCostToReach(t *testing.T) {
-	mk := func(costs []int64, ests []float64) *Trajectory {
-		tr := &Trajectory{}
-		for i := range costs {
-			tr.Record(costs[i], ests[i])
-		}
-		return tr
-	}
-	runs := []*Trajectory{
-		mk([]int64{10, 20}, []float64{15, 10}), // settles at 20
-		mk([]int64{10, 20}, []float64{10, 10}), // settles at 10
-		mk([]int64{10, 20}, []float64{15, 15}), // never settles
+	runs := []Trajectory{
+		{{10, 15}, {20, 10}}, // settles at 20
+		{{10, 10}, {20, 10}}, // settles at 10
+		{{10, 15}, {20, 15}}, // never settles
 	}
 	mean, settled := MeanCostToReach(runs, 10, 0.2)
 	if settled != 2 || mean != 15 {
@@ -158,14 +153,7 @@ func TestMeanCostToReach(t *testing.T) {
 }
 
 func TestTrajectoryEmpty(t *testing.T) {
-	tr := &Trajectory{}
-	if !math.IsNaN(tr.Final()) {
-		t.Error("empty Final should be NaN")
-	}
-	if tr.FinalCost() != 0 {
-		t.Error("empty FinalCost should be 0")
-	}
-	if _, ok := tr.CostToReach(1, 0.5); ok {
+	if _, ok := (Trajectory{}).CostToReach(1, 0.5); ok {
 		t.Error("empty trajectory cannot settle")
 	}
 }
@@ -193,7 +181,7 @@ func TestRunSessionEndToEnd(t *testing.T) {
 	if res.FinalCost <= 0 || res.FinalCost != client.UniqueQueries() {
 		t.Errorf("cost accounting broken: %d vs %d", res.FinalCost, client.UniqueQueries())
 	}
-	if len(res.Trajectory.Points) == 0 {
+	if len(res.Trajectory) == 0 {
 		t.Error("no trajectory recorded")
 	}
 }
@@ -218,6 +206,34 @@ func TestRunSessionUniformWalker(t *testing.T) {
 	truth := GroundTruthDegree(g)
 	if rel := math.Abs(res.Estimate-truth) / truth; rel > 0.05 {
 		t.Errorf("MHRW estimate %v vs truth %v (rel %v)", res.Estimate, truth, rel)
+	}
+}
+
+// TestRunSessionTrajectoryBounded: however many samples a run draws, its
+// trajectory keeps between MaxTrajectoryPoints/2 and MaxTrajectoryPoints
+// points, one every stride samples, and ends at (FinalCost, Estimate).
+func TestRunSessionTrajectoryBounded(t *testing.T) {
+	g := gen.Barbell(5)
+	info := func(v graph.NodeID) (int, Attrs) { return g.Degree(v), Attrs{} }
+	for _, samples := range []int{1, MaxTrajectoryPoints - 1, MaxTrajectoryPoints, 1000, 100003} {
+		w := walk.NewSimple(g, 0, rng.New(3))
+		res := RunSession([]walk.Walker{w}, AvgDegree(), info, nil, SessionConfig{Samples: samples})
+		tr := res.Trajectory
+		if len(tr) > MaxTrajectoryPoints || len(tr) < min(samples, MaxTrajectoryPoints/2) {
+			t.Fatalf("%d samples: %d points, want [%d, %d]", samples, len(tr),
+				min(samples, MaxTrajectoryPoints/2), MaxTrajectoryPoints)
+		}
+		if last := tr[len(tr)-1]; last != (TrajectoryPoint{res.FinalCost, res.Estimate}) {
+			t.Fatalf("%d samples: last point %+v, want (%d, %v)", samples, last, res.FinalCost, res.Estimate)
+		}
+		// Without a cost meter the cost counts steps, one per sample here:
+		// every point but the final one sits on the stride.
+		stride := tr[0].Cost
+		for i, p := range tr[:len(tr)-1] {
+			if p.Cost != int64(i+1)*stride {
+				t.Fatalf("%d samples: point %d at cost %d, want %d", samples, i, p.Cost, int64(i+1)*stride)
+			}
+		}
 	}
 }
 

@@ -30,8 +30,6 @@ type SessionConfig struct {
 	// Thinning is the number of walk steps per retained sample (default 1,
 	// as in the paper — every post-burn-in node is a sample).
 	Thinning int
-	// RecordEvery sets the trajectory granularity in samples (default 1).
-	RecordEvery int
 	// Stop, when non-nil, is polled once per walk step; returning true ends
 	// the session early (burn-in or sampling alike) with whatever has been
 	// accumulated. This is how a context-bound caller threads cancellation
@@ -47,16 +45,19 @@ func (c SessionConfig) withDefaults() SessionConfig {
 	if c.Thinning <= 0 {
 		c.Thinning = 1
 	}
-	if c.RecordEvery <= 0 {
-		c.RecordEvery = 1
-	}
 	return c
 }
 
+// MaxTrajectoryPoints bounds the trajectory RunSession records, whatever
+// the number of samples: budget-bounded runs ask for math.MaxInt32 of them.
+const MaxTrajectoryPoints = 256
+
 // SessionResult reports one sampling run.
 type SessionResult struct {
-	// Trajectory holds (cost, estimate) points across the sampling phase.
-	Trajectory *Trajectory
+	// Trajectory holds at most MaxTrajectoryPoints (cost, estimate) points
+	// across the sampling phase, evenly spaced in samples, ending with
+	// (FinalCost, Estimate).
+	Trajectory Trajectory
 	// Estimate is the final importance-sampling estimate.
 	Estimate float64
 	// BurnInSteps is the number of steps spent before sampling.
@@ -73,7 +74,9 @@ type SessionResult struct {
 // RunSession executes the paper's sampling protocol over walkers: walk until
 // the convergence monitor fires (burn-in), then record samples with
 // importance weights, tracking the estimate as a function of spent query
-// cost.
+// cost. The trajectory records a point every stride samples, starting at
+// stride 1; when it holds MaxTrajectoryPoints points it keeps every other
+// one and the stride doubles.
 //
 // The walkers step round-robin, one step each in turn, starting at member 0
 // on every call, so every member contributes evenly and no schedule state
@@ -98,7 +101,6 @@ func RunSession(walkers []walk.Walker, agg Aggregate, info InfoFunc, cost CostFu
 		cost = func() int64 { return steps }
 	}
 	var res SessionResult
-	res.Trajectory = &Trajectory{}
 
 	stopped := func() bool { return cfg.Stop != nil && cfg.Stop() }
 
@@ -127,6 +129,8 @@ func RunSession(walkers []walk.Walker, agg Aggregate, info InfoFunc, cost CostFu
 
 	// Sampling phase.
 	var est ImportanceSampler
+	points := make([]TrajectoryPoint, 0, MaxTrajectoryPoints)
+	stride, untilRecord := 1, 1
 	for i := 0; i < cfg.Samples; i++ {
 		if stopped() {
 			break
@@ -158,14 +162,28 @@ func RunSession(walkers []walk.Walker, agg Aggregate, info InfoFunc, cost CostFu
 			continue
 		}
 		res.Samples++
-		if res.Samples%cfg.RecordEvery == 0 {
-			res.Trajectory.Record(cost(), est.Estimate())
+		untilRecord--
+		if untilRecord == 0 {
+			points = append(points, TrajectoryPoint{Cost: cost(), Estimate: est.Estimate()})
+			if len(points) == MaxTrajectoryPoints {
+				// Point i was recorded at sample (i+1)·stride: the odd
+				// indices are the points of the doubled stride.
+				for j := 1; j < len(points); j += 2 {
+					points[j/2] = points[j]
+				}
+				points = points[:len(points)/2]
+				stride *= 2
+			}
+			untilRecord = stride
 		}
 	}
 	res.Estimate = est.Estimate()
 	res.FinalCost = cost()
-	if len(res.Trajectory.Points) == 0 || res.Trajectory.FinalCost() != res.FinalCost {
-		res.Trajectory.Record(res.FinalCost, res.Estimate)
+	// Halving keeps the buffer below MaxTrajectoryPoints points, so the
+	// final one still fits.
+	if final := (TrajectoryPoint{Cost: res.FinalCost, Estimate: res.Estimate}); len(points) == 0 || points[len(points)-1] != final {
+		points = append(points, final)
 	}
+	res.Trajectory = points
 	return res
 }

@@ -14,61 +14,38 @@ type TrajectoryPoint struct {
 
 // Trajectory records how an estimate evolves with spent query budget — the
 // raw material of the paper's Fig 7 and Fig 11 bias-vs-cost curves.
-type Trajectory struct {
-	Points []TrajectoryPoint
-}
-
-// Record appends an observation.
-func (t *Trajectory) Record(cost int64, estimate float64) {
-	t.Points = append(t.Points, TrajectoryPoint{Cost: cost, Estimate: estimate})
-}
-
-// Final returns the last estimate (NaN when empty).
-func (t *Trajectory) Final() float64 {
-	if len(t.Points) == 0 {
-		return math.NaN()
-	}
-	return t.Points[len(t.Points)-1].Estimate
-}
-
-// FinalCost returns the last recorded cost (0 when empty).
-func (t *Trajectory) FinalCost() int64 {
-	if len(t.Points) == 0 {
-		return 0
-	}
-	return t.Points[len(t.Points)-1].Cost
-}
+type Trajectory []TrajectoryPoint
 
 // CostToReach returns the query cost after which the relative error against
 // truth drops below threshold *and stays there* — the paper's Fig 7 y-axis
 // ("the maximum query cost for a random walk to generate an estimation with
 // relative error above a given value"). The second return is false when the
 // trajectory never settles below the threshold.
-func (t *Trajectory) CostToReach(truth, threshold float64) (int64, bool) {
-	if len(t.Points) == 0 {
+func (t Trajectory) CostToReach(truth, threshold float64) (int64, bool) {
+	if len(t) == 0 {
 		return 0, false
 	}
 	// Find the last point whose error is >= threshold; the answer is the
 	// cost of the next point.
 	lastBad := -1
-	for i, p := range t.Points {
+	for i, p := range t {
 		if stats.RelativeError(p.Estimate, truth) >= threshold {
 			lastBad = i
 		}
 	}
 	switch {
-	case lastBad == len(t.Points)-1:
-		return t.Points[lastBad].Cost, false // never settled
+	case lastBad == len(t)-1:
+		return t[lastBad].Cost, false // never settled
 	case lastBad < 0:
-		return t.Points[0].Cost, true // below threshold from the start
+		return t[0].Cost, true // below threshold from the start
 	default:
-		return t.Points[lastBad+1].Cost, true
+		return t[lastBad+1].Cost, true
 	}
 }
 
 // MeanCostToReach averages CostToReach over many runs, counting only runs
 // that settled; it returns the mean and how many settled.
-func MeanCostToReach(runs []*Trajectory, truth, threshold float64) (float64, int) {
+func MeanCostToReach(runs []Trajectory, truth, threshold float64) (float64, int) {
 	var sum float64
 	settled := 0
 	for _, tr := range runs {

@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"rewire/internal/core"
+	"rewire/internal/dataset"
 	"rewire/internal/graph"
 	"rewire/internal/osn"
 	"rewire/internal/rng"
@@ -43,7 +44,7 @@ const allocWindows = 3
 
 // SteadyStateAllocs measures AllocRow on ds at the given seed. The service
 // is zero-latency: only the in-process hot path is exercised.
-func SteadyStateAllocs(ds Dataset, seed uint64) AllocRow {
+func SteadyStateAllocs(ds dataset.Dataset, seed uint64) AllocRow {
 	srw, mto := steadyWalkers(ds, seed)
 	return AllocRow{
 		SRW: minAllocsPerOp(3, allocMeasureRuns, func() { srw.Step() }),
@@ -53,7 +54,7 @@ func SteadyStateAllocs(ds Dataset, seed uint64) AllocRow {
 
 // steadyWalkers returns an SRW and an MTO walker on ds, each over its own
 // fully warm client and past steadyWarmups steps.
-func steadyWalkers(ds Dataset, seed uint64) (*walk.Simple, *core.Sampler) {
+func steadyWalkers(ds dataset.Dataset, seed uint64) (*walk.Simple, *core.Sampler) {
 	warmClient := func() *osn.Client {
 		svc := osn.NewService(ds.Graph, nil, osn.Config{})
 		client := osn.NewClient(svc)

@@ -3,6 +3,8 @@ package exp
 import (
 	"slices"
 	"testing"
+
+	"rewire/internal/dataset"
 )
 
 // TestSteadyStateWalkZeroAlloc is the allocation gate for the walk inner
@@ -28,7 +30,7 @@ func TestSteadyStateAllocsSeedIndependent(t *testing.T) {
 // (an arena slab refill in one window), every window must read 0 whenever
 // the race detector — under which such strays were seen — is off.
 func checkSteadyZeroAlloc(t *testing.T, seed uint64) {
-	srw, mto := steadyWalkers(SmallDatasets()[0], seed)
+	srw, mto := steadyWalkers(dataset.Small()[0], seed)
 	if a := minAllocsPerOp(3, allocMeasureRuns, func() { srw.Step() }); a != 0 {
 		t.Errorf("seed %d: SRW steady-state step allocates %.4f times/op; want 0", seed, a)
 	}

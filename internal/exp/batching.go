@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"rewire"
+	"rewire/internal/dataset"
 	"rewire/internal/httpsrc"
 )
 
@@ -74,7 +75,7 @@ type BatchingRow struct {
 // budgets sampling through the full public stack — HTTP driver, metrics
 // middleware, optionally the coalescing middleware — against a serialized
 // in-process provider.
-func RunHTTPFleet(ctx context.Context, ds Dataset, cfg BatchingConfig, batchWait time.Duration, seed uint64) (BatchingRow, error) {
+func RunHTTPFleet(ctx context.Context, ds dataset.Dataset, cfg BatchingConfig, batchWait time.Duration, seed uint64) (BatchingRow, error) {
 	srv := httptest.NewServer(httpsrc.Handler(ds.Graph, httpsrc.ServerOptions{
 		Latency:   cfg.Latency,
 		Serialize: true,
@@ -130,7 +131,7 @@ type BatchingResult struct {
 
 // BatchingScaling measures every configured coalescing window. Rows carry
 // Speedup relative to the unbatched (Wait=0) run.
-func BatchingScaling(ctx context.Context, ds Dataset, cfg BatchingConfig, seed uint64) (*BatchingResult, error) {
+func BatchingScaling(ctx context.Context, ds dataset.Dataset, cfg BatchingConfig, seed uint64) (*BatchingResult, error) {
 	res := &BatchingResult{Dataset: ds.Name, Cfg: cfg, GoMaxProcs: runtime.GOMAXPROCS(0)}
 	var ref time.Duration
 	for _, wait := range cfg.Waits {

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"rewire/internal/benchcmp"
+	"rewire/internal/dataset"
 )
 
 // BenchSuite runs the deterministic workloads behind the CI bench-gate and
@@ -18,7 +19,7 @@ import (
 // means a workload could not run at all (e.g. the snapshot round-trip
 // failed) — the partial suite is still returned for diagnosis.
 func BenchSuite(ctx context.Context, seed uint64) (benchcmp.Suite, error) {
-	ds := SmallDatasets()[0]
+	ds := dataset.Small()[0]
 	cfg := QuickPrefetchExpConfig()
 	suite := benchcmp.Suite{Schema: benchcmp.Schema, Seed: seed}
 

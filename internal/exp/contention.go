@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"rewire/internal/core"
+	"rewire/internal/dataset"
 	"rewire/internal/osn"
 	"rewire/internal/rng"
 	"rewire/internal/walk"
@@ -62,7 +63,7 @@ type ContentionRow struct {
 // quotas, each on its own goroutine, over one shared zero-latency client
 // with `shards` lock stripes. The walkers step directly — no sample channel, no
 // fleet machinery — so the measurement is store pressure, not plumbing.
-func RunContention(ds Dataset, k, shards, samples int, seed uint64) ContentionRow {
+func RunContention(ds dataset.Dataset, k, shards, samples int, seed uint64) ContentionRow {
 	svc := osn.NewService(ds.Graph, nil, osn.Config{})
 	client := osn.NewClientShards(svc, shards)
 	r := rng.New(seed)
@@ -103,7 +104,7 @@ type ContentionResult struct {
 // ContentionScaling measures the single-stripe and default-striped clients
 // at every configured fleet size. Striped rows carry Speedup relative to the
 // single-stripe row at the same k.
-func ContentionScaling(ds Dataset, cfg ContentionConfig, seed uint64) *ContentionResult {
+func ContentionScaling(ds dataset.Dataset, cfg ContentionConfig, seed uint64) *ContentionResult {
 	res := &ContentionResult{Dataset: ds.Name, Cfg: cfg, GoMaxProcs: runtime.GOMAXPROCS(0)}
 	for _, k := range cfg.Ks {
 		legacy := RunContention(ds, k, 1, cfg.Samples, seed)

@@ -8,48 +8,7 @@ import (
 	"fmt"
 	"io"
 	"strings"
-
-	"rewire/internal/core"
-	"rewire/internal/graph"
-	"rewire/internal/rng"
-	"rewire/internal/walk"
 )
-
-// Algorithm names accepted by NewWalker; the paper's four competitors plus
-// the two MTO ablations of Fig 10.
-const (
-	AlgSRW   = "SRW"
-	AlgMTO   = "MTO"
-	AlgMTORM = "MTO_RM"
-	AlgMTORP = "MTO_RP"
-	AlgMHRW  = "MHRW"
-	AlgRJ    = "RJ"
-)
-
-// PaperAlgorithms lists the Fig 7 competitors in the paper's order.
-func PaperAlgorithms() []string { return []string{AlgSRW, AlgMTO, AlgMHRW, AlgRJ} }
-
-// NewWalker builds the named sampler over src. numUsers is the provider-
-// published ID-space size (needed by RJ; the paper uses jump probability
-// 0.5). Every returned walker weighs its own samples (StationaryWeight).
-func NewWalker(name string, src walk.Source, numUsers int, start graph.NodeID, r *rng.Rand) (walk.Walker, error) {
-	switch name {
-	case AlgSRW:
-		return walk.NewSimple(src, start, r), nil
-	case AlgMHRW:
-		return walk.NewMetropolisHastings(src, start, r), nil
-	case AlgRJ:
-		return walk.NewRandomJump(src, start, numUsers, 0.5, r), nil
-	case AlgMTO:
-		return core.NewSampler(src, start, core.DefaultConfig(), r), nil
-	case AlgMTORM:
-		return core.NewSampler(src, start, core.RemovalOnlyConfig(), r), nil
-	case AlgMTORP:
-		return core.NewSampler(src, start, core.ReplacementOnlyConfig(), r), nil
-	default:
-		return nil, fmt.Errorf("exp: unknown algorithm %q", name)
-	}
-}
 
 // Table is a minimal aligned-text table renderer used by every driver.
 type Table struct {

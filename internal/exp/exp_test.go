@@ -2,32 +2,13 @@ package exp
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"strings"
 	"testing"
 
-	"rewire/internal/gen"
-	"rewire/internal/rng"
+	"rewire/internal/dataset"
 )
-
-func TestNewWalkerAllAlgorithms(t *testing.T) {
-	g := gen.Barbell(5)
-	for _, alg := range []string{AlgSRW, AlgMTO, AlgMTORM, AlgMTORP, AlgMHRW, AlgRJ} {
-		w, err := NewWalker(alg, g, g.NumNodes(), 0, rng.New(1))
-		if err != nil {
-			t.Fatalf("%s: %v", alg, err)
-		}
-		for i := 0; i < 50; i++ {
-			v := w.Step()
-			if v < 0 || int(v) >= g.NumNodes() {
-				t.Fatalf("%s: stepped out of range: %d", alg, v)
-			}
-		}
-	}
-	if _, err := NewWalker("nope", g, g.NumNodes(), 0, rng.New(1)); err == nil {
-		t.Error("unknown algorithm accepted")
-	}
-}
 
 func TestTableRender(t *testing.T) {
 	tab := &Table{Header: []string{"a", "long-header"}}
@@ -47,7 +28,7 @@ func TestTableRender(t *testing.T) {
 }
 
 func TestDatasets(t *testing.T) {
-	small := SmallDatasets()
+	small := dataset.Small()
 	if len(small) != 3 {
 		t.Fatalf("got %d small datasets", len(small))
 	}
@@ -56,14 +37,14 @@ func TestDatasets(t *testing.T) {
 			t.Errorf("%s: disconnected", d.Name)
 		}
 	}
-	if DatasetByName("Epinions", false) == nil {
+	if dataset.ByName("Epinions", false) == nil {
 		t.Error("Epinions lookup failed")
 	}
-	if DatasetByName("nope", false) != nil {
+	if dataset.ByName("nope", false) != nil {
 		t.Error("bogus lookup succeeded")
 	}
 	// Caching: same pointer on second call.
-	if SmallDatasets()[0].Graph != small[0].Graph {
+	if dataset.Small()[0].Graph != small[0].Graph {
 		t.Error("dataset cache not reused")
 	}
 }
@@ -121,7 +102,7 @@ func TestRunningExample(t *testing.T) {
 }
 
 func TestFig7Quick(t *testing.T) {
-	res, err := Fig7(*DatasetByName("Epinions", false), QuickFig7Config(), 1)
+	res, err := Fig7(context.Background(), *dataset.ByName("Epinions", false), QuickFig7Config(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +134,7 @@ func TestFig7Quick(t *testing.T) {
 
 func TestFig8And9Quick(t *testing.T) {
 	cfg := QuickFig8Config()
-	res, err := Fig8(SmallDatasets()[:1], cfg, 2)
+	res, err := Fig8(context.Background(), dataset.Small()[:1], cfg, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +149,7 @@ func TestFig8And9Quick(t *testing.T) {
 			t.Errorf("%s/%s: cost = %d", c.Dataset, c.Algorithm, c.QueryCost)
 		}
 	}
-	f9, err := Fig9(*DatasetByName("Epinions", false), QuickFig9Config(), 3)
+	f9, err := Fig9(context.Background(), *dataset.ByName("Epinions", false), QuickFig9Config(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +165,7 @@ func TestFig8And9Quick(t *testing.T) {
 }
 
 func TestFig10Quick(t *testing.T) {
-	res, err := Fig10(QuickFig10Config(), 4)
+	res, err := Fig10(context.Background(), QuickFig10Config(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +191,7 @@ func TestFig10Quick(t *testing.T) {
 }
 
 func TestFig11Quick(t *testing.T) {
-	res, err := Fig11(false, QuickFig11Config(), 5)
+	res, err := Fig11(context.Background(), false, QuickFig11Config(), 5)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,11 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"io"
 
-	"rewire/internal/core"
+	"rewire"
 	"rewire/internal/gen"
 	"rewire/internal/latent"
 	"rewire/internal/rng"
@@ -63,7 +64,7 @@ type Fig10Result struct {
 // three MTO variants to full node coverage (the paper's §V-A.3 procedure),
 // plus the Theorem 6 theoretical series: the original mixing time shrunk by
 // the conductance-gain bound squared (mixing time scales as 1/Φ², eq. 6).
-func Fig10(cfg Fig10Config, seed uint64) (Fig10Result, error) {
+func Fig10(ctx context.Context, cfg Fig10Config, seed uint64) (Fig10Result, error) {
 	master := rng.New(seed)
 	gain := latent.PaperGainBound()
 	res := Fig10Result{GainBound: gain}
@@ -84,21 +85,22 @@ func Fig10(cfg Fig10Config, seed uint64) (Fig10Result, error) {
 			if err != nil || orig == 0 {
 				continue
 			}
-			mixOf := func(cfgMTO core.Config) (float64, error) {
-				s := core.NewSampler(g, 0, cfgMTO, r.Split())
-				core.WalkToCoverage(s, g.NumNodes(), cfg.CoverageSteps)
-				ov := s.Overlay().Materialize(g.NumNodes())
+			mixOf := func(opts ...rewire.Option) (float64, error) {
+				ov, err := coverageOverlay(ctx, g, cfg.CoverageSteps, append(opts, rewire.WithSeed(r.Uint64()))...)
+				if err != nil {
+					return 0, err
+				}
 				return spectral.GraphMixingTime(ov)
 			}
-			both, err := mixOf(core.DefaultConfig())
+			both, err := mixOf()
 			if err != nil {
 				continue
 			}
-			rm, err := mixOf(core.RemovalOnlyConfig())
+			rm, err := mixOf(rewire.WithReplacement(false))
 			if err != nil {
 				continue
 			}
-			rp, err := mixOf(core.ReplacementOnlyConfig())
+			rp, err := mixOf(rewire.WithRemoval(false))
 			if err != nil {
 				continue
 			}
@@ -123,6 +125,30 @@ func Fig10(cfg Fig10Config, seed uint64) (Fig10Result, error) {
 		res.Rows = append(res.Rows, row)
 	}
 	return res, nil
+}
+
+// coverageOverlay walks an MTO session over g until it has visited every
+// node or taken maxSteps steps, and returns the rewired topology it built.
+func coverageOverlay(ctx context.Context, g *rewire.Graph, maxSteps int, opts ...rewire.Option) (*rewire.Graph, error) {
+	sess, err := rewire.NewSession(rewire.GraphSource(g), append(opts, rewire.WithAlgorithm(rewire.AlgMTO))...)
+	if err != nil {
+		return nil, err
+	}
+	seen := make([]bool, g.NumNodes())
+	seen[sess.Positions()[0]] = true
+	visited := 1
+	for v := range sess.Nodes(ctx, maxSteps) {
+		if !seen[v] {
+			seen[v] = true
+			if visited++; visited == len(seen) {
+				break
+			}
+		}
+	}
+	if err := sess.Err(); err != nil {
+		return nil, err
+	}
+	return sess.MaterializeOverlay()
 }
 
 // Render prints the five series.

@@ -1,17 +1,18 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math"
 	"time"
 
+	"rewire"
+	"rewire/internal/dataset"
 	"rewire/internal/diag"
 	"rewire/internal/estimate"
-	"rewire/internal/graph"
 	"rewire/internal/osn"
 	"rewire/internal/rng"
-	"rewire/internal/walk"
 )
 
 // Fig11Config controls the Google Plus experiment (paper Fig 11): walks
@@ -29,9 +30,8 @@ type Fig11Config struct {
 	ErrorGrid       []float64
 	GewekeThreshold float64
 	MaxBurnIn       int
-	TracePoints     int
 	// RateLimit applies the provider quota to the simulated interface.
-	RateLimit osn.Config
+	RateLimit rewire.Limits
 }
 
 // DefaultFig11Config mirrors the paper's setup with Facebook-style limits
@@ -44,8 +44,7 @@ func DefaultFig11Config() Fig11Config {
 		ErrorGrid:       []float64{0.50, 0.40, 0.30, 0.20, 0.15, 0.10},
 		GewekeThreshold: diag.DefaultThreshold,
 		MaxBurnIn:       30000,
-		TracePoints:     60,
-		RateLimit:       osn.FacebookLimits(),
+		RateLimit:       rewire.FacebookLimits(),
 	}
 }
 
@@ -57,14 +56,13 @@ func QuickFig11Config() Fig11Config {
 		ErrorGrid:       []float64{0.50, 0.30, 0.15},
 		GewekeThreshold: 0.3,
 		MaxBurnIn:       4000,
-		TracePoints:     30,
-		RateLimit:       osn.Config{PerQueryLatency: 50 * time.Millisecond},
+		RateLimit:       rewire.Limits{PerQueryLatency: 50 * time.Millisecond},
 	}
 }
 
 // Fig11Series is one (algorithm, aggregate) error curve.
 type Fig11Series struct {
-	Algorithm      string
+	Algorithm      rewire.Algorithm
 	Aggregate      string
 	ConvergedValue float64 // the paper's presumptive ground truth
 	ExactTruth     float64 // available because the dataset is synthetic
@@ -72,70 +70,72 @@ type Fig11Series struct {
 	Settled        []int
 }
 
+// fig11Algorithms are the two chains Fig 11 compares.
+var fig11Algorithms = []rewire.Algorithm{rewire.AlgSRW, rewire.AlgMTO}
+
 // Fig11Result is the figure's data.
 type Fig11Result struct {
 	Nodes, Edges int
 	ErrorGrid    []float64
 	// Trace is Fig 11(a): (cost, estimated average degree) points for SRW
 	// and MTO from one representative run each.
-	Trace map[string]*estimate.Trajectory
+	Trace map[rewire.Algorithm][]rewire.TrajectoryPoint
 	// Series covers Fig 11(b) (average degree) and (c) (self-description
 	// length).
 	Series []Fig11Series
 	// SimulatedHours reports rate-limited wall-clock per algorithm (the
 	// cost the paper's quota discussion is about).
-	SimulatedHours map[string]float64
+	SimulatedHours map[rewire.Algorithm]float64
 }
 
 // Fig11 runs the Google Plus experiment at the requested scale.
-func Fig11(full bool, cfg Fig11Config, seed uint64) (Fig11Result, error) {
-	g := DatasetByName("Google Plus", full).Graph
+func Fig11(ctx context.Context, full bool, cfg Fig11Config, seed uint64) (Fig11Result, error) {
+	g := dataset.ByName("Google Plus", full).Graph
 	master := rng.New(seed)
 	attrs := osn.SynthesizeAttributes(g, master.Split())
 	res := Fig11Result{
 		Nodes: g.NumNodes(), Edges: g.NumEdges(),
 		ErrorGrid:      cfg.ErrorGrid,
-		Trace:          map[string]*estimate.Trajectory{},
-		SimulatedHours: map[string]float64{},
+		Trace:          map[rewire.Algorithm][]rewire.TrajectoryPoint{},
+		SimulatedHours: map[rewire.Algorithm]float64{},
 	}
 
-	aggs := []estimate.Aggregate{estimate.AvgDegree(), estimate.AvgDescLen()}
+	// The walk has already paid q(v) for every sampled v, so the
+	// description length comes from the table the provider would serve.
+	descLen := rewire.Aggregate{
+		Name: "average self-description length",
+		Value: func(v rewire.NodeID, _ int, _ rewire.Attrs) float64 {
+			return float64(attrs.Of(v).DescLen)
+		},
+	}
+	aggs := []rewire.Aggregate{rewire.AvgDegree(), descLen}
 	exact := map[string]float64{
 		aggs[0].Name: estimate.GroundTruthDegree(g),
 		aggs[1].Name: attrs.MeanDescLen(),
 	}
+	opt := rewire.EstimateOptions{
+		Samples:         cfg.Samples,
+		BurnIn:          true,
+		GewekeThreshold: cfg.GewekeThreshold,
+		MaxBurnInSteps:  cfg.MaxBurnIn,
+	}
 
-	for _, alg := range []string{AlgSRW, AlgMTO} {
+	for _, alg := range fig11Algorithms {
 		for _, agg := range aggs {
-			trajectories := make([]*estimate.Trajectory, 0, cfg.Runs)
+			trajectories := make([]estimate.Trajectory, 0, cfg.Runs)
 			var convergedSum float64
 			var simSeconds float64
 			for run := 0; run < cfg.Runs; run++ {
-				r := master.Split()
-				svc := osn.NewService(g, attrs, cfg.RateLimit)
-				client := osn.NewClient(svc)
-				start := graph.NodeID(r.Intn(g.NumNodes()))
-				walker, err := NewWalker(alg, client, client.NumUsers(), start, r)
+				prov := rewire.Simulate(g, cfg.RateLimit)
+				r, err := estimateOnce(ctx, prov, agg, opt, rewire.WithAlgorithm(alg), rewire.WithSeed(master.Uint64()))
 				if err != nil {
-					return res, err
+					return res, fmt.Errorf("fig11 %v: %w", alg, err)
 				}
-				// The walk has already paid q(v) for every sampled v, so the
-				// attributes come from the table the service serves.
-				info := func(v graph.NodeID) (int, estimate.Attrs) {
-					return client.Degree(v), attrs.Of(v)
-				}
-				sr := estimate.RunSession([]walk.Walker{walker}, agg, info, client.UniqueQueries,
-					estimate.SessionConfig{
-						BurnIn:         diag.NewGeweke(cfg.GewekeThreshold, 200),
-						MaxBurnInSteps: cfg.MaxBurnIn,
-						Samples:        cfg.Samples,
-						RecordEvery:    maxInt(1, cfg.Samples/cfg.TracePoints),
-					})
-				trajectories = append(trajectories, sr.Trajectory)
-				convergedSum += sr.Estimate
-				simSeconds += svc.SimulatedElapsed().Seconds()
+				trajectories = append(trajectories, r.Trajectory)
+				convergedSum += r.Estimate
+				simSeconds += prov.SimulatedElapsed().Seconds()
 				if run == 0 && agg.Name == aggs[0].Name {
-					res.Trace[alg] = sr.Trajectory
+					res.Trace[alg] = r.Trajectory
 				}
 			}
 			converged := convergedSum / float64(cfg.Runs)
@@ -157,26 +157,19 @@ func Fig11(full bool, cfg Fig11Config, seed uint64) (Fig11Result, error) {
 	return res, nil
 }
 
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // Render prints the trace summary and error curves.
 func (r Fig11Result) Render(w io.Writer) {
 	fmt.Fprintf(w, "Fig 11 — Google Plus stand-in: %d nodes, %d edges\n\n", r.Nodes, r.Edges)
 	fmt.Fprintln(w, "(a) estimated average degree vs query cost (first run per algorithm):")
-	for _, alg := range []string{AlgSRW, AlgMTO} {
+	for _, alg := range fig11Algorithms {
 		tr := r.Trace[alg]
-		if tr == nil || len(tr.Points) == 0 {
+		if len(tr) == 0 {
 			continue
 		}
-		step := maxInt(1, len(tr.Points)/6)
+		step := max(1, len(tr)/6)
 		fmt.Fprintf(w, "  %-4s:", alg)
-		for i := 0; i < len(tr.Points); i += step {
-			p := tr.Points[i]
+		for i := 0; i < len(tr); i += step {
+			p := tr[i]
 			fmt.Fprintf(w, "  (%d, %.2f)", p.Cost, p.Estimate)
 		}
 		fmt.Fprintln(w)
@@ -188,7 +181,7 @@ func (r Fig11Result) Render(w io.Writer) {
 	}
 	tab := &Table{Header: header}
 	for _, s := range r.Series {
-		row := []string{s.Algorithm, s.Aggregate, f2(s.ConvergedValue), f2(s.ExactTruth)}
+		row := []string{s.Algorithm.String(), s.Aggregate, f2(s.ConvergedValue), f2(s.ExactTruth)}
 		for i := range r.ErrorGrid {
 			if math.IsNaN(s.MeanCost[i]) {
 				row = append(row, "-")
@@ -200,7 +193,7 @@ func (r Fig11Result) Render(w io.Writer) {
 	}
 	tab.Render(w)
 	fmt.Fprintln(w, "\nsimulated rate-limited hours per run (degree+desc sessions):")
-	for alg, h := range r.SimulatedHours {
-		fmt.Fprintf(w, "  %-4s %.2f h\n", alg, h)
+	for _, alg := range fig11Algorithms {
+		fmt.Fprintf(w, "  %-4s %.2f h\n", alg, r.SimulatedHours[alg])
 	}
 }

@@ -1,16 +1,16 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math"
 
+	"rewire"
+	"rewire/internal/dataset"
 	"rewire/internal/diag"
 	"rewire/internal/estimate"
-	"rewire/internal/graph"
-	"rewire/internal/osn"
 	"rewire/internal/rng"
-	"rewire/internal/walk"
 )
 
 // Fig7Config controls the bias-vs-query-cost experiment (paper Fig 7: query
@@ -29,7 +29,12 @@ type Fig7Config struct {
 	// MaxBurnIn caps burn-in steps per run.
 	MaxBurnIn int
 	// Algorithms to compare; defaults to the paper's four.
-	Algorithms []string
+	Algorithms []rewire.Algorithm
+}
+
+// paperAlgorithms lists the Fig 7 competitors in the paper's order.
+func paperAlgorithms() []rewire.Algorithm {
+	return []rewire.Algorithm{rewire.AlgSRW, rewire.AlgMTO, rewire.AlgMHRW, rewire.AlgRJ}
 }
 
 // DefaultFig7Config mirrors the paper at full scale.
@@ -40,7 +45,7 @@ func DefaultFig7Config() Fig7Config {
 		ErrorGrid:       []float64{0.20, 0.18, 0.16, 0.14, 0.12, 0.10},
 		GewekeThreshold: diag.DefaultThreshold,
 		MaxBurnIn:       30000,
-		Algorithms:      PaperAlgorithms(),
+		Algorithms:      paperAlgorithms(),
 	}
 }
 
@@ -52,13 +57,13 @@ func QuickFig7Config() Fig7Config {
 		ErrorGrid:       []float64{0.20, 0.15, 0.10},
 		GewekeThreshold: 0.3,
 		MaxBurnIn:       4000,
-		Algorithms:      PaperAlgorithms(),
+		Algorithms:      paperAlgorithms(),
 	}
 }
 
 // Fig7Series is one algorithm's cost-at-error curve.
 type Fig7Series struct {
-	Algorithm string
+	Algorithm rewire.Algorithm
 	// MeanCost[i] is the average query cost needed to settle below
 	// ErrorGrid[i]; NaN when no run settled.
 	MeanCost []float64
@@ -76,38 +81,33 @@ type Fig7Result struct {
 	Series    []Fig7Series
 }
 
-// Fig7 runs the experiment on one dataset.
-func Fig7(ds Dataset, cfg Fig7Config, seed uint64) (Fig7Result, error) {
+// Fig7 runs the experiment on one dataset: each run is one single-walker
+// session over a fresh simulated provider, estimating the average degree,
+// and its Result trajectory gives the cost at each error.
+func Fig7(ctx context.Context, ds dataset.Dataset, cfg Fig7Config, seed uint64) (Fig7Result, error) {
 	if len(cfg.Algorithms) == 0 {
-		cfg.Algorithms = PaperAlgorithms()
+		cfg.Algorithms = paperAlgorithms()
 	}
 	truth := estimate.GroundTruthDegree(ds.Graph)
 	res := Fig7Result{Dataset: ds.Name, Truth: truth, ErrorGrid: cfg.ErrorGrid}
 	master := rng.New(seed)
+	opt := rewire.EstimateOptions{
+		Samples:         cfg.Samples,
+		BurnIn:          true,
+		GewekeThreshold: cfg.GewekeThreshold,
+		MaxBurnInSteps:  cfg.MaxBurnIn,
+	}
 	for _, alg := range cfg.Algorithms {
-		trajectories := make([]*estimate.Trajectory, 0, cfg.Runs)
+		trajectories := make([]estimate.Trajectory, 0, cfg.Runs)
 		var costSum float64
 		for run := 0; run < cfg.Runs; run++ {
-			r := master.Split()
-			svc := osn.NewService(ds.Graph, nil, osn.Config{})
-			client := osn.NewClient(svc)
-			start := graph.NodeID(r.Intn(ds.Graph.NumNodes()))
-			walker, err := NewWalker(alg, client, client.NumUsers(), start, r)
+			r, err := estimateOnce(ctx, rewire.Simulate(ds.Graph, rewire.Limits{}), rewire.AvgDegree(), opt,
+				rewire.WithAlgorithm(alg), rewire.WithSeed(master.Uint64()))
 			if err != nil {
-				return res, err
+				return res, fmt.Errorf("fig7 %v: %w", alg, err)
 			}
-			info := func(v graph.NodeID) (int, estimate.Attrs) {
-				return client.Degree(v), estimate.Attrs{}
-			}
-			sr := estimate.RunSession([]walk.Walker{walker}, estimate.AvgDegree(), info, client.UniqueQueries,
-				estimate.SessionConfig{
-					BurnIn:         diag.NewGeweke(cfg.GewekeThreshold, 200),
-					MaxBurnInSteps: cfg.MaxBurnIn,
-					Samples:        cfg.Samples,
-					RecordEvery:    10,
-				})
-			trajectories = append(trajectories, sr.Trajectory)
-			costSum += float64(sr.FinalCost)
+			trajectories = append(trajectories, r.Trajectory)
+			costSum += float64(r.UniqueQueries)
 		}
 		series := Fig7Series{Algorithm: alg, MeanFinalCost: costSum / float64(cfg.Runs)}
 		for _, e := range cfg.ErrorGrid {
@@ -118,6 +118,15 @@ func Fig7(ds Dataset, cfg Fig7Config, seed uint64) (Fig7Result, error) {
 		res.Series = append(res.Series, series)
 	}
 	return res, nil
+}
+
+// estimateOnce runs one Estimate on a fresh session over src.
+func estimateOnce(ctx context.Context, src rewire.Source, agg rewire.Aggregate, opt rewire.EstimateOptions, opts ...rewire.Option) (rewire.Result, error) {
+	sess, err := rewire.NewSession(src, opts...)
+	if err != nil {
+		return rewire.Result{}, err
+	}
+	return sess.Estimate(ctx, agg, opt)
 }
 
 // Render prints the cost-at-error matrix.
@@ -131,7 +140,7 @@ func (r Fig7Result) Render(w io.Writer) {
 	header = append(header, "runs settled", "mean total cost")
 	tab := &Table{Header: header}
 	for _, s := range r.Series {
-		row := []string{s.Algorithm}
+		row := []string{s.Algorithm.String()}
 		minSettled := math.MaxInt
 		for i := range r.ErrorGrid {
 			if math.IsNaN(s.MeanCost[i]) {

@@ -1,16 +1,14 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"io"
 
-	"rewire/internal/core"
-	"rewire/internal/diag"
-	"rewire/internal/graph"
-	"rewire/internal/osn"
+	"rewire"
+	"rewire/internal/dataset"
 	"rewire/internal/rng"
 	"rewire/internal/stats"
-	"rewire/internal/walk"
 )
 
 // Fig8Config controls the long-run bias measurement (paper Fig 8: query
@@ -38,7 +36,7 @@ func QuickFig8Config() Fig8Config {
 // Fig8Cell is one (dataset, algorithm) measurement.
 type Fig8Cell struct {
 	Dataset   string
-	Algorithm string
+	Algorithm rewire.Algorithm
 	KL        float64
 	QueryCost int64
 	BurnIn    int
@@ -49,55 +47,45 @@ type Fig8Result struct {
 	Cells []Fig8Cell
 }
 
-// measureBias runs one sampler for cfg.Samples post-burn-in steps and
-// measures the symmetric KL divergence between the empirical per-node
-// sampling distribution and the sampler's ideal stationary distribution —
-// degree-proportional for SRW, overlay-degree-proportional for MTO (each
-// sampler is held to its own target, as in §V-A.3). Returns (KL, cost,
-// burn-in steps).
-func measureBias(ds Dataset, alg string, cfg Fig8Config, r *rng.Rand) (Fig8Cell, error) {
-	svc := osn.NewService(ds.Graph, nil, osn.Config{})
-	client := osn.NewClient(svc)
-	start := graph.NodeID(r.Intn(ds.Graph.NumNodes()))
-	walker, err := NewWalker(alg, client, client.NumUsers(), start, r)
+// measureBias runs one session for cfg.Samples post-burn-in samples over a
+// simulated provider and measures the symmetric KL divergence between the
+// empirical per-node sampling distribution and the chain's ideal stationary
+// distribution — degree-proportional for SRW, proportional to the degree in
+// the rewired topology the walk reached for MTO (each sampler is held to its
+// own target, as in §V-A.3).
+func measureBias(ctx context.Context, ds dataset.Dataset, alg rewire.Algorithm, cfg Fig8Config, seed uint64) (Fig8Cell, error) {
+	sess, err := rewire.NewSession(rewire.Simulate(ds.Graph, rewire.Limits{}),
+		rewire.WithAlgorithm(alg), rewire.WithSeed(seed))
 	if err != nil {
 		return Fig8Cell{}, err
 	}
-	// Burn-in on the degree trace.
-	monitor := diag.NewGeweke(cfg.GewekeThreshold, 200)
-	burn := 0
-	for ; burn < cfg.MaxBurnIn; burn++ {
-		v := walker.Step()
-		monitor.Observe(float64(client.Degree(v)))
-		if burn%25 == 24 && monitor.Converged() {
-			break
-		}
-	}
-	// Sampling phase: count visits.
 	n := ds.Graph.NumNodes()
 	hist := stats.NewCountHistogram(n)
-	for i := 0; i < cfg.Samples; i++ {
-		hist.Observe(int(walker.Step()))
+	// Estimate calls Value once per post-burn-in sample: count the visits.
+	visits := rewire.AvgDegree()
+	visits.Value = func(v rewire.NodeID, deg int, _ rewire.Attrs) float64 {
+		hist.Observe(int(v))
+		return float64(deg)
 	}
-	cost := client.UniqueQueries() // capture before any measurement reads
-	// Ideal stationary distribution: degree-proportional for the baselines,
-	// overlay-degree-proportional for MTO — reconstructed from the local
-	// graph plus the overlay's edge deltas so no extra queries are spent.
+	r, err := sess.Estimate(ctx, visits, rewire.EstimateOptions{
+		Samples:         cfg.Samples,
+		BurnIn:          true,
+		GewekeThreshold: cfg.GewekeThreshold,
+		MaxBurnInSteps:  cfg.MaxBurnIn,
+	})
+	if err != nil {
+		return Fig8Cell{}, fmt.Errorf("fig8 %s %v: %w", ds.Name, alg, err)
+	}
+	target := ds.Graph
+	if alg == rewire.AlgMTO {
+		// This crawls every node; the cell's cost was read before it.
+		if target, err = sess.MaterializeOverlay(); err != nil {
+			return Fig8Cell{}, err
+		}
+	}
 	ideal := make([]float64, n)
-	for v := 0; v < n; v++ {
-		ideal[v] = float64(ds.Graph.Degree(graph.NodeID(v)))
-	}
-	if s, ok := walker.(*core.Sampler); ok {
-		for _, k := range s.Overlay().RemovedEdges() {
-			u, v := k.Nodes()
-			ideal[u]--
-			ideal[v]--
-		}
-		for _, k := range s.Overlay().AddedEdges() {
-			u, v := k.Nodes()
-			ideal[u]++
-			ideal[v]++
-		}
+	for v := range ideal {
+		ideal[v] = float64(target.Degree(rewire.NodeID(v)))
 	}
 	// Finite samples cannot hit every node; smooth with mass 1/(10·samples).
 	eps := 1.0 / (10 * float64(cfg.Samples))
@@ -109,18 +97,18 @@ func measureBias(ds Dataset, alg string, cfg Fig8Config, r *rng.Rand) (Fig8Cell,
 		Dataset:   ds.Name,
 		Algorithm: alg,
 		KL:        kl,
-		QueryCost: cost,
-		BurnIn:    burn,
+		QueryCost: r.UniqueQueries,
+		BurnIn:    r.BurnInSteps,
 	}, nil
 }
 
 // Fig8 runs SRW vs MTO over the given datasets.
-func Fig8(datasets []Dataset, cfg Fig8Config, seed uint64) (Fig8Result, error) {
+func Fig8(ctx context.Context, datasets []dataset.Dataset, cfg Fig8Config, seed uint64) (Fig8Result, error) {
 	master := rng.New(seed)
 	var res Fig8Result
 	for _, ds := range datasets {
-		for _, alg := range []string{AlgSRW, AlgMTO} {
-			cell, err := measureBias(ds, alg, cfg, master.Split())
+		for _, alg := range []rewire.Algorithm{rewire.AlgSRW, rewire.AlgMTO} {
+			cell, err := measureBias(ctx, ds, alg, cfg, master.Uint64())
 			if err != nil {
 				return res, err
 			}
@@ -135,7 +123,7 @@ func (r Fig8Result) Render(w io.Writer) {
 	fmt.Fprintln(w, "Fig 8 — symmetric KL divergence and unique-query cost, SRW vs MTO")
 	tab := &Table{Header: []string{"dataset", "algorithm", "KL divergence", "query cost", "burn-in steps"}}
 	for _, c := range r.Cells {
-		tab.AddRow(c.Dataset, c.Algorithm, f4(c.KL), itoa(c.QueryCost), itoa(int64(c.BurnIn)))
+		tab.AddRow(c.Dataset, c.Algorithm.String(), f4(c.KL), itoa(c.QueryCost), itoa(int64(c.BurnIn)))
 	}
 	tab.Render(w)
 }
@@ -180,16 +168,16 @@ type Fig9Result struct {
 
 // Fig9 sweeps the Geweke threshold on one dataset (the paper uses
 // Slashdot B).
-func Fig9(ds Dataset, cfg Fig9Config, seed uint64) (Fig9Result, error) {
+func Fig9(ctx context.Context, ds dataset.Dataset, cfg Fig9Config, seed uint64) (Fig9Result, error) {
 	master := rng.New(seed)
 	res := Fig9Result{Dataset: ds.Name}
 	for _, th := range cfg.Thresholds {
 		f8 := Fig8Config{Samples: cfg.Samples, GewekeThreshold: th, MaxBurnIn: cfg.MaxBurnIn}
-		srw, err := measureBias(ds, AlgSRW, f8, master.Split())
+		srw, err := measureBias(ctx, ds, rewire.AlgSRW, f8, master.Uint64())
 		if err != nil {
 			return res, err
 		}
-		mto, err := measureBias(ds, AlgMTO, f8, master.Split())
+		mto, err := measureBias(ctx, ds, rewire.AlgMTO, f8, master.Uint64())
 		if err != nil {
 			return res, err
 		}
@@ -212,5 +200,3 @@ func (r Fig9Result) Render(w io.Writer) {
 	}
 	tab.Render(w)
 }
-
-var _ walk.Walker = (*core.Sampler)(nil)

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"rewire/internal/core"
+	"rewire/internal/dataset"
 	"rewire/internal/osn"
 	"rewire/internal/rng"
 )
@@ -62,7 +63,7 @@ type FleetResult struct {
 // dataset. Each mode gets a fresh service and client so the budgets are
 // independent; starts are identical across modes so both explore from the
 // same seeds.
-func FleetScaling(ds Dataset, cfg FleetConfig, seed uint64) *FleetResult {
+func FleetScaling(ds dataset.Dataset, cfg FleetConfig, seed uint64) *FleetResult {
 	res := &FleetResult{Dataset: ds.Name, Samples: cfg.Samples, GoMaxProcs: runtime.GOMAXPROCS(0)}
 	svcCfg := osn.Config{RealLatency: cfg.Latency}
 	for _, k := range cfg.Ks {

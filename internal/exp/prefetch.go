@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"rewire/internal/core"
+	"rewire/internal/dataset"
 	"rewire/internal/graph"
 	"rewire/internal/osn"
 	"rewire/internal/rng"
@@ -104,7 +105,7 @@ func (cfg PrefetchExpConfig) pool() osn.PrefetchConfig {
 }
 
 // RunPrefetchFleet measures one SRW-fleet strategy row.
-func RunPrefetchFleet(ds Dataset, cfg PrefetchExpConfig, strategy string, seed uint64) PrefetchRow {
+func RunPrefetchFleet(ds dataset.Dataset, cfg PrefetchExpConfig, strategy string, seed uint64) PrefetchRow {
 	svc := osn.NewService(ds.Graph, nil, osn.Config{RealLatency: cfg.Latency})
 	var client *osn.Client
 	if strategy == PrefetchNone {
@@ -133,7 +134,7 @@ func RunPrefetchFleet(ds Dataset, cfg PrefetchExpConfig, strategy string, seed u
 
 // RunPrefetchMTO measures the single-walker MTO workload with or without
 // pivot-candidate prefetch.
-func RunPrefetchMTO(ds Dataset, cfg PrefetchExpConfig, prefetch bool, seed uint64) PrefetchRow {
+func RunPrefetchMTO(ds dataset.Dataset, cfg PrefetchExpConfig, prefetch bool, seed uint64) PrefetchRow {
 	svc := osn.NewService(ds.Graph, nil, osn.Config{RealLatency: cfg.Latency})
 	var client *osn.Client
 	strategy := PrefetchNone
@@ -163,7 +164,7 @@ func RunPrefetchMTO(ds Dataset, cfg PrefetchExpConfig, prefetch bool, seed uint6
 
 // PrefetchScaling measures every configured strategy against its
 // no-prefetch reference on one dataset.
-func PrefetchScaling(ds Dataset, cfg PrefetchExpConfig, seed uint64) *PrefetchResult {
+func PrefetchScaling(ds dataset.Dataset, cfg PrefetchExpConfig, seed uint64) *PrefetchResult {
 	res := &PrefetchResult{Dataset: ds.Name, Cfg: cfg, GoMaxProcs: runtime.GOMAXPROCS(0)}
 	strategies := cfg.Strategies
 	if strategies == nil {

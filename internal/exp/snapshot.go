@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"rewire"
+	"rewire/internal/dataset"
 	"rewire/internal/osn"
 	"rewire/internal/rng"
 	"rewire/internal/walk"
@@ -30,7 +31,7 @@ type SnapshotColdRow struct {
 // (row clone included), not a cheaper look-alike. The write is setup, not
 // measurement. The unique-query bill is a deterministic function of the
 // seed — the CI gate pins it.
-func RunSnapshotCold(ctx context.Context, ds Dataset, samples int, seed uint64) (SnapshotColdRow, error) {
+func RunSnapshotCold(ctx context.Context, ds dataset.Dataset, samples int, seed uint64) (SnapshotColdRow, error) {
 	dir, err := os.MkdirTemp("", "rewire-snapbench-*")
 	if err != nil {
 		return SnapshotColdRow{}, err

@@ -3,6 +3,7 @@ package exp
 import (
 	"io"
 
+	"rewire/internal/dataset"
 	"rewire/internal/rng"
 )
 
@@ -40,7 +41,7 @@ func Table1(full bool, diameterSamples int, seed uint64) Table1Result {
 	}
 	res := Table1Result{Paper: PaperTable1()}
 	r := rng.New(seed)
-	for _, d := range Datasets(full) {
+	for _, d := range dataset.All(full) {
 		res.Rows = append(res.Rows, Table1Row{
 			Name:       d.Name,
 			Nodes:      d.Graph.NumNodes(),

@@ -4,6 +4,7 @@ import (
 	"os"
 	"time"
 
+	"rewire/internal/dataset"
 	"rewire/internal/durable"
 	"rewire/internal/osn"
 	"rewire/internal/rng"
@@ -37,7 +38,7 @@ type WarmStartRow struct {
 // the full client stack; the counters are deterministic functions of the
 // seed, so the CI gate pins ColdUnique within tolerance and WarmNew exactly
 // at zero.
-func RunWarmStart(ds Dataset, samples int, seed uint64) (WarmStartRow, error) {
+func RunWarmStart(ds dataset.Dataset, samples int, seed uint64) (WarmStartRow, error) {
 	dir, err := os.MkdirTemp("", "rewire-warmbench-*")
 	if err != nil {
 		return WarmStartRow{}, err

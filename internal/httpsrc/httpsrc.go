@@ -47,6 +47,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/url"
 	"slices"
@@ -569,6 +570,10 @@ func (b *Backend) Meta(ctx context.Context) (int, error) {
 	}
 	if err := json.Unmarshal(body, &meta); err != nil {
 		return 0, &ProtocolError{msg: fmt.Sprintf("malformed meta JSON: %v", err)}
+	}
+	if meta.NumUsers < 0 || meta.NumUsers > math.MaxInt32 {
+		// Node ids are int32; 0 still means "no count published".
+		return 0, &ProtocolError{msg: fmt.Sprintf("meta num_users %d outside [0, %d]", meta.NumUsers, math.MaxInt32)}
 	}
 	b.mu.Lock()
 	b.users = meta.NumUsers

@@ -904,6 +904,24 @@ func TestHTTPErrorMapping(t *testing.T) {
 	}
 }
 
+// TestSubmitRejectsOutOfRangeUserCount: a job naming a provider whose /meta
+// publishes a user count outside [0, MaxInt32] is refused with 400, where
+// it used to panic inside the POST /v1/jobs handler.
+func TestSubmitRejectsOutOfRangeUserCount(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	for _, n := range []int64{-5, 1 << 62} {
+		provider := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+			fmt.Fprintf(w, `{"num_users":%d}`, n)
+		}))
+		body := fmt.Sprintf(`{"backend": %q, "samples": 10}`, provider.URL+"?retries=1")
+		code, data := request(t, http.MethodPost, ts.URL+"/v1/jobs", body)
+		provider.Close()
+		if code != http.StatusBadRequest {
+			t.Fatalf("num_users %d: submit answered %d (%s), want 400", n, code, data)
+		}
+	}
+}
+
 // TestOversizedBodiesRejected: both POST decoders read through a size cap
 // and answer 413 when a body exceeds it, while normal bodies still decode.
 func TestOversizedBodiesRejected(t *testing.T) {

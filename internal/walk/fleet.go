@@ -28,8 +28,8 @@ type Sample struct {
 // way the follow-up OSN-sampling work (Nazi et al.; Zhou et al.) argues it
 // should be, with every walker sharing the discovered topology and the query
 // budget of the common source. A caller that needs a deterministic
-// one-goroutine schedule instead (estimate.RunSession) steps Members()
-// round-robin itself, between runs.
+// one-goroutine schedule instead (the estimation loop in internal/estimate)
+// steps Members() round-robin itself, between runs.
 //
 // Each member's own state (position, RNG, rewiring bookkeeping) must be
 // confined to one goroutine — Fleet guarantees that by never stepping a

@@ -91,6 +91,11 @@ func newSession(src Source, cfg config) (*Session, error) {
 		k = 1
 	}
 	n := src.NumUsers()
+	if n < 0 || n > math.MaxInt32 {
+		// NodeID is int32; a count outside its range can only come from a
+		// misbehaving provider, and SpreadStarts would size a buffer by it.
+		return nil, fmt.Errorf("rewire: source publishes %d users, outside [0, %d]", n, math.MaxInt32)
+	}
 	if n == 0 {
 		// A backend without the UserCounter capability (or an empty source)
 		// publishes no ID space: starts cannot be spread or range-validated,
@@ -404,9 +409,9 @@ func (s *Session) Samples(ctx context.Context, total int) ([]Sample, error) {
 
 // Attrs carries the published per-user attributes an Aggregate may consume.
 // No built-in Source publishes attributes — every backend answers with
-// neighbor lists only — so Session.Estimate hands aggregates zero Attrs;
-// attribute aggregates are computed over a walk driven directly against an
-// attribute table (see examples/gplus).
+// neighbor lists only — so Session.Estimate hands aggregates zero Attrs. An
+// attribute aggregate closes over its attribute table instead and reads it
+// by the sampled user v in its Value function (see examples/gplus).
 type Attrs = estimate.Attrs
 
 // Aggregate is a per-user quantity being averaged over the network, e.g.
@@ -447,7 +452,16 @@ type Result struct {
 	// UniqueQueries is the backend's ledger after the run (0 for free graph
 	// backends).
 	UniqueQueries int64
+	// Trajectory is the running estimate against the ledger across the
+	// sampling phase: at most a few hundred points, evenly spaced in
+	// samples, the last one (UniqueQueries, Estimate). Its costs are all 0
+	// over free graph backends.
+	Trajectory []TrajectoryPoint
 }
+
+// TrajectoryPoint is one (unique-query cost, running estimate) observation
+// of a Result's trajectory.
+type TrajectoryPoint = estimate.TrajectoryPoint
 
 // Estimate runs the paper's estimation protocol under ctx: optional
 // Geweke-monitored burn-in, then importance-weighted sampling of agg, the
@@ -473,7 +487,7 @@ func (s *Session) Estimate(ctx context.Context, agg Aggregate, opt EstimateOptio
 		}
 		monitor = diag.NewGeweke(threshold, 200)
 	}
-	var cost estimate.CostFunc
+	cost := func() int64 { return 0 } // graph backends are free
 	if s.provider != nil {
 		cost = s.provider.UniqueQueries
 	}
@@ -486,9 +500,6 @@ func (s *Session) Estimate(ctx context.Context, agg Aggregate, opt EstimateOptio
 		MaxBurnInSteps: opt.MaxBurnInSteps,
 		Samples:        opt.Samples,
 		Thinning:       opt.Thinning,
-		// Only the final estimate is reported, so record no trajectory points
-		// (each would cost an append and a ledger read per sample).
-		RecordEvery: math.MaxInt,
 		Stop: func() bool {
 			select {
 			case <-done:
@@ -504,9 +515,7 @@ func (s *Session) Estimate(ctx context.Context, agg Aggregate, opt EstimateOptio
 		BurnInSteps:   res.BurnInSteps,
 		Converged:     res.BurnInConverged,
 		UniqueQueries: res.FinalCost,
-	}
-	if s.provider == nil {
-		out.UniqueQueries = 0 // FinalCost fell back to step counting
+		Trajectory:    res.Trajectory,
 	}
 	runErr = s.abortErr(ctx)
 	return out, runErr

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"rewire"
+	"rewire/internal/estimate"
 )
 
 func TestSessionStreamDrainsBudget(t *testing.T) {
@@ -173,6 +174,67 @@ func TestSessionEstimateOverProvider(t *testing.T) {
 		if res.UniqueQueries <= 0 || res.UniqueQueries != osn.UniqueQueries() {
 			t.Fatalf("%v: result cost %d, provider ledger %d", alg, res.UniqueQueries, osn.UniqueQueries())
 		}
+	}
+}
+
+// TestEstimateTrajectory: however long the run, a Result's trajectory keeps
+// at most estimate.MaxTrajectoryPoints points, its costs never fall, and it
+// ends at (UniqueQueries, Estimate). Recording it leaves the estimate's bits
+// equal to the importance-weighted mean of the same seed's samples drawn by
+// Stream.
+func TestEstimateTrajectory(t *testing.T) {
+	ctx := context.Background()
+	g, err := rewire.SocialGraph(600, 2400, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name    string
+		src     func() rewire.Source
+		alg     rewire.Algorithm
+		samples int
+	}{
+		{"graph/SRW", func() rewire.Source { return rewire.GraphSource(g) }, rewire.AlgSRW, 100_000},
+		{"graph/MTO", func() rewire.Source { return rewire.GraphSource(g) }, rewire.AlgMTO, 100_000},
+		{"provider/MTO", func() rewire.Source { return rewire.Simulate(g, rewire.Limits{}) }, rewire.AlgMTO, 20_000},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			newSession := func() *rewire.Session {
+				s, err := rewire.NewSession(tc.src(), rewire.WithAlgorithm(tc.alg), rewire.WithSeed(7))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return s
+			}
+			r, err := newSession().Estimate(ctx, rewire.AvgDegree(), rewire.EstimateOptions{Samples: tc.samples})
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr := r.Trajectory
+			if len(tr) == 0 || len(tr) > estimate.MaxTrajectoryPoints {
+				t.Fatalf("%d points, want 1..%d", len(tr), estimate.MaxTrajectoryPoints)
+			}
+			if last := tr[len(tr)-1]; last != (rewire.TrajectoryPoint{Cost: r.UniqueQueries, Estimate: r.Estimate}) {
+				t.Fatalf("last point %+v, want (%d, %v)", last, r.UniqueQueries, r.Estimate)
+			}
+			for i := 1; i < len(tr); i++ {
+				if tr[i].Cost < tr[i-1].Cost {
+					t.Fatalf("cost falls from %d to %d at point %d", tr[i-1].Cost, tr[i].Cost, i)
+				}
+			}
+			var want estimate.ImportanceSampler
+			for smp, err := range newSession().Stream(ctx, tc.samples) {
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := want.Add(float64(g.Degree(smp.Node)), smp.Weight); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if math.Float64bits(r.Estimate) != math.Float64bits(want.Estimate()) {
+				t.Fatalf("Estimate %v, Stream's samples weigh to %v", r.Estimate, want.Estimate())
+			}
+		})
 	}
 }
 
