@@ -236,6 +236,34 @@ func BenchmarkFleetSequentialK1(b *testing.B)  { benchFleetSamples(b, 1, false) 
 func BenchmarkFleetSequentialK4(b *testing.B)  { benchFleetSamples(b, 4, false) }
 func BenchmarkFleetSequentialK16(b *testing.B) { benchFleetSamples(b, 16, false) }
 
+// BenchmarkStreamFleetK2 measures a racing fleet's hand-off: a 2-walker
+// SRW fleet streaming through Session.Stream over a free in-memory graph, so
+// the time is the walk step plus getting each sample to the consumer. One op
+// is one sample: ns/op and allocs/op are per sample.
+func BenchmarkStreamFleetK2(b *testing.B) {
+	g, err := rewire.PresetGraph("Epinions", false)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sess, err := rewire.NewSession(rewire.GraphSource(g), rewire.WithAlgorithm(rewire.AlgSRW),
+		rewire.WithFleet(2), rewire.WithSeed(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	n := 0
+	for _, err := range sess.Stream(context.Background(), b.N) {
+		if err != nil {
+			b.Fatal(err)
+		}
+		n++
+	}
+	if n != b.N {
+		b.Fatalf("streamed %d samples, want %d", n, b.N)
+	}
+}
+
 // --- Prefetch pipeline -------------------------------------------------------
 
 // benchFleetPrefetch draws a fixed partitioned sample budget with a k-member

@@ -29,17 +29,25 @@ func NewFleet(src walk.Source, starts []graph.NodeID, cfg Config, r *rng.Rand) (
 // ID space (distinct as long as k <= n), the recommended fleet seeding: the
 // whole point of many walks is to begin in many places. The starts are
 // exactly r.Perm(n)[:k], and r is left in the state r.Perm(n) leaves it in,
-// but no |V|-sized buffer is allocated per call: the shuffle runs over a
-// pooled one.
+// but no |V|-sized buffer is allocated per call: the shuffle runs over one of
+// a few shared buffers, and only a call that finds them all in use by
+// concurrent ones allocates its own.
 func SpreadStarts(k, n int, r *rng.Rand) []graph.NodeID {
 	if k > n {
 		k = n
 	}
-	buf, _ := permPool.Get().(*[]graph.NodeID)
-	if buf == nil {
-		buf = new([]graph.NodeID)
+	var perm []graph.NodeID
+	for i := range permBufs {
+		if b := &permBufs[i]; b.TryLock() {
+			defer b.Unlock()
+			b.buf = slices.Grow(b.buf[:0], n)
+			perm = b.buf[:n]
+			break
+		}
 	}
-	perm := slices.Grow((*buf)[:0], n)[:n]
+	if perm == nil {
+		perm = make([]graph.NodeID, n)
+	}
 	for i := range perm {
 		perm[i] = graph.NodeID(i)
 	}
@@ -50,11 +58,15 @@ func SpreadStarts(k, n int, r *rng.Rand) []graph.NodeID {
 	}
 	starts := make([]graph.NodeID, k)
 	copy(starts, perm)
-	*buf = perm
-	permPool.Put(buf)
 	return starts
 }
 
-// permPool recycles SpreadStarts' shuffle buffers, so starting a session
-// costs no garbage proportional to the graph.
-var permPool sync.Pool
+// permBufs are SpreadStarts' shared shuffle buffers, each taken with TryLock
+// so a caller never waits for one. Unlike a sync.Pool's per-P slots, which a
+// goroutine on another P cannot reach and the GC clears, they stay warm for
+// every caller in the process. Four cover the sessions a serving daemon
+// starts at once; each holds the largest ID space it has shuffled.
+var permBufs [4]struct {
+	sync.Mutex
+	buf []graph.NodeID
+}

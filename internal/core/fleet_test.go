@@ -3,6 +3,7 @@ package core
 import (
 	"runtime"
 	"slices"
+	"sync"
 	"testing"
 
 	"rewire/internal/graph"
@@ -34,15 +35,39 @@ func TestSpreadStartsMatchesPerm(t *testing.T) {
 	}
 }
 
+// TestSpreadStartsConcurrent: eight callers racing for the four shared
+// shuffle buffers (a caller that finds all in use shuffles one of its own)
+// still get exactly r.Perm's starts and generator state.
+func TestSpreadStartsConcurrent(t *testing.T) {
+	var wg sync.WaitGroup
+	for g := range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range 20 {
+				n, seed := 1000+g*97+i, uint64(g*100+i)
+				got, ref := rng.New(seed), rng.New(seed)
+				starts := SpreadStarts(4, n, got)
+				perm := ref.Perm(n)
+				for j, s := range starts {
+					if int(s) != perm[j] {
+						t.Errorf("n=%d seed=%d: start %d is %d, want %d", n, seed, j, s, perm[j])
+						return
+					}
+				}
+				if got.State() != ref.State() {
+					t.Errorf("n=%d seed=%d: generator state differs from r.Perm's", n, seed)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 // TestSpreadStartsAllocation bounds a warm call's garbage far below a
 // |V|-sized permutation (about 570 KB as r.Perm's []int at this size).
 func TestSpreadStartsAllocation(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector makes sync.Pool drop puts at random")
-	}
-	// One P, as testing.AllocsPerRun does: sync.Pool caches per P, so a
-	// goroutine moved to another P between calls would miss its buffer.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	const n, calls = 70999, 20
 	r := rng.New(1)
 	SpreadStarts(4, n, r) // warm the pool

@@ -22,6 +22,10 @@
 //	                  explicit ledger totals and budgets
 //	LOCK              flock'd while a process has the cache open
 //
+// Closing the cache abandons a compaction in flight rather than waiting for
+// it: the fold stops at its next check and deletes its temp file, and the
+// manifest still names the previous generation.
+//
 // Recovery invariants: an append that returned success is never lost short
 // of media failure (with Options.Fsync, not even then); a torn tail on the
 // ACTIVE segment is truncated silently (the interrupted append was never
@@ -49,8 +53,9 @@ type Options struct {
 	// rotation cost.
 	SegmentBytes int64
 	// CompactSegments triggers background compaction once this many sealed
-	// segments accumulate (default 4; negative disables the background
-	// compactor — Compact still works when called explicitly).
+	// segments accumulate beyond those a compaction in flight is folding
+	// (default 4; negative disables the background compactor — Compact still
+	// works when called explicitly).
 	CompactSegments int
 	// Fsync forces an fsync after every appended record. Off by default:
 	// appends are single write syscalls, so acknowledged records survive
@@ -107,6 +112,7 @@ type Cache struct {
 	snap        *graph.Snapshot
 	oldSnaps    []*graph.Snapshot // superseded generations, kept mapped until Close (clients alias their rows)
 	compacting  bool
+	folding     int // sealed segments the compaction in flight folds
 	attached    bool
 	compactions int64
 	appends     int64
@@ -123,6 +129,10 @@ type Cache struct {
 	// afterFold, when set, runs between a compaction's fold and its manifest
 	// swap, so tests can race Close against a compaction in flight.
 	afterFold func()
+	// foldRows, when set, runs in fold's row loop every foldPollEvery rows
+	// with the rows appended so far and the total, just before the fold
+	// checks for Close, so tests can park a fold mid-way.
+	foldRows func(done, total int)
 }
 
 // Open opens (creating if needed) the cache directory at dir, recovers its
@@ -414,7 +424,11 @@ func (c *Cache) append(r Record) error {
 			c.werr = err
 			return c.werr
 		}
-		if c.opt.CompactSegments > 0 && len(c.man.Segments)-1 >= c.opt.CompactSegments {
+		// Segments the compaction in flight is folding stay in the manifest
+		// until its swap; counting them would queue a second compaction for
+		// every seal during the fold, rewriting the snapshot for one or two
+		// new segments.
+		if c.opt.CompactSegments > 0 && len(c.man.Segments)-1-c.folding >= c.opt.CompactSegments {
 			select {
 			case c.trigger <- struct{}{}:
 			default:
@@ -475,10 +489,12 @@ func (c *Cache) Stats() Stats {
 }
 
 // Close stops the compactor, seals the active segment, releases the snapshot
-// mappings and the directory lock. Cached neighbor rows seeded from the
-// snapshot are views into the mappings and die with them: close the cache
-// only when its client is done. Idempotent; returns the first error,
-// including any background compaction failure.
+// mappings and the directory lock. A background compaction in flight is
+// abandoned at its fold's next check, not waited for (see Compact), and is
+// not an error. Cached neighbor rows seeded from the snapshot are views into
+// the mappings and die with them: close the cache only when its client is
+// done. Idempotent; returns the first error, including any earlier
+// background compaction failure.
 func (c *Cache) Close() error {
 	c.mu.Lock()
 	if c.closed {

@@ -10,9 +10,13 @@ import (
 )
 
 // errClosed reports an operation on a closed cache. A background compaction
-// that Close overtakes also ends with it: its files are debris for the next
-// open to prune, not a failure.
+// that Close overtakes also ends with it (as errClosedDuringCompaction): its
+// files are debris for the next open to prune, not a failure.
 var errClosed = errors.New("durable: cache closed")
+
+// errClosedDuringCompaction ends a compaction that Close overtook, whether
+// mid-fold or between the fold and the manifest swap.
+var errClosedDuringCompaction = fmt.Errorf("%w during compaction", errClosed)
 
 // compactorLoop is the background half of compaction: it waits for append to
 // signal that enough sealed segments have accumulated, folds them, and goes
@@ -48,6 +52,12 @@ func (c *Cache) compactorLoop() {
 // generation (new files become debris, pruned at open) or the new one
 // (folded files become debris). Safe to call concurrently; a second call
 // while one runs is a no-op.
+//
+// Close overtakes a compaction in flight: the fold stops at its next check
+// (between segments, every foldPollEvery records or rows, before each
+// commit), removes its temp file, and Compact returns errClosed wrapped as
+// "during compaction". The manifest is never swapped, so the previous
+// generation and the sealed segments stay authoritative.
 func (c *Cache) Compact() error {
 	c.mu.Lock()
 	if c.closed {
@@ -67,6 +77,7 @@ func (c *Cache) Compact() error {
 	defer func() {
 		c.mu.Lock()
 		c.compacting = false
+		c.folding = 0
 		c.mu.Unlock()
 	}()
 	gen := c.man.Gen
@@ -84,6 +95,7 @@ func (c *Cache) Compact() error {
 		}
 	}
 	sealed := append([]uint64(nil), c.man.Segments[:len(c.man.Segments)-1]...)
+	c.folding = len(sealed)
 	snap := c.snap
 	oldSnapName, oldMetaName := c.man.Snapshot, c.man.Meta
 	c.mu.Unlock()
@@ -104,7 +116,7 @@ func (c *Cache) Compact() error {
 	if c.closed {
 		// Close won the race; the new generation's files are debris for the
 		// next open to prune.
-		return fmt.Errorf("%w during compaction", errClosed)
+		return errClosedDuringCompaction
 	}
 	man := c.man
 	man.Gen = newGen
@@ -152,9 +164,29 @@ func (c *Cache) Compact() error {
 	return nil
 }
 
+// foldPollEvery is how many replayed records or appended rows fold handles
+// between checks for Close.
+const foldPollEvery = 4096
+
+// stopping reports whether Close has begun.
+func (c *Cache) stopping() bool {
+	select {
+	case <-c.stop:
+		return true
+	default:
+		return false
+	}
+}
+
 // fold builds generation newGen on disk: old meta + old snapshot rows +
 // sealed segments → snap-<gen>.csr + meta-<gen>.bin, both committed with
 // fsync'd renames. No cache state is touched — the caller swaps the manifest.
+//
+// Close abandons a fold in flight: fold checks for it between segments,
+// every foldPollEvery records and rows, and before each commit, and then
+// removes its temp file and returns errClosedDuringCompaction. The manifest
+// still names the previous generation, so nothing is lost; a snapshot
+// committed before the check is debris the next open prunes.
 func (c *Cache) fold(newGen uint64, sealed []uint64, snap *graph.Snapshot, oldMetaName string) error {
 	base := newMetaState()
 	if oldMetaName != "" {
@@ -167,12 +199,19 @@ func (c *Cache) fold(newGen uint64, sealed []uint64, snap *graph.Snapshot, oldMe
 		}
 	}
 	walRows := make(map[graph.NodeID][]graph.NodeID)
+	replayed := 0
 	for _, seq := range sealed {
+		if c.stopping() {
+			return errClosedDuringCompaction
+		}
 		data, err := os.ReadFile(filepath.Join(c.dir, segmentName(seq)))
 		if err != nil {
 			return fmt.Errorf("durable: reading segment for fold: %w", err)
 		}
 		if _, err := replaySegment(data, false, func(r Record) error {
+			if replayed++; replayed%foldPollEvery == 0 && c.stopping() {
+				return errClosedDuringCompaction
+			}
 			base.apply(r)
 			switch r.Type {
 			case recFetch:
@@ -182,6 +221,9 @@ func (c *Cache) fold(newGen uint64, sealed []uint64, snap *graph.Snapshot, oldMe
 			}
 			return nil
 		}); err != nil {
+			if errors.Is(err, errClosed) {
+				return err
+			}
 			return fmt.Errorf("durable: folding %s: %w", segmentName(seq), err)
 		}
 	}
@@ -195,34 +237,45 @@ func (c *Cache) fold(newGen uint64, sealed []uint64, snap *graph.Snapshot, oldMe
 	if err != nil {
 		return fmt.Errorf("durable: creating snapshot temp: %w", err)
 	}
-	app, err := graph.NewSnapshotAppender(f, numNodes)
-	if err != nil {
+	abandon := func(err error) error {
 		f.Close()
 		os.Remove(f.Name())
 		return err
 	}
-	for _, id := range ids {
+	app, err := graph.NewSnapshotAppender(f, numNodes)
+	if err != nil {
+		return abandon(err)
+	}
+	for i, id := range ids {
+		if i%foldPollEvery == 0 {
+			if c.foldRows != nil {
+				c.foldRows(i, len(ids))
+			}
+			if c.stopping() {
+				return abandon(errClosedDuringCompaction)
+			}
+		}
 		nbrs, ok := walRows[id]
 		if !ok {
 			if nbrs, err = snap.Neighbors(id); err != nil {
-				f.Close()
-				os.Remove(f.Name())
-				return fmt.Errorf("durable: folding snapshot row %d: %w", id, err)
+				return abandon(fmt.Errorf("durable: folding snapshot row %d: %w", id, err))
 			}
 		}
 		if err := app.Append(id, nbrs); err != nil {
-			f.Close()
-			os.Remove(f.Name())
-			return err
+			return abandon(err)
 		}
 	}
 	if err := app.Finish(); err != nil {
-		f.Close()
-		os.Remove(f.Name())
-		return err
+		return abandon(err)
+	}
+	if c.stopping() {
+		return abandon(errClosedDuringCompaction)
 	}
 	if err := CommitFile(f, filepath.Join(c.dir, snapName(newGen))); err != nil {
 		return err
+	}
+	if c.stopping() {
+		return errClosedDuringCompaction
 	}
 	return WriteFileAtomic(filepath.Join(c.dir, metaName(newGen)), encodeMeta(base), 0o644)
 }

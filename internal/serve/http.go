@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net"
 	"net/http"
 	"strconv"
 
@@ -111,6 +112,8 @@ func httpError(w http.ResponseWriter, err error) {
 		code = http.StatusServiceUnavailable
 	case errors.Is(err, errTenantBusy):
 		code = http.StatusTooManyRequests
+	case providerFault(err):
+		code = http.StatusBadGateway
 	case errors.Is(err, rewire.ErrUnknownDriver),
 		errors.Is(err, rewire.ErrCheckpointVersion):
 		code = http.StatusBadRequest
@@ -153,7 +156,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	id, err := s.Submit(r.Context(), spec)
 	if err != nil {
-		if _, bad := validationError(err); bad {
+		if validationError(err) {
 			writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
 			return
 		}
@@ -164,14 +167,25 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 }
 
 // validationError reports whether err is a spec/session validation failure
-// (client's fault) rather than a serving-layer fault.
-func validationError(err error) (error, bool) {
+// (client's fault) rather than a serving-layer or provider fault.
+func validationError(err error) bool {
 	switch {
 	case errors.Is(err, errDraining), errors.Is(err, errTenantBusy),
-		errors.Is(err, errNoSuchJob), errors.Is(err, errWrongState):
-		return err, false
+		errors.Is(err, errNoSuchJob), errors.Is(err, errWrongState),
+		providerFault(err):
+		return false
 	}
-	return err, true
+	return true
+}
+
+// providerFault reports whether err is the provider's fault: an answer that
+// breaks the protocol (a published user count outside the ID space among
+// them), or a provider that refused the connection or did not answer in
+// time.
+func providerFault(err error) bool {
+	var protocol *httpsrc.ProtocolError
+	var transport net.Error
+	return errors.As(err, &protocol) || errors.As(err, &transport)
 }
 
 func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {

@@ -905,10 +905,11 @@ func TestHTTPErrorMapping(t *testing.T) {
 }
 
 // TestSubmitRejectsOutOfRangeUserCount: a job naming a provider whose /meta
-// publishes a user count outside [0, MaxInt32] is refused with 400, where
-// it used to panic inside the POST /v1/jobs handler.
+// publishes a user count outside [0, MaxInt32] is refused with 502 Bad
+// Gateway — the provider broke the protocol, not the client's spec — where
+// it used to panic inside the POST /v1/jobs handler. No job is created.
 func TestSubmitRejectsOutOfRangeUserCount(t *testing.T) {
-	_, ts := newTestServer(t, Options{})
+	s, ts := newTestServer(t, Options{})
 	for _, n := range []int64{-5, 1 << 62} {
 		provider := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 			fmt.Fprintf(w, `{"num_users":%d}`, n)
@@ -916,9 +917,32 @@ func TestSubmitRejectsOutOfRangeUserCount(t *testing.T) {
 		body := fmt.Sprintf(`{"backend": %q, "samples": 10}`, provider.URL+"?retries=1")
 		code, data := request(t, http.MethodPost, ts.URL+"/v1/jobs", body)
 		provider.Close()
-		if code != http.StatusBadRequest {
-			t.Fatalf("num_users %d: submit answered %d (%s), want 400", n, code, data)
+		if code != http.StatusBadGateway {
+			t.Fatalf("num_users %d: submit answered %d (%s), want 502", n, code, data)
 		}
+	}
+	if n := len(s.jobList()); n != 0 {
+		t.Fatalf("%d jobs created for a misbehaving provider", n)
+	}
+}
+
+// TestSubmitUnreachableProvider: a job naming a provider that refuses the
+// connection is refused with 502 Bad Gateway, and a spec the server itself
+// rejects is still a 400.
+func TestSubmitUnreachableProvider(t *testing.T) {
+	s, ts := newTestServer(t, Options{})
+	gone := httptest.NewServer(http.NotFoundHandler())
+	url := gone.URL
+	gone.Close()
+	body := fmt.Sprintf(`{"backend": %q, "samples": 10}`, url+"?retries=1")
+	if code, data := request(t, http.MethodPost, ts.URL+"/v1/jobs", body); code != http.StatusBadGateway {
+		t.Fatalf("refused provider: submit answered %d (%s), want 502", code, data)
+	}
+	if code, data := request(t, http.MethodPost, ts.URL+"/v1/jobs", `{"backend": "mem:barbell?n=20", "samples": -1}`); code != http.StatusBadRequest {
+		t.Fatalf("negative samples: submit answered %d (%s), want 400", code, data)
+	}
+	if n := len(s.jobList()); n != 0 {
+		t.Fatalf("%d jobs created by refused submits", n)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"testing"
+	"time"
 
 	"rewire/internal/gen"
 	"rewire/internal/graph"
@@ -130,5 +131,128 @@ func TestFleetDropsFailedWeightRead(t *testing.T) {
 	}
 	if got := NewFleet(&weightFailer{}).SamplesPartitioned(5); len(got) != 0 {
 		t.Errorf("partitioned fleet emitted %+v from a failed weight read", got)
+	}
+}
+
+// counted counts the steps its walker takes. Only the member's goroutine
+// touches steps; the test reads it after the stream has ended.
+type counted struct {
+	Walker
+	steps int
+}
+
+func (c *counted) Step() graph.NodeID {
+	c.steps++
+	return c.Walker.Step()
+}
+
+// countedFleet builds k counted SRW members on a cycle served by src.
+func countedFleet(k int, src Source) (*Fleet, []*counted) {
+	r := rng.New(5)
+	cs := make([]*counted, k)
+	members := make([]Walker, k)
+	for i := range cs {
+		cs[i] = &counted{Walker: NewSimple(src, graph.NodeID(i*25), r.Split())}
+		members[i] = cs[i]
+	}
+	return NewFleet(members...), cs
+}
+
+// TestFleetQuiesceDeliversEverySample: a quiesced run hands over each
+// member's partial block before the member retires, so every sample a
+// member stepped reaches the consumer. At 100 µs a step, a member flushes
+// about ten samples a block, so it is mid-block when the quiesce lands.
+func TestFleetQuiesceDeliversEverySample(t *testing.T) {
+	f, cs := countedFleet(4, slowSource{Source: gen.Cycle(100), latency: 100 * time.Microsecond})
+	samples, stop := f.StreamContext(context.Background(), 1<<30)
+	defer stop()
+	got := make([]int, len(cs))
+	n := 0
+	for s := range samples {
+		got[s.Walker]++
+		if n++; n == 300 {
+			f.Quiesce()
+		}
+	}
+	for i, c := range cs {
+		if got[i] != c.steps {
+			t.Errorf("member %d stepped %d times but delivered %d samples", i, c.steps, got[i])
+		}
+	}
+}
+
+// slowSource answers every neighbor query after a fixed latency.
+type slowSource struct {
+	Source
+	latency time.Duration
+}
+
+func (s slowSource) Neighbors(v graph.NodeID) []graph.NodeID {
+	time.Sleep(s.latency)
+	return s.Source.Neighbors(v)
+}
+
+// TestFleetStreamsSlowSourcePerSample: over a source with 2 ms latency a
+// member hands over its first sample as soon as the flush bound has passed,
+// long before a block could fill (blockSize steps of 2 ms each).
+func TestFleetStreamsSlowSourcePerSample(t *testing.T) {
+	const latency = 2 * time.Millisecond
+	src := slowSource{Source: gen.Cycle(100), latency: latency}
+	f := NewFleetSimple(src, []graph.NodeID{0, 50}, rng.New(3))
+	t0 := time.Now()
+	samples, stop := f.StreamContext(context.Background(), 1000)
+	for range samples {
+		break
+	}
+	first := time.Since(t0)
+	stop()
+	for range samples { // wait for both members to retire
+	}
+	if full := blockSize * latency; first >= full {
+		t.Fatalf("first sample took %v, as long as filling a block (%v)", first, full)
+	}
+}
+
+// TestFleetStopRetiresWithinOneBlock: after stop every member retires, and
+// each stepped at most one block past what the consumer received.
+func TestFleetStopRetiresWithinOneBlock(t *testing.T) {
+	f, cs := countedFleet(4, gen.Cycle(100))
+	samples, stop := f.StreamContext(context.Background(), 1<<30)
+	got := make([]int, len(cs))
+	n := 0
+	for s := range samples {
+		got[s.Walker]++
+		if n++; n == 5000 {
+			stop()
+		}
+	}
+	for i, c := range cs {
+		if lag := c.steps - got[i]; lag < 0 || lag > blockSize {
+			t.Errorf("member %d stepped %d times, delivered %d: %d undelivered, want 0..%d",
+				i, c.steps, got[i], lag, blockSize)
+		}
+	}
+}
+
+// TestFleetStreamAllocsPerSample: in steady state a zero-latency SRW fleet
+// stream allocates nothing per sample — blocks are recycled — so a run 200
+// blocks long allocates no more than a one-block run.
+func TestFleetStreamAllocsPerSample(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	f := NewFleetSimple(gen.Cycle(1000), []graph.NodeID{0, 500}, rng.New(1))
+	allocs := func(total int) float64 {
+		return testing.AllocsPerRun(20, func() {
+			samples, stop := f.StreamContext(context.Background(), total)
+			for range samples {
+			}
+			stop()
+		})
+	}
+	short, long := allocs(blockSize), allocs(200*blockSize)
+	if long > short {
+		t.Fatalf("a %d-sample run allocates %v times, a %d-sample run %v: %.4f allocations per extra sample",
+			200*blockSize, long, blockSize, short, (long-short)/float64(199*blockSize))
 	}
 }

@@ -340,9 +340,16 @@ func (s *Session) abortErr(ctx context.Context) error {
 //
 // Fleet members race for the shared budget (WithPartitionedBudget splits it
 // instead); merged arrival order is nondeterministic, but each member's own
-// subsequence is a faithful trajectory. Whatever ends the loop — completion,
-// break, cancellation — every walker goroutine has exited by the time the
-// range statement returns, and the session is immediately reusable.
+// subsequence is a faithful trajectory. Members hand samples over in blocks
+// of up to 64, or once 1 ms has passed since a block's first step, so
+// consecutive samples usually come from one member, and a slow source still
+// streams sample by sample. Whatever ends the loop — completion, break,
+// cancellation — every walker goroutine has exited by the time the range
+// statement returns, and the session is immediately reusable. A break drops
+// what the fleet had stepped but not yet yielded: the rest of the block
+// being yielded, up to k blocks queued for the consumer, and each member's
+// open block — at most (2k+1)·64 samples over a fleet of k. Pause drops
+// nothing: every stepped sample is yielded before the run ends.
 func (s *Session) Stream(ctx context.Context, total int) iter.Seq2[Sample, error] {
 	return func(yield func(Sample, error) bool) {
 		if total < 0 {
@@ -355,7 +362,7 @@ func (s *Session) Stream(ctx context.Context, total int) iter.Seq2[Sample, error
 		}
 		var runErr error
 		defer func() { s.finish(runErr) }()
-		var stream <-chan Sample
+		var stream iter.Seq[Sample]
 		var stop func()
 		if s.cfg.partitioned {
 			stream, stop = s.fleet.StreamPartitionedContext(ctx, total)
