@@ -178,6 +178,46 @@ func TestBatchingOversizedFetchChunksInOrder(t *testing.T) {
 	}
 }
 
+// TestBatchingChunksToProviderLimit: the http driver sends each Fetch as
+// one request, so WithBatching is the one chunker. Over a provider that
+// rejects more than 3 ids per request, a bare 7-id Fetch fails in one
+// request, and MaxBatch 3 resolves the same ids in ceil(7/3) = 3.
+func TestBatchingChunksToProviderLimit(t *testing.T) {
+	ctx := context.Background()
+	g := Barbell(6)
+	srv := httptest.NewServer(httpsrc.Handler(g, httpsrc.ServerOptions{MaxIDsPerRequest: 3}))
+	defer srv.Close()
+	be, err := OpenBackend(ctx, srv.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := WithBatching(be, BatchingOptions{MaxBatch: 3, MaxWait: time.Millisecond})
+	defer closeBackend(b)
+	hs, ok := BackendAs[interface{ Stats() httpsrc.Stats }](b)
+	if !ok {
+		t.Fatal("http driver statistics not reachable through the stack")
+	}
+	ids := []NodeID{0, 1, 2, 3, 4, 5, 6}
+	if _, err := be.Fetch(ctx, ids); err == nil {
+		t.Fatal("a 7-id Fetch past the provider's 3-id limit succeeded")
+	}
+	if st := hs.Stats(); st.BatchPosts != 1 {
+		t.Fatalf("a bare Fetch took %d requests, want 1", st.BatchPosts)
+	}
+	lists, err := b.Fetch(ctx, ids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range ids {
+		if !slices.Equal(lists[i], g.Neighbors(v)) {
+			t.Fatalf("lists[%d] = %v, want %v", i, lists[i], g.Neighbors(v))
+		}
+	}
+	if st := hs.Stats(); st.BatchPosts != 1+3 {
+		t.Fatalf("the batched Fetch took %d requests, want 3", st.BatchPosts-1)
+	}
+}
+
 // TestBatchingMaxWaitFlushesBehindInflight: while a dispatch is in flight,
 // newly accumulated demand must not wait for it longer than MaxWait — the
 // timer flushes the window alongside.

@@ -169,8 +169,9 @@ func (s *Session) Checkpoint(ctx context.Context) ([]byte, error) {
 // An envelope whose overlay disagrees with its algorithm — an MTO chain
 // without one, any other chain with one — is rejected. Bytes from an
 // incompatible envelope version fail with ErrCheckpointVersion. Version 1 envelopes that carry the retired "shards"
-// key, or Algorithm 1 settings under "core", still resume: the reader
-// ignores those keys, since the sampler fixes those settings.
+// key, Algorithm 1 settings under "core", or TopK, Queue or Budget under
+// "prefetch" still resume: the reader ignores those keys, since the sampler
+// and the prefetch pool fix or drop those settings.
 func Resume(ctx context.Context, data []byte, opts ...Option) (*Session, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err

@@ -379,10 +379,8 @@ type envelopePatch struct {
 // hostileEnvelopes are checkpoint envelopes that once crashed or hung the
 // process inside Resume or the first run, or that Resume must refuse.
 var hostileEnvelopes = []envelopePatch{
-	{"prefetch queue 1<<40", "prefetch", map[string]any{"Queue": 1 << 40}},
 	{"prefetch workers 2e7", "prefetch", map[string]any{"Workers": 20_000_000}},
 	{"prefetch strategy 7", "prefetch", map[string]any{"Strategy": 7}},
-	{"prefetch topk 1<<40", "prefetch", map[string]any{"Strategy": 1, "TopK": 1 << 40}},
 	{"jump probability 5", "p_jump", 5.0},
 	{"weight mode 7", "core", map[string]any{"Weights": 7}},
 	{"overlay edge out of range", "overlay", map[string]any{"removed": [][2]int{}, "added": [][2]int{{0, 1 << 20}}, "pivots": []int{}}},
@@ -393,9 +391,10 @@ var hostileEnvelopes = []envelopePatch{
 }
 
 // retiredKeys are envelope keys that version 1 checkpoints carry but this
-// build ignores: the store shard count, and the Algorithm 1 settings that
-// are now constants. Values that once crashed or hung Resume must now leave
-// the chain untouched.
+// build ignores: the store shard count, the Algorithm 1 settings that are
+// now constants, and the prefetch frontier width, hint queue and
+// speculative budget, which are now fixed or gone. Values that once crashed
+// or hung Resume must now leave the chain untouched.
 var retiredKeys = []envelopePatch{
 	{"shards 1<<40", "shards", 1 << 40},
 	{"shards MaxInt64", "shards", int64(math.MaxInt64)},
@@ -404,6 +403,9 @@ var retiredKeys = []envelopePatch{
 	{"overlay criterion", "core", map[string]any{"Criterion": 1}},
 	{"no floor, unbounded pivots", "core", map[string]any{"DegreeFloor": 0, "PivotOnce": false}},
 	{"replace coin 1, degree sample 1<<40", "core", map[string]any{"ReplaceProb": 1, "DegreeSample": 1 << 40}},
+	{"prefetch queue 1<<40", "prefetch", map[string]any{"Queue": 1 << 40}},
+	{"prefetch topk 1<<40", "prefetch", map[string]any{"Strategy": 1, "TopK": 1 << 40}},
+	{"prefetch budget 5", "prefetch", map[string]any{"Budget": 5}},
 }
 
 // simCheckpoint checkpoints a paused single-walker MTO session over a
@@ -468,16 +470,17 @@ func TestResumeRejectsHostileEnvelopes(t *testing.T) {
 }
 
 // TestResumeIgnoresRetiredKeys: whatever a checkpoint carries under a
-// retired key, Resume succeeds and the session draws exactly the samples the
-// unpatched checkpoint draws.
+// retired key, Resume succeeds and the session draws exactly the samples,
+// for exactly the unique-query bill, of the unpatched checkpoint.
 func TestResumeIgnoresRetiredKeys(t *testing.T) {
 	g := rewire.Barbell(6)
 	data := simCheckpoint(t, g)
-	draw := func(t *testing.T, data []byte) []rewire.Sample {
+	draw := func(t *testing.T, data []byte) ([]rewire.Sample, int64) {
 		t.Helper()
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
-		s, err := rewire.Resume(ctx, data, rewire.WithSource(rewire.Simulate(g, rewire.Limits{})))
+		p := rewire.Simulate(g, rewire.Limits{})
+		s, err := rewire.Resume(ctx, data, rewire.WithSource(p))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -485,13 +488,17 @@ func TestResumeIgnoresRetiredKeys(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return got
+		return got, p.UniqueQueries()
 	}
-	want := draw(t, data)
+	want, wantBill := draw(t, data)
 	for _, tc := range retiredKeys {
 		t.Run(tc.name, func(t *testing.T) {
-			if got := draw(t, patchEnvelope(t, data, tc.key, tc.value)); !slices.Equal(got, want) {
+			got, bill := draw(t, patchEnvelope(t, data, tc.key, tc.value))
+			if !slices.Equal(got, want) {
 				t.Fatalf("patched checkpoint drew %v, want %v", got, want)
+			}
+			if bill != wantBill {
+				t.Fatalf("patched checkpoint billed %d unique queries, want %d", bill, wantBill)
 			}
 		})
 	}

@@ -26,7 +26,6 @@ type prefetchFlags struct {
 	strategy string
 	depth    int
 	workers  int
-	topK     int
 }
 
 func main() {
@@ -39,10 +38,9 @@ func main() {
 		strategy = flag.String("prefetch", "all", "prefetch strategies for -exp prefetch: all|none|nexthop|frontier")
 		depth    = flag.Int("prefetch-depth", 0, "prefetch pool recursive lookahead depth (0 = config default)")
 		workers  = flag.Int("prefetch-workers", 0, "prefetch pool workers (0 = config default)")
-		topK     = flag.Int("prefetch-topk", 0, "frontier strategy width (0 = config default)")
 	)
 	flag.Parse()
-	pf := prefetchFlags{strategy: *strategy, depth: *depth, workers: *workers, topK: *topK}
+	pf := prefetchFlags{strategy: *strategy, depth: *depth, workers: *workers}
 	if err := run(*which, *full, *seed, *dataset, *jsonOut, pf); err != nil {
 		fmt.Fprintln(os.Stderr, "mto-bench:", err)
 		os.Exit(1)
@@ -173,9 +171,6 @@ func run(which string, full bool, seed uint64, dsName, jsonOut string, pf prefet
 		}
 		if pf.workers > 0 {
 			cfg.Workers = pf.workers
-		}
-		if pf.topK > 0 {
-			cfg.TopK = pf.topK
 		}
 		switch pf.strategy {
 		case "", "all":

@@ -18,7 +18,7 @@ import (
 // requests as the ledger claims.
 func billingExact(t *testing.T, p *rewire.Provider) {
 	t.Helper()
-	unique, spec, cached := p.UniqueQueries(), p.SpeculativeCount(), int64(p.CacheSize())
+	unique, spec, cached := p.UniqueQueries(), p.PrefetchStats().Unused, int64(p.CacheSize())
 	if unique+spec != cached {
 		t.Fatalf("billing drift: unique %d + speculative %d != cached %d", unique, spec, cached)
 	}
@@ -142,7 +142,6 @@ func TestDeadlineDuringPrefetchExpansion(t *testing.T) {
 		rewire.WithSeed(17),
 		rewire.WithPrefetch(rewire.PrefetchOptions{
 			Strategy: rewire.PrefetchFrontier,
-			TopK:     8,
 			Workers:  8,
 			Depth:    3, // deep recursive expansion: the frontier outruns the walk
 		}),

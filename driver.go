@@ -30,13 +30,13 @@ import (
 //	                                   quota fields)
 //	http://host/path?timeout=5s   live JSON neighbor-list provider
 //	                              (driver params: timeout, retries, backoff,
-//	                              max_backoff, batch, batchwait — anything
-//	                              else is forwarded to the provider; retries,
-//	                              backoff and max_backoff configure the
-//	                              WithRetry the driver wraps around it;
-//	                              batchwait > 0 adds a WithBatching
-//	                              coalescing window of batch ids flushed
-//	                              after at most that wait)
+//	                              max_backoff — anything else is forwarded
+//	                              to the provider; retries, backoff and
+//	                              max_backoff configure the WithRetry the
+//	                              driver wraps around it; one Fetch is one
+//	                              request, so coalescing and chunking are
+//	                              WithBatching's, composed over the opened
+//	                              backend)
 //	snapshot:crawl.csr            read-only binary CSR snapshot, mmap'd on
 //	                              linux (?mode=readerat forces the portable
 //	                              io.ReaderAt path)
@@ -299,10 +299,18 @@ func openSim(ctx context.Context, u *url.URL) (Backend, error) {
 
 // httpDriverParams are the query keys the http driver consumes; everything
 // else stays on the base URL and reaches the provider.
-var httpDriverParams = []string{"timeout", "retries", "backoff", "max_backoff", "batch", "batchwait"}
+var httpDriverParams = []string{"timeout", "retries", "backoff", "max_backoff"}
 
 func openHTTP(ctx context.Context, u *url.URL) (Backend, error) {
 	q := u.Query()
+	for _, k := range []string{"batch", "batchwait"} {
+		// A URL carrying these expects the driver to coalesce. Forwarding
+		// them would hand the provider parameters it never asked for, so
+		// the URL fails here, pointing at the coalescer that does the job.
+		if q.Has(k) {
+			return nil, fmt.Errorf("rewire: http: %s= is not a driver parameter; compose WithBatching over the opened backend", k)
+		}
+	}
 	opt := httpsrc.Options{}
 	var ro RetryOptions
 	var err error
@@ -326,17 +334,6 @@ func openHTTP(ctx context.Context, u *url.URL) (Backend, error) {
 		}
 	}
 	ro = ro.withDefaults()
-	if s := q.Get("batch"); s != "" {
-		if opt.BatchSize, err = strconv.Atoi(s); err != nil || opt.BatchSize < 1 {
-			return nil, fmt.Errorf("rewire: http: bad batch=%q", s)
-		}
-	}
-	var batchWait time.Duration
-	if s := q.Get("batchwait"); s != "" {
-		if batchWait, err = time.ParseDuration(s); err != nil || batchWait < 0 {
-			return nil, fmt.Errorf("rewire: http: bad batchwait=%q", s)
-		}
-	}
 	base := *u
 	for _, k := range httpDriverParams {
 		q.Del(k)
@@ -357,13 +354,7 @@ func openHTTP(ctx context.Context, u *url.URL) (Backend, error) {
 	}); err != nil {
 		return nil, fmt.Errorf("rewire: http: probing %s: %w", opt.BaseURL, err)
 	}
-	be := WithRetry(hb, ro)
-	if batchWait > 0 {
-		// batchwait opts into demand coalescing at the driver level: distinct
-		// walkers' misses share POST round-trips without any SDK-side wiring.
-		be = WithBatching(be, BatchingOptions{MaxBatch: opt.BatchSize, MaxWait: batchWait})
-	}
-	return be, nil
+	return WithRetry(hb, ro), nil
 }
 
 // snapshotBackend serves a read-only CSR snapshot through the driver

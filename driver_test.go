@@ -1,13 +1,16 @@
 package rewire_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -15,6 +18,7 @@ import (
 
 	"rewire"
 	"rewire/internal/httpsrc"
+	"rewire/internal/serve"
 )
 
 // fakeBackend is a scriptable Backend for middleware tests.
@@ -379,12 +383,12 @@ func TestOpenSimMatchesSimulate(t *testing.T) {
 	}
 }
 
-// TestOpenHTTPBatchwaitParam pins the driver-level coalescing opt-in: a
-// batchwait URL parameter wraps the HTTP backend in WithBatching (probeable
-// as BatchStatser through the capability chain) and a malformed or negative
-// value fails Open. With or without the coalescer, the provider's
-// X-RateLimit feedback reaches Provider.RateLimit through the chain.
-func TestOpenHTTPBatchwaitParam(t *testing.T) {
+// TestOpenHTTPRejectsBatchParams pins WithBatching as the one coalescer:
+// a URL still carrying the retired batch or batchwait driver parameter
+// fails Open with an error naming WithBatching, and so does a serving job
+// naming it (400, no job created). Composed explicitly, the coalescer keeps
+// the provider's X-RateLimit feedback reachable through Provider.RateLimit.
+func TestOpenHTTPRejectsBatchParams(t *testing.T) {
 	ctx := context.Background()
 	g, err := rewire.SocialGraph(60, 240, 3)
 	if err != nil {
@@ -392,50 +396,61 @@ func TestOpenHTTPBatchwaitParam(t *testing.T) {
 	}
 	srv := httptest.NewServer(httpsrc.Handler(g, httpsrc.ServerOptions{QueriesPerWindow: 1000, Window: time.Minute}))
 	defer srv.Close()
-	checkRateLimit := func(name string, be rewire.Backend) {
-		t.Helper()
-		if rl, ok := rewire.BackendSource(be).RateLimit(); !ok || rl.Limit != 1000 {
-			t.Errorf("%s stack: RateLimit = %+v, %v; want Limit 1000", name, rl, ok)
+
+	retired := []string{srv.URL + "?timeout=5s&batch=8", srv.URL + "?batchwait=1ms"}
+	for _, u := range retired {
+		if _, err := rewire.OpenBackend(ctx, u); err == nil || !strings.Contains(err.Error(), "WithBatching") {
+			t.Errorf("OpenBackend(%q) = %v, want an error naming WithBatching", u, err)
 		}
 	}
 
-	be, err := rewire.OpenBackend(ctx, srv.URL+"?timeout=5s&batch=8&batchwait=1ms")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if c, ok := rewire.BackendAs[interface{ Close() error }](be); ok {
-			c.Close()
-		}
-	}()
-	bs, ok := rewire.BackendAs[rewire.BatchStatser](be)
-	if !ok {
-		t.Fatal("batchwait URL param did not attach the coalescing middleware")
-	}
-	if _, err := be.Fetch(ctx, []rewire.NodeID{0, 1, 2}); err != nil {
-		t.Fatal(err)
-	}
-	if st := bs.BatchStats(); st.Batches == 0 || st.IDs < 3 {
-		t.Fatalf("stats = %+v after a fetch through the coalescer", st)
-	}
-	checkRateLimit("batchwait", be)
-
-	// Without the parameter the backend stays bare.
 	plain, err := rewire.OpenBackend(ctx, srv.URL+"?timeout=5s")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := rewire.BackendAs[rewire.BatchStatser](plain); ok {
-		t.Fatal("coalescing middleware attached without batchwait")
+		t.Fatal("the driver attached a coalescer of its own")
 	}
-	if _, err := plain.Fetch(ctx, []rewire.NodeID{0}); err != nil {
+	be := rewire.WithBatching(plain, rewire.BatchingOptions{MaxBatch: 8, MaxWait: time.Millisecond})
+	p := rewire.BackendSource(be)
+	defer p.Close()
+	if _, err := be.Fetch(ctx, []rewire.NodeID{0, 1, 2}); err != nil {
 		t.Fatal(err)
 	}
-	checkRateLimit("plain", plain)
+	if rl, ok := p.RateLimit(); !ok || rl.Limit != 1000 {
+		t.Errorf("RateLimit through WithBatching = %+v, %v; want Limit 1000", rl, ok)
+	}
 
-	for _, bad := range []string{"?batchwait=nope", "?batchwait=-2ms"} {
-		if _, err := rewire.OpenBackend(ctx, srv.URL+bad); err == nil {
-			t.Errorf("OpenBackend(%q) succeeded, want error", bad)
+	daemon := serve.New(ctx, serve.Options{})
+	defer daemon.Close()
+	api := httptest.NewServer(daemon.Handler())
+	defer api.Close()
+	for _, u := range retired {
+		body, err := json.Marshal(serve.JobSpec{Backend: u, Samples: 10})
+		if err != nil {
+			t.Fatal(err)
 		}
+		resp, err := http.Post(api.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("POST /v1/jobs over %q answered %d, want 400", u, resp.StatusCode)
+		}
+	}
+	resp, err := http.Get(api.URL + "/v1/jobs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var list struct {
+		Jobs []json.RawMessage `json:"jobs"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&list); err != nil {
+		t.Fatal(err)
+	}
+	if len(list.Jobs) != 0 {
+		t.Fatalf("rejected submissions created %d jobs", len(list.Jobs))
 	}
 }

@@ -1,8 +1,9 @@
 // Prefetch: run the same SRW fleet twice against a simulated provider with
 // a real 1ms round-trip per query — once cold, once with the asynchronous
-// prefetch pipeline (frontier top-k hints feeding a depth-2 speculative
-// worker pool). The budget is partitioned, so both runs draw byte-identical
-// trajectories and pay the byte-identical unique-query bill; the only thing
+// prefetch pipeline (hints for the top 8 cold frontier nodes feeding a
+// depth-2 speculative worker pool with the default hint queue). The budget
+// is partitioned, so both runs draw byte-identical trajectories and pay the
+// byte-identical unique-query bill; the only thing
 // speculation buys is wall-clock, because by the time the walk demands a
 // node, its round-trip has usually already happened. The same contrast is
 // then shown for an MTO session (pick and Theorem 4 pivot hints) —
@@ -37,10 +38,8 @@ func run(g *rewire.Graph, alg rewire.Algorithm, k, total int, prefetch bool) (ti
 	if prefetch {
 		opts = append(opts, rewire.WithPrefetch(rewire.PrefetchOptions{
 			Strategy: rewire.PrefetchFrontier,
-			TopK:     8,
 			Workers:  32,
 			Depth:    2,
-			Queue:    8192,
 		}))
 	}
 	s, err := rewire.NewSession(osn, opts...)

@@ -299,11 +299,10 @@ func TestRunSessionRoundRobin(t *testing.T) {
 	res := RunSession(walkers, id, info, nil, SessionConfig{
 		BurnIn:         diag.NewGeweke(1e-9, 100),
 		MaxBurnInSteps: 7,
-		Samples:        10,
-		Thinning:       2,
+		Samples:        20,
 	})
-	if res.Samples != 10 || res.FinalCost != 27 {
-		t.Fatalf("samples %d, steps %d; want 10 samples over 7+20 steps", res.Samples, res.FinalCost)
+	if res.Samples != 20 || res.FinalCost != 27 {
+		t.Fatalf("samples %d, steps %d; want 20 samples over 7+20 steps", res.Samples, res.FinalCost)
 	}
 	// 27 steps from member 0: 9 each.
 	for i, m := range members {
@@ -316,12 +315,12 @@ func TestRunSessionRoundRobin(t *testing.T) {
 			}
 		}
 	}
-	// With Thinning 2 after 7 burn-in steps, samples are drawn by members
-	// 2,1,0,2,1,0,2,1,0,2 (steps 9,11,...,27): 4, 3 and 3 samples.
-	if n0, n1, n2 := len(members[0].weighed), len(members[1].weighed), len(members[2].weighed); n0 != 3 || n1 != 3 || n2 != 4 {
-		t.Errorf("samples per member = %d,%d,%d, want 3,3,4", n0, n1, n2)
+	// After 7 burn-in steps, samples are drawn by members 1,2,0,1,2,0,...
+	// (steps 8,9,...,27): 6, 7 and 7 samples.
+	if n0, n1, n2 := len(members[0].weighed), len(members[1].weighed), len(members[2].weighed); n0 != 6 || n1 != 7 || n2 != 7 {
+		t.Errorf("samples per member = %d,%d,%d, want 6,7,7", n0, n1, n2)
 	}
-	want := (0*3/1.0 + 1*3/2.0 + 2*4/4.0) / (3/1.0 + 3/2.0 + 4/4.0)
+	want := (0*6/1.0 + 1*7/2.0 + 2*7/4.0) / (6/1.0 + 7/2.0 + 7/4.0)
 	if math.Abs(res.Estimate-want) > 1e-12 {
 		t.Errorf("estimate = %v, want %v", res.Estimate, want)
 	}

@@ -25,11 +25,9 @@ type SessionConfig struct {
 	BurnIn diag.Monitor
 	// MaxBurnInSteps caps the burn-in phase (default 100000).
 	MaxBurnInSteps int
-	// Samples is the number of post-burn-in samples to draw.
+	// Samples is the number of post-burn-in samples to draw: as in the
+	// paper, every post-burn-in node is a sample.
 	Samples int
-	// Thinning is the number of walk steps per retained sample (default 1,
-	// as in the paper — every post-burn-in node is a sample).
-	Thinning int
 	// Stop, when non-nil, is polled once per walk step; returning true ends
 	// the session early (burn-in or sampling alike) with whatever has been
 	// accumulated. This is how a context-bound caller threads cancellation
@@ -41,9 +39,6 @@ type SessionConfig struct {
 func (c SessionConfig) withDefaults() SessionConfig {
 	if c.MaxBurnInSteps <= 0 {
 		c.MaxBurnInSteps = 100000
-	}
-	if c.Thinning <= 0 {
-		c.Thinning = 1
 	}
 	return c
 }
@@ -135,10 +130,7 @@ func RunSession(walkers []walk.Walker, agg Aggregate, info InfoFunc, cost CostFu
 		if stopped() {
 			break
 		}
-		var v graph.NodeID
-		for s := 0; s < cfg.Thinning; s++ {
-			v = step()
-		}
+		v := step()
 		if stopped() || last.Err() != nil {
 			// The step's query path failed mid-walk (cancellation, budget):
 			// v is a stale position whose info read would observe garbage

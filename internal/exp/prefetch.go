@@ -41,8 +41,6 @@ type PrefetchExpConfig struct {
 	Workers int
 	Depth   int
 	Queue   int
-	// TopK is the frontier strategy's width.
-	TopK int
 	// Strategies restricts the fleet rows (nil = all three).
 	Strategies []string
 }
@@ -52,7 +50,7 @@ type PrefetchExpConfig struct {
 func DefaultPrefetchExpConfig() PrefetchExpConfig {
 	return PrefetchExpConfig{
 		K: 4, Samples: 40000, MTOSteps: 8000, Latency: time.Millisecond,
-		Workers: 32, Depth: 2, Queue: 8192, TopK: 8,
+		Workers: 32, Depth: 2, Queue: 8192,
 	}
 }
 
@@ -60,7 +58,7 @@ func DefaultPrefetchExpConfig() PrefetchExpConfig {
 func QuickPrefetchExpConfig() PrefetchExpConfig {
 	return PrefetchExpConfig{
 		K: 4, Samples: 4000, MTOSteps: 1500, Latency: 200 * time.Microsecond,
-		Workers: 32, Depth: 2, Queue: 8192, TopK: 8,
+		Workers: 32, Depth: 2, Queue: 8192,
 	}
 }
 
@@ -88,12 +86,12 @@ type PrefetchResult struct {
 
 // fleetStrategy builds the per-member Prefetcher factory for a named
 // strategy (nil for none).
-func fleetStrategy(name string, client *osn.Client, topK int) func() walk.Prefetcher {
+func fleetStrategy(name string, client *osn.Client) func() walk.Prefetcher {
 	switch name {
 	case PrefetchNextHop:
 		return func() walk.Prefetcher { return walk.NewNextHop(client) }
 	case PrefetchFrontier:
-		return func() walk.Prefetcher { return walk.NewFrontier(client, topK) }
+		return func() walk.Prefetcher { return walk.NewFrontier(client) }
 	default:
 		return nil
 	}
@@ -115,7 +113,7 @@ func RunPrefetchFleet(ds dataset.Dataset, cfg PrefetchExpConfig, strategy string
 	}
 	starts := core.SpreadStarts(cfg.K, ds.Graph.NumNodes(), rng.New(seed))
 	fleet := walk.NewFleetSimple(client, starts, rng.New(seed+1))
-	if mk := fleetStrategy(strategy, client, cfg.TopK); mk != nil {
+	if mk := fleetStrategy(strategy, client); mk != nil {
 		fleet = fleet.Prefetched(mk)
 	}
 	t0 := time.Now()

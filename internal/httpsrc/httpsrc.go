@@ -5,7 +5,9 @@
 // 5xx, and slow responses, each bounded by a per-attempt context deadline.
 // A Backend makes single attempts and classifies every failure (Temporary,
 // RetryDelay); retrying is the caller's business — the rewire http driver
-// wraps it in rewire.WithRetry. The package also ships the reference server
+// wraps it in rewire.WithRetry. Likewise a Backend sends each Fetch as one
+// request however many ids it carries: coalescing and chunking are
+// rewire.WithBatching's. The package also ships the reference server
 // (Handler) the conformance and driver tests run against.
 //
 // Protocol (all responses JSON):
@@ -64,7 +66,6 @@ import (
 // Defaults for Options zero values.
 const (
 	DefaultRequestTimeout  = 10 * time.Second
-	DefaultBatchSize       = 64
 	DefaultValidationCache = 256
 )
 
@@ -85,10 +86,6 @@ type Options struct {
 	// context: one slow attempt fails fast (and is retried by the caller's
 	// retry policy) instead of eating the whole walk deadline.
 	RequestTimeout time.Duration
-	// BatchSize caps ids per request; larger Fetch batches go out as
-	// sequential BatchSize-id requests (rewire.WithBatching is the place for
-	// parallel chunking).
-	BatchSize int
 	// ValidationCache bounds the ETag revalidation cache: how many recent
 	// (ids → ETag, lists) pairs are kept for If-None-Match conditional
 	// requests (default 256; negative disables revalidation).
@@ -101,9 +98,6 @@ func (o *Options) withDefaults() {
 	}
 	if o.RequestTimeout <= 0 {
 		o.RequestTimeout = DefaultRequestTimeout
-	}
-	if o.BatchSize <= 0 {
-		o.BatchSize = DefaultBatchSize
 	}
 	if o.ValidationCache == 0 {
 		o.ValidationCache = DefaultValidationCache
@@ -248,27 +242,16 @@ func (b *Backend) endpoint(leaf string, extra url.Values) string {
 }
 
 // Fetch resolves the ids' neighbor lists (one per id, input order) in one
-// attempt, sending an oversized batch as sequential BatchSize-id requests.
+// attempt that sends all of them in one request. It does not chunk, so over
+// a provider with a per-request id limit, compose rewire.WithBatching with
+// MaxBatch at or below that limit.
 // An id outside the provider's user space does not fail the ids batched with
 // it: the lists come back with an *osn.IDErrors whose entry for that id
 // matches osn.ErrNoSuchUser. Any other error fails the whole batch.
 func (b *Backend) Fetch(ctx context.Context, ids []graph.NodeID) ([][]graph.NodeID, error) {
-	lists := make([][]graph.NodeID, len(ids))
-	var errs []error
-	for off := 0; off < len(ids); off += b.opt.BatchSize {
-		ls, es, err := b.attemptChunk(ctx, ids[off:min(off+b.opt.BatchSize, len(ids))])
-		if err != nil {
-			return nil, err
-		}
-		copy(lists[off:], ls)
-		for j, e := range es {
-			if e != nil {
-				if errs == nil {
-					errs = make([]error, len(ids))
-				}
-				errs[off+j] = e
-			}
-		}
+	lists, errs, err := b.FetchPartial(ctx, ids)
+	if err != nil {
+		return nil, err
 	}
 	if errs != nil {
 		return lists, &osn.IDErrors{Errs: errs}
@@ -278,21 +261,14 @@ func (b *Backend) Fetch(ctx context.Context, ids []graph.NodeID) ([][]graph.Node
 
 // FetchPartial is Fetch with the per-id errors split out: lists[i] is valid
 // where errs[i] is nil (errs is nil when every id succeeded), and the batch
-// error is non-nil only when the round-trip as a whole failed.
+// error is non-nil only when the round-trip as a whole failed. The attempt
+// is the batch POST when the provider supports it, the GET form (with
+// guilty-id isolation) otherwise. The route probe result is remembered, so
+// exactly one wasted round-trip is spent discovering a GET-only provider.
 func (b *Backend) FetchPartial(ctx context.Context, ids []graph.NodeID) ([][]graph.NodeID, []error, error) {
-	lists, err := b.Fetch(ctx, ids)
-	var ie *osn.IDErrors
-	if errors.As(err, &ie) {
-		return lists, ie.Errs, nil
+	if len(ids) == 0 {
+		return [][]graph.NodeID{}, nil, nil // nothing to ask: no request
 	}
-	return lists, nil, err
-}
-
-// attemptChunk is one protocol attempt for a chunk: the batch POST when the
-// provider supports it, the GET form (with guilty-id isolation) otherwise.
-// The route probe result is remembered, so exactly one wasted round-trip is
-// spent discovering a GET-only provider.
-func (b *Backend) attemptChunk(ctx context.Context, ids []graph.NodeID) ([][]graph.NodeID, []error, error) {
 	if !b.batchUnsupported.Load() {
 		lists, errs, err := b.doBatchPost(ctx, ids)
 		var se *StatusError
@@ -304,13 +280,13 @@ func (b *Backend) attemptChunk(ctx context.Context, ids []graph.NodeID) ([][]gra
 			return lists, errs, err
 		}
 	}
-	return b.getChunkPartial(ctx, ids)
+	return b.getPartial(ctx, ids)
 }
 
-// getChunkPartial resolves a chunk over the legacy GET protocol, isolating
-// per-id 404s: when the provider names the guilty id, it is struck and the
-// rest re-requested; when it does not, the chunk degrades to single-id GETs.
-func (b *Backend) getChunkPartial(ctx context.Context, ids []graph.NodeID) ([][]graph.NodeID, []error, error) {
+// getPartial resolves ids over the legacy GET protocol, isolating per-id
+// 404s: when the provider names the guilty id, it is struck and the rest
+// re-requested; when it does not, the request degrades to single-id GETs.
+func (b *Backend) getPartial(ctx context.Context, ids []graph.NodeID) ([][]graph.NodeID, []error, error) {
 	lists := make([][]graph.NodeID, len(ids))
 	var errs []error
 	remaining := slices.Clone(ids)
@@ -394,7 +370,7 @@ type batchResponse struct {
 
 // noSuchUserError is the driver's typed "no such user" answer. It matches
 // osn.ErrNoSuchUser via errors.Is; hasID says whether the provider named the
-// guilty id (getChunkPartial needs it to strike exactly that id — 0 is a
+// guilty id (getPartial needs it to strike exactly that id — 0 is a
 // valid id, so presence must be explicit).
 type noSuchUserError struct {
 	id    graph.NodeID
@@ -461,7 +437,7 @@ func decodeNeighbors(body []byte, ids []graph.NodeID) ([][]graph.NodeID, error) 
 
 // doBatchPost performs one POST /neighbors/batch attempt: per-id partial
 // results, ETag revalidation. A 404/405 StatusError means the provider has
-// no batch route (attemptChunk handles the fallback).
+// no batch route (FetchPartial handles the fallback).
 func (b *Backend) doBatchPost(ctx context.Context, ids []graph.NodeID) ([][]graph.NodeID, []error, error) {
 	payload, err := json.Marshal(struct {
 		IDs []graph.NodeID `json:"ids"`

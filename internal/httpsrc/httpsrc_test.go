@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -76,32 +75,6 @@ func TestFetchAgainstReferenceServer(t *testing.T) {
 	}
 	if _, err := b.Fetch(context.Background(), []graph.NodeID{-1}); !errors.Is(err, osn.ErrNoSuchUser) {
 		t.Fatalf("negative id error = %v, want ErrNoSuchUser", err)
-	}
-}
-
-func TestFetchChunksLargeBatches(t *testing.T) {
-	g := testGraph()
-	var calls atomic.Int64
-	inner := Handler(g, ServerOptions{MaxIDsPerRequest: 3})
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		calls.Add(1)
-		inner.ServeHTTP(w, r)
-	}))
-	defer srv.Close()
-	o := fastOptions(srv.URL)
-	o.BatchSize = 3
-	b, err := New(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lists := mustFetch(t, b, 0, 1, 2, 3, 4, 5, 6)
-	for i, nbrs := range lists {
-		if len(nbrs) != g.Degree(graph.NodeID(i)) {
-			t.Fatalf("user %d: %d neighbors, want %d", i, len(nbrs), g.Degree(graph.NodeID(i)))
-		}
-	}
-	if c := calls.Load(); c != 3 { // ceil(7/3)
-		t.Fatalf("server saw %d calls, want 3", c)
 	}
 }
 

@@ -246,8 +246,8 @@ func (c *Client) StoreShards() int { return c.locks.Len() }
 // SetBudget caps the number of unique (demand) queries at n; once the ledger
 // reaches n, the demand path returns ErrBudgetExhausted instead of billing
 // past the cap. n <= 0 removes the cap. The budget is a demand-side guard —
-// the speculative pool has its own (PrefetchConfig.Budget) — and it is safe
-// to raise mid-run to resume an exhausted walk.
+// speculative fetches stay outside the ledger until demanded — and it is
+// safe to raise mid-run to resume an exhausted walk.
 func (c *Client) SetBudget(n int64) {
 	c.led.mu.Lock()
 	c.led.budget = n

@@ -26,10 +26,6 @@ type PrefetchConfig struct {
 	// query chain — a node fetched two steps early has already paid its
 	// round-trip by the time the walk arrives.
 	Depth int
-	// Budget caps total speculative round-trips (0 = unlimited). Every
-	// speculative fetch still consumes the provider's rate limit, so a
-	// crawler with a tight quota should bound its bet.
-	Budget int64
 }
 
 // Default pool sizing: enough workers to keep a depth-2 frontier ahead of a
@@ -76,7 +72,6 @@ type prefetchPool struct {
 	dropped  int64
 	fetched  int64
 	skipped  int64
-	reserved int64 // budget reservations (only meaningful when cfg.Budget > 0)
 }
 
 // NewPrefetchingClient wraps a backend with an empty cache and a running
@@ -154,7 +149,7 @@ func (c *Client) StopPrefetch() {
 }
 
 // Prefetch enqueues non-blocking speculative fetch hints for the given ids
-// and returns how many were accepted. Redundant hints (already cached or in
+// and returns how many were accepted. It does not retain ids. Redundant hints (already cached or in
 // flight) and hints beyond the queue capacity are dropped — a prefetch is a
 // bet, never an obligation. Without a running pool it accepts nothing.
 func (c *Client) Prefetch(ids ...graph.NodeID) int {
@@ -228,17 +223,8 @@ func (p *prefetchPool) run(j prefetchJob) {
 		atomic.AddInt64(&p.skipped, 1)
 		return
 	}
-	if p.cfg.Budget > 0 && atomic.AddInt64(&p.reserved, 1) > p.cfg.Budget {
-		// Budget exhausted: release the reservation and drop the bet.
-		atomic.AddInt64(&p.reserved, -1)
-		atomic.AddInt64(&p.skipped, 1)
-		return
-	}
 	nbrs, fetched, pending, done := p.c.fetchSpeculative(p.ctx, j.id)
 	if !fetched {
-		if p.cfg.Budget > 0 {
-			atomic.AddInt64(&p.reserved, -1) // no round-trip happened
-		}
 		atomic.AddInt64(&p.skipped, 1)
 		// The node is being (or was already) fetched by someone else —
 		// typically the walker's own demand query winning the race against

@@ -127,25 +127,6 @@ func TestPrefetchDepthExpandsFrontier(t *testing.T) {
 	}
 }
 
-// TestPrefetchBudgetCapsRoundTrips checks that Budget strictly bounds the
-// number of speculative round-trips.
-func TestPrefetchBudgetCapsRoundTrips(t *testing.T) {
-	g := prefetchGraph(t)
-	svc := NewService(g, nil, Config{})
-	client := NewPrefetchingClient(svc, PrefetchConfig{Workers: 8, Depth: 3, Budget: 10})
-
-	ids := make([]graph.NodeID, 40)
-	for i := range ids {
-		ids[i] = graph.NodeID(i)
-	}
-	client.Prefetch(ids...)
-	client.StopPrefetch()
-
-	if got := svc.TotalQueries(); got > 10 {
-		t.Errorf("service saw %d speculative round-trips, budget is 10", got)
-	}
-}
-
 // TestPrefetchDemandRace hammers demand queries against a deep prefetch
 // frontier over the same ID range (run with -race): however the speculative
 // and demand fetches interleave, each distinct demanded user is billed

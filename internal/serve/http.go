@@ -234,13 +234,12 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	next := from
 	for {
 		j.mu.Lock()
-		total := len(j.samples)
 		state := j.state
-		wake := j.wake
+		wake, samples := j.watchLocked()
 		j.mu.Unlock()
 
-		for ; next < total; next++ {
-			smp := j.samplesView()[next]
+		for ; next < len(samples); next++ {
+			smp := samples[next]
 			if err := enc.Encode(streamEvent{Index: next + 1, Sample: &smp}); err != nil {
 				return // client went away
 			}

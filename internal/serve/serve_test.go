@@ -1111,3 +1111,43 @@ func TestBatchingBackendStats(t *testing.T) {
 		t.Logf("note: no multi-id batches formed (ids=%d batches=%d)", *info.CoalescedIDs, *info.BatchesDispatched)
 	}
 }
+
+// TestAppendWakesOnlyWatchedFollowers: appends with no follower keep the
+// broadcast channel, and the next append after a follower takes it closes
+// it, waking the follower, and installs a fresh one.
+func TestAppendWakesOnlyWatchedFollowers(t *testing.T) {
+	j := &job{wake: make(chan struct{})}
+	unwatched := j.wake
+	for i := 0; i < 3; i++ {
+		j.appendSample(rewire.Sample{Node: rewire.NodeID(i)})
+	}
+	if j.wake != unwatched {
+		t.Fatal("appends with no follower replaced the wake channel")
+	}
+
+	j.mu.Lock()
+	wake, seen := j.watchLocked()
+	j.mu.Unlock()
+	if len(seen) != 3 {
+		t.Fatalf("follower saw %d samples, want 3", len(seen))
+	}
+	woken := make(chan struct{})
+	go func() {
+		<-wake
+		close(woken)
+	}()
+	j.appendSample(rewire.Sample{Node: 3})
+	select {
+	case <-woken:
+	case <-time.After(5 * time.Second):
+		t.Fatal("an append did not wake the follower blocked on the wake channel")
+	}
+	fresh := j.wake
+	if fresh == wake {
+		t.Fatal("the append closed the wake channel without replacing it")
+	}
+	j.appendSample(rewire.Sample{Node: 4})
+	if j.wake != fresh {
+		t.Fatal("an append after the swap, with no new follower, replaced the channel again")
+	}
+}

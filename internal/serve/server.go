@@ -62,7 +62,9 @@ type Options struct {
 	// tenants' walkers that land within this window ride one provider
 	// round-trip. Coalescing sits OUTERMOST in the stack — above metrics and
 	// the rate limit — so walker demand is merged before it is metered or
-	// throttled, and each dispatched batch spends one rate-limit token.
+	// throttled, and each dispatched batch spends one rate-limit token. It
+	// is the daemon's one coalescer: the http driver rejects URLs that try
+	// to add another below the metrics.
 	BatchWait time.Duration
 	// BatchMax caps the ids per coalesced batch (0 = the SDK default).
 	// Meaningful only with BatchWait.
@@ -92,10 +94,14 @@ type job struct {
 	mu      sync.Mutex
 	state   State
 	samples []rewire.Sample
-	// wake is closed and replaced on every append and state change — a
-	// broadcast to stream followers. Always swapped under mu, always closed
-	// AFTER mu is released.
-	wake       chan struct{}
+	// wake is closed and replaced on every state change, and on an append
+	// when watched — a broadcast to stream followers. Always swapped under
+	// mu, always closed AFTER mu is released.
+	wake chan struct{}
+	// watched records that a follower took wake since the last swap: an
+	// append nobody waits on keeps the channel instead of allocating a new
+	// one per sample.
+	watched    bool
 	sess       *rewire.Session // non-nil while a runner owns a live session
 	cancel     context.CancelFunc
 	runnerDone chan struct{} // closed when the runner exits; nil when none
@@ -110,7 +116,16 @@ type job struct {
 func (j *job) swapWakeLocked() chan struct{} {
 	old := j.wake
 	j.wake = make(chan struct{})
+	j.watched = false
 	return old
+}
+
+// watchLocked returns the current broadcast channel for a follower to wait
+// on, and the samples delivered so far as a stable read-only view
+// (append-only buffer: existing entries never mutate).
+func (j *job) watchLocked() (chan struct{}, []rewire.Sample) {
+	j.watched = true
+	return j.wake, j.samples[:len(j.samples):len(j.samples)]
 }
 
 // Server hosts the jobs, the shared per-URL backends, and the tenant budget
@@ -353,11 +368,7 @@ func (s *Server) run(ctx context.Context, j *job, sb *sharedBackend, sess *rewir
 			runErr = err
 			break
 		}
-		j.mu.Lock()
-		j.samples = append(j.samples, smp)
-		old := j.swapWakeLocked()
-		j.mu.Unlock()
-		close(old)
+		j.appendSample(smp)
 	}
 
 	var (
@@ -409,6 +420,21 @@ func (s *Server) run(ctx context.Context, j *job, sb *sharedBackend, sess *rewir
 	old := j.swapWakeLocked()
 	j.mu.Unlock()
 	close(old)
+}
+
+// appendSample delivers one sample, waking the stream followers if any took
+// the broadcast channel since the last swap.
+func (j *job) appendSample(smp rewire.Sample) {
+	j.mu.Lock()
+	j.samples = append(j.samples, smp)
+	var old chan struct{}
+	if j.watched {
+		old = j.swapWakeLocked()
+	}
+	j.mu.Unlock()
+	if old != nil {
+		close(old)
+	}
 }
 
 // samplesView returns a stable read-only view of the samples delivered so

@@ -1,6 +1,8 @@
 package walk
 
 import (
+	"math"
+
 	"rewire/internal/graph"
 )
 
@@ -13,7 +15,8 @@ import (
 type PrefetchSource interface {
 	Source
 	// Prefetch enqueues speculative fetches for ids and returns how many
-	// hints were accepted. It must never block on a provider round-trip.
+	// hints were accepted. It must never block on a provider round-trip,
+	// and it does not retain ids: strategies hint from buffers they reuse.
 	Prefetch(ids ...graph.NodeID) int
 	// Known reports whether v is already cached or in flight.
 	Known(v graph.NodeID) bool
@@ -52,17 +55,25 @@ type Prefetcher interface {
 // only the time between steps; combined with a recursive pool depth
 // (osn.PrefetchConfig.Depth) the pool keeps expanding ahead of the walk.
 type NextHop struct {
-	src PrefetchSource
+	src  PrefetchSource
+	hint [1]graph.NodeID // Prefetch's argument, owned so a step allocates nothing
 }
 
 // NewNextHop builds the strategy over src.
 func NewNextHop(src PrefetchSource) *NextHop { return &NextHop{src: src} }
 
 // Landed hints the landing node.
-func (p *NextHop) Landed(from, to graph.NodeID) { p.src.Prefetch(to) }
+func (p *NextHop) Landed(from, to graph.NodeID) {
+	p.hint[0] = to
+	p.src.Prefetch(p.hint[:]...)
+}
+
+// frontierWidth is how many cold frontier nodes Frontier hints per step.
+const frontierWidth = 8
 
 // Frontier is the frontier-top-k strategy: besides the landing node, it
-// hints up to K cold frontier nodes ranked by cache-visible degree — the
+// hints up to frontierWidth cold frontier nodes ranked by cache-visible
+// degree — the
 // number of already-demanded neighbor lists a cold node appears in. Under an
 // SRW that count is proportional to the probability mass flowing into the
 // node from explored territory, so high scorers are the cold nodes the walk
@@ -72,7 +83,10 @@ func (p *NextHop) Landed(from, to graph.NodeID) { p.src.Prefetch(to) }
 type Frontier struct {
 	src    PrefetchSource
 	cached CachedSource // nil degrades the strategy to NextHop behavior
-	k      int
+	// landed and best are Prefetch's arguments: the landing node, then the
+	// ranked frontier. Owned, so a step allocates nothing.
+	landed [1]graph.NodeID
+	best   [frontierWidth]graph.NodeID
 	// scanned marks nodes whose demanded neighbor list was already folded
 	// into the scores, so each list is counted once.
 	scanned map[graph.NodeID]struct{}
@@ -81,73 +95,79 @@ type Frontier struct {
 	score map[graph.NodeID]int
 }
 
-// NewFrontier builds the strategy over src with frontier width k (values
-// < 1 are raised to 1). Ranking needs free topology reads, so src should
-// also implement CachedSource (osn.Client does); without it the strategy
-// degrades to next-hop hints.
-func NewFrontier(src PrefetchSource, k int) *Frontier {
-	if k < 1 {
-		k = 1
-	}
+// NewFrontier builds the strategy over src. Ranking needs free topology
+// reads, so src should also implement CachedSource (osn.Client does);
+// without it the strategy degrades to next-hop hints.
+func NewFrontier(src PrefetchSource) *Frontier {
 	cached, _ := src.(CachedSource)
 	return &Frontier{
 		src:     src,
 		cached:  cached,
-		k:       k,
 		scanned: make(map[graph.NodeID]struct{}),
 		score:   make(map[graph.NodeID]int),
 	}
 }
 
-// frontierCapPerK bounds the score map at frontierCapPerK·k entries, so one
-// Landed call costs O(cap) regardless of how much territory the walk has
-// seen. Ranking a speculative hint heuristic does not justify unbounded
-// state or a per-step sort.
-const frontierCapPerK = 64
+// frontierCap bounds the score map, so one Landed call costs O(cap)
+// regardless of how much territory the walk has seen. Ranking a speculative
+// hint heuristic does not justify unbounded state or a per-step sort.
+const frontierCap = 64 * frontierWidth
 
 // Landed folds the newly demanded neighbor lists into the frontier scores,
-// then hints the landing node plus the top-k cold frontier nodes.
+// then hints the landing node plus the top frontierWidth cold frontier
+// nodes.
 func (p *Frontier) Landed(from, to graph.NodeID) {
 	p.scan(from)
 	p.scan(to)
-	p.src.Prefetch(to)
+	p.landed[0] = to
+	p.src.Prefetch(p.landed[:]...)
 	if len(p.score) == 0 {
 		return
 	}
 	// One pass over the (bounded) score map: prune entries that are no
-	// longer cold, and keep the k best by linear top-k insertion — k is
-	// small, so this is O(|score|·k) with no allocation-heavy sort.
-	best := make([]graph.NodeID, 0, p.k)
+	// longer cold, and keep the best by linear top-k insertion — the width
+	// is small, so this is O(|score|·width) with no sort.
+	best := p.best[:0]
 	for v := range p.score {
 		if p.src.Known(v) {
 			delete(p.score, v)
 			continue
 		}
-		best = insertTopK(best, p.k, v, p.score)
+		best = insertTopK(best, v, p.score)
 	}
 	p.src.Prefetch(best...)
 	for _, v := range best {
 		delete(p.score, v) // hinted: in flight now, no longer cold
 	}
-	// Keep the map bounded: past the cap, shed the weakest entries (score
-	// 1, the overwhelming majority in a heavy-tailed graph). Their lists
-	// were already scanned, so a shed node only returns via a fresh list —
-	// an acceptable loss of hint quality for bounded per-step cost.
-	if limit := frontierCapPerK * p.k; len(p.score) > limit {
+	p.shed()
+}
+
+// shed keeps the score map within frontierCap by deleting the lowest scores
+// first. Their lists were already scanned, so a shed node only returns via
+// a fresh list — an acceptable loss of hint quality for bounded per-step
+// cost. In a heavy-tailed graph nearly every entry scores 1, so one round
+// usually suffices.
+func (p *Frontier) shed() {
+	for len(p.score) > frontierCap {
+		low := math.MaxInt
+		for _, s := range p.score {
+			low = min(low, s)
+		}
 		for v, s := range p.score {
-			if s <= 1 {
+			if s == low {
 				delete(p.score, v)
-			}
-			if len(p.score) <= limit {
-				break
+				if len(p.score) <= frontierCap {
+					return
+				}
 			}
 		}
 	}
 }
 
 // insertTopK inserts v into best (descending score, ties by ascending id),
-// keeping at most k entries.
-func insertTopK(best []graph.NodeID, k int, v graph.NodeID, score map[graph.NodeID]int) []graph.NodeID {
+// keeping at most cap(best) entries.
+func insertTopK(best []graph.NodeID, v graph.NodeID, score map[graph.NodeID]int) []graph.NodeID {
+	k := cap(best)
 	i := len(best)
 	for i > 0 {
 		u := best[i-1]

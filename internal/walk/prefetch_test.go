@@ -95,7 +95,7 @@ func TestPrefetchBudgetInvariant(t *testing.T) {
 	plain, cPlain, svcPlain := runPartitionedFleet(t, g, k, total, 11, osn.PrefetchConfig{}, nil)
 	pf := osn.PrefetchConfig{Workers: 16, Depth: 2, Queue: 4096}
 	spec, cSpec, svcSpec := runPartitionedFleet(t, g, k, total, 11, pf,
-		func(src PrefetchSource) Prefetcher { return NewFrontier(src, 8) })
+		func(src PrefetchSource) Prefetcher { return NewFrontier(src) })
 
 	if len(plain) != total || len(spec) != total {
 		t.Fatalf("sample budget violated: %d and %d drawn, want %d — speculation must not consume samples",
@@ -154,7 +154,7 @@ func TestFrontierWithoutPoolIsHarmless(t *testing.T) {
 	g := prefetchTestGraph(t)
 	svc := osn.NewService(g, nil, osn.Config{})
 	client := osn.NewClient(svc)
-	w := WithPrefetch(NewSimple(client, 0, rng.New(1)), NewFrontier(client, 8))
+	w := WithPrefetch(NewSimple(client, 0, rng.New(1)), NewFrontier(client))
 	for i := 0; i < 50; i++ {
 		w.Step()
 	}
@@ -163,5 +163,82 @@ func TestFrontierWithoutPoolIsHarmless(t *testing.T) {
 	}
 	if got, want := client.UniqueQueries(), int64(client.CacheSize()); got != want {
 		t.Errorf("UniqueQueries = %d, CacheSize = %d — all entries should be demanded", got, want)
+	}
+}
+
+// listSource is a PrefetchSource and CachedSource over fixed neighbor
+// lists: a node is known, and demand-cached, exactly when it has a list.
+// Prefetch only counts hints, so it allocates nothing itself.
+type listSource struct {
+	lists map[graph.NodeID][]graph.NodeID
+	hints int
+}
+
+func (s *listSource) Neighbors(v graph.NodeID) []graph.NodeID { return s.lists[v] }
+func (s *listSource) Degree(v graph.NodeID) int               { return len(s.lists[v]) }
+func (s *listSource) Prefetch(ids ...graph.NodeID) int        { s.hints += len(ids); return len(ids) }
+func (s *listSource) LowDegreeCount() int64                   { return 0 }
+
+func (s *listSource) Known(v graph.NodeID) bool {
+	_, ok := s.lists[v]
+	return ok
+}
+
+func (s *listSource) CachedNeighbors(v graph.NodeID) ([]graph.NodeID, bool) {
+	l, ok := s.lists[v]
+	return l, ok
+}
+
+func (s *listSource) CachedDegree(v graph.NodeID) (int, bool) {
+	l, ok := s.lists[v]
+	return len(l), ok
+}
+
+// hubs returns a listSource with hub 0 listing cold leaves 2..2001 and hub 1
+// listing the first 1000 of them.
+func hubs() *listSource {
+	src := &listSource{lists: make(map[graph.NodeID][]graph.NodeID)}
+	for v := graph.NodeID(2); v < 2002; v++ {
+		src.lists[0] = append(src.lists[0], v)
+		if v < 1002 {
+			src.lists[1] = append(src.lists[1], v)
+		}
+	}
+	return src
+}
+
+// TestFrontierShedsLowestScoresToCap: two scanned hubs sharing 1000 cold
+// leaves leave 992 score-2 and 1000 score-1 entries after the top 8 are
+// hinted. The score map must come back to frontierCap entries, shedding
+// every score-1 entry before any score-2 one.
+func TestFrontierShedsLowestScoresToCap(t *testing.T) {
+	p := NewFrontier(hubs())
+	p.Landed(0, 1)
+	if len(p.score) != frontierCap {
+		t.Fatalf("score map holds %d entries, cap is %d", len(p.score), frontierCap)
+	}
+	for v, s := range p.score {
+		if s != 2 {
+			t.Fatalf("leaf %d kept with score %d while score-2 leaves were shed", v, s)
+		}
+	}
+}
+
+// TestPrefetchStrategiesStepWithoutAllocating: hinting reuses buffers the
+// strategy owns, so a NextHop step, and a Frontier step that scans no new
+// list, allocate nothing.
+func TestPrefetchStrategiesStepWithoutAllocating(t *testing.T) {
+	src := hubs()
+	nh := NewNextHop(src)
+	if n := testing.AllocsPerRun(100, func() { nh.Landed(0, 1) }); n != 0 {
+		t.Errorf("NextHop.Landed: %v allocs per step, want 0", n)
+	}
+	fr := NewFrontier(src)
+	fr.Landed(0, 1) // scans both hubs; later steps only rank and hint
+	if n := testing.AllocsPerRun(20, func() { fr.Landed(0, 1) }); n != 0 {
+		t.Errorf("Frontier.Landed: %v allocs per step, want 0", n)
+	}
+	if src.hints == 0 {
+		t.Fatal("strategies issued no hints")
 	}
 }

@@ -65,7 +65,7 @@ const (
 	// PrefetchNextHop hints the node each walker just landed on, whose
 	// neighbor list the next step must demand.
 	PrefetchNextHop PrefetchStrategy = iota
-	// PrefetchFrontier additionally hints the top-K cold frontier nodes
+	// PrefetchFrontier additionally hints the top 8 cold frontier nodes
 	// ranked by cache-visible degree — the nodes the walk is most likely to
 	// demand soon.
 	PrefetchFrontier
@@ -73,25 +73,17 @@ const (
 
 // PrefetchOptions configures a session's speculative query pipeline
 // (WithPrefetch). The zero value selects next-hop hints with default pool
-// sizing.
+// sizing. The pool's pending-hint queue holds 1024 hints; hints beyond it
+// are dropped, which is always safe for a bet.
 type PrefetchOptions struct {
 	// Strategy picks the hinting policy.
 	Strategy PrefetchStrategy
-	// TopK is the frontier width for PrefetchFrontier (default 8, at most
-	// 4096).
-	TopK int
 	// Workers is the number of concurrent speculative round-trips (default
-	// osn pool sizing, at most 4096).
+	// 16, at most 4096).
 	Workers int
-	// Queue is the pending-hint buffer; hints beyond it are dropped (at
-	// most 1<<20).
-	Queue int
 	// Depth is the recursive lookahead: after fetching a hinted node, its
 	// still-unknown neighbors are re-enqueued with Depth-1.
 	Depth int
-	// Budget caps total speculative round-trips (0 = unlimited). Every
-	// speculative fetch still consumes the provider's rate limit.
-	Budget int64
 }
 
 // config accumulates functional options; the zero value plus defaults() is a
@@ -112,16 +104,11 @@ type config struct {
 // Option configures a Session at construction.
 type Option func(*config)
 
-// Upper bounds on what a session allocates up front: prefetch goroutines,
-// the hint queue, and the frontier ranking. No useful session comes near
-// them; they exist so that Resume, which routes a checkpoint's fields
-// through the same validators, cannot be talked into allocating without
-// limit.
-const (
-	maxPrefetchWorkers = 4096
-	maxPrefetchQueue   = 1 << 20
-	maxPrefetchTopK    = 4096
-)
+// maxPrefetchWorkers bounds the prefetch goroutines a session starts. No
+// useful session comes near it; it exists so that Resume, which routes a
+// checkpoint's fields through the same validators, cannot be talked into
+// starting goroutines without limit.
+const maxPrefetchWorkers = 4096
 
 func defaults() config {
 	return config{
@@ -272,15 +259,6 @@ func WithPrefetch(o PrefetchOptions) Option {
 		case o.Workers > maxPrefetchWorkers:
 			c.fail(fmt.Errorf("rewire: %d prefetch workers > %d", o.Workers, maxPrefetchWorkers))
 			return
-		case o.Queue > maxPrefetchQueue:
-			c.fail(fmt.Errorf("rewire: prefetch queue %d > %d", o.Queue, maxPrefetchQueue))
-			return
-		case o.TopK > maxPrefetchTopK:
-			c.fail(fmt.Errorf("rewire: prefetch frontier width %d > %d", o.TopK, maxPrefetchTopK))
-			return
-		}
-		if o.TopK <= 0 {
-			o.TopK = 8
 		}
 		c.prefetch = &o
 		c.core.Prefetch = true

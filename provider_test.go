@@ -47,8 +47,8 @@ func TestBackendListCountChecked(t *testing.T) {
 			if st := p.PrefetchStats(); st.Fetched != 0 {
 				t.Fatalf("prefetch pool counted a rejected fetch: %+v", st)
 			}
-			if p.client.Known(4) || p.CacheSize() != 0 || p.SpeculativeCount() != 0 {
-				t.Fatalf("rejected prefetch left a cache entry: CacheSize %d, speculative %d", p.CacheSize(), p.SpeculativeCount())
+			if p.client.Known(4) || p.CacheSize() != 0 || p.PrefetchStats().Unused != 0 {
+				t.Fatalf("rejected prefetch left a cache entry: CacheSize %d, speculative %d", p.CacheSize(), p.PrefetchStats().Unused)
 			}
 		})
 	}

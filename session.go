@@ -160,7 +160,7 @@ func newSession(src Source, cfg config) (*Session, error) {
 		for i, m := range members {
 			switch pf.Strategy {
 			case PrefetchFrontier:
-				members[i] = walk.WithPrefetch(m, walk.NewFrontier(s.bound, pf.TopK))
+				members[i] = walk.WithPrefetch(m, walk.NewFrontier(s.bound))
 			default:
 				members[i] = walk.WithPrefetch(m, walk.NewNextHop(s.bound))
 			}
@@ -253,9 +253,7 @@ func (s *Session) begin(ctx context.Context) error {
 	if pf := s.cfg.prefetch; pf != nil && s.provider != nil {
 		s.provider.client.StartPrefetchContext(ctx, osn.PrefetchConfig{
 			Workers: pf.Workers,
-			Queue:   pf.Queue,
 			Depth:   pf.Depth,
-			Budget:  pf.Budget,
 		})
 	}
 	// Connectivity check on each walker's current node: its neighbor list is
@@ -431,6 +429,7 @@ func AvgDegree() Aggregate { return estimate.AvgDegree() }
 // EstimateOptions tunes Session.Estimate.
 type EstimateOptions struct {
 	// Samples is the number of post-burn-in samples to draw (default 1000).
+	// As in the paper, every post-burn-in step is a sample.
 	Samples int
 	// BurnIn enables Geweke-monitored burn-in: the walk runs until the
 	// degree trace converges (or MaxBurnInSteps) before sampling starts.
@@ -440,9 +439,6 @@ type EstimateOptions struct {
 	GewekeThreshold float64
 	// MaxBurnInSteps caps the burn-in phase (default 100000).
 	MaxBurnInSteps int
-	// Thinning is walk steps per retained sample (default 1, as in the
-	// paper).
-	Thinning int
 }
 
 // Result reports one Estimate run.
@@ -506,7 +502,6 @@ func (s *Session) Estimate(ctx context.Context, agg Aggregate, opt EstimateOptio
 		BurnIn:         monitor,
 		MaxBurnInSteps: opt.MaxBurnInSteps,
 		Samples:        opt.Samples,
-		Thinning:       opt.Thinning,
 		Stop: func() bool {
 			select {
 			case <-done:

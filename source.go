@@ -276,9 +276,6 @@ func (p *Provider) CachedDegree(v NodeID) (int, bool) { return p.client.CachedDe
 // and speculative).
 func (p *Provider) CacheSize() int { return p.client.CacheSize() }
 
-// SpeculativeCount returns prefetched responses no demand query has consumed.
-func (p *Provider) SpeculativeCount() int64 { return p.client.SpeculativeCount() }
-
 // TotalQueries returns the simulated provider-side request count (including
 // speculative and coalesced duplicates served before caching); 0 for
 // non-simulated backends, which meter on their own side.
@@ -320,7 +317,8 @@ func (p *Provider) RateLimit() (RateLimitInfo, bool) {
 }
 
 // PrefetchStats returns the speculative pool's counters (zero without
-// prefetching configured).
+// prefetching configured). Unused counts prefetched responses no demand
+// query has consumed yet.
 func (p *Provider) PrefetchStats() PrefetchStats { return p.client.PrefetchStats() }
 
 var (
