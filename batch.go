@@ -17,9 +17,12 @@ type BatchingOptions struct {
 	// window flushes immediately (default 64).
 	MaxBatch int
 	// MaxWait bounds how long a demanded id sits in the coalescing window
-	// while other dispatches are in flight: when the window cannot flush
+	// while other dispatches are in flight or callers released by the last
+	// completion are still due back: when the window cannot flush
 	// immediately, a timer flushes whatever has accumulated after MaxWait
-	// (default 2ms). An id arriving at an idle dispatcher never waits at all.
+	// (default 2ms). It also caps the completion hold, which is otherwise a
+	// quarter of the dispatcher's recent round trip. An id arriving at an
+	// idle dispatcher with nobody due back never waits at all.
 	MaxWait time.Duration
 	// MaxInflight caps concurrently dispatched backend Fetches — the bounded
 	// parallelism an oversized caller batch is chunked across (default 4).
@@ -48,8 +51,10 @@ type PartialFetcher interface {
 
 // BatchStats counts a WithBatching dispatcher's activity. Flush counters
 // attribute each dispatched batch to the rule that released it: a full
-// window, an idle dispatcher (no wait at all), the MaxWait timer, or the
-// drain when a previous dispatch completed.
+// window, an idle dispatcher (no id waited at all), the MaxWait timer, or
+// the drain after a previous dispatch completed — at once when that
+// completion released nobody, else when the callers it released are back
+// or its hold expires.
 type BatchStats struct {
 	// Batches and IDs count dispatched backend Fetches and the ids they
 	// carried (IDs/Batches is the achieved coalescing factor).
@@ -76,12 +81,19 @@ type BatchStatser interface {
 // provider this turns k simultaneous misses into one round-trip.
 //
 // Flush policy: a window holding MaxBatch ids flushes immediately; an id
-// arriving at an idle dispatcher (nothing in flight) dispatches at once, so
-// a lone walker pays zero added latency; otherwise ids wait — at most
-// MaxWait, and usually less, because completing a dispatch drains whatever
-// accumulated behind it (the fleet self-clocks into pipelined batches).
-// Oversized caller batches are chunked into MaxBatch dispatches run with at
-// most MaxInflight in flight.
+// arriving at an idle dispatcher (nothing in flight, nobody due back)
+// dispatches at once, so a lone walker pays zero added latency; otherwise
+// ids wait — at most MaxWait, and usually much less. A completed dispatch
+// counts the Fetch calls it released and holds the window for them: the
+// drain goes when that many new Fetches have arrived, so a fleet's walkers,
+// released together, ride the next round trip together instead of
+// splitting into cohorts that each wait out the other's flight. The hold
+// lasts at most a quarter of the dispatcher's recent round trip (a moving
+// average of its completed fetches), capped by MaxWait, so a released
+// caller that never comes back delays the others only that long; a
+// completion that released nobody drains at once. Oversized caller batches
+// are chunked into MaxBatch dispatches run with at most MaxInflight in
+// flight.
 //
 // Semantics are exactly Backend's: per-caller results in input order, batch
 // error on any per-id failure, provable trajectory- and billing-neutrality
@@ -141,14 +153,25 @@ func (c *batchingBackend) fetch(ctx context.Context, ids []NodeID) ([][]NodeID, 
 
 // batchSlot is one demanded id's place in the dispatcher: filled in by the
 // batch goroutine, published by closing done. b is set (under the
-// dispatcher's mu) when the slot leaves the window for a dispatched batch.
+// dispatcher's mu) when the slot leaves the window for a dispatched batch,
+// and resolved just before done closes.
 type batchSlot struct {
-	id   NodeID
-	base context.Context // detached demander ctx; parents the batch ctx
-	done chan struct{}
-	list []NodeID
-	err  error
-	b    *dispatchedBatch
+	id       NodeID
+	base     context.Context // detached demander ctx; parents the batch ctx
+	call     *batchCall
+	done     chan struct{}
+	list     []NodeID
+	err      error
+	b        *dispatchedBatch
+	resolved bool
+}
+
+// batchCall is one Fetch call's release bookkeeping, guarded by the
+// dispatcher's mu: the completion that resolves its last slot released the
+// caller, and owes it a place in the next batch unless it withdrew.
+type batchCall struct {
+	left      int // slots not yet resolved
+	withdrawn bool
 }
 
 // dispatchedBatch tracks one in-flight backend Fetch's live waiters. All
@@ -159,9 +182,10 @@ type dispatchedBatch struct {
 	dead   bool // live hit 0 before cancel was installed
 }
 
-// flush reasons, indexing into stats.
+// flush reasons, indexing into stats; flushNone lets only full windows go.
 const (
-	flushFull = iota
+	flushNone = iota - 1
+	flushFull
 	flushIdle
 	flushTimer
 	flushDrain
@@ -176,7 +200,13 @@ type batchingBackend struct {
 	inflight int
 	timerOn  bool
 	timerGen int
-	stats    BatchStats
+	// owed counts Fetch calls released by completions that have not yet
+	// been matched by a new Fetch; while it is positive a partial window is
+	// held for them, until holdGen's timer expires.
+	owed    int
+	holdGen int
+	rtt     time.Duration // moving average of completed fetches
+	stats   BatchStats
 }
 
 func (c *batchingBackend) Unwrap() Backend { return c.inner }
@@ -199,14 +229,32 @@ func (c *batchingBackend) Fetch(ctx context.Context, ids []NodeID) ([][]NodeID, 
 	// the dispatch) but keep the demander's values — tenant attribution,
 	// traces — so each slot carries a detached parent.
 	base := context.WithoutCancel(ctx)
+	call := &batchCall{left: len(ids)}
 	slots := make([]*batchSlot, len(ids))
 	c.mu.Lock()
+	waited := len(c.pending)
 	for i, v := range ids {
-		s := &batchSlot{id: v, base: base, done: make(chan struct{})}
+		s := &batchSlot{id: v, base: base, call: call, done: make(chan struct{})}
 		slots[i] = s
 		c.pending = append(c.pending, s)
 	}
-	batches := c.takeLocked(false, flushIdle)
+	// Every arrival pays one released caller's place. The one that pays the
+	// last lets the held window go with it.
+	why := flushNone
+	switch {
+	case c.owed > 1:
+		c.owed--
+	case c.owed == 1:
+		c.owed = 0
+		c.holdGen++
+		why = flushDrain
+		if waited == 0 && c.inflight == 0 {
+			why = flushIdle
+		}
+	case c.inflight == 0:
+		why = flushIdle
+	}
+	batches := c.takeLocked(why)
 	c.armTimerLocked()
 	c.mu.Unlock()
 	c.launch(batches)
@@ -229,22 +277,18 @@ func (c *batchingBackend) Fetch(ctx context.Context, ids []NodeID) ([][]NodeID, 
 }
 
 // takeLocked carves dispatchable batches off the window under the flush
-// policy: a MaxBatch-full prefix always goes; a partial window goes when the
-// dispatcher is idle, or when force is set (the MaxWait timer and the
-// completion drain). MaxInflight bounds how much leaves. Callers hold c.mu
-// and pass the result to launch after unlocking.
-func (c *batchingBackend) takeLocked(force bool, reason int) []*launchBatch {
+// policy: a MaxBatch-full prefix always goes; a partial window goes for
+// reason, except that flushNone never lets one go and flushIdle only while
+// nothing is in flight. MaxInflight bounds how much leaves. Callers hold
+// c.mu and pass the result to launch after unlocking.
+func (c *batchingBackend) takeLocked(reason int) []*launchBatch {
 	var out []*launchBatch
 	for len(c.pending) > 0 && c.inflight < c.opt.MaxInflight {
 		why := reason
-		if len(c.pending) < c.opt.MaxBatch {
-			if c.inflight > 0 || len(out) > 0 {
-				if !force {
-					break
-				}
-			}
-		} else {
+		if len(c.pending) >= c.opt.MaxBatch {
 			why = flushFull
+		} else if why == flushNone || (why == flushIdle && c.inflight > 0) {
+			break
 		}
 		n := min(len(c.pending), c.opt.MaxBatch)
 		slots := slices.Clone(c.pending[:n])
@@ -297,8 +341,33 @@ func (c *batchingBackend) timerFire(gen int) {
 	}
 	c.timerGen++
 	c.timerOn = false
-	batches := c.takeLocked(true, flushTimer)
+	batches := c.takeLocked(flushTimer)
 	c.armTimerLocked() // MaxInflight may have stranded a residue
+	c.mu.Unlock()
+	c.launch(batches)
+}
+
+// armHoldLocked (re)starts the hold for callers a completion just
+// released: a quarter of the recent round trip, at most MaxWait. Callers
+// hold c.mu.
+func (c *batchingBackend) armHoldLocked() {
+	c.holdGen++
+	gen := c.holdGen
+	time.AfterFunc(min(c.opt.MaxWait, c.rtt/4), func() { c.holdFire(gen) })
+}
+
+// holdFire ends a hold whose released callers did not all come back: they
+// are owed nothing more, and the window drains without them.
+func (c *batchingBackend) holdFire(gen int) {
+	c.mu.Lock()
+	if gen != c.holdGen {
+		c.mu.Unlock()
+		return
+	}
+	c.holdGen++
+	c.owed = 0
+	batches := c.takeLocked(flushDrain)
+	c.armTimerLocked()
 	c.mu.Unlock()
 	c.launch(batches)
 }
@@ -335,7 +404,9 @@ func (c *batchingBackend) run(ctx context.Context, cancel context.CancelFunc, lb
 	for i, s := range lb.slots {
 		ids[i] = s.id
 	}
+	t0 := time.Now()
 	lists, errs, err := c.fetch(ctx, ids)
+	rtt := time.Since(t0)
 	if err == nil && len(lists) != len(ids) {
 		err = fmt.Errorf("rewire: backend returned %d lists for %d ids", len(lists), len(ids))
 	}
@@ -349,36 +420,74 @@ func (c *batchingBackend) run(ctx context.Context, cancel context.CancelFunc, lb
 			s.list = lists[i]
 		}
 	}
+	// Count the callers this completion releases before any of them can
+	// return: a fast returner must find its place already owed.
+	c.mu.Lock()
+	if c.rtt == 0 {
+		c.rtt = rtt
+	} else {
+		c.rtt += (rtt - c.rtt) / 8
+	}
+	released := 0
+	for _, s := range lb.slots {
+		s.resolved = true
+		if s.call.left--; s.call.left == 0 && !s.call.withdrawn {
+			released++
+		}
+	}
+	batches := c.completeLocked(released)
+	c.mu.Unlock()
 	for _, s := range lb.slots {
 		close(s.done)
 	}
 	cancel()
-	c.finish()
+	c.launch(batches)
 }
 
-// finish releases a dispatch slot and drains the window behind it — the
-// self-clocking flush that pipelines a busy fleet without timer waits.
+// finish releases a dispatch slot that released no caller and drains the
+// window behind it.
 func (c *batchingBackend) finish() {
 	c.mu.Lock()
-	c.inflight--
-	batches := c.takeLocked(true, flushDrain)
-	c.armTimerLocked()
+	batches := c.completeLocked(0)
 	c.mu.Unlock()
 	c.launch(batches)
 }
 
+// completeLocked releases a dispatch slot whose completion let released
+// callers go. With callers owed, the window is held for them (only full
+// windows leave); otherwise it drains at once — the self-clocking flush that
+// pipelines a busy fleet without timer waits. Callers hold c.mu.
+func (c *batchingBackend) completeLocked(released int) []*launchBatch {
+	c.inflight--
+	c.owed += released
+	why := flushDrain
+	if c.owed > 0 {
+		why = flushNone
+		if released > 0 {
+			c.armHoldLocked()
+		}
+	}
+	batches := c.takeLocked(why)
+	c.armTimerLocked()
+	return batches
+}
+
 // withdraw removes a cancelled caller's unresolved slots: pending ones leave
 // the window; dispatched ones decrement their batch's live count, and the
-// last withdrawal cancels the wire request itself. A slot that resolved
-// concurrently is past caring — the extra decrement only ever cancels a
-// batch whose run has already returned.
+// last withdrawal cancels the wire request itself. Slots that already
+// resolved are skipped, and the call is marked so that its release is never
+// owed a place in a later batch.
 func (c *batchingBackend) withdraw(slots []*batchSlot) {
 	if len(slots) == 0 {
 		return
 	}
 	var cancels []context.CancelFunc
 	c.mu.Lock()
+	slots[0].call.withdrawn = true
 	for _, s := range slots {
+		if s.resolved {
+			continue
+		}
 		c.stats.Withdrawn++
 		if s.b == nil {
 			if i := slices.Index(c.pending, s); i >= 0 {

@@ -681,3 +681,187 @@ func TestBatchingRaceHammer(t *testing.T) {
 		t.Fatalf("implausible dispatch stats %+v", st)
 	}
 }
+
+// dispatcherState reads the dispatcher's in-flight and owed counts.
+func dispatcherState(b Backend) (inflight, owed int) {
+	c := b.(*batchingBackend)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.inflight, c.owed
+}
+
+// TestBatchingClosedLoopOneTripPerRound: a fleet whose members are
+// released together by one completion must ride the next round trip
+// together. A drain that left before the released callers came back would
+// split the fleet into two alternating cohorts, about two backend calls
+// per round.
+func TestBatchingClosedLoopOneTripPerRound(t *testing.T) {
+	const walkers, rounds = 16, 20
+	inner := &ringBackend{n: walkers * rounds, delay: time.Millisecond}
+	// A MaxWait well past the round trip keeps the timer from splitting the
+	// fleet when a round runs late on a loaded machine.
+	b := WithBatching(inner, BatchingOptions{MaxWait: 20 * time.Millisecond})
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	errc := make(chan error, walkers)
+	for w := range walkers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			for r := range rounds {
+				v := NodeID(w*rounds + r)
+				lists, err := b.Fetch(context.Background(), []NodeID{v})
+				if err == nil && !slices.Equal(lists[0], inner.neighbors(v)) {
+					err = fmt.Errorf("id %d: got %v", v, lists[0])
+				}
+				if err != nil {
+					errc <- err
+					return
+				}
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	close(errc)
+	for err := range errc {
+		t.Fatal(err)
+	}
+	calls := inner.callCount()
+	t.Logf("%d backend calls over %d rounds, stats %+v", calls, rounds, batchStats(t, b))
+	if per := float64(calls) / rounds; per > 1.25 {
+		t.Fatalf("%d walkers x %d rounds took %d backend calls, %.2f per round; want at most 1.25",
+			walkers, rounds, calls, per)
+	}
+}
+
+// TestBatchingLoneCallerNeverHeld: a lone caller pays its own place in the
+// next batch, so each of its sequential Fetches dispatches at once from an
+// idle dispatcher — never by the timer or a held drain.
+func TestBatchingLoneCallerNeverHeld(t *testing.T) {
+	inner := &ringBackend{n: 64, delay: 100 * time.Microsecond}
+	b := WithBatching(inner, BatchingOptions{MaxWait: time.Hour})
+	for i := range 50 {
+		if _, err := b.Fetch(context.Background(), []NodeID{NodeID(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := batchStats(t, b); st.Batches != 50 || st.FlushIdle != 50 {
+		t.Fatalf("stats = %+v, want 50 idle-flushed batches", st)
+	}
+}
+
+// TestBatchingHoldBoundedByRoundTrip: a released caller that never comes
+// back holds the window only for a fraction of a round trip, not MaxWait.
+// The second caller queues behind the first's flight; the first returns and
+// goes away, and the second must still dispatch within a few round trips.
+func TestBatchingHoldBoundedByRoundTrip(t *testing.T) {
+	const rtt = 5 * time.Millisecond
+	inner := &ringBackend{n: 64, delay: rtt}
+	b := WithBatching(inner, BatchingOptions{MaxWait: time.Hour})
+	first := make(chan error, 1)
+	go func() {
+		_, err := b.Fetch(context.Background(), []NodeID{1})
+		first <- err
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for inner.callCount() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("first dispatch never reached the backend")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	second := make(chan error, 1)
+	go func() {
+		_, err := b.Fetch(context.Background(), []NodeID{2})
+		second <- err
+	}()
+	waitPending(t, b, 1)
+	if err := <-first; err != nil {
+		t.Fatal(err)
+	}
+	released := time.Now()
+	select {
+	case err := <-second:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(20 * rtt):
+		t.Fatalf("second caller still waiting %v after the first was released; the hold must end within a round trip", 20*rtt)
+	}
+	if st := batchStats(t, b); st.FlushDrain != 1 || st.FlushTimer != 0 {
+		t.Fatalf("stats = %+v, want the held window drained once, no timer flush (%v after release)", st, time.Since(released))
+	}
+}
+
+// blockOne is a backend that answers every id at once except block, whose
+// fetch waits for its context to end.
+type blockOne struct {
+	ringBackend
+	block NodeID
+}
+
+func (p *blockOne) Fetch(ctx context.Context, ids []NodeID) ([][]NodeID, error) {
+	if slices.Contains(ids, p.block) {
+		<-ctx.Done()
+		return nil, ctx.Err()
+	}
+	return p.ringBackend.Fetch(ctx, ids)
+}
+
+// TestBatchingWithdrawSkipsResolvedSlots: a caller cancelled after part of
+// its ids resolved withdraws only the unresolved ones, and its release is
+// owed nothing: the next lone Fetch dispatches at once from an idle
+// dispatcher.
+func TestBatchingWithdrawSkipsResolvedSlots(t *testing.T) {
+	// A slow round trip keeps the hold a wrongly owed call would arm (a
+	// quarter of it) long enough to observe.
+	inner := &blockOne{ringBackend: ringBackend{n: 64, delay: 100 * time.Millisecond}, block: 1}
+	// MaxBatch 2 splits the call into dispatches [1 2] and [3 4].
+	b := WithBatching(inner, BatchingOptions{MaxBatch: 2, MaxWait: time.Hour})
+	ctx, cancel := context.WithCancel(context.Background())
+	res := make(chan error, 1)
+	go func() {
+		_, err := b.Fetch(ctx, []NodeID{1, 2, 3, 4})
+		res <- err
+	}()
+	// Wait until [3 4] has completed and [1 2] alone is in flight.
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		inflight, _ := dispatcherState(b)
+		if inner.callCount() == 1 && inflight == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("ids 3 and 4 never resolved")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	cancel()
+	if err := <-res; !errors.Is(err, context.Canceled) {
+		t.Fatalf("Fetch err = %v, want context.Canceled", err)
+	}
+	for {
+		inflight, owed := dispatcherState(b)
+		if inflight == 0 {
+			if owed != 0 {
+				t.Fatalf("a withdrawn call is owed %d places", owed)
+			}
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("withdrawn dispatch never completed")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	if st := batchStats(t, b); st.Withdrawn != 2 {
+		t.Fatalf("stats = %+v, want Withdrawn = 2: ids 3 and 4 had already resolved", st)
+	}
+	if _, err := b.Fetch(context.Background(), []NodeID{5}); err != nil {
+		t.Fatal(err)
+	}
+	if st := batchStats(t, b); st.Batches != 3 || st.FlushFull != 2 || st.FlushIdle != 1 {
+		t.Fatalf("stats = %+v, want the lone Fetch idle-flushed", st)
+	}
+}

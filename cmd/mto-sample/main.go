@@ -46,7 +46,7 @@ func main() {
 		timeout   = flag.Duration("timeout", 0, "wall-clock deadline for the whole run (0 = none)")
 		budget    = flag.Int64("budget", 0, "unique-query budget (0 = unlimited)")
 		cache     = flag.String("cache", "", "durable cache directory: persist every billed fetch and warm-start the next run from it (empty = in-memory only)")
-		batchWait = flag.Duration("batchwait", 0, "demand-coalescing window for -source backends: misses arriving within it share one round-trip (0 = off unless -batch is set)")
+		batchWait = flag.Duration("batchwait", 0, "demand-coalescing window for -source backends: misses arriving within it share one round-trip; an upper bound, since a drain goes as soon as the walkers the last round trip released are back (0 = off unless -batch is set)")
 		batchMax  = flag.Int("batch", 0, "max ids per coalesced round-trip (0 = SDK default; enables coalescing when set)")
 	)
 	flag.Parse()

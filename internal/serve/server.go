@@ -60,7 +60,10 @@ type Options struct {
 	// BatchWait, when positive, wraps every opened backend with the SDK's
 	// demand-coalescing middleware (rewire.WithBatching): misses from all
 	// tenants' walkers that land within this window ride one provider
-	// round-trip. Coalescing sits OUTERMOST in the stack — above metrics and
+	// round-trip. It is the window's MaxWait: an upper bound, since the
+	// dispatcher drains as soon as the callers its last completion released
+	// are back, and holds for them at most a quarter of its recent round
+	// trip. Coalescing sits OUTERMOST in the stack — above metrics and
 	// the rate limit — so walker demand is merged before it is metered or
 	// throttled, and each dispatched batch spends one rate-limit token. It
 	// is the daemon's one coalescer: the http driver rejects URLs that try

@@ -1,8 +1,6 @@
 package walk
 
 import (
-	"math"
-
 	"rewire/internal/graph"
 )
 
@@ -84,15 +82,32 @@ type Frontier struct {
 	src    PrefetchSource
 	cached CachedSource // nil degrades the strategy to NextHop behavior
 	// landed and best are Prefetch's arguments: the landing node, then the
-	// ranked frontier. Owned, so a step allocates nothing.
+	// ranked frontier. top ranks the frontier and ranked is shed's scratch
+	// copy of it. All owned, so a step allocates nothing.
 	landed [1]graph.NodeID
 	best   [frontierWidth]graph.NodeID
+	top    [frontierWidth]frontierEntry
+	ranked []frontierEntry
 	// scanned marks nodes whose demanded neighbor list was already folded
 	// into the scores, so each list is counted once.
 	scanned map[graph.NodeID]struct{}
-	// score is the cache-visible degree of cold frontier nodes. Entries are
-	// pruned once the node stops being cold.
-	score map[graph.NodeID]int
+	// entries holds the cold frontier nodes with their cache-visible degree,
+	// densely, so ranking reads scores without map lookups; index maps a node
+	// to its position. Entries are removed (by swap with the last) once the
+	// node stops being cold.
+	entries []frontierEntry
+	index   map[graph.NodeID]int
+}
+
+// frontierEntry is one cold frontier node and its score.
+type frontierEntry struct {
+	id    graph.NodeID
+	score int
+}
+
+// outranks orders hints: higher score first, ties by ascending id.
+func (e frontierEntry) outranks(f frontierEntry) bool {
+	return e.score > f.score || (e.score == f.score && e.id < f.id)
 }
 
 // NewFrontier builds the strategy over src. Ranking needs free topology
@@ -104,11 +119,11 @@ func NewFrontier(src PrefetchSource) *Frontier {
 		src:     src,
 		cached:  cached,
 		scanned: make(map[graph.NodeID]struct{}),
-		score:   make(map[graph.NodeID]int),
+		index:   make(map[graph.NodeID]int),
 	}
 }
 
-// frontierCap bounds the score map, so one Landed call costs O(cap)
+// frontierCap bounds the frontier, so one Landed call costs O(cap)
 // regardless of how much territory the walk has seen. Ranking a speculative
 // hint heuristic does not justify unbounded state or a per-step sort.
 const frontierCap = 64 * frontierWidth
@@ -121,70 +136,127 @@ func (p *Frontier) Landed(from, to graph.NodeID) {
 	p.scan(to)
 	p.landed[0] = to
 	p.src.Prefetch(p.landed[:]...)
-	if len(p.score) == 0 {
+	if len(p.entries) == 0 {
 		return
 	}
-	// One pass over the (bounded) score map: prune entries that are no
+	// One pass over the (bounded) frontier: prune entries that are no
 	// longer cold, and keep the best by linear top-k insertion — the width
-	// is small, so this is O(|score|·width) with no sort.
-	best := p.best[:0]
-	for v := range p.score {
-		if p.src.Known(v) {
-			delete(p.score, v)
+	// is small, so this is O(|entries|·width) with no sort.
+	top := p.top[:0]
+	for i := 0; i < len(p.entries); {
+		e := p.entries[i]
+		if p.src.Known(e.id) {
+			p.remove(i)
 			continue
 		}
-		best = insertTopK(best, v, p.score)
+		top = insertTopK(top, e)
+		i++
+	}
+	best := p.best[:len(top)]
+	for i, e := range top {
+		best[i] = e.id
 	}
 	p.src.Prefetch(best...)
 	for _, v := range best {
-		delete(p.score, v) // hinted: in flight now, no longer cold
+		p.remove(p.index[v]) // hinted: in flight now, no longer cold
 	}
 	p.shed()
 }
 
-// shed keeps the score map within frontierCap by deleting the lowest scores
-// first. Their lists were already scanned, so a shed node only returns via
-// a fresh list — an acceptable loss of hint quality for bounded per-step
-// cost. In a heavy-tailed graph nearly every entry scores 1, so one round
-// usually suffices.
+// remove deletes entries[i] by moving the last entry into its place.
+func (p *Frontier) remove(i int) {
+	last := len(p.entries) - 1
+	delete(p.index, p.entries[i].id)
+	if i != last {
+		p.entries[i] = p.entries[last]
+		p.index[p.entries[i].id] = i
+	}
+	p.entries = p.entries[:last]
+}
+
+// shed keeps the frontier within frontierCap by deleting the entries that
+// rank last: the lowest scores first, and among equal scores the largest
+// ids. Their lists were already scanned, so a shed node only returns via a
+// fresh list — an acceptable loss of hint quality for bounded per-step
+// cost. One selection over a copy finds the last entry kept, and one pass
+// fills each shed entry's place from the tail, so the index is touched
+// once per shed entry and once per entry moved.
 func (p *Frontier) shed() {
-	for len(p.score) > frontierCap {
-		low := math.MaxInt
-		for _, s := range p.score {
-			low = min(low, s)
+	if len(p.entries) <= frontierCap {
+		return
+	}
+	p.ranked = append(p.ranked[:0], p.entries...)
+	selectRank(p.ranked, frontierCap-1)
+	last := p.ranked[frontierCap-1]
+	n := len(p.entries)
+	for i := 0; i < n; {
+		if !last.outranks(p.entries[i]) {
+			i++
+			continue
 		}
-		for v, s := range p.score {
-			if s == low {
-				delete(p.score, v)
-				if len(p.score) <= frontierCap {
-					return
-				}
+		delete(p.index, p.entries[i].id)
+		n--
+		for n > i && last.outranks(p.entries[n]) {
+			delete(p.index, p.entries[n].id)
+			n--
+		}
+		if n > i {
+			p.entries[i] = p.entries[n]
+			p.index[p.entries[i].id] = i
+			i++
+		}
+	}
+	p.entries = p.entries[:n]
+}
+
+// selectRank reorders es so that es[k] is the entry of rank k (0 = best):
+// every entry before it outranks it, and it outranks every entry after it.
+func selectRank(es []frontierEntry, k int) {
+	lo, hi := 0, len(es)-1
+	for lo < hi {
+		pivot := es[lo+(hi-lo)/2]
+		i, j := lo, hi
+		for i <= j {
+			for es[i].outranks(pivot) {
+				i++
 			}
+			for pivot.outranks(es[j]) {
+				j--
+			}
+			if i <= j {
+				es[i], es[j] = es[j], es[i]
+				i++
+				j--
+			}
+		}
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return
 		}
 	}
 }
 
-// insertTopK inserts v into best (descending score, ties by ascending id),
-// keeping at most cap(best) entries.
-func insertTopK(best []graph.NodeID, v graph.NodeID, score map[graph.NodeID]int) []graph.NodeID {
-	k := cap(best)
-	i := len(best)
-	for i > 0 {
-		u := best[i-1]
-		if score[u] > score[v] || (score[u] == score[v] && u < v) {
-			break
-		}
+// insertTopK inserts e into top (in outranks order), keeping at most
+// cap(top) entries.
+func insertTopK(top []frontierEntry, e frontierEntry) []frontierEntry {
+	k := cap(top)
+	i := len(top)
+	for i > 0 && e.outranks(top[i-1]) {
 		i--
 	}
 	if i >= k {
-		return best
+		return top
 	}
-	if len(best) < k {
-		best = append(best, 0)
+	if len(top) < k {
+		top = append(top, frontierEntry{})
 	}
-	copy(best[i+1:], best[i:])
-	best[i] = v
-	return best
+	copy(top[i+1:], top[i:])
+	top[i] = e
+	return top
 }
 
 // scan folds v's demanded neighbor list into the frontier scores (once).
@@ -201,9 +273,15 @@ func (p *Frontier) scan(v graph.NodeID) {
 	}
 	p.scanned[v] = struct{}{}
 	for _, w := range nbrs {
-		if !p.src.Known(w) {
-			p.score[w]++
+		if p.src.Known(w) {
+			continue
 		}
+		if i, ok := p.index[w]; ok {
+			p.entries[i].score++
+			continue
+		}
+		p.index[w] = len(p.entries)
+		p.entries = append(p.entries, frontierEntry{id: w, score: 1})
 	}
 }
 

@@ -209,17 +209,24 @@ func hubs() *listSource {
 
 // TestFrontierShedsLowestScoresToCap: two scanned hubs sharing 1000 cold
 // leaves leave 992 score-2 and 1000 score-1 entries after the top 8 are
-// hinted. The score map must come back to frontierCap entries, shedding
-// every score-1 entry before any score-2 one.
+// hinted. The frontier must come back to frontierCap entries, shedding
+// every score-1 entry before any score-2 one, and among the score-2 ones
+// the largest ids: leaves 10..521 stay.
 func TestFrontierShedsLowestScoresToCap(t *testing.T) {
 	p := NewFrontier(hubs())
 	p.Landed(0, 1)
-	if len(p.score) != frontierCap {
-		t.Fatalf("score map holds %d entries, cap is %d", len(p.score), frontierCap)
+	if len(p.entries) != frontierCap || len(p.index) != frontierCap {
+		t.Fatalf("frontier holds %d entries (%d indexed), cap is %d", len(p.entries), len(p.index), frontierCap)
 	}
-	for v, s := range p.score {
-		if s != 2 {
-			t.Fatalf("leaf %d kept with score %d while score-2 leaves were shed", v, s)
+	for i, e := range p.entries {
+		if e.score != 2 {
+			t.Fatalf("leaf %d kept with score %d while score-2 leaves were shed", e.id, e.score)
+		}
+		if e.id < 10 || e.id >= 10+frontierCap {
+			t.Fatalf("leaf %d kept, want exactly leaves 10..%d", e.id, 10+frontierCap-1)
+		}
+		if p.index[e.id] != i {
+			t.Fatalf("index[%d] = %d, entry sits at %d", e.id, p.index[e.id], i)
 		}
 	}
 }
