@@ -14,7 +14,11 @@
 //	wal-XXXXXXXX.log  length-prefixed, CRC'd, versioned records (fetches,
 //	                  speculative upgrades, tombstones, budget changes,
 //	                  compaction barriers); the highest sequence number is
-//	                  the active segment, earlier ones are sealed immutable
+//	                  the active segment, earlier ones are sealed immutable.
+//	                  On linux the active segment is preallocated past
+//	                  Options.SegmentBytes and mapped shared, so an append is
+//	                  a copy into the page cache; its file ends in zeros after
+//	                  the last frame until sealing or Close truncates it
 //	snap-XXXXXX.csr   compacted neighbor rows in the directed (version 2)
 //	                  CSR snapshot format, mmap'd on linux
 //	meta-XXXXXX.bin   billing metadata for the snapshot of the same
@@ -27,12 +31,16 @@
 // manifest still names the previous generation.
 //
 // Recovery invariants: an append that returned success is never lost short
-// of media failure (with Options.Fsync, not even then); a torn tail on the
-// ACTIVE segment is truncated silently (the interrupted append was never
-// acknowledged); corruption anywhere else fails the open loudly. Replay is
-// idempotent — reopening without new writes reconstructs byte-identical
-// state, and because the cache layer is transparent to walk trajectories,
-// a resumed run continues exactly where the killed one stopped.
+// of media failure (with Options.Fsync, not even then) — a store into the
+// shared mapping is in the page cache, like a write(2), when append returns;
+// an all-zero suffix after the last frame of the ACTIVE segment is the
+// preallocated end of the log and is truncated without counting as torn; any
+// other malformed suffix there is a torn tail and is truncated silently (the
+// interrupted append was never acknowledged); corruption anywhere else fails
+// the open loudly. Replay is idempotent — reopening without new writes
+// reconstructs byte-identical state, and because the cache layer is
+// transparent to walk trajectories, a resumed run continues exactly where the
+// killed one stopped.
 package durable
 
 import (
@@ -57,9 +65,11 @@ type Options struct {
 	// (default 4; negative disables the background compactor — Compact still
 	// works when called explicitly).
 	CompactSegments int
-	// Fsync forces an fsync after every appended record. Off by default:
-	// appends are single write syscalls, so acknowledged records survive
-	// process death (the crash mode the recovery tests inject) without it;
+	// Fsync forces an fsync after every appended record. Off by default: an
+	// append lands in the kernel's page cache before it returns (a copy into
+	// the mapped active segment on linux, one write syscall elsewhere), so
+	// acknowledged records survive process death (the crash mode the
+	// recovery tests inject) without it;
 	// turn it on to also survive kernel crashes and power loss, at a heavy
 	// per-append latency cost. Segment seals, snapshots, and manifest swaps
 	// are always fsync'd regardless.
@@ -79,6 +89,8 @@ type Stats struct {
 	// beyond the last compacted snapshot).
 	Replayed int
 	// TornTail reports whether open truncated a torn active-segment tail.
+	// Zeros after the last frame, the preallocated end of a mapped segment,
+	// are truncated without counting as torn.
 	TornTail bool
 	// Gen is the current snapshot generation (0 = nothing compacted yet).
 	Gen uint64
@@ -103,8 +115,8 @@ type Cache struct {
 
 	mu          sync.Mutex
 	man         manifest
-	f           *os.File // active segment, O_APPEND
-	size        int64    // active segment size
+	seg         *segment // active segment; nil once a failed rotation sealed it
+	size        int64    // bytes of records in the active segment
 	scratch     []byte
 	closed      bool
 	werr        error // sticky append failure: fail-stop
@@ -235,7 +247,9 @@ func (c *Cache) recover() error {
 			if err := os.Truncate(path, valid); err != nil {
 				return fmt.Errorf("durable: truncating torn tail of %s: %w", segmentName(seq), err)
 			}
-			c.stats.TornTail = true
+			// Zeros after the last frame are the preallocated end of a
+			// mapped segment, not a torn append.
+			c.stats.TornTail = !allZero(data[valid:])
 		}
 	}
 
@@ -254,16 +268,11 @@ func (c *Cache) recover() error {
 		return err
 	}
 
-	f, err := os.OpenFile(filepath.Join(c.dir, segmentName(man.Segments[len(man.Segments)-1])), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	seg, size, err := openSegment(filepath.Join(c.dir, segmentName(man.Segments[len(man.Segments)-1])), false, c.reserve())
 	if err != nil {
 		return fmt.Errorf("durable: opening active segment: %w", err)
 	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return fmt.Errorf("durable: sizing active segment: %w", err)
-	}
-	c.f, c.size = f, st.Size()
+	c.seg, c.size = seg, size
 	c.stats.Entries = len(c.seedMeta.entries)
 	c.stats.Gen = man.Gen
 	c.stats.Segments = len(man.Segments)
@@ -398,18 +407,13 @@ func (c *Cache) append(r Record) error {
 		return c.werr
 	}
 	c.scratch = encodeFrame(c.scratch[:0], r)
-	if n, err := c.f.Write(c.scratch); err != nil {
-		if n > 0 {
-			// Keep the segment frame-aligned for the in-process reader path;
-			// recovery would truncate the torn frame anyway.
-			c.f.Truncate(c.size)
-		}
+	if err := c.seg.writeAt(c.scratch, c.size); err != nil {
 		c.werr = fmt.Errorf("durable: wal append: %w", err)
 		return c.werr
 	}
 	c.size += int64(len(c.scratch))
 	if c.opt.Fsync {
-		if err := c.f.Sync(); err != nil {
+		if err := c.seg.f.Sync(); err != nil {
 			c.werr = fmt.Errorf("durable: wal fsync: %w", err)
 			return c.werr
 		}
@@ -438,19 +442,20 @@ func (c *Cache) append(r Record) error {
 	return nil
 }
 
-// rotateLocked seals the active segment (fsync + close) and opens a fresh
-// one, committing the new segment list through the manifest before any
-// record lands in it. barrierGen > 0 stamps the fresh segment with a
-// compaction barrier record. Callers hold c.mu.
+// rotateLocked seals the active segment (unmap, truncate to its records,
+// fsync, close) and opens a fresh one, committing the new segment list
+// through the manifest before any record lands in it. barrierGen > 0 stamps
+// the fresh segment with a compaction barrier record. Callers hold c.mu and
+// make a failure sticky in c.werr: the sealed segment is gone, and c.seg is
+// nil until a fresh one is committed.
 func (c *Cache) rotateLocked(barrierGen uint64) error {
-	if err := c.f.Sync(); err != nil {
-		return fmt.Errorf("durable: sealing segment: %w", err)
-	}
-	if err := c.f.Close(); err != nil {
+	seg := c.seg
+	c.seg = nil
+	if err := seg.close(c.size); err != nil {
 		return fmt.Errorf("durable: sealing segment: %w", err)
 	}
 	seq := c.man.NextSeq
-	f, err := os.OpenFile(filepath.Join(c.dir, segmentName(seq)), os.O_CREATE|os.O_WRONLY|os.O_APPEND|os.O_TRUNC, 0o644)
+	next, _, err := openSegment(filepath.Join(c.dir, segmentName(seq)), true, c.reserve())
 	if err != nil {
 		return fmt.Errorf("durable: opening segment %d: %w", seq, err)
 	}
@@ -458,20 +463,34 @@ func (c *Cache) rotateLocked(barrierGen uint64) error {
 	man.Segments = append(append([]uint64(nil), c.man.Segments...), seq)
 	man.NextSeq = seq + 1
 	if err := saveManifest(c.dir, man); err != nil {
-		f.Close()
+		next.close(0)
 		return err
 	}
 	c.man = man
-	c.f, c.size = f, 0
+	c.seg, c.size = next, 0
 	c.stats.Segments = len(man.Segments)
 	if barrierGen > 0 {
 		c.scratch = encodeFrame(c.scratch[:0], Record{Type: recBarrier, Gen: barrierGen})
-		if _, err := c.f.Write(c.scratch); err != nil {
+		if err := c.seg.writeAt(c.scratch, 0); err != nil {
 			return fmt.Errorf("durable: writing compaction barrier: %w", err)
 		}
 		c.size += int64(len(c.scratch))
 	}
 	return nil
+}
+
+// reserve is the room a fresh active segment is mapped with: the rotation
+// threshold plus slack for the record that crosses it.
+func (c *Cache) reserve() int64 { return c.opt.SegmentBytes + segmentSlack }
+
+// allZero reports whether b holds only zero bytes.
+func allZero(b []byte) bool {
+	for _, x := range b {
+		if x != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // Dir returns the cache's directory path.
@@ -514,10 +533,9 @@ func (c *Cache) Close() error {
 			first = err
 		}
 	}
-	if c.f != nil {
-		keep(c.f.Sync())
-		keep(c.f.Close())
-		c.f = nil
+	if c.seg != nil {
+		keep(c.seg.close(c.size))
+		c.seg = nil
 	}
 	if c.snap != nil {
 		keep(c.snap.Close())

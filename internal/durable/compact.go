@@ -44,7 +44,13 @@ func (c *Cache) compactorLoop() {
 // land in the active segment, which is never folded). The fold re-reads
 // everything from disk — old meta, old snapshot rows, sealed segments — so
 // compaction memory is bounded by the sealed WAL size plus the offsets
-// array, not the total cache size.
+// array, not the total cache size. Each surviving WAL row stays encoded in
+// its segment's bytes until the fold appends it to the snapshot, and is
+// decoded then, once, into one reused buffer; superseded and tombstoned rows
+// are never decoded.
+//
+// A failure to seal the active segment or open the next one is sticky, as
+// in append: every later append returns it.
 //
 // Crash safety: the new snapshot and meta files commit via fsync'd
 // temp-and-rename before the manifest swap, and the swap itself is atomic —
@@ -90,6 +96,9 @@ func (c *Cache) Compact() error {
 		// Seal the active segment (stamping the new generation's barrier)
 		// so the sealed set below contains every record appended so far.
 		if err := c.rotateLocked(gen + 1); err != nil {
+			// The sealed segment is closed and no fresh one is committed:
+			// fail-stop exactly as a rotation inside append does.
+			c.werr = err
 			c.mu.Unlock()
 			return err
 		}
@@ -198,7 +207,9 @@ func (c *Cache) fold(newGen uint64, sealed []uint64, snap *graph.Snapshot, oldMe
 			return fmt.Errorf("durable: decoding meta for fold: %w", err)
 		}
 	}
-	walRows := make(map[graph.NodeID][]graph.NodeID)
+	// walRows holds each surviving fetch's encoded neighbor section, a
+	// sub-slice of its segment's bytes.
+	walRows := make(map[graph.NodeID][]byte)
 	replayed := 0
 	for _, seq := range sealed {
 		if c.stopping() {
@@ -208,14 +219,14 @@ func (c *Cache) fold(newGen uint64, sealed []uint64, snap *graph.Snapshot, oldMe
 		if err != nil {
 			return fmt.Errorf("durable: reading segment for fold: %w", err)
 		}
-		if _, err := replaySegment(data, false, func(r Record) error {
+		if _, err := scanSegment(data, false, decodeHeader, func(r Record) error {
 			if replayed++; replayed%foldPollEvery == 0 && c.stopping() {
 				return errClosedDuringCompaction
 			}
 			base.apply(r)
 			switch r.Type {
 			case recFetch:
-				walRows[r.User] = r.Neighbors
+				walRows[r.User] = r.row
 			case recTombstone:
 				delete(walRows, r.User)
 			}
@@ -246,6 +257,7 @@ func (c *Cache) fold(newGen uint64, sealed []uint64, snap *graph.Snapshot, oldMe
 	if err != nil {
 		return abandon(err)
 	}
+	var row []graph.NodeID
 	for i, id := range ids {
 		if i%foldPollEvery == 0 {
 			if c.foldRows != nil {
@@ -255,11 +267,14 @@ func (c *Cache) fold(newGen uint64, sealed []uint64, snap *graph.Snapshot, oldMe
 				return abandon(errClosedDuringCompaction)
 			}
 		}
-		nbrs, ok := walRows[id]
-		if !ok {
-			if nbrs, err = snap.Neighbors(id); err != nil {
-				return abandon(fmt.Errorf("durable: folding snapshot row %d: %w", id, err))
+		var nbrs []graph.NodeID
+		if enc, ok := walRows[id]; ok {
+			if row, err = decodeRow(row, enc); err != nil {
+				return abandon(fmt.Errorf("durable: folding WAL row %d: %w", id, err))
 			}
+			nbrs = row
+		} else if nbrs, err = snap.Neighbors(id); err != nil {
+			return abandon(fmt.Errorf("durable: folding snapshot row %d: %w", id, err))
 		}
 		if err := app.Append(id, nbrs); err != nil {
 			return abandon(err)

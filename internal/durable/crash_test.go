@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"os"
 	"os/exec"
+	"path/filepath"
+	"runtime"
 	"strconv"
 	"syscall"
 	"testing"
@@ -90,10 +92,39 @@ func TestKillAndRecoverMidCrawl(t *testing.T) {
 				t.Fatalf("child exit = %v, want SIGKILL\n%s", err, out)
 			}
 
-			// First reopen: recovery must succeed and be internally exact.
+			// The killed process left its active segment preallocated: the
+			// frames, then zeros. A copy of the directory gets a non-zero
+			// partial frame planted after the frames, which must still read
+			// as a torn tail.
+			_, seg := activeSegment(t, dir)
+			frames, err := replaySegment(seg, true, func(Record) error { return nil })
+			if err != nil {
+				t.Fatalf("replaying the active segment: %v", err)
+			}
+			if !allZero(seg[frames:]) {
+				t.Fatalf("active segment has non-zero bytes after its %d bytes of frames", frames)
+			}
+			partial := encodeFrame(nil, Record{Type: recFetch, User: 4999, Billed: true, Neighbors: []graph.NodeID{1, 2, 3}})
+			if runtime.GOOS == "linux" && int64(len(seg)) < frames+int64(len(partial)) {
+				t.Fatalf("active segment is %d bytes, %d of frames: no preallocated region", len(seg), frames)
+			}
+			torn := t.TempDir()
+			copyDir(t, dir, torn)
+			tornPath, _ := activeSegment(t, torn)
+			plantAt(t, tornPath, partial[:len(partial)/2], frames)
+
+			// First reopen: recovery must succeed and be internally exact,
+			// and the zeros after the frames are the end of the log, not a
+			// torn tail.
 			c, err := Open(dir, Options{SegmentBytes: 1 << 10, CompactSegments: -1})
 			if err != nil {
 				t.Fatalf("reopen after crash: %v", err)
+			}
+			if st := c.Stats(); st.TornTail {
+				t.Fatal("reopen after a clean kill reported a torn tail")
+			}
+			if c.size != frames {
+				t.Fatalf("reopened active segment holds %d bytes of records, want its %d bytes of frames", c.size, frames)
 			}
 			be := &mapBackend{n: 5000}
 			client := osn.NewClient(be)
@@ -127,6 +158,32 @@ func TestKillAndRecoverMidCrawl(t *testing.T) {
 			if err := c.Close(); err != nil {
 				t.Fatalf("close recovered cache: %v", err)
 			}
+			if _, seg := activeSegment(t, dir); !sealedGrade(seg) {
+				t.Fatalf("closed active segment (%d bytes) is not exactly its frames", len(seg))
+			}
+
+			// The planted partial frame is torn: truncated, reported, and
+			// the ledger is the one the clean reopen recovered.
+			ct, err := Open(torn, Options{SegmentBytes: 1 << 10, CompactSegments: -1})
+			if err != nil {
+				t.Fatalf("reopen with a planted partial frame: %v", err)
+			}
+			if !ct.Stats().TornTail {
+				t.Fatal("a non-zero partial frame did not report a torn tail")
+			}
+			if ct.size != frames {
+				t.Fatalf("torn reopen kept %d bytes of records, want %d", ct.size, frames)
+			}
+			clientT := osn.NewClient(&mapBackend{n: 5000})
+			if err := ct.Attach(clientT); err != nil {
+				t.Fatalf("attach with a planted partial frame: %v", err)
+			}
+			if got := clientT.UniqueQueries(); got != recovered {
+				t.Fatalf("torn reopen recovered %d unique queries, want %d", got, recovered)
+			}
+			if err := ct.Close(); err != nil {
+				t.Fatalf("close torn reopen: %v", err)
+			}
 
 			// Second reopen with no intervening writes: replay idempotence.
 			c2, err := Open(dir, Options{})
@@ -145,4 +202,44 @@ func TestKillAndRecoverMidCrawl(t *testing.T) {
 			}
 		})
 	}
+}
+
+// copyDir copies the regular files of src into dst.
+func copyDir(t *testing.T, src, dst string) {
+	t.Helper()
+	entries, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if !e.Type().IsRegular() {
+			continue
+		}
+		data, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dst, e.Name()), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// plantAt writes b into the file at path at byte off.
+func plantAt(t *testing.T, path string, b []byte, off int64) {
+	t.Helper()
+	f, err := os.OpenFile(path, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := f.WriteAt(b, off); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// sealedGrade reports whether seg is exactly a sequence of valid frames.
+func sealedGrade(seg []byte) bool {
+	_, err := replaySegment(seg, false, func(Record) error { return nil })
+	return err == nil
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"slices"
 
 	"rewire/internal/graph"
 	"rewire/internal/osn"
@@ -66,6 +67,11 @@ type Record struct {
 	Tenant    string
 	Budget    int64
 	Gen       uint64
+
+	// row is a fetch's encoded neighbor section, set instead of Neighbors by
+	// decodeHeader: the uvarint count and the ids, to the end of the
+	// payload. decodeRow decodes and validates it.
+	row []byte
 }
 
 // encodeFrame appends r's framed encoding — length, CRC, versioned payload —
@@ -214,7 +220,15 @@ func (r *payloadReader) smallInt() int {
 // CRC). The payload length is already bounded by maxPayload, and neighbor
 // counts are checked against the remaining bytes, so corrupt input cannot
 // force allocations beyond the payload's own size.
-func decodePayload(p []byte) (Record, error) {
+func decodePayload(p []byte) (Record, error) { return decodeRecord(p, false) }
+
+// decodeHeader decodes a payload like decodePayload, except that a fetch's
+// neighbor section is left encoded in Record.row for decodeRow. A payload
+// decodePayload rejects is rejected by decodeHeader or by decodeRow on its
+// row.
+func decodeHeader(p []byte) (Record, error) { return decodeRecord(p, true) }
+
+func decodeRecord(p []byte, lazyRow bool) (Record, error) {
 	r := payloadReader{b: p}
 	var rec Record
 	if v := r.byte(); r.err == nil && v != recordVersion {
@@ -229,6 +243,12 @@ func decodePayload(p []byte) (Record, error) {
 		rec.Attrs.Age = r.smallInt()
 		rec.Attrs.DescLen = r.smallInt()
 		rec.Attrs.Posts = r.smallInt()
+		if lazyRow {
+			if r.err == nil {
+				rec.row, r.off = r.b[r.off:], len(r.b)
+			}
+			break
+		}
 		n := r.uvarint()
 		if r.err == nil && n > uint64(len(r.b)-r.off) {
 			r.fail("neighbor count %d overruns payload", n)
@@ -265,6 +285,58 @@ func decodePayload(p []byte) (Record, error) {
 	return rec, nil
 }
 
+// decodeRow decodes a fetch's encoded neighbor section (see Record.row) into
+// dst[:0] in one pass and returns the extended slice. It rejects exactly what
+// decodePayload rejects there: a malformed or non-minimal count, a count
+// larger than the bytes after it, a malformed or non-minimal id, an id above
+// MaxInt32, and bytes left over after the last id.
+func decodeRow(dst []graph.NodeID, b []byte) ([]graph.NodeID, error) {
+	n, k := binary.Uvarint(b)
+	if k <= 0 || (k > 1 && b[k-1] == 0) {
+		return dst[:0], fmt.Errorf("%w: bad neighbor count", ErrCorrupt)
+	}
+	b = b[k:]
+	if n > uint64(len(b)) {
+		return dst[:0], fmt.Errorf("%w: neighbor count %d overruns payload", ErrCorrupt, n)
+	}
+	dst = slices.Grow(dst[:0], int(n))
+	off := 0
+	for i := uint64(0); i < n; i++ {
+		v, k := uvarint31(b[off:])
+		if k == 0 {
+			return dst[:0], fmt.Errorf("%w: bad node id at row offset %d", ErrCorrupt, off)
+		}
+		dst = append(dst, graph.NodeID(v))
+		off += k
+	}
+	if off != len(b) {
+		return dst[:0], fmt.Errorf("%w: %d trailing payload bytes", ErrCorrupt, len(b)-off)
+	}
+	return dst, nil
+}
+
+// uvarint31 decodes a minimal uvarint of at most MaxInt32 from the front of
+// b and returns it with its length, or length 0 if there is none: b ends
+// first, the encoding is not minimal, or the value is larger. Such a value
+// needs at most five bytes, the fifth no more than 7.
+func uvarint31(b []byte) (uint32, int) {
+	var v uint32
+	for i := 0; i < len(b) && i < 5; i++ {
+		c := b[i]
+		if i == 4 && (c == 0 || c > 7) {
+			return 0, 0
+		}
+		v |= uint32(c&0x7f) << (7 * i)
+		if c < 0x80 {
+			if c == 0 && i > 0 {
+				return 0, 0
+			}
+			return v, i + 1
+		}
+	}
+	return 0, 0
+}
+
 // replaySegment scans one segment's records in order, invoking fn for each.
 // tail selects torn-end handling: for the active segment (true), any
 // malformed suffix — short frame, bad CRC, undecodable payload — ends the
@@ -272,6 +344,12 @@ func decodePayload(p []byte) (Record, error) {
 // caller truncates to it); for sealed segments (false) the same suffix is
 // corruption and errors. An error from fn aborts the scan outright.
 func replaySegment(data []byte, tail bool, fn func(Record) error) (valid int64, err error) {
+	return scanSegment(data, tail, decodePayload, fn)
+}
+
+// scanSegment is replaySegment with the payload decoder as a parameter: the
+// compactor passes decodeHeader, so that only rows it keeps are decoded.
+func scanSegment(data []byte, tail bool, decode func([]byte) (Record, error), fn func(Record) error) (valid int64, err error) {
 	off := 0
 	torn := func(reason error) (int64, error) {
 		if tail {
@@ -292,7 +370,7 @@ func replaySegment(data []byte, tail bool, fn func(Record) error) (valid int64, 
 		if crc32.ChecksumIEEE(payload) != crc {
 			return torn(fmt.Errorf("%w: frame checksum mismatch", ErrCorrupt))
 		}
-		rec, derr := decodePayload(payload)
+		rec, derr := decode(payload)
 		if derr != nil {
 			return torn(derr)
 		}

@@ -26,6 +26,7 @@ type SnapshotAppender struct {
 	next     NodeID // lowest id still appendable
 	entries  int64
 	finished bool
+	row      []byte // the row being appended, encoded
 }
 
 // NewSnapshotAppender starts a directed snapshot of numNodes nodes in f,
@@ -46,8 +47,8 @@ func NewSnapshotAppender(f *os.File, numNodes int) (*SnapshotAppender, error) {
 	}, nil
 }
 
-// Append writes v's neighbor row. Ids must arrive in strictly ascending
-// order; gaps become empty rows.
+// Append writes v's neighbor row with one buffered write. Ids must arrive in
+// strictly ascending order; gaps become empty rows.
 func (a *SnapshotAppender) Append(v NodeID, nbrs []NodeID) error {
 	if a.finished {
 		return fmt.Errorf("graph: snapshot appender: append after Finish")
@@ -62,12 +63,12 @@ func (a *SnapshotAppender) Append(v NodeID, nbrs []NodeID) error {
 		a.offsets[u] = uint32(a.entries)
 	}
 	a.next = v + 1
-	var scratch [4]byte
+	a.row = a.row[:0]
 	for _, n := range nbrs {
-		binary.LittleEndian.PutUint32(scratch[:], uint32(n))
-		if _, err := a.bw.Write(scratch[:]); err != nil {
-			return err
-		}
+		a.row = binary.LittleEndian.AppendUint32(a.row, uint32(n))
+	}
+	if _, err := a.bw.Write(a.row); err != nil {
+		return err
 	}
 	a.entries += int64(len(nbrs))
 	return nil
