@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"hash/crc32"
 	"path/filepath"
-	"slices"
 	"testing"
 
 	"rewire/internal/graph"
@@ -42,10 +41,10 @@ func FuzzWALReplay(f *testing.F) {
 	f.Add(flipped)
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0x7f, 0, 0, 0, 0}) // hostile length, no payload
-	// Fetch payloads whose neighbor section decodePayload rejects, each as
-	// a raw payload and framed under a valid CRC: a non-minimal id varint,
-	// a 5-byte id above MaxInt32, a count that overruns the payload, and a
-	// byte left over after the last id.
+	// Fetch frames under a valid CRC whose neighbor section decodePayload
+	// must reject: a non-minimal id varint, a 5-byte id above MaxInt32, a
+	// count that overruns the payload, and a byte left over after the last
+	// id.
 	fetchHeader := []byte{recordVersion, byte(recFetch), 12, 1, 0, 0, 0, 0}
 	for _, row := range [][]byte{
 		{2, 0x85, 0x00, 3},
@@ -54,27 +53,13 @@ func FuzzWALReplay(f *testing.F) {
 		{1, 5, 9},
 	} {
 		p := append(bytes.Clone(fetchHeader), row...)
-		f.Add(p)
+		if _, err := decodePayload(p); err == nil {
+			f.Fatalf("decodePayload accepted malformed fetch payload %x", p)
+		}
 		f.Add(frame(p))
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// The compactor's single-pass row decoder agrees with decodePayload
-		// on data taken as one payload, and on every frame with a valid CRC.
-		checkRowDecoder(t, data)
-		for off := 0; len(data)-off >= frameHeader; {
-			plen := int(binary.LittleEndian.Uint32(data[off:]))
-			if plen > len(data)-off-frameHeader {
-				break
-			}
-			p := data[off+frameHeader : off+frameHeader+plen]
-			if crc32.ChecksumIEEE(p) != binary.LittleEndian.Uint32(data[off+4:]) {
-				break
-			}
-			checkRowDecoder(t, p)
-			off += frameHeader + plen
-		}
-
 		var recs []Record
 		valid, err := replaySegment(data, true, func(r Record) error {
 			recs = append(recs, r)
@@ -141,25 +126,6 @@ func frame(p []byte) []byte {
 	out := binary.LittleEndian.AppendUint32(nil, uint32(len(p)))
 	out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(p))
 	return append(out, p...)
-}
-
-// checkRowDecoder decodes payload p with decodePayload and with the
-// compactor's decodeHeader + decodeRow, and fails unless both accept or both
-// reject it, with the same neighbor row when they accept.
-func checkRowDecoder(t *testing.T, p []byte) {
-	t.Helper()
-	ref, refErr := decodePayload(p)
-	hdr, err := decodeHeader(p)
-	var row []graph.NodeID
-	if err == nil && hdr.Type == recFetch {
-		row, err = decodeRow([]graph.NodeID{99}, hdr.row)
-	}
-	if (refErr == nil) != (err == nil) {
-		t.Fatalf("payload %x: decodePayload err %v, single-pass decoder err %v", p, refErr, err)
-	}
-	if refErr == nil && ref.Type == recFetch && !slices.Equal(ref.Neighbors, row) {
-		t.Fatalf("payload %x: decodePayload row %v, single-pass row %v", p, ref.Neighbors, row)
-	}
 }
 
 // FuzzManifest feeds arbitrary MANIFEST.json bytes to the manifest decoder.

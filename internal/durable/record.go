@@ -220,15 +220,18 @@ func (r *payloadReader) smallInt() int {
 // CRC). The payload length is already bounded by maxPayload, and neighbor
 // counts are checked against the remaining bytes, so corrupt input cannot
 // force allocations beyond the payload's own size.
-func decodePayload(p []byte) (Record, error) { return decodeRecord(p, false) }
+func decodePayload(p []byte) (Record, error) {
+	rec, err := decodeHeader(p)
+	if err == nil && rec.Type == recFetch {
+		rec.Neighbors, err = decodeRow(nil, rec.row)
+		rec.row = nil
+	}
+	return rec, err
+}
 
 // decodeHeader decodes a payload like decodePayload, except that a fetch's
-// neighbor section is left encoded in Record.row for decodeRow. A payload
-// decodePayload rejects is rejected by decodeHeader or by decodeRow on its
-// row.
-func decodeHeader(p []byte) (Record, error) { return decodeRecord(p, true) }
-
-func decodeRecord(p []byte, lazyRow bool) (Record, error) {
+// neighbor section is left encoded in Record.row for decodeRow.
+func decodeHeader(p []byte) (Record, error) {
 	r := payloadReader{b: p}
 	var rec Record
 	if v := r.byte(); r.err == nil && v != recordVersion {
@@ -243,21 +246,8 @@ func decodeRecord(p []byte, lazyRow bool) (Record, error) {
 		rec.Attrs.Age = r.smallInt()
 		rec.Attrs.DescLen = r.smallInt()
 		rec.Attrs.Posts = r.smallInt()
-		if lazyRow {
-			if r.err == nil {
-				rec.row, r.off = r.b[r.off:], len(r.b)
-			}
-			break
-		}
-		n := r.uvarint()
-		if r.err == nil && n > uint64(len(r.b)-r.off) {
-			r.fail("neighbor count %d overruns payload", n)
-		}
 		if r.err == nil {
-			rec.Neighbors = make([]graph.NodeID, 0, n)
-			for i := uint64(0); i < n && r.err == nil; i++ {
-				rec.Neighbors = append(rec.Neighbors, r.nodeID())
-			}
+			rec.row, r.off = r.b[r.off:], len(r.b)
 		}
 	case recUpgrade:
 		rec.User = r.nodeID()
@@ -286,55 +276,29 @@ func decodeRecord(p []byte, lazyRow bool) (Record, error) {
 }
 
 // decodeRow decodes a fetch's encoded neighbor section (see Record.row) into
-// dst[:0] in one pass and returns the extended slice. It rejects exactly what
-// decodePayload rejects there: a malformed or non-minimal count, a count
-// larger than the bytes after it, a malformed or non-minimal id, an id above
-// MaxInt32, and bytes left over after the last id.
+// dst[:0] and returns the extended slice. The count must not exceed the bytes
+// after it, so a corrupt count cannot force an allocation beyond the row's
+// own size, and no bytes may follow the last id.
 func decodeRow(dst []graph.NodeID, b []byte) ([]graph.NodeID, error) {
-	n, k := binary.Uvarint(b)
-	if k <= 0 || (k > 1 && b[k-1] == 0) {
-		return dst[:0], fmt.Errorf("%w: bad neighbor count", ErrCorrupt)
+	r := payloadReader{b: b}
+	n := r.uvarint()
+	if r.err == nil && n > uint64(len(b)-r.off) {
+		r.fail("neighbor count %d overruns payload", n)
 	}
-	b = b[k:]
-	if n > uint64(len(b)) {
-		return dst[:0], fmt.Errorf("%w: neighbor count %d overruns payload", ErrCorrupt, n)
+	if r.err != nil {
+		return dst[:0], r.err
 	}
 	dst = slices.Grow(dst[:0], int(n))
-	off := 0
-	for i := uint64(0); i < n; i++ {
-		v, k := uvarint31(b[off:])
-		if k == 0 {
-			return dst[:0], fmt.Errorf("%w: bad node id at row offset %d", ErrCorrupt, off)
-		}
-		dst = append(dst, graph.NodeID(v))
-		off += k
+	for i := uint64(0); i < n && r.err == nil; i++ {
+		dst = append(dst, r.nodeID())
 	}
-	if off != len(b) {
-		return dst[:0], fmt.Errorf("%w: %d trailing payload bytes", ErrCorrupt, len(b)-off)
+	if r.err == nil && r.off != len(b) {
+		r.fail("%d trailing payload bytes", len(b)-r.off)
+	}
+	if r.err != nil {
+		return dst[:0], r.err
 	}
 	return dst, nil
-}
-
-// uvarint31 decodes a minimal uvarint of at most MaxInt32 from the front of
-// b and returns it with its length, or length 0 if there is none: b ends
-// first, the encoding is not minimal, or the value is larger. Such a value
-// needs at most five bytes, the fifth no more than 7.
-func uvarint31(b []byte) (uint32, int) {
-	var v uint32
-	for i := 0; i < len(b) && i < 5; i++ {
-		c := b[i]
-		if i == 4 && (c == 0 || c > 7) {
-			return 0, 0
-		}
-		v |= uint32(c&0x7f) << (7 * i)
-		if c < 0x80 {
-			if c == 0 && i > 0 {
-				return 0, 0
-			}
-			return v, i + 1
-		}
-	}
-	return 0, 0
 }
 
 // replaySegment scans one segment's records in order, invoking fn for each.

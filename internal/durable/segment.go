@@ -82,8 +82,7 @@ func (s *segment) writeAt(p []byte, off int64) error {
 }
 
 // copyGuarded copies src into the mapping at dst, turning a fault — the file
-// was truncated underneath the mapping, or the disk cannot back a page —
-// into an error instead of a crash.
+// was truncated underneath the mapping — into an error instead of a crash.
 func copyGuarded(dst, src []byte) (err error) {
 	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
 	defer func() {
