@@ -51,11 +51,7 @@ func SpreadStarts(k, n int, r *rng.Rand) []graph.NodeID {
 	for i := range perm {
 		perm[i] = graph.NodeID(i)
 	}
-	// r.Perm's Fisher–Yates: the same Intn(i+1) draws, in the same order.
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		perm[i], perm[j] = perm[j], perm[i]
-	}
+	rng.ShuffleInt32s(r, perm) // r.Perm's draws, in the same order
 	starts := make([]graph.NodeID, k)
 	copy(starts, perm)
 	return starts

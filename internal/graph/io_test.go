@@ -3,6 +3,8 @@ package graph
 import (
 	"bytes"
 	"reflect"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -209,4 +211,81 @@ func TestFootprintBytes(t *testing.T) {
 	if got := g.FootprintBytes(); got != want {
 		t.Fatalf("FootprintBytes = %d, want %d", got, want)
 	}
+}
+
+// maxFuzzID bounds the node ids FuzzReadEdgeList feeds the reader: the
+// graph has max id + 1 nodes, so one large id on one line costs memory in
+// proportion to it, which the fuzzer is not there to measure.
+const maxFuzzID = 1 << 16
+
+// hasLargeID reports whether data holds a run of ASCII digits whose value
+// exceeds maxFuzzID.
+func hasLargeID(data []byte) bool {
+	v := 0
+	for _, c := range data {
+		if c < '0' || c > '9' {
+			v = 0
+			continue
+		}
+		if v = v*10 + int(c-'0'); v > maxFuzzID {
+			return true
+		}
+	}
+	return false
+}
+
+// FuzzReadEdgeList feeds arbitrary text to the edge-list reader: never a
+// panic, and either an error or a graph with a node past every id the text
+// names, which WriteEdgeList writes out and ReadEdgeList reads back
+// unchanged.
+func FuzzReadEdgeList(f *testing.F) {
+	for _, seed := range []string{
+		"# Nodes: 4 Edges: 3\n0\t1\n1\t2\n2\t3\n",
+		"0 1\r\n\r\n# comment\n  1   2  extra\n",
+		"3 3\n3 1\n1 3\n",
+		"0\n",
+		"-1 2\n",
+		"1 x\n",
+		"+1 2\n",
+		"2147483648 0\n",
+		"",
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if hasLargeID(data) {
+			t.Skip("an id above maxFuzzID")
+		}
+		g, err := ReadEdgeList(bytes.NewReader(data), 0)
+		if err != nil {
+			return
+		}
+		for _, line := range strings.Split(string(data), "\n") {
+			fields := strings.Fields(line)
+			if len(fields) < 2 || strings.HasPrefix(fields[0], "#") {
+				continue
+			}
+			for _, f := range fields[:2] {
+				if id, err := strconv.Atoi(f); err != nil || id >= g.NumNodes() {
+					t.Fatalf("field %q of line %q, but the graph has %d nodes", f, line, g.NumNodes())
+				}
+			}
+		}
+		var buf bytes.Buffer
+		if err := g.WriteEdgeList(&buf); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ReadEdgeList(&buf, g.NumNodes())
+		if err != nil {
+			t.Fatalf("reading back %q: %v", buf.Bytes(), err)
+		}
+		if back.NumNodes() != g.NumNodes() || back.NumEdges() != g.NumEdges() {
+			t.Fatalf("read back %d nodes, %d edges; wrote %d, %d", back.NumNodes(), back.NumEdges(), g.NumNodes(), g.NumEdges())
+		}
+		for v := range g.NumNodes() {
+			if !slices.Equal(back.Neighbors(NodeID(v)), g.Neighbors(NodeID(v))) {
+				t.Fatalf("node %d: read back %v, wrote %v", v, back.Neighbors(NodeID(v)), g.Neighbors(NodeID(v)))
+			}
+		}
+	})
 }

@@ -40,6 +40,17 @@
 // Every response may carry X-RateLimit-Limit / X-RateLimit-Remaining /
 // X-RateLimit-Reset (unix seconds); the backend records the latest values
 // for rate-limit feedback.
+//
+// The backend reads both 200 answers with one single-pass parser that
+// appends ids straight into the returned lists, with no encoding/json
+// fallback. It accepts what encoding/json would decode into the schema: any
+// JSON whitespace, keys in any order, escaped strings, and unknown keys,
+// whose values it validates and skips. Ids are JSON integers within int32
+// (no fraction, no exponent). Keys match exactly, not case-insensitively.
+// A result without a "neighbors" list, or with a null one, is off-protocol
+// (a *ProtocolError): only a batch entry whose error is "no such user" may
+// lack one. The reference server writes both answers byte for byte as
+// json.Marshal would, so their ETags are those of the marshalled form.
 package httpsrc
 
 import (
@@ -340,32 +351,10 @@ func (b *Backend) getPartial(ctx context.Context, ids []graph.NodeID) ([][]graph
 	return lists, errs, nil
 }
 
-// neighborsResponse is the wire shape of a /neighbors answer.
-type neighborsResponse struct {
-	Results []struct {
-		ID        graph.NodeID   `json:"id"`
-		Neighbors []graph.NodeID `json:"neighbors"`
-	} `json:"results"`
-}
-
 // errorResponse is the wire shape of a protocol error body.
 type errorResponse struct {
 	Error string       `json:"error"`
 	ID    graph.NodeID `json:"id"`
-}
-
-// batchResult is one id's answer in a /neighbors/batch response: a neighbor
-// list, or — when Error is non-empty — a per-id failure that leaves the
-// other results valid.
-type batchResult struct {
-	ID        graph.NodeID   `json:"id"`
-	Neighbors []graph.NodeID `json:"neighbors"`
-	Error     string         `json:"error,omitempty"`
-}
-
-// batchResponse is the wire shape of a /neighbors/batch answer.
-type batchResponse struct {
-	Results []batchResult `json:"results"`
 }
 
 // noSuchUserError is the driver's typed "no such user" answer. It matches
@@ -415,26 +404,6 @@ func (b *Backend) doNeighbors(ctx context.Context, ids []graph.NodeID) ([][]grap
 	return out, err
 }
 
-// decodeNeighbors parses a 200 GET /neighbors body answering ids: one list
-// per id, in order, or a *ProtocolError.
-func decodeNeighbors(body []byte, ids []graph.NodeID) ([][]graph.NodeID, error) {
-	var nr neighborsResponse
-	if err := json.Unmarshal(body, &nr); err != nil {
-		return nil, &ProtocolError{msg: fmt.Sprintf("malformed neighbors JSON: %v", err)}
-	}
-	if len(nr.Results) != len(ids) {
-		return nil, &ProtocolError{msg: fmt.Sprintf("asked for %d ids, got %d results", len(ids), len(nr.Results))}
-	}
-	out := make([][]graph.NodeID, len(ids))
-	for i, res := range nr.Results {
-		if res.ID != ids[i] {
-			return nil, &ProtocolError{msg: fmt.Sprintf("result %d answers id %d, want %d", i, res.ID, ids[i])}
-		}
-		out[i] = res.Neighbors
-	}
-	return out, nil
-}
-
 // doBatchPost performs one POST /neighbors/batch attempt: per-id partial
 // results, ETag revalidation. A 404/405 StatusError means the provider has
 // no batch route (FetchPartial handles the fallback).
@@ -456,39 +425,6 @@ func (b *Backend) doBatchPost(ctx context.Context, ids []graph.NodeID) ([][]grap
 		b.cacheStore(key, etag, lists)
 	}
 	return lists, errs, err
-}
-
-// decodeBatch parses a 200 POST /neighbors/batch body answering ids: one
-// list per id, in order, with per-id errors (nil when every id resolved) for
-// ids the provider reports as "no such user". Anything else off-protocol is
-// a *ProtocolError.
-func decodeBatch(body []byte, ids []graph.NodeID) ([][]graph.NodeID, []error, error) {
-	var br batchResponse
-	if err := json.Unmarshal(body, &br); err != nil {
-		return nil, nil, &ProtocolError{msg: fmt.Sprintf("malformed batch JSON: %v", err)}
-	}
-	if len(br.Results) != len(ids) {
-		return nil, nil, &ProtocolError{msg: fmt.Sprintf("asked for %d ids, got %d results", len(ids), len(br.Results))}
-	}
-	lists := make([][]graph.NodeID, len(ids))
-	var errs []error
-	for i, res := range br.Results {
-		if res.ID != ids[i] {
-			return nil, nil, &ProtocolError{msg: fmt.Sprintf("result %d answers id %d, want %d", i, res.ID, ids[i])}
-		}
-		switch res.Error {
-		case "":
-			lists[i] = res.Neighbors
-		case "no such user":
-			if errs == nil {
-				errs = make([]error, len(ids))
-			}
-			errs[i] = &noSuchUserError{id: res.ID, hasID: true}
-		default:
-			return nil, nil, &ProtocolError{msg: fmt.Sprintf("result %d carries unknown error %q", i, res.Error)}
-		}
-	}
-	return lists, errs, nil
 }
 
 // cloneLists deep-copies a result set — cache entries are immutable, and
@@ -541,6 +477,18 @@ func (b *Backend) Meta(ctx context.Context) (int, error) {
 	if err != nil {
 		return 0, err
 	}
+	n, err := decodeMeta(body)
+	if err != nil {
+		return 0, err
+	}
+	b.mu.Lock()
+	b.users = n
+	b.mu.Unlock()
+	return n, nil
+}
+
+// decodeMeta parses a 200 /meta body: the user count, or a *ProtocolError.
+func decodeMeta(body []byte) (int, error) {
 	var meta struct {
 		NumUsers int `json:"num_users"`
 	}
@@ -551,9 +499,6 @@ func (b *Backend) Meta(ctx context.Context) (int, error) {
 		// Node ids are int32; 0 still means "no count published".
 		return 0, &ProtocolError{msg: fmt.Sprintf("meta num_users %d outside [0, %d]", meta.NumUsers, math.MaxInt32)}
 	}
-	b.mu.Lock()
-	b.users = meta.NumUsers
-	b.mu.Unlock()
 	return meta.NumUsers, nil
 }
 

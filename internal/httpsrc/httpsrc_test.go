@@ -2,9 +2,11 @@ package httpsrc
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -331,5 +333,130 @@ func TestHandlerPanicsOnQuotaWithoutWindow(t *testing.T) {
 			}()
 			Handler(testGraph(), ServerOptions{QueriesPerWindow: 1, Window: w})
 		}()
+	}
+}
+
+// TestMissingNeighborListIsProtocolError: a result without a neighbor list,
+// or with a null one, is off-protocol in both forms, not an isolated user.
+// Only a batch entry that reports "no such user" may lack one.
+func TestMissingNeighborListIsProtocolError(t *testing.T) {
+	ids := []graph.NodeID{0, 7}
+	for _, body := range []string{
+		`{"results":[{"id":0},{"id":7,"neighbors":[1]}]}`,
+		`{"results":[{"id":0,"neighbors":[2]},{"id":7,"neighbors":null}]}`,
+		`{"results":[{"id":0,"neighbors":[2]},{"id":7,"neighbors":[1],"neighbors":null}]}`,
+		`{"results":[{"id":0,"neighbors":[2]},{"id":7,"error":""}]}`,
+	} {
+		var pe *ProtocolError
+		if lists, _, err := decodeBatch([]byte(body), ids); !errors.As(err, &pe) {
+			t.Errorf("decodeBatch(%s) = %v, %v; want a ProtocolError", body, lists, err)
+		}
+		if lists, err := decodeNeighbors([]byte(body), ids); !errors.As(err, &pe) {
+			t.Errorf("decodeNeighbors(%s) = %v, %v; want a ProtocolError", body, lists, err)
+		}
+	}
+	lists, errs, err := decodeBatch([]byte(`{"results":[{"id":0,"neighbors":[]},{"id":7,"error":"no such user"}]}`), ids)
+	if err != nil || lists[0] == nil || len(lists[0]) != 0 || !errors.Is(errs[1], osn.ErrNoSuchUser) {
+		t.Fatalf("decodeBatch = %v, %v, %v; want an empty list and a no-such-user entry", lists, errs, err)
+	}
+}
+
+// TestDecodeMatchesReference pins the hand decoders to the encoding/json
+// reference on bodies that reach each rule of the grammar: whitespace, key
+// order, escapes, unknown values, integer limits, null, repeated keys and
+// the nesting limit.
+func TestDecodeMatchesReference(t *testing.T) {
+	// nest puts an unknown value whose innermost array, or object, sits
+	// depth containers deep.
+	nest := func(depth int, objects bool) string {
+		inner := strings.Repeat("[", depth-3) + strings.Repeat("]", depth-3)
+		if objects {
+			inner = strings.Repeat(`{"a":`, depth-4) + "{}" + strings.Repeat("}", depth-4)
+		}
+		return `{"results":[{"id":0,"neighbors":[1],"x":` + inner + `}]}`
+	}
+	for _, body := range []string{
+		"\t{\r\n\"results\" :[ {\"neighbors\" : [ 1 , 2 ] , \"id\" : 0 } ] }\n",
+		`{"results":[{"id":0,"neighbors":[1],"junk":{"a":[true,false,null,"s",-0.5e-7,{}],"b":""}}],"more":1E+2}`,
+		`{"results":[{"id":0,"neighbors":[-0],"error":"no such user"}]}`,
+		`{"results":[{"id":0,"neighbors":[1],"error":"no such user\u0000"}]}`,
+		`{"results":[{"id":0,"neighbors":[1],"error":"\ud800"}]}`,
+		`{"results":[{"id":0,"neighbors":[1],"error":"\/"}]}`,
+		`{"results":[{"id":0,"neighbors":[1],"error":"\x"}]}`,
+		`{"results":[{"id":0,"neighbors":[1],"error":"` + "\x01" + `"}]}`,
+		`{"results":[{"id":0,"neighbors":[1],"error":"` + "\xff" + `"}]}`,
+		`{"results":[{"id":0,"neighbors":[2147483647,-2147483648]}]}`,
+		`{"results":[{"id":0,"neighbors":[-2147483649]}]}`,
+		`{"results":[{"id":0,"neighbors":[99999999999999999999]}]}`,
+		`{"results":[{"id":0,"neighbors":[1e0]}]}`,
+		`{"results":[{"id":0,"neighbors":[1.]}]}`,
+		`{"results":[{"id":0,"neighbors":[-]}]}`,
+		`{"results":[{"id":0,"neighbors":[1,]}]}`,
+		`{"results":[{"id":0,"neighbors":[,1]}]}`,
+		`{"results":[{"id":0,"neighbors":[1] ,}]}`,
+		`{"results":[{"id":0,"neighbors":["1"]}]}`,
+		`{"results":[{"id":0,"neighbors":{}}]}`,
+		`{"results":[{"id":"0","neighbors":[1]}]}`,
+		`{"results":[{"id":null,"neighbors":[1]}]}`,
+		`{"results":[{"id":5,"id":null,"neighbors":[1]}]}`,
+		`{"results":[{"id":0,"neighbors":[1,2,3],"neighbors":[null,null]}]}`,
+		`{"results":[{"id":0,"neighbors":[1,2,3],"neighbors":[4],"neighbors":[null,null,null,null]}]}`,
+		`{"results":[{"id":0,"neighbors":[1,2],"neighbors":[],"neighbors":[null]}]}`,
+		`{"results":[{"id":0,"neighbors":[1,2],"neighbors":null,"neighbors":[null]}]}`,
+		`{"results":[{"id":0,"neighbors":[1]}],"results":[null]}`,
+		`{"results":[{"id":0,"neighbors":[1]}],"results":[]}`,
+		`{"results":[{"id":0,"neighbors":[1]},{"id":9,"neighbors":[7,8]}],"results":[{"id":0}],"results":[{},{"neighbors":[null,null,null]}]}`,
+		`{"results":[{"id":0,"neighbors":[1]}],"results":null}`,
+		`{"results":[null]}`,
+		`{"results":[1]}`,
+		`{"results":{}}`,
+		`{"results":[{"id":0,"neighbors":[1]}]} x`,
+		`{"results":[{"id":0,"neighbors":[1]}]}{}`,
+		`{"results":[{"id":0,"neighbors":[1]}],}`,
+		`{"results":[{"id":0,"neighbors":[1]}] "a":1}`,
+		`{"results":[{"id":0 "neighbors":[1]}]}`,
+		`{"results"[{"id":0,"neighbors":[1]}]}`,
+		`{results:[{"id":0,"neighbors":[1]}]}`,
+		`[{"id":0,"neighbors":[1]}]`,
+		`{"a":tru}`,
+		`{"a":01}`,
+		`{"a":1.e5}`,
+		`{"a":-.5}`,
+		"\ufeff{}",
+		nest(maxDepth, false),
+		nest(maxDepth+1, false),
+		nest(maxDepth, true),
+		nest(maxDepth+1, true),
+	} {
+		for _, ids := range [][]graph.NodeID{{0}, {0, 9}} {
+			lists, errs, err := decodeBatch([]byte(body), ids)
+			rlists, rerrs, rerr := refDecodeBatch([]byte(body), ids)
+			sameDecode(t, "decodeBatch", []byte(body), lists, rlists, errs, rerrs, err, rerr)
+			nlists, nerr := decodeNeighbors([]byte(body), ids)
+			rnlists, rnerr := refDecodeNeighbors([]byte(body), ids)
+			sameDecode(t, "decodeNeighbors", []byte(body), nlists, rnlists, nil, nil, nerr, rnerr)
+		}
+	}
+}
+
+// TestResultsEncodingMatchesMarshal: the GET route's 200 answer is byte for
+// byte json.Marshal's, so ETags did not change with the encoder.
+func TestResultsEncodingMatchesMarshal(t *testing.T) {
+	g := testGraph()
+	rec := httptest.NewRecorder()
+	Handler(g, ServerOptions{}).ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/neighbors?ids=3,0,9,3", nil))
+	var want neighborsResponse
+	for _, v := range []graph.NodeID{3, 0, 9, 3} {
+		want.Results = append(want.Results, struct {
+			ID        graph.NodeID   `json:"id"`
+			Neighbors []graph.NodeID `json:"neighbors"`
+		}{v, g.Neighbors(v)})
+	}
+	body, err := json.Marshal(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Code != http.StatusOK || rec.Body.String() != string(body)+"\n" {
+		t.Fatalf("GET answer %d %q, want 200 %q", rec.Code, rec.Body, body)
 	}
 }

@@ -149,16 +149,16 @@ func (s *server) enter(w http.ResponseWriter, r *http.Request) func() {
 	return release
 }
 
-// writeJSON marshals v, stamps a strong ETag over the exact bytes, and
-// answers 304 when the request's If-None-Match already names them.
-func writeJSON(w http.ResponseWriter, r *http.Request, v any) {
-	body, err := json.Marshal(v)
-	if err != nil {
-		http.Error(w, `{"error":"encoding failed"}`, http.StatusInternalServerError)
-		return
-	}
+// writeResults answers a neighbor request for ids with 200 and its results
+// document, stamping a strong ETag over the exact bytes, or answers 304
+// when the request's If-None-Match already names them.
+func (s *server) writeResults(w http.ResponseWriter, r *http.Request, ids []graph.NodeID) {
+	bp := bodies.Get().(*[]byte)
+	defer bodies.Put(bp)
+	body := append(appendResults((*bp)[:0], s.g, ids), '\n')
+	*bp = body
 	h := fnv.New64a()
-	h.Write(body)
+	h.Write(body[:len(body)-1])
 	etag := fmt.Sprintf("%q", strconv.FormatUint(h.Sum64(), 16))
 	w.Header().Set("ETag", etag)
 	w.Header().Set("Content-Type", "application/json")
@@ -166,8 +166,11 @@ func writeJSON(w http.ResponseWriter, r *http.Request, v any) {
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
-	w.Write(append(body, '\n'))
+	w.Write(body)
 }
+
+// bodies recycles answer buffers, each grown to the largest answer it held.
+var bodies = sync.Pool{New: func() any { return new([]byte) }}
 
 func (s *server) neighbors(w http.ResponseWriter, r *http.Request) {
 	release := s.enter(w, r)
@@ -185,8 +188,8 @@ func (s *server) neighbors(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, `{"error":"too many ids"}`, http.StatusBadRequest)
 		return
 	}
-	var nr neighborsResponse
-	for _, p := range parts {
+	ids := make([]graph.NodeID, len(parts))
+	for i, p := range parts {
 		id, err := strconv.ParseInt(strings.TrimSpace(p), 10, 32)
 		if err != nil {
 			http.Error(w, fmt.Sprintf(`{"error":"bad id %q"}`, p), http.StatusBadRequest)
@@ -198,12 +201,9 @@ func (s *server) neighbors(w http.ResponseWriter, r *http.Request) {
 			json.NewEncoder(w).Encode(errorResponse{Error: "no such user", ID: v})
 			return
 		}
-		nr.Results = append(nr.Results, struct {
-			ID        graph.NodeID   `json:"id"`
-			Neighbors []graph.NodeID `json:"neighbors"`
-		}{ID: v, Neighbors: s.neighborsOf(v)})
+		ids[i] = v
 	}
-	writeJSON(w, r, nr)
+	s.writeResults(w, r, ids)
 }
 
 // batch serves POST /neighbors/batch: per-id results, unknown ids as error
@@ -230,25 +230,7 @@ func (s *server) batch(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, `{"error":"too many ids"}`, http.StatusBadRequest)
 		return
 	}
-	br := batchResponse{Results: make([]batchResult, len(req.IDs))}
-	for i, v := range req.IDs {
-		if v < 0 || int(v) >= s.g.NumNodes() {
-			br.Results[i] = batchResult{ID: v, Neighbors: []graph.NodeID{}, Error: "no such user"}
-			continue
-		}
-		br.Results[i] = batchResult{ID: v, Neighbors: s.neighborsOf(v)}
-	}
-	writeJSON(w, r, br)
-}
-
-// neighborsOf returns v's neighbor list, never nil (the wire shape encodes
-// an isolated user as an empty array).
-func (s *server) neighborsOf(v graph.NodeID) []graph.NodeID {
-	nbrs := s.g.Neighbors(v)
-	if nbrs == nil {
-		nbrs = []graph.NodeID{}
-	}
-	return nbrs
+	s.writeResults(w, r, req.IDs)
 }
 
 func (s *server) meta(w http.ResponseWriter, r *http.Request) {

@@ -169,6 +169,40 @@ func (r *Rand) ShuffleInts(p []int) {
 	}
 }
 
+// ShuffleInt32s performs ShuffleInts' Fisher–Yates over p: the same
+// Intn(i+1) draws in the same order, leaving r in the same state. The
+// generator state lives in locals for the whole loop, because Intn does not
+// inline and a call per element costs more than the step itself.
+func ShuffleInt32s[T ~int32](r *Rand, p []T) {
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	for i := len(p) - 1; i > 0; i-- {
+		n := uint64(i + 1)
+		var j uint64
+		for {
+			// Uint64, then Intn's acceptance test on its output.
+			x := rotl(s1*5, 7) * 9
+			t := s1 << 17
+			s2 ^= s0
+			s3 ^= s1
+			s1 ^= s2
+			s0 ^= s3
+			s2 ^= t
+			s3 = rotl(s3, 45)
+			if n&(n-1) == 0 {
+				j = x & (n - 1)
+				break
+			}
+			hi, lo := bits.Mul64(x, n)
+			if lo >= n || lo >= (-n)%n {
+				j = hi
+				break
+			}
+		}
+		p[i], p[j] = p[j], p[i]
+	}
+	r.s = [4]uint64{s0, s1, s2, s3}
+}
+
 // Shuffle performs an in-place Fisher–Yates shuffle using swap, in the manner
 // of math/rand.Shuffle.
 func (r *Rand) Shuffle(n int, swap func(i, j int)) {

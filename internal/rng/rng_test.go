@@ -382,3 +382,54 @@ func limbIntn(r *Rand, n int) int {
 		}
 	}
 }
+
+// TestShuffleInt32sMatchesIntnDraws pins ShuffleInt32s to the Fisher–Yates
+// loop over Intn(i+1) draws: the same permutation, and the same final
+// State, for sizes around the power-of-two fast path and over a named
+// ~int32 type.
+func TestShuffleInt32sMatchesIntnDraws(t *testing.T) {
+	type id int32
+	for _, n := range []int{0, 1, 2, 3, 4, 5, 7, 8, 9, 64, 65, 1000, 70999} {
+		for seed := uint64(1); seed <= 3; seed++ {
+			want, got := New(seed), New(seed)
+			wp, gp := make([]int32, n), make([]id, n)
+			for i := range wp {
+				wp[i], gp[i] = int32(i), id(i)
+			}
+			for i := n - 1; i > 0; i-- {
+				j := want.Intn(i + 1)
+				wp[i], wp[j] = wp[j], wp[i]
+			}
+			ShuffleInt32s(got, gp)
+			for i := range wp {
+				if int32(gp[i]) != wp[i] {
+					t.Fatalf("n=%d seed=%d: p[%d] = %d, Intn loop gives %d", n, seed, i, gp[i], wp[i])
+				}
+			}
+			if got.State() != want.State() {
+				t.Fatalf("n=%d seed=%d: state %v after the shuffle, Intn loop leaves %v", n, seed, got.State(), want.State())
+			}
+		}
+	}
+}
+
+// BenchmarkShuffleInt32s shuffles the ID space of Slashdot B, against the
+// same loop over Intn.
+func BenchmarkShuffleInt32s(b *testing.B) {
+	p := make([]int32, 70999)
+	b.Run("locals", func(b *testing.B) {
+		r := New(1)
+		for i := 0; i < b.N; i++ {
+			ShuffleInt32s(r, p)
+		}
+	})
+	b.Run("intn", func(b *testing.B) {
+		r := New(1)
+		for i := 0; i < b.N; i++ {
+			for i := len(p) - 1; i > 0; i-- {
+				j := r.Intn(i + 1)
+				p[i], p[j] = p[j], p[i]
+			}
+		}
+	})
+}

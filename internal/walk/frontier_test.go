@@ -1,10 +1,10 @@
 package walk
 
 import (
-	"math"
 	"slices"
 	"testing"
 
+	"rewire/internal/dataset"
 	"rewire/internal/gen"
 	"rewire/internal/graph"
 	"rewire/internal/rng"
@@ -62,10 +62,11 @@ func (s *walkSource) CachedDegree(v graph.NodeID) (int, bool) {
 	return len(l), ok
 }
 
-// mapFrontier is the reference ranking Frontier replaced: scores in a map,
-// rescanned on every step, with top-k insertion looking each score up in
-// the map. Its shed drops the lowest-ranked entries: the lowest scores,
-// and among those the largest ids.
+// mapFrontier is the reference ranking: scores in a map, rescanned on
+// every step, with top-k insertion looking each score up in the map. It
+// applies Frontier's admission rule: a scored node scores one more, and a
+// cold newcomer enters at score 1 only while fewer than frontierCap nodes
+// are scored.
 type mapFrontier struct {
 	src     *walkSource
 	scanned map[graph.NodeID]bool
@@ -105,22 +106,6 @@ func (p *mapFrontier) Landed(from, to graph.NodeID) {
 	for _, v := range best {
 		delete(p.score, v)
 	}
-	for excess := len(p.score) - frontierCap; excess > 0; excess = len(p.score) - frontierCap {
-		low := math.MaxInt
-		for _, s := range p.score {
-			low = min(low, s)
-		}
-		var lowest []graph.NodeID
-		for v, s := range p.score {
-			if s == low {
-				lowest = append(lowest, v)
-			}
-		}
-		slices.Sort(lowest)
-		for _, v := range lowest[max(0, len(lowest)-excess):] {
-			delete(p.score, v)
-		}
-	}
 }
 
 func (p *mapFrontier) scan(v graph.NodeID) {
@@ -130,8 +115,10 @@ func (p *mapFrontier) scan(v graph.NodeID) {
 	}
 	p.scanned[v] = true
 	for _, w := range nbrs {
-		if !p.src.Known(w) {
+		if _, ok := p.score[w]; ok {
 			p.score[w]++
+		} else if len(p.score) < frontierCap && !p.src.Known(w) {
+			p.score[w] = 1
 		}
 	}
 }
@@ -170,7 +157,7 @@ func frontierTestGraph(t testing.TB) *graph.Graph {
 
 // TestFrontierMatchesMapRanking: over seeded walks on a social graph, the
 // dense-slice Frontier emits exactly the hint sequence of the map-based
-// ranking it replaced, shedding included.
+// reference, admission at the cap included.
 func TestFrontierMatchesMapRanking(t *testing.T) {
 	g := frontierTestGraph(t)
 	for seed := uint64(1); seed <= 4; seed++ {
@@ -182,15 +169,22 @@ func TestFrontierMatchesMapRanking(t *testing.T) {
 		src := newWalkSource(g)
 		src.logging = true
 		p := NewFrontier(src)
-		shed := false
+		full := false
 		src.Neighbors(walk[0])
 		for i := 1; i < len(walk); i++ {
 			src.Neighbors(walk[i])
+			// Landed's own scans, done first to see the frontier at its
+			// fullest, before pruning and hinting; Landed then skips them.
+			p.scan(walk[i-1])
+			p.scan(walk[i])
+			if len(p.entries) > frontierCap {
+				t.Fatalf("seed %d: frontier holds %d entries, cap is %d", seed, len(p.entries), frontierCap)
+			}
+			full = full || len(p.entries) == frontierCap
 			p.Landed(walk[i-1], walk[i])
-			shed = shed || len(p.entries) == frontierCap
 		}
-		if !shed {
-			t.Errorf("seed %d: the frontier never reached its cap, so shedding went untested", seed)
+		if !full {
+			t.Errorf("seed %d: the frontier never reached its cap, so admission went untested", seed)
 		}
 		if !slices.Equal(src.log, ref.log) {
 			first := min(len(src.log), len(ref.log))
@@ -205,37 +199,46 @@ func TestFrontierMatchesMapRanking(t *testing.T) {
 	}
 }
 
-// BenchmarkFrontierLanded times one step's ranking over seeded walks on a
-// social graph, against the map-based ranking it replaced. The source is
-// reset every walk, so the frontier keeps growing back to its cap.
+// BenchmarkFrontierLanded times one step's ranking over seeded walks, on
+// the tenth-size graph and on the full Google Plus stand-in, whose hubs
+// list thousands of neighbors, against the map-based reference. The source
+// is reset every walk, so the frontier keeps filling back up to its cap.
 func BenchmarkFrontierLanded(b *testing.B) {
-	g := frontierTestGraph(b)
-	walk := frontierWalk(g, 2000, 1)
-	for _, impl := range []struct {
+	for _, graphCase := range []struct {
 		name string
-		mk   func(src *walkSource) Prefetcher
+		g    func(testing.TB) *graph.Graph
 	}{
-		{"slice", func(src *walkSource) Prefetcher { return NewFrontier(src) }},
-		{"map", func(src *walkSource) Prefetcher {
-			return &mapFrontier{src: src, scanned: map[graph.NodeID]bool{}, score: map[graph.NodeID]int{}}
-		}},
+		{"tenth", frontierTestGraph},
+		{"gplus", func(testing.TB) *graph.Graph { return gen.GooglePlusLike(dataset.Seed) }},
 	} {
-		b.Run(impl.name, func(b *testing.B) {
-			src := newWalkSource(g)
-			p := impl.mk(src)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				j := i%(len(walk)-1) + 1
-				if j == 1 {
-					b.StopTimer()
-					src.reset()
-					p = impl.mk(src)
-					src.Neighbors(walk[0])
-					b.StartTimer()
+		g := graphCase.g(b)
+		walk := frontierWalk(g, 2000, 1)
+		for _, impl := range []struct {
+			name string
+			mk   func(src *walkSource) Prefetcher
+		}{
+			{"slice", func(src *walkSource) Prefetcher { return NewFrontier(src) }},
+			{"map", func(src *walkSource) Prefetcher {
+				return &mapFrontier{src: src, scanned: map[graph.NodeID]bool{}, score: map[graph.NodeID]int{}}
+			}},
+		} {
+			b.Run(graphCase.name+"/"+impl.name, func(b *testing.B) {
+				src := newWalkSource(g)
+				p := impl.mk(src)
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					j := i%(len(walk)-1) + 1
+					if j == 1 {
+						b.StopTimer()
+						src.reset()
+						p = impl.mk(src)
+						src.Neighbors(walk[0])
+						b.StartTimer()
+					}
+					src.Neighbors(walk[j])
+					p.Landed(walk[j-1], walk[j])
 				}
-				src.Neighbors(walk[j])
-				p.Landed(walk[j-1], walk[j])
-			}
-		})
+			})
+		}
 	}
 }

@@ -71,23 +71,27 @@ const frontierWidth = 8
 
 // Frontier is the frontier-top-k strategy: besides the landing node, it
 // hints up to frontierWidth cold frontier nodes ranked by cache-visible
-// degree — the
-// number of already-demanded neighbor lists a cold node appears in. Under an
-// SRW that count is proportional to the probability mass flowing into the
-// node from explored territory, so high scorers are the cold nodes the walk
-// is most likely to demand soon. Social-graph clustering is what makes this
-// pay: a node hinted from u's list is typically reached several steps later,
-// by which time its round-trip has already completed.
+// degree — the number of already-demanded neighbor lists a cold node
+// appears in. Under an SRW that count is proportional to the probability
+// mass flowing into the node from explored territory, so high scorers are
+// the cold nodes the walk is most likely to demand soon. Social-graph
+// clustering is what makes this pay: a node hinted from u's list is
+// typically reached several steps later, by which time its round-trip has
+// already completed.
+//
+// The frontier is admission-capped: a neighbor already in it scores one
+// more, and a cold newcomer enters at score 1 only while the frontier holds
+// fewer than frontierCap entries. A full frontier refuses newcomers until
+// pruning and hinting free room, so it never holds more than frontierCap.
 type Frontier struct {
 	src    PrefetchSource
 	cached CachedSource // nil degrades the strategy to NextHop behavior
 	// landed and best are Prefetch's arguments: the landing node, then the
-	// ranked frontier. top ranks the frontier and ranked is shed's scratch
-	// copy of it. All owned, so a step allocates nothing.
+	// ranked frontier; top ranks the frontier. All owned, so a step
+	// allocates nothing.
 	landed [1]graph.NodeID
 	best   [frontierWidth]graph.NodeID
 	top    [frontierWidth]frontierEntry
-	ranked []frontierEntry
 	// scanned marks nodes whose demanded neighbor list was already folded
 	// into the scores, so each list is counted once.
 	scanned map[graph.NodeID]struct{}
@@ -119,13 +123,15 @@ func NewFrontier(src PrefetchSource) *Frontier {
 		src:     src,
 		cached:  cached,
 		scanned: make(map[graph.NodeID]struct{}),
-		index:   make(map[graph.NodeID]int),
+		index:   make(map[graph.NodeID]int, frontierCap),
 	}
 }
 
-// frontierCap bounds the frontier, so one Landed call costs O(cap)
-// regardless of how much territory the walk has seen. Ranking a speculative
-// hint heuristic does not justify unbounded state or a per-step sort.
+// frontierCap bounds the frontier by admission, so one Landed call costs
+// one index lookup per neighbor of each newly scanned list, plus one Known
+// call per entrant and per entry ranked — O(degree + cap) whatever the walk
+// has seen. Ranking a speculative hint heuristic does not justify unbounded
+// state or a per-step sort.
 const frontierCap = 64 * frontierWidth
 
 // Landed folds the newly demanded neighbor lists into the frontier scores,
@@ -160,7 +166,6 @@ func (p *Frontier) Landed(from, to graph.NodeID) {
 	for _, v := range best {
 		p.remove(p.index[v]) // hinted: in flight now, no longer cold
 	}
-	p.shed()
 }
 
 // remove deletes entries[i] by moving the last entry into its place.
@@ -172,72 +177,6 @@ func (p *Frontier) remove(i int) {
 		p.index[p.entries[i].id] = i
 	}
 	p.entries = p.entries[:last]
-}
-
-// shed keeps the frontier within frontierCap by deleting the entries that
-// rank last: the lowest scores first, and among equal scores the largest
-// ids. Their lists were already scanned, so a shed node only returns via a
-// fresh list — an acceptable loss of hint quality for bounded per-step
-// cost. One selection over a copy finds the last entry kept, and one pass
-// fills each shed entry's place from the tail, so the index is touched
-// once per shed entry and once per entry moved.
-func (p *Frontier) shed() {
-	if len(p.entries) <= frontierCap {
-		return
-	}
-	p.ranked = append(p.ranked[:0], p.entries...)
-	selectRank(p.ranked, frontierCap-1)
-	last := p.ranked[frontierCap-1]
-	n := len(p.entries)
-	for i := 0; i < n; {
-		if !last.outranks(p.entries[i]) {
-			i++
-			continue
-		}
-		delete(p.index, p.entries[i].id)
-		n--
-		for n > i && last.outranks(p.entries[n]) {
-			delete(p.index, p.entries[n].id)
-			n--
-		}
-		if n > i {
-			p.entries[i] = p.entries[n]
-			p.index[p.entries[i].id] = i
-			i++
-		}
-	}
-	p.entries = p.entries[:n]
-}
-
-// selectRank reorders es so that es[k] is the entry of rank k (0 = best):
-// every entry before it outranks it, and it outranks every entry after it.
-func selectRank(es []frontierEntry, k int) {
-	lo, hi := 0, len(es)-1
-	for lo < hi {
-		pivot := es[lo+(hi-lo)/2]
-		i, j := lo, hi
-		for i <= j {
-			for es[i].outranks(pivot) {
-				i++
-			}
-			for pivot.outranks(es[j]) {
-				j--
-			}
-			if i <= j {
-				es[i], es[j] = es[j], es[i]
-				i++
-				j--
-			}
-		}
-		switch {
-		case k <= j:
-			hi = j
-		case k >= i:
-			lo = i
-		default:
-			return
-		}
-	}
 }
 
 // insertTopK inserts e into top (in outranks order), keeping at most
@@ -259,7 +198,10 @@ func insertTopK(top []frontierEntry, e frontierEntry) []frontierEntry {
 	return top
 }
 
-// scan folds v's demanded neighbor list into the frontier scores (once).
+// scan folds v's demanded neighbor list into the frontier scores (once): a
+// neighbor in the frontier scores one more, and a cold one outside it is
+// admitted at score 1 while there is room. An entry that has stopped being
+// cold may still score here; Landed prunes it before ranking.
 func (p *Frontier) scan(v graph.NodeID) {
 	if p.cached == nil {
 		return
@@ -273,11 +215,11 @@ func (p *Frontier) scan(v graph.NodeID) {
 	}
 	p.scanned[v] = struct{}{}
 	for _, w := range nbrs {
-		if p.src.Known(w) {
-			continue
-		}
 		if i, ok := p.index[w]; ok {
 			p.entries[i].score++
+			continue
+		}
+		if len(p.entries) >= frontierCap || p.src.Known(w) {
 			continue
 		}
 		p.index[w] = len(p.entries)

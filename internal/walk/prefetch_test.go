@@ -207,26 +207,61 @@ func hubs() *listSource {
 	return src
 }
 
-// TestFrontierShedsLowestScoresToCap: two scanned hubs sharing 1000 cold
-// leaves leave 992 score-2 and 1000 score-1 entries after the top 8 are
-// hinted. The frontier must come back to frontierCap entries, shedding
-// every score-1 entry before any score-2 one, and among the score-2 ones
-// the largest ids: leaves 10..521 stay.
-func TestFrontierShedsLowestScoresToCap(t *testing.T) {
-	p := NewFrontier(hubs())
-	p.Landed(0, 1)
-	if len(p.entries) != frontierCap || len(p.index) != frontierCap {
-		t.Fatalf("frontier holds %d entries (%d indexed), cap is %d", len(p.entries), len(p.index), frontierCap)
+// TestFrontierAdmitsNewcomersToCap: two hubs share 1000 cold leaves. Hub
+// 0's scan admits leaves 2..513 and refuses the rest, so the frontier never
+// exceeds frontierCap entries, and hub 1's scan still scores the admitted
+// shared leaves. After the top 8 are hinted, exactly leaves 10..513 stay,
+// each at score 2, and the freed room admits newcomers again.
+func TestFrontierAdmitsNewcomersToCap(t *testing.T) {
+	src := hubs()
+	p := NewFrontier(src)
+	check := func(after string, n, score int) {
+		t.Helper()
+		if len(p.entries) != n || len(p.index) != n {
+			t.Fatalf("after %s: frontier holds %d entries (%d indexed), want %d", after, len(p.entries), len(p.index), n)
+		}
+		lo := graph.NodeID(2 + frontierCap - n)
+		for i, e := range p.entries {
+			if e.id < lo || e.id >= 2+frontierCap {
+				t.Fatalf("after %s: leaf %d admitted, want exactly leaves %d..%d", after, e.id, lo, 2+frontierCap-1)
+			}
+			if e.score != score {
+				t.Fatalf("after %s: leaf %d scores %d, want %d", after, e.id, e.score, score)
+			}
+			if p.index[e.id] != i {
+				t.Fatalf("after %s: index[%d] = %d, entry sits at %d", after, e.id, p.index[e.id], i)
+			}
+		}
 	}
-	for i, e := range p.entries {
-		if e.score != 2 {
-			t.Fatalf("leaf %d kept with score %d while score-2 leaves were shed", e.id, e.score)
+	p.scan(0)
+	check("hub 0's scan", frontierCap, 1)
+	p.scan(1)
+	check("hub 1's scan", frontierCap, 2)
+	p.Landed(0, 1)
+	check("the first step", frontierCap-frontierWidth, 2)
+
+	// A third hub lists 8 fresh leaves and then leaves already scored: the
+	// fresh ones fill the room hinting freed, and the others score a third
+	// time.
+	src.lists[2] = nil
+	for v := graph.NodeID(2002); v < 2010; v++ {
+		src.lists[2] = append(src.lists[2], v)
+	}
+	src.lists[2] = append(src.lists[2], 2+frontierCap-1, 2000)
+	p.scan(2)
+	if len(p.entries) != frontierCap {
+		t.Fatalf("frontier holds %d entries after the third scan, want %d", len(p.entries), frontierCap)
+	}
+	if _, ok := p.index[2000]; ok {
+		t.Fatal("leaf 2000 admitted to a full frontier")
+	}
+	for _, v := range []graph.NodeID{2002, 2009, 2 + frontierCap - 1} {
+		i, ok := p.index[v]
+		if !ok {
+			t.Fatalf("leaf %d missing after the third scan", v)
 		}
-		if e.id < 10 || e.id >= 10+frontierCap {
-			t.Fatalf("leaf %d kept, want exactly leaves 10..%d", e.id, 10+frontierCap-1)
-		}
-		if p.index[e.id] != i {
-			t.Fatalf("index[%d] = %d, entry sits at %d", e.id, p.index[e.id], i)
+		if want := map[bool]int{true: 3, false: 1}[v < 2002]; p.entries[i].score != want {
+			t.Fatalf("leaf %d scores %d, want %d", v, p.entries[i].score, want)
 		}
 	}
 }
