@@ -8,6 +8,8 @@ import (
 	"slices"
 	"sync"
 	"time"
+
+	"rewire/internal/osn"
 )
 
 // BatchingOptions tunes WithBatching. The zero value of every field selects
@@ -20,9 +22,13 @@ type BatchingOptions struct {
 	// while other dispatches are in flight or callers released by the last
 	// completion are still due back: when the window cannot flush
 	// immediately, a timer flushes whatever has accumulated after MaxWait
-	// (default 2ms). It also caps the completion hold, which is otherwise a
-	// quarter of the dispatcher's recent round trip. An id arriving at an
-	// idle dispatcher with nobody due back never waits at all.
+	// (default 2ms). It also caps the timer of the completion hold, which
+	// is otherwise a quarter of the dispatcher's recent round trip; a hold
+	// whose callers all came back or left ends before its timer, and one
+	// its timer ends lasts at least about 1ms, because the Go runtime
+	// rounds a shorter timer up to 1ms when the process is otherwise idle.
+	// An id arriving at an idle dispatcher with nobody due back never waits
+	// at all.
 	MaxWait time.Duration
 	// MaxInflight caps concurrently dispatched backend Fetches — the bounded
 	// parallelism an oversized caller batch is chunked across (default 4).
@@ -54,7 +60,7 @@ type PartialFetcher interface {
 // window, an idle dispatcher (no id waited at all), the MaxWait timer, or
 // the drain after a previous dispatch completed — at once when that
 // completion released nobody, else when the callers it released are back
-// or its hold expires.
+// or have left, or its hold expires.
 type BatchStats struct {
 	// Batches and IDs count dispatched backend Fetches and the ids they
 	// carried (IDs/Batches is the achieved coalescing factor).
@@ -84,16 +90,22 @@ type BatchStatser interface {
 // arriving at an idle dispatcher (nothing in flight, nobody due back)
 // dispatches at once, so a lone walker pays zero added latency; otherwise
 // ids wait — at most MaxWait, and usually much less. A completed dispatch
-// counts the Fetch calls it released and holds the window for them: the
-// drain goes when that many new Fetches have arrived, so a fleet's walkers,
+// holds the window for the callers it released: the drain goes once each
+// of them has come back with a new Fetch or left, so a fleet's walkers,
 // released together, ride the next round trip together instead of
-// splitting into cohorts that each wait out the other's flight. The hold
-// lasts at most a quarter of the dispatcher's recent round trip (a moving
-// average of its completed fetches), capped by MaxWait, so a released
-// caller that never comes back delays the others only that long; a
-// completion that released nobody drains at once. Oversized caller batches
-// are chunked into MaxBatch dispatches run with at most MaxInflight in
-// flight.
+// splitting into cohorts that each wait out the other's flight. A Session
+// fleet member leaves when it retires, and when its next miss joins a fetch
+// already in flight; its seat (carried in the Fetch context) tells the
+// dispatcher which member a completion released. Callers without a seat
+// are counted instead: the drain goes when as many of them have come back.
+// The prefetch pool's fetches and batch queries' one-shot fetches are never
+// held for, and a run's start holds the first member's miss for the
+// others. A hold whose callers do not all come back or leave ends on a
+// timer: a quarter of the dispatcher's recent round trip (a moving average
+// of its completed fetches), capped by MaxWait, but at least about 1ms
+// (see MaxWait). A completion that released nobody drains at once.
+// Oversized caller batches are chunked into MaxBatch dispatches run with at
+// most MaxInflight in flight.
 //
 // Semantics are exactly Backend's: per-caller results in input order, batch
 // error on any per-id failure, provable trajectory- and billing-neutrality
@@ -170,7 +182,8 @@ type batchSlot struct {
 // dispatcher's mu: the completion that resolves its last slot released the
 // caller, and owes it a place in the next batch unless it withdrew.
 type batchCall struct {
-	left      int // slots not yet resolved
+	left      int       // slots not yet resolved
+	seat      *osn.Seat // the caller's seat, nil when it has none
 	withdrawn bool
 }
 
@@ -200,16 +213,22 @@ type batchingBackend struct {
 	inflight int
 	timerOn  bool
 	timerGen int
-	// owed counts Fetch calls released by completions that have not yet
-	// been matched by a new Fetch; while it is positive a partial window is
-	// held for them, until holdGen's timer expires.
-	owed    int
+	// The places owed to callers released by completions: one per seat in
+	// owing, and anon for calls without a seat. A place is paid when its
+	// caller comes back with a new Fetch, or when its seat leaves; while
+	// any is owed, a partial window is held for them, until holdGen's
+	// timer expires.
+	owing   map[*osn.Seat]struct{}
+	anon    int
 	holdGen int
+	expired int64         // holds ended by their timer
 	rtt     time.Duration // moving average of completed fetches
 	stats   BatchStats
 }
 
 func (c *batchingBackend) Unwrap() Backend { return c.inner }
+
+var _ osn.SeatHolder = (*batchingBackend)(nil)
 
 // BatchStats returns the dispatch counters so far.
 func (c *batchingBackend) BatchStats() BatchStats {
@@ -229,7 +248,8 @@ func (c *batchingBackend) Fetch(ctx context.Context, ids []NodeID) ([][]NodeID, 
 	// the dispatch) but keep the demander's values — tenant attribution,
 	// traces — so each slot carries a detached parent.
 	base := context.WithoutCancel(ctx)
-	call := &batchCall{left: len(ids)}
+	seat := osn.SeatFrom(ctx)
+	call := &batchCall{left: len(ids), seat: seat}
 	slots := make([]*batchSlot, len(ids))
 	c.mu.Lock()
 	waited := len(c.pending)
@@ -238,20 +258,16 @@ func (c *batchingBackend) Fetch(ctx context.Context, ids []NodeID) ([][]NodeID, 
 		slots[i] = s
 		c.pending = append(c.pending, s)
 	}
-	// Every arrival pays one released caller's place. The one that pays the
-	// last lets the held window go with it.
+	// An arrival pays its own place, if it is owed one. The one that pays
+	// the last lets the held window go with it.
 	why := flushNone
 	switch {
-	case c.owed > 1:
-		c.owed--
-	case c.owed == 1:
-		c.owed = 0
-		c.holdGen++
+	case c.payLocked(seat):
 		why = flushDrain
 		if waited == 0 && c.inflight == 0 {
 			why = flushIdle
 		}
-	case c.inflight == 0:
+	case c.owedLocked() == 0 && c.inflight == 0:
 		why = flushIdle
 	}
 	batches := c.takeLocked(why)
@@ -356,8 +372,8 @@ func (c *batchingBackend) armHoldLocked() {
 	time.AfterFunc(min(c.opt.MaxWait, c.rtt/4), func() { c.holdFire(gen) })
 }
 
-// holdFire ends a hold whose released callers did not all come back: they
-// are owed nothing more, and the window drains without them.
+// holdFire ends a hold whose released callers did not all come back or
+// leave: they are owed nothing more, and the window drains without them.
 func (c *batchingBackend) holdFire(gen int) {
 	c.mu.Lock()
 	if gen != c.holdGen {
@@ -365,7 +381,86 @@ func (c *batchingBackend) holdFire(gen int) {
 		return
 	}
 	c.holdGen++
-	c.owed = 0
+	c.anon = 0
+	clear(c.owing)
+	c.expired++
+	batches := c.takeLocked(flushDrain)
+	c.armTimerLocked()
+	c.mu.Unlock()
+	c.launch(batches)
+}
+
+// owedLocked returns how many places are owed. Callers hold c.mu.
+func (c *batchingBackend) owedLocked() int { return len(c.owing) + c.anon }
+
+// oweLocked owes a place in the next batch to the caller of a call a
+// completion released, and returns how many places that adds: one per
+// seat however many of its calls are released, one per call without a
+// seat, none for an unowed seat. Callers hold c.mu.
+func (c *batchingBackend) oweLocked(s *osn.Seat) int {
+	switch {
+	case s == nil:
+		c.anon++
+		return 1
+	case s.Unowed():
+		return 0
+	}
+	if _, ok := c.owing[s]; ok {
+		return 0
+	}
+	if c.owing == nil {
+		c.owing = make(map[*osn.Seat]struct{})
+	}
+	c.owing[s] = struct{}{}
+	s.Held(c)
+	return 1
+}
+
+// payLocked pays the place owed to the caller seated at s (an unseated one
+// when s is nil), if one is owed, and reports whether that was the last
+// place owed, which ends the hold. Callers hold c.mu.
+func (c *batchingBackend) payLocked(s *osn.Seat) bool {
+	if s == nil {
+		if c.anon == 0 {
+			return false
+		}
+		c.anon--
+	} else {
+		if _, ok := c.owing[s]; !ok {
+			return false
+		}
+		delete(c.owing, s)
+	}
+	if c.owedLocked() > 0 {
+		return false
+	}
+	c.holdGen++
+	return true
+}
+
+// Owe holds a place in the next batch for each seat, as a completion that
+// released their callers would.
+func (c *batchingBackend) Owe(seats ...*osn.Seat) {
+	c.mu.Lock()
+	added := 0
+	for _, s := range seats {
+		added += c.oweLocked(s)
+	}
+	if added > 0 {
+		c.armHoldLocked()
+	}
+	c.mu.Unlock()
+}
+
+// Vacate pays the place owed to s's caller at once, when it will not come
+// back for it: a fleet member that retired, or a demand that joined a fetch
+// already in flight. A seat owed no place changes nothing.
+func (c *batchingBackend) Vacate(s *osn.Seat) {
+	c.mu.Lock()
+	if !c.payLocked(s) {
+		c.mu.Unlock()
+		return
+	}
 	batches := c.takeLocked(flushDrain)
 	c.armTimerLocked()
 	c.mu.Unlock()
@@ -432,7 +527,7 @@ func (c *batchingBackend) run(ctx context.Context, cancel context.CancelFunc, lb
 	for _, s := range lb.slots {
 		s.resolved = true
 		if s.call.left--; s.call.left == 0 && !s.call.withdrawn {
-			released++
+			released += c.oweLocked(s.call.seat)
 		}
 	}
 	batches := c.completeLocked(released)
@@ -459,9 +554,8 @@ func (c *batchingBackend) finish() {
 // pipelines a busy fleet without timer waits. Callers hold c.mu.
 func (c *batchingBackend) completeLocked(released int) []*launchBatch {
 	c.inflight--
-	c.owed += released
 	why := flushDrain
-	if c.owed > 0 {
+	if c.owedLocked() > 0 {
 		why = flushNone
 		if released > 0 {
 			c.armHoldLocked()

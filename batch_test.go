@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"rewire/internal/gen"
 	"rewire/internal/httpsrc"
 	"rewire/internal/osn"
 )
@@ -687,7 +688,7 @@ func dispatcherState(b Backend) (inflight, owed int) {
 	c := b.(*batchingBackend)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.inflight, c.owed
+	return c.inflight, c.owedLocked()
 }
 
 // TestBatchingClosedLoopOneTripPerRound: a fleet whose members are
@@ -863,5 +864,231 @@ func TestBatchingWithdrawSkipsResolvedSlots(t *testing.T) {
 	}
 	if st := batchStats(t, b); st.Batches != 3 || st.FlushFull != 2 || st.FlushIdle != 1 {
 		t.Fatalf("stats = %+v, want the lone Fetch idle-flushed", st)
+	}
+}
+
+// slowBackend answers from a graph after a fixed round trip per Fetch.
+type slowBackend struct {
+	graphBackend
+	delay time.Duration
+}
+
+func (b slowBackend) Fetch(ctx context.Context, ids []NodeID) ([][]NodeID, error) {
+	t := time.NewTimer(b.delay)
+	defer t.Stop()
+	select {
+	case <-t.C:
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+	return b.graphBackend.Fetch(ctx, ids)
+}
+
+// longHold seeds the dispatcher's round-trip average with an hour, so that
+// under an hour-long MaxWait its holds last minutes and a test can watch the
+// places owed without a hold expiring under it.
+func longHold(b Backend) {
+	c := b.(*batchingBackend)
+	c.mu.Lock()
+	c.rtt = time.Hour
+	c.mu.Unlock()
+}
+
+// owes reports whether the dispatcher holds a place for seat s.
+func owes(b Backend, s *osn.Seat) bool {
+	c := b.(*batchingBackend)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	_, ok := c.owing[s]
+	return ok
+}
+
+// TestBatchingMemberExitReleasesHold: a partitioned fleet over a slow
+// backend never waits out a hold. The session's connectivity check is owed
+// nothing, each member that retires leaves its seat, and a miss that joins a
+// sibling's fetch pays its place, so every hold ends when the last member
+// it was kept for comes back or leaves.
+func TestBatchingMemberExitReleasesHold(t *testing.T) {
+	inner := slowBackend{graphBackend: graphBackend{g: gen.Cycle(40)}, delay: 20 * time.Millisecond}
+	b := WithBatching(inner, BatchingOptions{MaxWait: time.Hour})
+	sess, err := NewSession(BackendSource(b), WithAlgorithm(AlgSRW), WithFleet(4),
+		WithPartitionedBudget(true), WithSeed(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Shares of unequal length (7 and 6 samples) retire members in two
+	// rounds.
+	for run := range 2 {
+		if _, err := sess.Samples(context.Background(), 26); err != nil {
+			t.Fatal(err)
+		}
+		if n := BatchHoldsExpired(b); n != 0 {
+			t.Fatalf("run %d: %d holds waited out their timer, stats %+v", run, n, batchStats(t, b))
+		}
+	}
+	if _, owed := dispatcherState(b); owed != 0 {
+		t.Fatalf("%d places still owed after every member retired", owed)
+	}
+}
+
+// TestBatchingEstimateHoldsNoMember: Session.Estimate steps every member on
+// one goroutine, so the member a completion released comes back only after
+// its siblings have stepped. Its queries are one caller's: a hold kept for
+// one member would wait out its timer on every step.
+func TestBatchingEstimateHoldsNoMember(t *testing.T) {
+	inner := slowBackend{graphBackend: graphBackend{g: gen.Cycle(40)}, delay: 20 * time.Millisecond}
+	b := WithBatching(inner, BatchingOptions{MaxWait: time.Hour})
+	sess, err := NewSession(BackendSource(b), WithAlgorithm(AlgMHRW), WithFleet(4), WithSeed(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.Estimate(context.Background(), AvgDegree(), EstimateOptions{Samples: 12}); err != nil {
+		t.Fatal(err)
+	}
+	// The last step's release is owed until its timer, which nothing waits
+	// on; any other expiry is a step that waited.
+	if n := BatchHoldsExpired(b); n > 1 {
+		t.Fatalf("%d holds waited out their timer over 12 round-robin steps, stats %+v", n, batchStats(t, b))
+	}
+}
+
+// TestBatchingJoinedDemandPaysPlace: a seated caller whose next miss joins
+// a fetch already in flight never reaches the dispatcher, so it pays its
+// place at once and the window held for it goes without waiting out the
+// hold.
+func TestBatchingJoinedDemandPaysPlace(t *testing.T) {
+	inner := &ringBackend{n: 64}
+	b := WithBatching(inner, BatchingOptions{MaxWait: time.Hour})
+	longHold(b)
+	client := osn.NewClient(b)
+	a, other := osn.NewSeat(), osn.NewSeat()
+	ctxA, ctxOther := a.Tag(context.Background()), other.Tag(context.Background())
+	if _, err := client.NeighborsContext(ctxA, 1); err != nil {
+		t.Fatal(err)
+	}
+	if !owes(b, a) {
+		t.Fatal("a released seat is owed no place")
+	}
+	// The other caller's miss waits in the window held for a.
+	res := make(chan error, 2)
+	go func() {
+		_, err := client.NeighborsContext(ctxOther, 2)
+		res <- err
+	}()
+	waitPending(t, b, 1)
+	// a's next miss is the same id: it joins that fetch.
+	go func() {
+		_, err := client.NeighborsContext(ctxA, 2)
+		res <- err
+	}()
+	for range 2 {
+		select {
+		case err := <-res:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("a joined demand kept the window held; stats %+v", batchStats(t, b))
+		}
+	}
+	if st := batchStats(t, b); st.Batches != 2 || st.FlushDrain != 1 || BatchHoldsExpired(b) != 0 {
+		t.Fatalf("stats = %+v, %d expired holds; want the held window drained once, by the join", st, BatchHoldsExpired(b))
+	}
+	if owes(b, a) || !owes(b, other) {
+		t.Fatal("after the drain, want the fetching caller owed a place and the joined one not")
+	}
+}
+
+// TestBatchingPrefetchNeverOwed: the prefetch pool's fetches and
+// QueryBatchContext's one-shot fetches release nobody who comes back, so
+// no place is owed for them and the next demand dispatches at once.
+func TestBatchingPrefetchNeverOwed(t *testing.T) {
+	inner := &ringBackend{n: 64}
+	b := WithBatching(inner, BatchingOptions{MaxWait: time.Hour})
+	longHold(b)
+	client := osn.NewPrefetchingClient(b, osn.PrefetchConfig{Workers: 1})
+	defer client.StopPrefetch()
+	if client.Prefetch(5) != 1 {
+		t.Fatal("hint refused")
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for client.PrefetchStats().Fetched != 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("speculative fetch never completed")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	if _, owed := dispatcherState(b); owed != 0 {
+		t.Fatalf("a speculative fetch is owed %d places", owed)
+	}
+	if _, err := client.QueryBatchContext(context.Background(), []NodeID{6, 7, 8}); err != nil {
+		t.Fatal(err)
+	}
+	if _, owed := dispatcherState(b); owed != 0 {
+		t.Fatalf("one-shot batch fetches are owed %d places", owed)
+	}
+	seat := osn.NewSeat()
+	if _, err := client.NeighborsContext(seat.Tag(context.Background()), 9); err != nil {
+		t.Fatal(err)
+	}
+	if st := batchStats(t, b); st.FlushIdle < 2 || st.FlushDrain+st.FlushIdle != st.Batches || BatchHoldsExpired(b) != 0 {
+		t.Fatalf("stats = %+v, %d expired holds; want every dispatch idle or drained, none held", st, BatchHoldsExpired(b))
+	}
+}
+
+// TestBatchingStrayLeaveKeepsOwed: a leave pays only a place its own seat
+// is owed in the current hold. A seat never released, a seat leaving twice,
+// and a seat whose place an expired hold already forgave change nothing.
+func TestBatchingStrayLeaveKeepsOwed(t *testing.T) {
+	inner := &ringBackend{n: 64}
+	b := WithBatching(inner, BatchingOptions{MaxWait: time.Hour})
+	c := b.(*batchingBackend)
+	longHold(b)
+	a, other, stray := osn.NewSeat(), osn.NewSeat(), osn.NewSeat()
+	fetch := func(s *osn.Seat, v NodeID) {
+		t.Helper()
+		if _, err := b.Fetch(s.Tag(context.Background()), []NodeID{v}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	owed := func(want int, what string) {
+		t.Helper()
+		if _, got := dispatcherState(b); got != want {
+			t.Fatalf("%s: %d places owed, want %d", what, got, want)
+		}
+	}
+	fetch(a, 1)
+	owed(1, "a released")
+	// other waits in the window held for a; a's return drains both.
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		fetch(other, 2)
+	}()
+	waitPending(t, b, 1)
+	fetch(a, 3)
+	<-done
+	owed(2, "a and other released together")
+	stray.Leave()
+	c.Vacate(stray)
+	owed(2, "a stray seat left")
+	a.Leave()
+	owed(1, "a left")
+	a.Leave()
+	c.Vacate(a)
+	owed(1, "a left again")
+	// Expire the hold: other's place is forgiven, and its later leave must
+	// not pay a place in the next hold.
+	c.mu.Lock()
+	gen := c.holdGen
+	c.mu.Unlock()
+	c.holdFire(gen)
+	owed(0, "the hold expired")
+	fetch(a, 4)
+	owed(1, "a released again")
+	other.Leave()
+	owed(1, "other left after its hold expired")
+	if !owes(b, a) {
+		t.Fatal("the late leave paid a's place")
 	}
 }

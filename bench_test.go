@@ -8,6 +8,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -262,6 +263,58 @@ func BenchmarkStreamFleetK2(b *testing.B) {
 	if n != b.N {
 		b.Fatalf("streamed %d samples, want %d", n, b.N)
 	}
+}
+
+// --- Batching dispatcher ------------------------------------------------------
+
+// roundTripBackend charges one fixed delay per Fetch however many ids it
+// carries: a provider whose cost is the round trip, not the id.
+type roundTripBackend struct {
+	inner rewire.Backend
+	delay time.Duration
+	calls atomic.Int64
+}
+
+func (r *roundTripBackend) Unwrap() rewire.Backend { return r.inner }
+
+func (r *roundTripBackend) Fetch(ctx context.Context, ids []rewire.NodeID) ([][]rewire.NodeID, error) {
+	r.calls.Add(1)
+	t := time.NewTimer(r.delay)
+	defer t.Stop()
+	select {
+	case <-t.C:
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+	return r.inner.Fetch(ctx, ids)
+}
+
+// BenchmarkBatchingFleetRounds crawls 512 samples per op with a 16-member
+// partitioned SRW fleet through WithBatching{64, 2ms, 2} over a 1 ms
+// round-trip backend, each op on a fresh cache. It reports round trips per
+// op and how many of the dispatcher's holds waited out their timer per op:
+// a hold ends at once when each member it was kept for comes back or
+// retires, so expired holds are the rounds a straggler cost.
+func BenchmarkBatchingFleetRounds(b *testing.B) {
+	mem, err := rewire.OpenBackend(context.Background(), "mem:preset?name=Google+Plus&full=false")
+	if err != nil {
+		b.Fatal(err)
+	}
+	rt := &roundTripBackend{inner: mem, delay: time.Millisecond}
+	stack := rewire.WithBatching(rt, rewire.BatchingOptions{MaxBatch: 64, MaxWait: 2 * time.Millisecond, MaxInflight: 2})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sess, err := rewire.NewSession(rewire.BackendSource(stack), rewire.WithAlgorithm(rewire.AlgSRW),
+			rewire.WithFleet(16), rewire.WithPartitionedBudget(true), rewire.WithSeed(uint64(i+1)))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := sess.Samples(context.Background(), 512); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(rt.calls.Load())/float64(b.N), "round-trips/op")
+	b.ReportMetric(float64(rewire.BatchHoldsExpired(stack))/float64(b.N), "holds-expired/op")
 }
 
 // --- Prefetch pipeline -------------------------------------------------------

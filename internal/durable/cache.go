@@ -198,7 +198,7 @@ func (c *Cache) recover() error {
 	}
 	c.man = man
 
-	c.seedMeta = newMetaState()
+	c.seedMeta = newMetaState(0)
 	if man.Gen > 0 {
 		snap, err := graph.OpenSnapshot(filepath.Join(c.dir, man.Snapshot))
 		if err != nil {
@@ -209,7 +209,7 @@ func (c *Cache) recover() error {
 		if err != nil {
 			return fmt.Errorf("durable: reading meta %s: %w", man.Meta, err)
 		}
-		m, err := decodeMeta(data)
+		m, err := decodeMeta(data, 0)
 		if err != nil {
 			return fmt.Errorf("durable: decoding meta %s: %w", man.Meta, err)
 		}

@@ -141,7 +141,7 @@ func TestReplayRejectsBitFlips(t *testing.T) {
 }
 
 func TestMetaRoundTrip(t *testing.T) {
-	m := newMetaState()
+	m := newMetaState(0)
 	m.apply(Record{Type: recFetch, User: 3, Billed: true, Tenant: "a", Attrs: osn.UserAttrs{Age: 1}, Neighbors: []graph.NodeID{1}})
 	m.apply(Record{Type: recFetch, User: 5, Billed: false, Neighbors: nil})
 	m.apply(Record{Type: recUpgrade, User: 5, Tenant: "b"})
@@ -153,7 +153,7 @@ func TestMetaRoundTrip(t *testing.T) {
 	if !bytes.Equal(enc, encodeMeta(m)) {
 		t.Fatal("encodeMeta not deterministic")
 	}
-	got, err := decodeMeta(enc)
+	got, err := decodeMeta(enc, 0)
 	if err != nil {
 		t.Fatalf("decodeMeta: %v", err)
 	}
@@ -168,12 +168,12 @@ func TestMetaRoundTrip(t *testing.T) {
 	if _, ok := got.entries[9]; ok {
 		t.Fatal("tombstoned entry survived")
 	}
-	if _, err := decodeMeta(enc[:len(enc)-1]); err == nil {
+	if _, err := decodeMeta(enc[:len(enc)-1], 0); err == nil {
 		t.Fatal("truncated meta decoded")
 	}
 	mut := bytes.Clone(enc)
 	mut[len(mut)/2] ^= 0x40
-	if _, err := decodeMeta(mut); err == nil {
+	if _, err := decodeMeta(mut, 0); err == nil {
 		t.Fatal("bit-flipped meta decoded")
 	}
 }

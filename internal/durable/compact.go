@@ -197,27 +197,39 @@ func (c *Cache) stopping() bool {
 // still names the previous generation, so nothing is lost; a snapshot
 // committed before the check is debris the next open prunes.
 func (c *Cache) fold(newGen uint64, sealed []uint64, snap *graph.Snapshot, oldMetaName string) error {
-	base := newMetaState()
-	if oldMetaName != "" {
-		data, err := os.ReadFile(filepath.Join(c.dir, oldMetaName))
-		if err != nil {
-			return fmt.Errorf("durable: reading meta for fold: %w", err)
-		}
-		if base, err = decodeMeta(data); err != nil {
-			return fmt.Errorf("durable: decoding meta for fold: %w", err)
-		}
-	}
-	// walRows holds each surviving fetch's encoded neighbor section, a
-	// sub-slice of its segment's bytes.
-	walRows := make(map[graph.NodeID][]byte)
-	replayed := 0
-	for _, seq := range sealed {
+	// Read every sealed segment first: the surviving rows point into these
+	// bytes until they are appended anyway, and their frame count bounds the
+	// records the two maps below take in, so each map is sized once.
+	segs := make([][]byte, len(sealed))
+	records := 0
+	for i, seq := range sealed {
 		if c.stopping() {
 			return errClosedDuringCompaction
 		}
 		data, err := os.ReadFile(filepath.Join(c.dir, segmentName(seq)))
 		if err != nil {
 			return fmt.Errorf("durable: reading segment for fold: %w", err)
+		}
+		segs[i] = data
+		records += countFrames(data)
+	}
+	base := newMetaState(records)
+	if oldMetaName != "" {
+		data, err := os.ReadFile(filepath.Join(c.dir, oldMetaName))
+		if err != nil {
+			return fmt.Errorf("durable: reading meta for fold: %w", err)
+		}
+		if base, err = decodeMeta(data, records); err != nil {
+			return fmt.Errorf("durable: decoding meta for fold: %w", err)
+		}
+	}
+	// walRows holds each surviving fetch's encoded neighbor section, a
+	// sub-slice of its segment's bytes.
+	walRows := make(map[graph.NodeID][]byte, records)
+	replayed := 0
+	for i, data := range segs {
+		if c.stopping() {
+			return errClosedDuringCompaction
 		}
 		if _, err := scanSegment(data, false, decodeHeader, func(r Record) error {
 			if replayed++; replayed%foldPollEvery == 0 && c.stopping() {
@@ -235,7 +247,7 @@ func (c *Cache) fold(newGen uint64, sealed []uint64, snap *graph.Snapshot, oldMe
 			if errors.Is(err, errClosed) {
 				return err
 			}
-			return fmt.Errorf("durable: folding %s: %w", segmentName(seq), err)
+			return fmt.Errorf("durable: folding %s: %w", segmentName(sealed[i]), err)
 		}
 	}
 

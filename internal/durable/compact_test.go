@@ -3,6 +3,7 @@ package durable
 import (
 	"context"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -205,5 +206,34 @@ func TestSealsDuringFoldAccumulateAnew(t *testing.T) {
 	sealOne()
 	if got := len(c.trigger); got != 1 {
 		t.Fatalf("two seals during the fold queued %d compactions, want 1", got)
+	}
+}
+
+// TestCountFramesBoundsScan: countFrames, which sizes a fold's maps, counts
+// exactly the records a scan of an intact segment yields, and at least as
+// many when the tail is torn or corrupt.
+func TestCountFramesBoundsScan(t *testing.T) {
+	var seg []byte
+	for v := graph.NodeID(0); v < 50; v++ {
+		seg = encodeFrame(seg, Record{Type: recFetch, User: v, Billed: v%2 == 0, Neighbors: benchRow(v)})
+		if v%7 == 0 {
+			seg = encodeFrame(seg, Record{Type: recUpgrade, User: v, Tenant: "t"})
+		}
+	}
+	scanned := func(data []byte) int {
+		n := 0
+		replaySegment(data, true, func(Record) error { n++; return nil })
+		return n
+	}
+	if got, want := countFrames(seg), scanned(seg); got != want || want == 0 {
+		t.Fatalf("intact segment: countFrames = %d, scan yields %d", got, want)
+	}
+	torn := seg[:len(seg)-3]
+	corrupt := slices.Clone(seg)
+	corrupt[len(corrupt)-1] ^= 0xff // checksum mismatch in the last frame
+	for name, data := range map[string][]byte{"torn": torn, "corrupt": corrupt} {
+		if got, want := countFrames(data), scanned(data); got < want {
+			t.Fatalf("%s segment: countFrames = %d, below the %d records a scan yields", name, got, want)
+		}
 	}
 }

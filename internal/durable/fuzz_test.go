@@ -173,7 +173,7 @@ func FuzzManifest(f *testing.F) {
 // panicking, the encoding is canonical: any state decodeMeta accepts must
 // re-encode through encodeMeta to the very bytes it came from.
 func FuzzMeta(f *testing.F) {
-	m := newMetaState()
+	m := newMetaState(0)
 	empty := encodeMeta(m)
 	f.Add(empty[:len(empty)-4])
 	m.apply(Record{Type: recFetch, User: 3, Billed: true, Tenant: "a", Attrs: osn.UserAttrs{Age: 1, DescLen: 200, Posts: 9}})
@@ -188,7 +188,7 @@ func FuzzMeta(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, body []byte) {
 		data := binary.LittleEndian.AppendUint32(bytes.Clone(body), crc32.ChecksumIEEE(body))
-		got, err := decodeMeta(data)
+		got, err := decodeMeta(data, 0)
 		if err != nil {
 			return
 		}

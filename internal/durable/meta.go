@@ -33,9 +33,11 @@ type metaState struct {
 	tenantBudget map[string]int64
 }
 
-func newMetaState() *metaState {
+// newMetaState returns an empty state whose entries map holds n entries
+// without growing.
+func newMetaState(n int) *metaState {
 	return &metaState{
-		entries:      make(map[graph.NodeID]metaEntry),
+		entries:      make(map[graph.NodeID]metaEntry, n),
 		unique:       make(map[string]int64),
 		tenantBudget: make(map[string]int64),
 	}
@@ -166,7 +168,10 @@ func encodeMeta(m *metaState) []byte {
 	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
 }
 
-func decodeMeta(data []byte) (*metaState, error) {
+// decodeMeta decodes an encoded meta. Its entries map is sized for the
+// meta's own entries plus room more, so a caller about to apply that many
+// records (a fold) grows it no further.
+func decodeMeta(data []byte, room int) (*metaState, error) {
 	if len(data) < len(metaMagic)+4 {
 		return nil, fmt.Errorf("%w: meta file %d bytes", ErrCorrupt, len(data))
 	}
@@ -181,7 +186,7 @@ func decodeMeta(data []byte) (*metaState, error) {
 	if v := r.uvarint(); r.err == nil && v != metaVersion {
 		return nil, fmt.Errorf("%w: unknown meta version %d", ErrCorrupt, v)
 	}
-	m := newMetaState()
+	m := newMetaState(0)
 	m.budget = r.varint()
 	nTenants := r.smallInt()
 	if r.err == nil && nTenants > len(body) {
@@ -228,6 +233,9 @@ func decodeMeta(data []byte) (*metaState, error) {
 	nEntries := r.smallInt()
 	if r.err == nil && nEntries > len(body) {
 		r.fail("entry count %d overruns body", nEntries)
+	}
+	if r.err == nil {
+		m.entries = make(map[graph.NodeID]metaEntry, nEntries+room)
 	}
 	prevID := graph.NodeID(-1)
 	for i := 0; i < nEntries && r.err == nil; i++ {

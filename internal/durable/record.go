@@ -311,6 +311,22 @@ func replaySegment(data []byte, tail bool, fn func(Record) error) (valid int64, 
 	return scanSegment(data, tail, decodePayload, fn)
 }
 
+// countFrames returns how many frames lead data before the first frame whose
+// length field is out of bounds, reading length fields only: at least as
+// many as a scan of data yields records, and exactly as many for an intact
+// segment.
+func countFrames(data []byte) int {
+	n := 0
+	for off := 0; len(data)-off >= frameHeader; n++ {
+		plen := binary.LittleEndian.Uint32(data[off:])
+		if plen < 2 || plen > maxPayload || int64(plen) > int64(len(data)-off-frameHeader) {
+			break
+		}
+		off += frameHeader + int(plen)
+	}
+	return n
+}
+
 // scanSegment is replaySegment with the payload decoder as a parameter: the
 // compactor passes decodeHeader, so that only rows it keeps are decoded.
 func scanSegment(data []byte, tail bool, decode func([]byte) (Record, error), fn func(Record) error) (valid int64, err error) {

@@ -240,6 +240,20 @@ func (c *Client) fetchOne(ctx context.Context, v graph.NodeID) ([]graph.NodeID, 
 	return lists[0], nil
 }
 
+// Expect tells every batching dispatcher on the backend's Unwrap chain that
+// the seated callers are about to fetch, so that the first of them to miss
+// waits for the others — or for their Leave — instead of going alone.
+func (c *Client) Expect(seats ...*Seat) {
+	if len(seats) == 0 {
+		return
+	}
+	for b := range Chain(c.be) {
+		if h, ok := b.(SeatHolder); ok {
+			h.Owe(seats...)
+		}
+	}
+}
+
 // StoreShards returns the local store's lock-stripe count.
 func (c *Client) StoreShards() int { return c.locks.Len() }
 
@@ -297,6 +311,9 @@ func (c *Client) NeighborsContext(ctx context.Context, v graph.NodeID) ([]graph.
 	case done == nil:
 		return e.nbrs, nil
 	}
+	// Joined someone else's fetch: this caller sends no fetch of its own
+	// for the place a batching dispatcher may hold for its seat.
+	SeatFrom(ctx).Leave()
 	select {
 	case <-done:
 		return e.nbrs, e.err
@@ -507,6 +524,9 @@ func (c *Client) fetchSpeculative(ctx context.Context, v graph.NodeID) (nbrs []g
 func (c *Client) QueryBatchContext(ctx context.Context, ids []graph.NodeID) ([][]graph.NodeID, error) {
 	out := make([][]graph.NodeID, len(ids))
 	errs := make([]error, len(ids))
+	// Each miss's goroutine fetches once and is gone: seat them unowed, so
+	// a batching dispatcher holds no place for them.
+	ctx = (&Seat{unowed: true}).Tag(ctx)
 	var wg sync.WaitGroup
 	for i, v := range ids {
 		if nbrs, ok := c.CachedNeighbors(v); ok {

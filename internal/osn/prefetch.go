@@ -64,6 +64,8 @@ type prefetchPool struct {
 	// parent context passed to StartPrefetchContext is cancelled (a deadline
 	// expiring mid depth-expansion, a session shutting down), in-flight
 	// speculative fetches abort instead of blocking out their RealLatency.
+	// It carries an unowed seat: no batching dispatcher holds a place for a
+	// worker.
 	ctx    context.Context
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
@@ -109,7 +111,7 @@ func (c *Client) StartPrefetchContext(ctx context.Context, cfg PrefetchConfig) {
 		cfg:    cfg,
 		queue:  make(chan prefetchJob, cfg.Queue),
 		quit:   make(chan struct{}),
-		ctx:    pctx,
+		ctx:    (&Seat{unowed: true}).Tag(pctx),
 		cancel: cancel,
 	}
 	for i := 0; i < cfg.Workers; i++ {

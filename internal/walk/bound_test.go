@@ -153,3 +153,93 @@ func TestBoundForwardsLowDegreeCount(t *testing.T) {
 		t.Errorf("Bound over a client: LowDegreeCount = %d, client says %d, want 2", got, want)
 	}
 }
+
+// testSeat tags contexts with itself and counts its leaves.
+type testSeat struct{ left atomic.Int32 }
+
+type testSeatKey struct{}
+
+func (s *testSeat) Tag(ctx context.Context) context.Context {
+	return context.WithValue(ctx, testSeatKey{}, s)
+}
+
+func (s *testSeat) Leave() { s.left.Add(1) }
+
+// seatSource answers every id with one neighbor and records the seat each
+// query's context carried.
+type seatSource struct {
+	mu    sync.Mutex
+	seats []*testSeat
+	tags  []string
+}
+
+type tagKey struct{}
+
+func (s *seatSource) Neighbors(v graph.NodeID) []graph.NodeID {
+	nbrs, _ := s.NeighborsContext(context.Background(), v)
+	return nbrs
+}
+
+func (s *seatSource) Degree(v graph.NodeID) int { return len(s.Neighbors(v)) }
+
+func (s *seatSource) NeighborsContext(ctx context.Context, v graph.NodeID) ([]graph.NodeID, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	seat, _ := ctx.Value(testSeatKey{}).(*testSeat)
+	tag, _ := ctx.Value(tagKey{}).(string)
+	s.mu.Lock()
+	s.seats = append(s.seats, seat)
+	s.tags = append(s.tags, tag)
+	s.mu.Unlock()
+	return []graph.NodeID{v + 1}, nil
+}
+
+func (s *seatSource) last() (*testSeat, string) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.seats[len(s.seats)-1], s.tags[len(s.tags)-1]
+}
+
+// TestBoundMemberTagsQueries: a member view's queries carry its seat under
+// the root's binding, Bind rebinds every view (BindUnseated without its
+// seat), a view's failure latches on the root, and Leave leaves the view's
+// seat only.
+func TestBoundMemberTagsQueries(t *testing.T) {
+	src := &seatSource{}
+	root := NewBound(src)
+	seat := &testSeat{}
+	m := root.Member(seat)
+	m.Neighbors(1)
+	if got, _ := src.last(); got != seat {
+		t.Fatalf("member query carried seat %p, want %p", got, seat)
+	}
+	root.Neighbors(1)
+	if got, _ := src.last(); got != nil {
+		t.Fatalf("root query carried seat %p, want none", got)
+	}
+	root.Bind(context.WithValue(context.Background(), tagKey{}, "run 2"))
+	m.Neighbors(1)
+	if got, tag := src.last(); got != seat || tag != "run 2" {
+		t.Fatalf("after Bind, member query carried seat %p and tag %q; want %p and the new binding's", got, tag, seat)
+	}
+	root.BindUnseated(context.WithValue(context.Background(), tagKey{}, "run 3"))
+	m.Neighbors(1)
+	if got, tag := src.last(); got != nil || tag != "run 3" {
+		t.Fatalf("after BindUnseated, member query carried seat %p and tag %q; want none and the new binding's", got, tag)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	root.Bind(ctx)
+	if m.Neighbors(1) != nil || !errors.Is(root.Err(), context.Canceled) || !errors.Is(m.Err(), context.Canceled) {
+		t.Fatalf("a member's failed read under a cancelled binding: root Err %v, member Err %v", root.Err(), m.Err())
+	}
+	root.Leave()
+	if n := seat.left.Load(); n != 0 {
+		t.Fatalf("the root's Leave left a member's seat %d times", n)
+	}
+	m.Leave()
+	if n := seat.left.Load(); n != 1 {
+		t.Fatalf("member Leave left its seat %d times, want 1", n)
+	}
+}

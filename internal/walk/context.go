@@ -52,17 +52,47 @@ func sourceErr(src Source) error {
 // source lacks them, so a sampler built over a Bound behaves exactly as one
 // built over the inner source directly.
 //
+// A fleet member can read through its own view of a Bound (Member), whose
+// queries carry the member's Seat, so that a batching layer below can tell
+// one member's round trips from another's.
+//
 // Bound is safe for concurrent use by a fleet and takes no lock: every read
 // loads the bound context atomically and the first failure is latched by a
 // compare-and-swap, so cache hits through a Bound stay contention-free. Bind
-// must not be called while a run is in flight (the session serializes runs).
+// and Member must not be called while a run is in flight (the session
+// serializes runs).
 type Bound struct {
 	src    ContextSource
 	pf     PrefetchSource
 	cached CachedSource
 
+	// root is the Bound whose binding and latched error this one shares:
+	// itself, or the Bound a member view was made from. seat tags a member
+	// view's queries (nil on a root), and members lists the root's views,
+	// which Bind rebinds.
+	root    *Bound
+	seat    Seat
+	members []*Bound
+
 	ctx atomic.Pointer[boundContext]
-	err atomic.Pointer[boundError]
+	err atomic.Pointer[boundError] // the root's is the one latched
+}
+
+// Seat names one fleet member on the query path below a Bound (osn.Seat is
+// one): Tag marks the contexts of the member's queries, and Leave tells the
+// path that the member is done with any place a batching layer holds for
+// it.
+type Seat interface {
+	Tag(ctx context.Context) context.Context
+	Leave()
+}
+
+// Leaver is the optional Source and Walker capability of telling the query
+// path that the caller sends no more queries this run. A fleet member calls
+// it when it retires; Bound member views implement it, and the baseline
+// walkers and Prefetched forward it to their source or inner walker.
+type Leaver interface {
+	Leave()
 }
 
 // boundContext and boundError box the interface values a Bound publishes
@@ -75,6 +105,7 @@ type (
 // NewBound wraps src bound to the background context.
 func NewBound(src ContextSource) *Bound {
 	b := &Bound{src: src}
+	b.root = b
 	//rewirelint:allow ctxflow Background is the documented initial state; Bind installs the caller's ctx
 	b.ctx.Store(&boundContext{context.Background()})
 	b.pf, _ = src.(PrefetchSource)
@@ -82,21 +113,56 @@ func NewBound(src ContextSource) *Bound {
 	return b
 }
 
-// Bind installs ctx as the context for subsequent queries and clears the
+// Bind installs ctx as the context for subsequent queries — of the root
+// and, each tagged with its seat, of every member view — and clears the
 // latched error. Call it only between runs, never while walkers are
 // stepping.
-func (b *Bound) Bind(ctx context.Context) {
+func (b *Bound) Bind(ctx context.Context) { b.bind(ctx, true) }
+
+// BindUnseated is Bind for a run that steps every member on one goroutine:
+// the member views read under ctx without their seats, because all their
+// queries are that one goroutine's.
+func (b *Bound) BindUnseated(ctx context.Context) { b.bind(ctx, false) }
+
+func (b *Bound) bind(ctx context.Context, seated bool) {
 	if ctx == nil {
 		//rewirelint:allow ctxflow nil means unbound; Background restores the documented initial state
 		ctx = context.Background()
 	}
-	b.ctx.Store(&boundContext{ctx})
-	b.err.Store(nil)
+	r := b.root
+	r.ctx.Store(&boundContext{ctx})
+	for _, m := range r.members {
+		mctx := ctx
+		if seated {
+			mctx = m.seat.Tag(ctx)
+		}
+		m.ctx.Store(&boundContext{mctx})
+	}
+	r.err.Store(nil)
+}
+
+// Member returns a view of b for one fleet member: it reads the same
+// source under the same binding and latches into the same error, but every
+// query it issues under the bound context carries seat, and its Leave
+// leaves seat. Call it only between runs.
+func (b *Bound) Member(seat Seat) *Bound {
+	r := b.root
+	m := &Bound{src: r.src, pf: r.pf, cached: r.cached, root: r, seat: seat}
+	m.ctx.Store(&boundContext{seat.Tag(r.context())})
+	r.members = append(r.members, m)
+	return m
+}
+
+// Leave leaves a member view's seat (nothing on a root).
+func (b *Bound) Leave() {
+	if b.seat != nil {
+		b.seat.Leave()
+	}
 }
 
 // Err returns the first query failure since the last Bind (nil if none).
 func (b *Bound) Err() error {
-	if e := b.err.Load(); e != nil {
+	if e := b.root.err.Load(); e != nil {
 		return e.err
 	}
 	return nil
@@ -105,7 +171,7 @@ func (b *Bound) Err() error {
 // fail latches the first error of the run; later errors lose the
 // compare-and-swap and are dropped.
 func (b *Bound) fail(err error) {
-	b.err.CompareAndSwap(nil, &boundError{err})
+	b.root.err.CompareAndSwap(nil, &boundError{err})
 }
 
 // context returns the currently bound context.
@@ -184,4 +250,5 @@ var (
 	_ Source        = (*Bound)(nil)
 	_ ContextSource = (*Bound)(nil)
 	_ Failing       = (*Bound)(nil)
+	_ Leaver        = (*Bound)(nil)
 )

@@ -193,6 +193,7 @@ func (f *Fleet) launch(ctx context.Context, claim func(id int) bool) (samples it
 			}
 			blk := block()
 			var opened time.Time
+			leaver, _ := w.(Leaver)
 			for !halted.Load() && !f.quiesced.Load() && claim(id) {
 				if len(blk) == 0 {
 					//rewirelint:allow deterministic the clock decides only when a block is handed over, never what a member draws
@@ -218,6 +219,11 @@ func (f *Fleet) launch(ctx context.Context, claim func(id int) bool) (samples it
 					}
 					blk = block()
 				}
+			}
+			// The member sends no more queries: a batching layer below need
+			// not hold a round trip for it.
+			if leaver != nil {
+				leaver.Leave()
 			}
 			// Hand over the partial block (budget drained, quiesced, or a
 			// sticky failure after good samples) unless the run was stopped.

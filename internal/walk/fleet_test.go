@@ -256,3 +256,52 @@ func TestFleetStreamAllocsPerSample(t *testing.T) {
 			200*blockSize, long, blockSize, short, (long-short)/float64(199*blockSize))
 	}
 }
+
+// TestFleetMembersLeaveOnExit: a retiring member leaves its seat once,
+// whether its share ran out (partitioned), the shared budget did (racing),
+// or the run was stopped, and a prefetching member forwards its leave.
+func TestFleetMembersLeaveOnExit(t *testing.T) {
+	g := gen.Cycle(64)
+	for _, tc := range []struct {
+		name string
+		run  func(f *Fleet)
+	}{
+		{"partitioned", func(f *Fleet) { f.SamplesPartitioned(40) }},
+		{"racing", func(f *Fleet) { f.Samples(40) }},
+		{"stopped", func(f *Fleet) {
+			stream, stop := f.StreamContext(context.Background(), 1000)
+			for range stream {
+				stop()
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			root := NewBound(&graphContextSource{g})
+			seats := make([]*testSeat, 4)
+			members := make([]Walker, len(seats))
+			for i := range seats {
+				seats[i] = &testSeat{}
+				var w Walker = NewSimple(root.Member(seats[i]), graph.NodeID(16*i), rng.New(uint64(i+1)))
+				if i%2 == 1 {
+					w = WithPrefetch(w, NewNextHop(root))
+				}
+				members[i] = w
+			}
+			tc.run(NewFleet(members...))
+			for i, s := range seats {
+				if n := s.left.Load(); n != 1 {
+					t.Errorf("member %d left %d times, want once", i, n)
+				}
+			}
+		})
+	}
+}
+
+// graphContextSource is a graph read through the ContextSource interface.
+type graphContextSource struct{ g *graph.Graph }
+
+func (s *graphContextSource) Neighbors(v graph.NodeID) []graph.NodeID { return s.g.Neighbors(v) }
+func (s *graphContextSource) Degree(v graph.NodeID) int               { return s.g.Degree(v) }
+func (s *graphContextSource) NeighborsContext(ctx context.Context, v graph.NodeID) ([]graph.NodeID, error) {
+	return s.g.Neighbors(v), ctx.Err()
+}

@@ -249,6 +249,13 @@ func (w *Prefetched) Step() graph.NodeID {
 	return to
 }
 
+// Leave forwards a retiring member's leave to the inner walker.
+func (w *Prefetched) Leave() {
+	if l, ok := w.Walker.(Leaver); ok {
+		l.Leave()
+	}
+}
+
 // Prefetched returns a new Fleet whose members issue prefetch hints through
 // strategies built by mk — one instance per member, because strategies are
 // single-goroutine state. The members themselves are shared with the

@@ -72,6 +72,13 @@ func (c *chain) Err() error { return sourceErr(c.src) }
 // SetCurrent repositions the walk (between runs only).
 func (c *chain) SetCurrent(v graph.NodeID) { c.cur = v }
 
+// Leave forwards a retiring walker's leave to its source, if it takes one.
+func (c *chain) Leave() {
+	if l, ok := c.src.(Leaver); ok {
+		l.Leave()
+	}
+}
+
 // RandState captures the walker's RNG stream.
 func (c *chain) RandState() [4]uint64 { return c.rng.State() }
 

@@ -41,6 +41,7 @@ type Session struct {
 	bound    *walk.Bound
 	fleet    *walk.Fleet
 	overlay  *core.Overlay // nil unless AlgMTO
+	seats    []*osn.Seat   // the members' seats; nil for MTO
 	cfg      config
 
 	mu      sync.Mutex
@@ -134,6 +135,15 @@ func newSession(src Source, cfg config) (*Session, error) {
 	}
 	s.bound = walk.NewBound(inner)
 
+	// A member that reads alone does so through its own view of the bound
+	// source, whose seat tells a WithBatching dispatcher below which member
+	// a round trip released, and gives up the member's place in the next one
+	// when it retires. MTO members share one overlay and read unseated.
+	seated := func() *walk.Bound {
+		seat := osn.NewSeat()
+		s.seats = append(s.seats, seat)
+		return s.bound.Member(seat)
+	}
 	members := make([]walk.Walker, k)
 	switch cfg.alg {
 	case AlgMTO:
@@ -143,15 +153,15 @@ func newSession(src Source, cfg config) (*Session, error) {
 		}
 	case AlgSRW:
 		for i, start := range starts {
-			members[i] = walk.NewSimple(s.bound, start, r.Split())
+			members[i] = walk.NewSimple(seated(), start, r.Split())
 		}
 	case AlgMHRW:
 		for i, start := range starts {
-			members[i] = walk.NewMetropolisHastings(s.bound, start, r.Split())
+			members[i] = walk.NewMetropolisHastings(seated(), start, r.Split())
 		}
 	case AlgRJ:
 		for i, start := range starts {
-			members[i] = walk.NewRandomJump(s.bound, start, n, cfg.pJump, r.Split())
+			members[i] = walk.NewRandomJump(seated(), start, n, cfg.pJump, r.Split())
 		}
 	}
 	if pf := cfg.prefetch; pf != nil {
@@ -232,8 +242,10 @@ func (s *Session) Err() error {
 	return s.err
 }
 
-// begin claims the session for one run and binds ctx to its query path.
-func (s *Session) begin(ctx context.Context) error {
+// begin claims the session for one run and binds ctx to its query path,
+// with each member's queries on its own seat when seated (the members step
+// on goroutines of their own).
+func (s *Session) begin(ctx context.Context, seated bool) error {
 	s.mu.Lock()
 	if s.running {
 		s.mu.Unlock()
@@ -249,7 +261,11 @@ func (s *Session) begin(ctx context.Context) error {
 		s.finish(err)
 		return err
 	}
-	s.bound.Bind(ctx)
+	if seated {
+		s.bound.Bind(ctx)
+	} else {
+		s.bound.BindUnseated(ctx)
+	}
 	if pf := s.cfg.prefetch; pf != nil && s.provider != nil {
 		s.provider.client.StartPrefetchContext(ctx, osn.PrefetchConfig{
 			Workers: pf.Workers,
@@ -283,6 +299,11 @@ func (s *Session) begin(ctx context.Context) error {
 			s.finish(err)
 			return err
 		}
+	}
+	if seated && s.provider != nil {
+		// Every member is about to step: a dispatcher holds the first miss
+		// for the others, so they start on one round trip.
+		s.provider.client.Expect(s.seats...)
 	}
 	return nil
 }
@@ -354,7 +375,7 @@ func (s *Session) Stream(ctx context.Context, total int) iter.Seq2[Sample, error
 			yield(Sample{}, fmt.Errorf("rewire: negative sample total %d", total))
 			return
 		}
-		if err := s.begin(ctx); err != nil {
+		if err := s.begin(ctx, true); err != nil {
 			yield(Sample{}, err)
 			return
 		}
@@ -476,7 +497,9 @@ func (s *Session) Estimate(ctx context.Context, agg Aggregate, opt EstimateOptio
 	if opt.Samples <= 0 {
 		opt.Samples = 1000
 	}
-	if err := s.begin(ctx); err != nil {
+	// The members step round-robin on this goroutine: one caller, so
+	// they read unseated.
+	if err := s.begin(ctx, false); err != nil {
 		return Result{}, err
 	}
 	var runErr error
